@@ -19,7 +19,7 @@ import numpy as np
 
 from .domains import ChampagneDomain, transport_domain
 from .errors import NumericalRefusalError, ValidationError
-from .hyperbolic import require_disk_point
+from .hyperbolic import mobius_apply_many, pseudo_distance_many, require_disk_point
 from .sequences import PointSequence, probe_lattice
 
 ILL_CONDITIONED_RATIO = 1e-2   # (a-b)/a below this: weights collapse geometrically
@@ -58,7 +58,7 @@ def log_blaschke(zeros, z) -> float:
     zs = np.asarray(zeros, dtype=np.complex128)
     if zs.size == 0:
         return 0.0
-    rho = np.abs((z - zs) / (1.0 - np.conj(zs) * z))
+    rho = pseudo_distance_many(z, zs)
     if np.any(rho == 0.0):
         return -math.inf
     return float(np.log(rho).sum())
@@ -72,8 +72,7 @@ def _log_blaschke_many(zeros: np.ndarray, pts: np.ndarray,
         return out
     chunk = max(1, 2_000_000 // max(zeros.size, 1))
     for i0 in range(0, pts.size, chunk):
-        block = pts[i0:i0 + chunk, None]
-        rho = np.abs((block - zeros[None, :]) / (1.0 - np.conj(zeros[None, :]) * block))
+        rho = pseudo_distance_many(pts[i0:i0 + chunk, None], zeros[None, :])
         with np.errstate(divide="ignore"):
             logs = np.log(rho)
         if weights is None:
@@ -275,7 +274,7 @@ def barrier_lower_bound(domain: ChampagneDomain, seq: PointSequence | None = Non
 def _annulus_log_product(pts: np.ndarray, z: complex, r: float) -> float:
     """log of the Blaschke product over {lambda: 1/2 < rho(lambda, z) < r},
     evaluated at z."""
-    rho = np.abs((z - pts) / (1.0 - np.conj(pts) * z))
+    rho = pseudo_distance_many(z, pts)
     sel = rho[(rho > 0.5) & (rho < r)]
     if sel.size == 0:
         return 0.0
@@ -295,7 +294,7 @@ def extremal_c(seq: PointSequence, r: float, probe_points=None,
             # points nudged off-center (pseudo distance 0.05) probe the sup
             # near each lattice site
             for s in (0.05, -0.05, 0.05j, -0.05j):
-                probes.append((seq.points - s) / (1.0 - np.conj(seq.points) * s))
+                probes.append(mobius_apply_many(seq.points, s))
         probes = np.concatenate(probes)
     else:
         probes = np.asarray(probe_points, dtype=np.complex128)

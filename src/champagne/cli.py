@@ -134,7 +134,7 @@ def parse_ring_spec(text: str) -> dict:
 
 def resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     seed_dir = os.environ.get(SEED_DIR_ENV)
     if seed_dir:
         path = os.path.join(seed_dir, "default_seed")
@@ -157,13 +157,28 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    for key, val in load_config_file(path).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; a --config file's keys become defaults of the chosen
+    subcommand's flags.
+
+    argparse converts string defaults through each flag's type, and flags
+    given on the command line still win.  Keys naming a flag of another
+    subcommand are ignored, so one file can serve several commands; a key
+    naming no flag at all is an error.
+    """
+    parser, subcommands = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    config = load_config_file(args.config)
+    flags = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+             for name, sp in subcommands.items()}
+    unknown = sorted(set(config).difference(*flags.values()))
+    if unknown:
+        raise ValidationError(f"{args.config}: no flag named {', '.join(unknown)}")
+    own = flags[args.command]
+    subcommands[args.command].set_defaults(**{k: v for k, v in config.items() if k in own})
+    return parser.parse_args(argv)
 
 
 def _load_seq(args) -> PointSequence:
@@ -177,10 +192,10 @@ def _load_seq(args) -> PointSequence:
 
 def _mc_config(args, seed) -> dict:
     return {
-        "walks": int(args.walks),
-        "epsilon": None if args.epsilon is None else float(args.epsilon),
-        "seed": int(seed),
-        "threads": int(args.threads),
+        "walks": args.walks,
+        "epsilon": args.epsilon,
+        "seed": seed,
+        "threads": args.threads,
     }
 
 
@@ -218,8 +233,8 @@ def cmd_diag(args) -> int:
     }
     if args.probe_modulus is not None:
         result["covering_radius"] = covering_radius(
-            seq, float(args.probe_modulus), grid_density=float(args.grid_density))
-        result["covering_probe_modulus"] = float(args.probe_modulus)
+            seq, args.probe_modulus, grid_density=args.grid_density)
+        result["covering_probe_modulus"] = args.probe_modulus
     emit(args, "diag", {"seq": args.seq or args.ring}, result)
     return 0
 
@@ -227,7 +242,7 @@ def cmd_diag(args) -> int:
 def cmd_density(args) -> int:
     seq = _load_seq(args)
     r_values = parse_float_list(args.r_list)
-    est = uniform_density(seq, r_values, grid_density=float(args.grid_density), mode="both")
+    est = uniform_density(seq, r_values, grid_density=args.grid_density, mode="both")
     result = {
         "r_values": est.r_values,
         "lower_curve": est.lower_curve,
@@ -239,15 +254,14 @@ def cmd_density(args) -> int:
         "n_probes": est.n_probes,
     }
     emit(args, "density", {"seq": args.seq or args.ring, "r_list": r_values,
-                           "grid_density": float(args.grid_density)}, result)
+                           "grid_density": args.grid_density}, result)
     return 0
 
 
 def cmd_criterion(args) -> int:
     profile = parse_profile(args.profile)
-    rep_i = criterion_integral(profile, tail_tolerance=float(args.tail_tol))
-    rep_s = criterion_sum(profile, K=float(args.k), J_max=int(args.jmax),
-                          tail_tolerance=float(args.tail_tol))
+    rep_i = criterion_integral(profile, tail_tolerance=args.tail_tol)
+    rep_s = criterion_sum(profile, K=args.k, J_max=args.jmax, tail_tolerance=args.tail_tol)
     result = {
         "integral_value": rep_i.value,
         "classification": rep_i.classification,
@@ -266,15 +280,15 @@ def cmd_criterion(args) -> int:
             or "inconclusive" in (rep_i.classification, rep_s.classification)
         ),
     }
-    emit(args, "criterion", {"profile": args.profile, "k": float(args.k),
-                             "jmax": int(args.jmax), "tail_tol": float(args.tail_tol)}, result)
+    emit(args, "criterion", {"profile": args.profile, "k": args.k,
+                             "jmax": args.jmax, "tail_tol": args.tail_tol}, result)
     return 0
 
 
 def cmd_build_domain(args) -> int:
     seq = _load_seq(args)
     profile = parse_profile(args.profile)
-    dom = build_champagne(seq, profile, float(args.truncation))
+    dom = build_champagne(seq, profile, args.truncation)
     payload = dom.to_json_dict()
     if args.out:
         _atomic_write(args.out, json.dumps(_jsonify(payload), indent=1, sort_keys=True))
@@ -287,9 +301,8 @@ def cmd_measure(args) -> int:
     dom = ChampagneDomain.load(args.domain)
     seed = resolve_seed(args)
     z0 = parse_point(args.start)
-    est = estimate_measure(dom, z0, target=args.target, n_walks=int(args.walks),
-                           epsilon=None if args.epsilon is None else float(args.epsilon),
-                           seed=seed, threads=int(args.threads))
+    est = estimate_measure(dom, z0, target=args.target, n_walks=args.walks,
+                           epsilon=args.epsilon, seed=seed, threads=args.threads)
     result = est.canonical_dict()
     result["wall_time"] = est.wall_time
     result["steps_per_second"] = est.steps_total / est.wall_time if est.wall_time > 0 else None
@@ -312,13 +325,11 @@ def cmd_sandwich(args) -> int:
 def cmd_layered(args) -> int:
     dom = ChampagneDomain.load(args.domain)
     seed = resolve_seed(args)
-    rep = layered_crossing(dom, K=float(args.k), j_max=int(args.jmax),
-                           n_walks=int(args.walks),
-                           epsilon=None if args.epsilon is None else float(args.epsilon),
-                           seed=seed, grid_points=int(args.grid_points),
-                           threads=int(args.threads))
-    config = {"domain": args.domain, "k": float(args.k), "jmax": int(args.jmax),
-              "grid_points": int(args.grid_points), **_mc_config(args, seed)}
+    rep = layered_crossing(dom, K=args.k, j_max=args.jmax, n_walks=args.walks,
+                           epsilon=args.epsilon, seed=seed, grid_points=args.grid_points,
+                           threads=args.threads)
+    config = {"domain": args.domain, "k": args.k, "jmax": args.jmax,
+              "grid_points": args.grid_points, **_mc_config(args, seed)}
     emit(args, "layered", config, rep)
     return 0
 
@@ -326,10 +337,8 @@ def cmd_layered(args) -> int:
 def cmd_barrier(args) -> int:
     dom = ChampagneDomain.load(args.domain)
     z0 = parse_point(args.start)
-    cert = barrier_lower_bound(dom, eta=float(args.eta),
-                               n=None if args.layers is None else int(args.layers),
-                               start=z0, boundary_sample_density=int(args.samples),
-                               b=None if args.b is None else float(args.b))
+    cert = barrier_lower_bound(dom, eta=args.eta, n=args.layers, start=z0,
+                               boundary_sample_density=args.samples, b=args.b)
     result = {
         "exterior_lower": cert.exterior_lower,
         "U_at_start": cert.barrier_at_start,
@@ -338,8 +347,8 @@ def cmd_barrier(args) -> int:
         "a": cert.a, "b": cert.b, "n": cert.n, "eta": cert.eta,
         "flags": cert.flags,
     }
-    config = {"domain": args.domain, "start": [z0.real, z0.imag], "eta": float(args.eta),
-              "layers": args.layers, "samples": int(args.samples), "b": args.b}
+    config = {"domain": args.domain, "start": [z0.real, z0.imag], "eta": args.eta,
+              "layers": args.layers, "samples": args.samples, "b": args.b}
     emit(args, "barrier", config, result)
     return 0
 
@@ -348,13 +357,11 @@ def cmd_theorem2(args) -> int:
     seq = _load_seq(args)
     seed = resolve_seed(args)
     r_values = parse_float_list(args.r_list)
-    mc = McParams(n_walks=int(args.walks),
-                  epsilon=None if args.epsilon is None else float(args.epsilon),
-                  seed=seed, threads=int(args.threads))
-    probe_spec = ProbeSpec(max_probes=int(args.max_probes))
+    mc = McParams(n_walks=args.walks, epsilon=args.epsilon, seed=seed, threads=args.threads)
+    probe_spec = ProbeSpec(max_probes=args.max_probes)
     rep = theorem2_report(seq, r_values, probe_spec, mc)
     config = {"seq": args.seq or args.ring, "r_list": r_values,
-              "max_probes": int(args.max_probes), **_mc_config(args, seed)}
+              "max_probes": args.max_probes, **_mc_config(args, seed)}
     emit(args, "theorem2", config, rep)
     if args.csv:
         rows = ["r,uniform_lower,uniform_upper,harmonic_lower,harmonic_upper"]
@@ -375,9 +382,8 @@ def cmd_dichotomy_sweep(args) -> int:
     prev = None
     for R in truncations:
         dom = build_champagne(seq, profile, R, ensure_interior=(z0,))
-        est = estimate_measure(dom, z0, target="exterior", n_walks=int(args.walks),
-                               epsilon=None if args.epsilon is None else float(args.epsilon),
-                               seed=seed, threads=int(args.threads))
+        est = estimate_measure(dom, z0, target="exterior", n_walks=args.walks,
+                               epsilon=args.epsilon, seed=seed, threads=args.threads)
         sb = sandwich_bounds(dom, z0)
         row = {
             "truncation_R": R,
@@ -405,7 +411,8 @@ def cmd_dichotomy_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argument parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(prog="champagne",
                                 description="champagne subdomains of the unit disk: "
                                             "construction, harmonic measure, and density diagnostics")
@@ -517,14 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, walks_default=100000)
     sp.set_defaults(func=cmd_dichotomy_sweep)
 
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config_file(args)
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

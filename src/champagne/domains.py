@@ -224,6 +224,17 @@ class CriterionReport:
 _DECAY_RATIO = 0.5  # blocks decaying slower than this over the last decades => divergent
 
 
+def _decade_block(profile: RadiusProfile, a: float, b: float) -> float:
+    """Criterion integrand integrated over the log-gap block [a, b]."""
+    f = profile.criterion_term_at_loggap
+    # kinked table interpolants trip quad's roundoff detector; the value is
+    # still good to far better than the classifier needs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        v, _ = quad(lambda u: f(-u), a, b, limit=200, epsabs=1e-12, epsrel=1e-10)
+    return v
+
+
 def _classify_blocks(blocks: list[float], tail_tolerance: float):
     """Shared three-decade classifier on per-decade blocks."""
     usable = [b for b in blocks if b is not None]
@@ -250,30 +261,17 @@ def criterion_integral(profile: RadiusProfile, tail_tolerance: float = 1e-9) -> 
     feed the divergence classifier.
     """
     flags: list[str] = []
-    f = profile.criterion_term_at_loggap
-
-    def integrand(u):
-        return f(-u)
-
-    def block_quad(a, b):
-        # kinked table interpolants trip quad's roundoff detector; the
-        # value is still good to far better than the classifier needs
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            v, _ = quad(integrand, a, b, limit=200, epsabs=1e-12, epsrel=1e-10)
-        return v
-
     coverage = profile.table_coverage_loggap
     u_cap = math.inf if coverage is None else -coverage
     knots = [0.0, 1.0]
     while knots[-1] < min(1e8, 1000.0 if u_cap == math.inf else u_cap):
         knots.append(knots[-1] * 10.0)
 
-    head = block_quad(knots[0], knots[1])
+    head = _decade_block(profile, knots[0], knots[1])
     blocks = []
     running = [head]
     for a, b in zip(knots[1:-1], knots[2:]):
-        v = block_quad(a, b)
+        v = _decade_block(profile, a, b)
         blocks.append(v)
         running.append(running[-1] + v)
 
@@ -288,7 +286,7 @@ def criterion_integral(profile: RadiusProfile, tail_tolerance: float = 1e-9) -> 
     while classification == "inconclusive" and knots[-1] < 1e8:
         a = knots[-1]
         knots.append(a * 10.0)
-        v = block_quad(a, knots[-1])
+        v = _decade_block(profile, a, knots[-1])
         blocks.append(v)
         running.append(running[-1] + v)
         classification, tail = _classify_blocks(blocks, tail_tolerance)
@@ -308,15 +306,7 @@ def criterion_tail_integral(profile: RadiusProfile, R: float,
     Returns inf for divergent profiles, None when inconclusive."""
     if not 0.0 < R < 1.0:
         raise ValidationError(f"R must lie in (0, 1), got {R!r}")
-    f = profile.criterion_term_at_loggap
     u0 = math.log(1.0 / (1.0 - R))
-
-    def block_quad(a, b):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            v, _ = quad(lambda u: f(-u), a, b, limit=200, epsabs=1e-12, epsrel=1e-10)
-        return v
-
     knots = [u0]
     blocks = []
     total = 0.0
@@ -324,7 +314,7 @@ def criterion_tail_integral(profile: RadiusProfile, R: float,
     tail = None
     while knots[-1] < 1e8:
         knots.append(knots[-1] * 10.0)
-        v = block_quad(knots[-2], knots[-1])
+        v = _decade_block(profile, knots[-2], knots[-1])
         blocks.append(v)
         total += v
         classification, tail = _classify_blocks(blocks, tail_tolerance)
@@ -465,22 +455,12 @@ class ChampagneDomain:
     def min_radius(self) -> float:
         return float(self.radii.min()) if self.n_bubbles else math.inf
 
-    def contains(self, z, clearance: float = 0.0) -> bool:
-        """True when z is interior to the domain with the given clearance."""
-        z = complex(z)
-        if abs(z) >= 1.0 - clearance:
-            return False
-        if self.n_bubbles == 0:
-            return True
-        d, _ = self.index.exact_nearest(z.real, z.imag)
-        return d > clearance
-
     def require_interior(self, z, name: str = "z") -> complex:
         z = complex(z)
         if abs(z) >= 1.0:
             raise ValidationError(f"{name}={z!r} lies outside the open unit disk")
         if self.n_bubbles:
-            d, i = self.index.exact_nearest(z.real, z.imag)
+            d, i = self.index.nearest_surface(z.real, z.imag)
             if d <= 0.0:
                 raise ValidationError(
                     f"{name}={z!r} lies inside or on bubble {i} (source {self.source_index[i]})"

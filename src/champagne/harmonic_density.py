@@ -1,10 +1,12 @@
 """Harmonic-measure densities over finitely connected annulus domains.
 
-For each radius r and probe z, remove the bubbles D(lambda, 1-r) around
-the sequence points with 1/2 < rho(lambda, z) < r, transport the probe to
-the origin, estimate the exterior harmonic measure by walk-on-spheres,
-and record log(1/omega).  The lower curve takes the infimum over a probe
-grid, the upper curve the supremum over the sequence points themselves.
+For each radius r and probe z, build_finitely_connected removes the
+bubbles D(lambda, 1-r) around the sequence points with
+1/2 < rho(lambda, z) < r, and transport_domain moves the probe to the
+origin by the automorphism swapping z and 0.  The exterior harmonic
+measure there is estimated by walk-on-spheres and recorded as
+log(1/omega).  The lower curve takes the infimum over a probe grid, the
+upper curve the supremum over the sequence points themselves.
 Curves are reported as data over r; no limit is extrapolated.
 """
 
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ChampagneDomain, resolve_delta_rule
+from .domains import build_finitely_connected, resolve_delta_rule, transport_domain
 from .errors import ValidationError
-from .hyperbolic import pseudo_to_euclidean_arrays, require_disk_point
+from .hyperbolic import require_disk_point
 from .sequences import PointSequence, probe_lattice, uniform_density
 from .streams import derive_seed
 from .walker import MeasureEstimate, estimate_measure
@@ -98,31 +100,9 @@ class HarmonicDensityCurve:
     flags: tuple
 
 
-_TIE_SNAP = 1e-12  # same ring-noise snapping as the domain builders
-
-
-def _domain_at_origin(seq: PointSequence, z: complex, r: float, delta: float) -> ChampagneDomain | None:
-    """Finitely connected domain transported so the probe sits at 0."""
-    rho = np.abs((z - seq.points) / (1.0 - np.conj(seq.points) * z))
-    keep = (rho > 0.5 + _TIE_SNAP) & (rho < r - _TIE_SNAP)
-    if not np.any(keep):
-        return None
-    lam = (z - seq.points[keep]) / (1.0 - np.conj(seq.points[keep]) * z)
-    p_radii = np.full(lam.size, delta)
-    centers, radii = pseudo_to_euclidean_arrays(lam, p_radii)
-    return ChampagneDomain(
-        centers=centers, radii=radii, pseudo_centers=lam, pseudo_radii=p_radii,
-        source_index=np.nonzero(keep)[0], truncation_R=float(r),
-        profile_spec=f"const:{delta:.17g}",
-        circumference_sum=float(2.0 * math.pi * radii.sum()),
-        meta={"kind": "finitely_connected", "z": [z.real, z.imag], "r": float(r),
-              "delta": float(delta), "transported": True},
-    )
-
-
 def _probe_estimate(seq, z, r, delta, mc: McParams, tag) -> ProbeResult:
-    dom = _domain_at_origin(seq, z, r, delta)
-    if dom is None:
+    dom = transport_domain(build_finitely_connected(seq, z, r, delta), z)
+    if dom.n_bubbles == 0:
         return ProbeResult(probe=z, n_bubbles=0, estimate=None, value=0.0,
                            ci_low=0.0, ci_high=0.0, n_walks_used=0,
                            flags=("empty annulus: omega = 1 exactly",))

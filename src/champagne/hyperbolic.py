@@ -37,14 +37,18 @@ def pseudo_distance(z, w) -> float:
     """
     z = require_disk_point(z, "z")
     w = require_disk_point(w, "w")
-    return abs((z - w) / (1.0 - w.conjugate() * z))
+    return float(pseudo_distance_many(z, w))
 
 
-def pseudo_distance_many(z, points: np.ndarray) -> np.ndarray:
-    """Distances from one point to an array of points (no per-point checks)."""
-    z = complex(z)
-    pts = np.asarray(points, dtype=np.complex128)
-    return np.abs((z - pts) / (1.0 - np.conj(pts) * z))
+def pseudo_distance_many(z, w) -> np.ndarray:
+    """rho(z, w) elementwise, broadcasting z against w (no per-point checks).
+
+    The package's only evaluation of the formula: pseudo_distance wraps it,
+    so scalar and array results agree bit for bit.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    return np.abs((z - w) / (1.0 - np.conj(w) * z))
 
 
 def mobius_apply(a, z) -> complex:
@@ -57,13 +61,15 @@ def mobius_apply(a, z) -> complex:
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:
         raise ValidationError(f"mobius_apply: |z|={abs(z)!r} exceeds 1")
-    return (a - z) / (1.0 - a.conjugate() * z)
+    return complex(mobius_apply_many(a, z))
 
 
-def mobius_apply_many(a, points: np.ndarray) -> np.ndarray:
-    a = require_disk_point(a, "a")
-    pts = np.asarray(points, dtype=np.complex128)
-    return (a - pts) / (1.0 - np.conj(a) * pts)
+def mobius_apply_many(a, z) -> np.ndarray:
+    """phi_a(z) elementwise, broadcasting a against z (no per-point checks);
+    mobius_apply wraps it."""
+    a = np.asarray(a, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    return (a - z) / (1.0 - np.conj(a) * z)
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,6 @@ class EuclideanDisk:
 
     def boundary_point(self, theta: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * theta)
-
-    def contains(self, z, closed: bool = True) -> bool:
-        d = abs(complex(z) - self.center)
-        return d <= self.radius if closed else d < self.radius
 
 
 @dataclass(frozen=True)

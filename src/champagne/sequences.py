@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-from .hyperbolic import BOUNDARY_MARGIN, mobius_apply_many, pseudo_distance_many
+from .hyperbolic import BOUNDARY_MARGIN, mobius_apply_many, pseudo_distance_many, require_disk_point
 from .streams import derive_seed, mix64
 
 # Above this size the exact pairwise separation scan switches to a
@@ -117,9 +117,7 @@ def _pairwise_min_rho(pts: np.ndarray) -> float:
     n = pts.size
     for i0 in range(0, n - 1, _ROW_CHUNK):
         i1 = min(i0 + _ROW_CHUNK, n - 1)
-        block = pts[i0:i1, None]
-        rest = pts[None, i0 + 1:]
-        rho = np.abs((block - rest) / (1.0 - np.conj(rest) * block))
+        rho = pseudo_distance_many(pts[i0:i1, None], pts[None, i0 + 1:])
         # keep strictly-upper-triangle entries of this block
         rows = np.arange(i0, i1)[:, None]
         cols = np.arange(i0 + 1, n)[None, :]
@@ -134,15 +132,12 @@ def _separation_indexed(pts: np.ndarray) -> float:
     tree = cKDTree(xy)
     # Euclidean nearest neighbours give an upper bound on the separation...
     dist, idx = tree.query(xy, k=2)
-    cand = np.abs((pts - pts[idx[:, 1]]) / (1.0 - np.conj(pts[idx[:, 1]]) * pts))
-    ub = float(cand.min())
+    ub = float(pseudo_distance_many(pts, pts[idx[:, 1]]).min())
     # ...and rho >= |z-w|/2 confines the true minimizer within 2*ub.
     pairs = tree.query_pairs(r=2.0 * ub, output_type="ndarray")
     if pairs.size == 0:
         return ub
-    a = pts[pairs[:, 0]]
-    b = pts[pairs[:, 1]]
-    rho = np.abs((a - b) / (1.0 - np.conj(b) * a))
+    rho = pseudo_distance_many(pts[pairs[:, 0]], pts[pairs[:, 1]])
     return float(min(ub, rho.min()))
 
 
@@ -247,8 +242,7 @@ def covering_radius(seq: PointSequence, probe_region_modulus: float,
     pts = seq.points
     worst = 0.0
     for i0 in range(0, probe_points.size, _ROW_CHUNK):
-        block = probe_points[i0:i0 + _ROW_CHUNK, None]
-        rho = np.abs((block - pts[None, :]) / (1.0 - np.conj(pts[None, :]) * block))
+        rho = pseudo_distance_many(probe_points[i0:i0 + _ROW_CHUNK, None], pts[None, :])
         worst = max(worst, float(rho.min(axis=1).max()))
     return worst
 
@@ -331,7 +325,7 @@ def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
 
 def transform_sequence(seq: PointSequence, a: complex, label_suffix: str = "") -> PointSequence:
     """Transport every point through the automorphism swapping a and 0."""
-    pts = mobius_apply_many(a, seq.points)
+    pts = mobius_apply_many(require_disk_point(a, "a"), seq.points)
     return PointSequence(points=pts, label=seq.label + (label_suffix or f" via mobius({a})"),
                          ring_index=seq.ring_index, meta=dict(seq.meta))
 

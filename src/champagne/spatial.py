@@ -127,11 +127,6 @@ class DiskGridIndex:
 
     # -- addressing ---------------------------------------------------------
 
-    def cell_of(self, x: float, y: float) -> int:
-        ix = min(max(int((x + _L) * self.inv_h), 0), self.n_side - 1)
-        iy = min(max(int((y + _L) * self.inv_h), 0), self.n_side - 1)
-        return ix * self.n_side + iy
-
     def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         ix = np.clip(((x + _L) * self.inv_h).astype(np.int64), 0, self.n_side - 1)
         iy = np.clip(((y + _L) * self.inv_h).astype(np.int64), 0, self.n_side - 1)
@@ -139,43 +134,9 @@ class DiskGridIndex:
 
     # -- scalar queries -----------------------------------------------------
 
-    def candidates_min(self, x: float, y: float):
-        """(min surface distance over this cell's candidates, argmin index).
-
-        Exact nearest-surface distance whenever the value is <= h; ties
-        resolve to the lowest disk index because lists are index-sorted.
-        """
-        c = self.cell_of(x, y)
-        lo, hi = self.cell_start[c], self.cell_start[c + 1]
-        best = math.inf
-        best_i = -1
-        for k in range(lo, hi):
-            i = self.cell_items[k]
-            d = math.hypot(x - self.cx[i], y - self.cy[i]) - self.radii[i]
-            if d < best:
-                best = d
-                best_i = int(i)
-        return best, best_i
-
-    def step_bound(self, x: float, y: float):
-        """Safe step radius toward the disks: exact when small.
-
-        Returns (bound, cand_min, cand_idx, exact).  `bound` never exceeds
-        the true distance to the nearest disk surface.
-        """
-        cand_min, cand_idx = self.candidates_min(x, y)
-        if cand_min <= self.h:
-            return cand_min, cand_min, cand_idx, True
-        lb = self.clearance[self.cell_of(x, y)]
-        return max(self.h, lb), cand_min, cand_idx, False
-
-    def exact_nearest(self, x: float, y: float):
-        """Exact (distance, index) of the nearest disk surface; (inf, -1)
-        when the index holds no disks."""
-        return self.nearest_surface(x, y)
-
     def nearest_surface(self, x: float, y: float, exclude: int = -1):
-        """Exact nearest-surface query, optionally ignoring one disk.
+        """Exact (distance, index) of the nearest disk surface, optionally
+        ignoring one disk; (inf, -1) when the index holds no disks.
 
         Expanding ring search: after scanning all cells within Chebyshev
         radius k, every unseen disk is farther than (k+1) h away."""

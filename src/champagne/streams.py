@@ -101,17 +101,15 @@ class WalkStream:
     produce the same values at the same counters.
     """
 
-    __slots__ = ("seed", "walk_index", "_key", "cursor")
+    __slots__ = ("seed", "walk_index", "cursor")
 
     def __init__(self, seed: int, walk_index: int = 0):
         self.seed = int(seed)
         self.walk_index = int(walk_index)
-        self._key = stream_key(self.seed, self.walk_index)
         self.cursor = 0
 
     def uniform_at(self, t: int) -> float:
-        v = mix64((self._key + ((int(t) + 1) * _GOLDEN)) & _U64)
-        return (v >> 11) * _INV_2_53
+        return uniform_at(self.seed, self.walk_index, t)
 
     def next_uniform(self) -> float:
         u = self.uniform_at(self.cursor)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .domains import ChampagneDomain, transport_domain
 from .errors import ValidationError, WalkBudgetError
-from .hyperbolic import mobius_apply, require_disk_point
+from .hyperbolic import mobius_apply, pseudo_distance_many, require_disk_point
 from .streams import WalkStream, derive_seed, stream_keys, uniforms_at
 
 _CHUNK = 8192          # fixed batch size; part of the determinism contract
@@ -86,7 +86,7 @@ def distance_to_boundary(domain: ChampagneDomain, z):
         raise ValidationError(f"z={z!r} is not inside the open unit disk")
     if domain.n_bubbles == 0:
         return d_ext, "exterior", -1
-    d_bub, idx = domain.index.exact_nearest(z.real, z.imag)
+    d_bub, idx = domain.index.nearest_surface(z.real, z.imag)
     if min(d_ext, d_bub) <= 0.0:
         raise ValidationError(
             f"z={z!r} is on or inside bubble {idx}: interior points need positive clearance"
@@ -480,11 +480,7 @@ def sandwich_bounds(domain: ChampagneDomain, z0=0j) -> SandwichBounds:
     domain.require_interior(z0, "z0")
     if domain.n_bubbles == 0:
         return SandwichBounds(1.0, 1.0, (), z0)
-    if z0 == 0:
-        centers = domain.pseudo_centers
-    else:
-        centers = (z0 - domain.pseudo_centers) / (1.0 - np.conj(domain.pseudo_centers) * z0)
-    m = np.abs(centers)
+    m = pseudo_distance_many(z0, domain.pseudo_centers)
     s = domain.pseudo_radii
     if np.any(m <= s):
         bad = int(np.argmax(s - m))
@@ -568,7 +564,7 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
         dropped = 0
         for k_s, z_s in enumerate(starts):
             if domain.n_bubbles:
-                d, _ = idx.exact_nearest(z_s.real, z_s.imag)
+                d, _ = idx.nearest_surface(z_s.real, z_s.imag)
                 if d <= eps:
                     dropped += 1
                     continue

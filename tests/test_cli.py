@@ -184,6 +184,26 @@ def test_config_file_supplies_defaults(tmp_path):
     assert _validate(out)["result"]["integral_value"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_config_file_fills_flags_with_defaults(tmp_path):
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)]).save(dom_path)
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("walks = 500\nseed = 3\n")
+    out = tmp_path / "est.json"
+    assert main(["measure", "--domain", str(dom_path), "--config", str(cfg),
+                 "-o", str(out)]) == 0
+    data = _validate(out)
+    assert data["result"]["n_walks"] == 500
+    assert data["config"]["walks"] == 500
+    # a flag on the command line beats the file
+    assert main(["measure", "--domain", str(dom_path), "--config", str(cfg),
+                 "--walks", "600", "-o", str(out)]) == 0
+    assert _validate(out)["result"]["n_walks"] == 600
+    cfg.write_text("bogus = 1\n")
+    assert main(["measure", "--domain", str(dom_path), "--config", str(cfg),
+                 "-o", str(out)]) == 2
+
+
 def test_seed_dir_env(tmp_path, monkeypatch):
     seed_dir = tmp_path / "seeds"
     seed_dir.mkdir()

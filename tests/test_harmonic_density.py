@@ -92,3 +92,15 @@ def test_theorem2_degenerate_sequence_flagged_low_confidence():
     seq = ch.PointSequence(pts)
     rep = theorem2_report(seq, [0.9], ProbeSpec(points=(0j,), max_probes=2), _mc(seed=12))
     assert rep.low_confidence
+
+
+def test_probe_domain_matches_direct_measure():
+    # the probe estimate is the exterior measure at z of the finitely
+    # connected domain itself; transporting z to 0 must not change it
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    z, r = -0.718 - 0.115j, 1 - 2.0 ** -4
+    curve = harmonic_density_curve(seq, [r], "lower", ProbeSpec(points=(z,)),
+                                   McParams(n_walks=4000, seed=3))
+    probe = curve.per_r[0][0].estimate
+    direct = ch.estimate_measure(ch.build_finitely_connected(seq, z, r), z, n_walks=20_000)
+    assert abs(probe.estimate - direct.estimate) <= 4 * math.hypot(probe.sigma, direct.sigma)

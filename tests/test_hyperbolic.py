@@ -1,4 +1,5 @@
 import cmath
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from champagne.hyperbolic import (
     PseudoDisk,
     euclidean_to_pseudo,
     mobius_apply,
+    mobius_apply_many,
     pseudo_distance,
+    pseudo_distance_many,
     pseudo_to_euclidean,
 )
 
@@ -137,3 +140,31 @@ def test_disk_validation():
         PseudoDisk(0j, 1.0)
     with pytest.raises(ValidationError):
         PseudoDisk(1.0 + 0j, 0.5)
+
+
+def test_broadcast_forms_match_scalar_exactly():
+    rng = np.random.default_rng(5)
+    z = rand_disk_points(rng, 40)
+    w = rand_disk_points(rng, 40)
+    elementwise = pseudo_distance_many(z, w)
+    moved = mobius_apply_many(z, w)
+    for k in range(z.size):
+        assert elementwise[k] == pseudo_distance(z[k], w[k])
+        assert moved[k] == mobius_apply(z[k], w[k])
+    # one point against many, and a full pairwise block
+    assert np.array_equal(pseudo_distance_many(z[0], w),
+                          [pseudo_distance(z[0], v) for v in w])
+    block = pseudo_distance_many(z[:7, None], w[None, :9])
+    moved = mobius_apply_many(z[:7, None], w[None, :9])
+    assert block.shape == moved.shape == (7, 9)
+    for i in range(7):
+        for j in range(9):
+            assert block[i, j] == pseudo_distance(z[i], w[j])
+            assert moved[i, j] == mobius_apply(z[i], w[j])
+
+
+def test_mobius_formula_lives_in_hyperbolic_only():
+    src = pathlib.Path(ch.__file__).parent
+    inline = [f.name for f in sorted(src.glob("*.py"))
+              if f.name != "hyperbolic.py" and "1.0 - np.conj(" in f.read_text()]
+    assert inline == []
