@@ -21,6 +21,7 @@ from .domains import ChampagneDomain, transport_domain
 from .errors import NumericalRefusalError, ValidationError
 from .hyperbolic import mobius_apply_many, pseudo_distance_many, require_disk_point
 from .sequences import PointSequence, probe_lattice
+from .spatial import PointIndex
 
 ILL_CONDITIONED_RATIO = 1e-2   # (a-b)/a below this: weights collapse geometrically
 MAX_RESCALE = 10.0             # deficit factor beyond which the barrier is refused
@@ -41,9 +42,6 @@ class BlaschkeProduct:
 
     def __len__(self) -> int:
         return int(self.zeros.size)
-
-    def log_modulus(self, z) -> float:
-        return log_blaschke(self.zeros, z)
 
 
 def log_blaschke(zeros, z) -> float:
@@ -271,14 +269,17 @@ def barrier_lower_bound(domain: ChampagneDomain, seq: PointSequence | None = Non
 # ---------------------------------------------------------------------------
 # extremal annular potentials
 
-def _annulus_log_product(pts: np.ndarray, z: complex, r: float) -> float:
+def _annulus_log_products(pts: np.ndarray, probes: np.ndarray, r: float) -> np.ndarray:
     """log of the Blaschke product over {lambda: 1/2 < rho(lambda, z) < r},
-    evaluated at z."""
-    rho = pseudo_distance_many(z, pts)
-    sel = rho[(rho > 0.5) & (rho < r)]
-    if sel.size == 0:
-        return 0.0
-    return float(np.log(sel).sum())
+    evaluated at z, for each probe z."""
+    balls = PointIndex(pts).pseudo_balls(probes, r)
+    out = np.zeros(probes.size)
+    for i, (z, cand) in enumerate(zip(probes, balls)):
+        rho = pseudo_distance_many(z, pts[cand])
+        sel = rho[(rho > 0.5) & (rho < r)]
+        if sel.size:
+            out[i] = np.log(sel).sum()
+    return out
 
 
 def extremal_c(seq: PointSequence, r: float, probe_points=None,
@@ -298,14 +299,11 @@ def extremal_c(seq: PointSequence, r: float, probe_points=None,
         probes = np.concatenate(probes)
     else:
         probes = np.asarray(probe_points, dtype=np.complex128)
-    best = -math.inf
-    best_z = None
-    for z in probes:
-        v = _annulus_log_product(seq.points, complex(z), r)
-        if v > best:
-            best = v
-            best_z = complex(z)
-    return best, best_z
+    if probes.size == 0:
+        return -math.inf, None
+    v = _annulus_log_products(seq.points, probes, r)
+    best = int(np.argmax(v))
+    return float(v[best]), complex(probes[best])
 
 
 def extremal_d(seq: PointSequence, r: float):
@@ -313,11 +311,6 @@ def extremal_d(seq: PointSequence, r: float):
     zeros.  Returns (value, minimizer)."""
     if not 0.5 < r < 1.0:
         raise ValidationError(f"r must lie in (1/2, 1), got {r!r}")
-    worst = math.inf
-    worst_z = None
-    for lam in seq.points:
-        v = _annulus_log_product(seq.points, complex(lam), r)
-        if v < worst:
-            worst = v
-            worst_z = complex(lam)
-    return worst, worst_z
+    v = _annulus_log_products(seq.points, seq.points, r)
+    worst = int(np.argmin(v))
+    return float(v[worst]), complex(seq.points[worst])

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every artifact is a JSON envelope {schema_version, command, config,
-result} written atomically; the resolved configuration (seed included)
-is embedded so runs can be reproduced from the artifact alone.  Exit
-codes: 0 success, 2 validation error, 3 numerical refusal.
+Artifacts are JSON envelopes {schema_version, command, config, result}
+written atomically, except build-domain's bare domain file and gen-seq's
+sequence file (with a <path>.meta.json envelope beside it); the resolved
+configuration (seed included) is embedded so runs can be reproduced from
+the artifact alone.  Exit codes: 0 success, 2 validation error,
+3 numerical refusal.
 """
 
 from __future__ import annotations
@@ -95,7 +97,10 @@ def emit(args, command: str, config: dict, result) -> None:
         "config": _jsonify(config),
         "result": _jsonify(result),
     }
-    text = json.dumps(envelope, indent=1, sort_keys=True)
+    _write(args, json.dumps(envelope, indent=1, sort_keys=True))
+
+
+def _write(args, text: str) -> None:
     if getattr(args, "out", None):
         _atomic_write(args.out, text)
     else:
@@ -289,11 +294,7 @@ def cmd_build_domain(args) -> int:
     seq = _load_seq(args)
     profile = parse_profile(args.profile)
     dom = build_champagne(seq, profile, args.truncation)
-    payload = dom.to_json_dict()
-    if args.out:
-        _atomic_write(args.out, json.dumps(_jsonify(payload), indent=1, sort_keys=True))
-    else:
-        print(json.dumps(_jsonify(payload), indent=1, sort_keys=True))
+    _write(args, json.dumps(_jsonify(dom.to_json_dict()), indent=1, sort_keys=True))
     return 0
 
 
@@ -418,76 +419,66 @@ def build_parser():
                                             "construction, harmonic measure, and density diagnostics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, walks_default=10000):
-        sp.add_argument("--seed", type=int, default=None)
+    # flags shared by several subcommands, declared once
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", default=None, help="key = value file mirroring flags")
+    io.add_argument("-o", "--out", default=None)
+    sequence = argparse.ArgumentParser(add_help=False)
+    sequence.add_argument("--seq", default=None, help="sequence file (.csv or .json)")
+    sequence.add_argument("--ring", default=None, help="q=..,scale=..,depth=..")
+
+    def common(sp, walks_default):
         sp.add_argument("--walks", type=int, default=walks_default)
         sp.add_argument("--epsilon", type=float, default=None)
         sp.add_argument("--threads", type=int, default=1, help="0 means auto")
-        sp.add_argument("--config", default=None, help="key = value file mirroring flags")
-        sp.add_argument("-o", "--out", default=None)
 
-    sp = sub.add_parser("gen-seq", help="generate a ring lattice sequence")
+    sp = sub.add_parser("gen-seq", parents=[seeded, io],
+                        help="generate a ring lattice sequence (-o takes a .csv or .json path)")
     sp.add_argument("--ring", required=True, help="q=..,scale=..,depth=..")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None, help=".csv or .json path")
     sp.set_defaults(func=cmd_gen_seq)
 
-    sp = sub.add_parser("diag", help="separation, Blaschke sum, covering radius")
-    sp.add_argument("--seq", default=None)
-    sp.add_argument("--ring", default=None)
+    sp = sub.add_parser("diag", parents=[sequence, seeded, io],
+                        help="separation, Blaschke sum, covering radius")
     sp.add_argument("--probe-modulus", dest="probe_modulus", type=float, default=None)
     sp.add_argument("--grid-density", dest="grid_density", type=float, default=4.0)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=cmd_diag)
 
-    sp = sub.add_parser("density", help="lower/upper uniform density curves")
-    sp.add_argument("--seq", default=None)
-    sp.add_argument("--ring", default=None)
+    sp = sub.add_parser("density", parents=[sequence, seeded, io],
+                        help="lower/upper uniform density curves")
     sp.add_argument("--r-list", dest="r_list", required=True)
     sp.add_argument("--grid-density", dest="grid_density", type=float, default=4.0)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=cmd_density)
 
-    sp = sub.add_parser("criterion", help="decay criterion, integral and sum form")
+    sp = sub.add_parser("criterion", parents=[io], help="decay criterion, integral and sum form")
     sp.add_argument("--profile", required=True,
                     help="const:c | power:c,gamma | expinv:c,beta | table:<path>")
     sp.add_argument("--k", type=float, default=2.0)
     sp.add_argument("--jmax", type=int, default=10000)
     sp.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-9)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=cmd_criterion)
 
-    sp = sub.add_parser("build-domain", help="build a champagne domain JSON")
-    sp.add_argument("--seq", default=None)
-    sp.add_argument("--ring", default=None)
+    sp = sub.add_parser("build-domain", parents=[sequence, seeded, io],
+                        help="build a champagne domain JSON")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--truncation", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=cmd_build_domain)
 
-    sp = sub.add_parser("measure", help="walk-on-spheres measure estimate")
+    sp = sub.add_parser("measure", parents=[seeded, io], help="walk-on-spheres measure estimate")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--start", default="0,0")
     sp.add_argument("--target", default="exterior", help="exterior | bubble:<k> | all")
     common(sp, walks_default=100000)
     sp.set_defaults(func=cmd_measure)
 
-    sp = sub.add_parser("sandwich", help="deterministic union/single-hole bounds")
+    sp = sub.add_parser("sandwich", parents=[io], help="deterministic union/single-hole bounds")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--start", default="0,0")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=cmd_sandwich)
 
-    sp = sub.add_parser("layered", help="layered circle-crossing probabilities")
+    sp = sub.add_parser("layered", parents=[seeded, io],
+                        help="layered circle-crossing probabilities")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--k", type=float, default=2.0)
     sp.add_argument("--jmax", type=int, required=True)
@@ -495,29 +486,25 @@ def build_parser():
     common(sp, walks_default=2000)
     sp.set_defaults(func=cmd_layered)
 
-    sp = sub.add_parser("barrier", help="deterministic barrier lower bound")
+    sp = sub.add_parser("barrier", parents=[io], help="deterministic barrier lower bound")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--start", default="0,0")
     sp.add_argument("--eta", type=float, default=0.5)
     sp.add_argument("--layers", type=int, default=None)
     sp.add_argument("--samples", type=int, default=64)
     sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=cmd_barrier)
 
-    sp = sub.add_parser("theorem2", help="uniform vs harmonic density curves")
-    sp.add_argument("--seq", default=None)
-    sp.add_argument("--ring", default=None)
+    sp = sub.add_parser("theorem2", parents=[sequence, seeded, io],
+                        help="uniform vs harmonic density curves")
     sp.add_argument("--r-list", dest="r_list", required=True)
     sp.add_argument("--max-probes", dest="max_probes", type=int, default=8)
     sp.add_argument("--csv", default=None, help="optional flattened CSV path")
     common(sp, walks_default=20000)
     sp.set_defaults(func=cmd_theorem2)
 
-    sp = sub.add_parser("dichotomy-sweep", help="measure over a truncation ladder")
-    sp.add_argument("--seq", default=None)
-    sp.add_argument("--ring", default=None)
+    sp = sub.add_parser("dichotomy-sweep", parents=[sequence, seeded, io],
+                        help="measure over a truncation ladder")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--truncations", required=True, help="comma-separated R values")
     sp.add_argument("--start", default="0,0")

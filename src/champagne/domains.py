@@ -29,7 +29,7 @@ from .hyperbolic import (
     require_disk_point,
 )
 from .sequences import PointSequence, separation
-from .spatial import DiskGridIndex
+from .spatial import DiskGridIndex, PointIndex, pairs
 
 _EXP_GUARD = 700.0  # exponents beyond this under/overflow float64
 
@@ -451,10 +451,6 @@ class ChampagneDomain:
                                     self.radii, n_side=n_side)
         return self._index
 
-    @property
-    def min_radius(self) -> float:
-        return float(self.radii.min()) if self.n_bubbles else math.inf
-
     def require_interior(self, z, name: str = "z") -> complex:
         z = complex(z)
         if abs(z) >= 1.0:
@@ -548,27 +544,20 @@ def domain_from_pseudo(pseudo_disks, truncation_R: float = 1.0,
 
 
 def _check_disjoint(dom: ChampagneDomain) -> None:
-    """Exact pairwise gap scan; raises OverlapError naming both sources."""
-    n = dom.n_bubbles
-    if n < 2:
-        return
+    """Exact pairwise gap check; raises OverlapError naming the sources of
+    the most overlapping pair (ties go to the lowest index pair)."""
     cx = dom.centers.real
     cy = dom.centers.imag
     r = dom.radii
-    chunk = 512
-    for i0 in range(0, n - 1, chunk):
-        i1 = min(i0 + chunk, n - 1)
-        dx = cx[i0:i1, None] - cx[None, i0 + 1:]
-        dy = cy[i0:i1, None] - cy[None, i0 + 1:]
-        gap = np.hypot(dx, dy) - r[i0:i1, None] - r[None, i0 + 1:]
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0 + 1, n)[None, :]
-        gap[cols <= rows] = np.inf
-        amin = np.unravel_index(np.argmin(gap), gap.shape)
-        if gap[amin] <= 0.0:
-            ia = int(rows[amin[0], 0])
-            ib = int(cols[0, amin[1]])
-            raise OverlapError(dom.source_index[ia], dom.source_index[ib], gap[amin])
+    # two closed disks meet only within twice the larger radius (widened by
+    # 1e-9 relative so that rounding of the distance cannot drop a pair)
+    q, p = pairs(PointIndex(dom.centers).balls(dom.centers, 2.0 * r * (1.0 + 1e-9)))
+    a = np.minimum(q, p)[q != p]
+    b = np.maximum(q, p)[q != p]
+    gap = np.hypot(cx[a] - cx[b], cy[a] - cy[b]) - r[a] - r[b]
+    if gap.min(initial=np.inf) <= 0.0:
+        k = np.lexsort((b, a, gap))[0]
+        raise OverlapError(dom.source_index[a[k]], dom.source_index[b[k]], gap[k])
 
 
 def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: float,

@@ -14,18 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .hyperbolic import BOUNDARY_MARGIN, mobius_apply_many, pseudo_distance_many, require_disk_point
+from .spatial import PointIndex, pairs
 from .streams import derive_seed, mix64
-
-# Above this size the exact pairwise separation scan switches to a
-# kd-tree candidate search (still exact, see _separation_indexed).
-PAIRWISE_SCAN_LIMIT = 10_000
-
-_ROW_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class PointSequence:
@@ -112,36 +105,7 @@ def generate_ring_lattice(q: float, points_per_ring_scale: float = 1.0,
     )
 
 
-def _pairwise_min_rho(pts: np.ndarray) -> float:
-    best = 1.0
-    n = pts.size
-    for i0 in range(0, n - 1, _ROW_CHUNK):
-        i1 = min(i0 + _ROW_CHUNK, n - 1)
-        rho = pseudo_distance_many(pts[i0:i1, None], pts[None, i0 + 1:])
-        # keep strictly-upper-triangle entries of this block
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0 + 1, n)[None, :]
-        valid = cols > rows
-        m = rho[valid].min() if valid.any() else 1.0
-        best = min(best, float(m))
-    return best
-
-
-def _separation_indexed(pts: np.ndarray) -> float:
-    xy = np.column_stack([pts.real, pts.imag])
-    tree = cKDTree(xy)
-    # Euclidean nearest neighbours give an upper bound on the separation...
-    dist, idx = tree.query(xy, k=2)
-    ub = float(pseudo_distance_many(pts, pts[idx[:, 1]]).min())
-    # ...and rho >= |z-w|/2 confines the true minimizer within 2*ub.
-    pairs = tree.query_pairs(r=2.0 * ub, output_type="ndarray")
-    if pairs.size == 0:
-        return ub
-    rho = pseudo_distance_many(pts[pairs[:, 0]], pts[pairs[:, 1]])
-    return float(min(ub, rho.min()))
-
-
-def separation(seq: PointSequence, method: str = "auto") -> float:
+def separation(seq: PointSequence) -> float:
     """Infimum of pairwise pseudohyperbolic distances.
 
     A single-point sequence has vacuous separation 1 (flagged in
@@ -150,13 +114,18 @@ def separation(seq: PointSequence, method: str = "auto") -> float:
     pts = seq.points
     if pts.size < 2:
         return 1.0
-    if method == "auto":
-        method = "exact" if pts.size <= PAIRWISE_SCAN_LIMIT else "indexed"
-    if method == "exact":
-        return _pairwise_min_rho(pts)
-    if method == "indexed":
-        return _separation_indexed(pts)
-    raise ValidationError(f"unknown separation method {method!r}")
+    index = PointIndex(pts)
+    # Euclidean nearest neighbours bound the separation from above (a point is
+    # its own second neighbour only if squared distances underflow), and every
+    # closer pair lies in the pseudo balls of that bound.  Pairs are evaluated
+    # as rho(pts[i], pts[j]) with i < j, as an upper-triangle scan does.
+    i = np.arange(pts.size)
+    j = index.nearest(pts, 2)
+    rho_nn = pseudo_distance_many(pts[np.minimum(i, j)], pts[np.maximum(i, j)])
+    ub = float(rho_nn[i != j].min(initial=np.inf))
+    q, p = pairs(index.pseudo_balls(pts, ub))
+    upper = q < p
+    return float(pseudo_distance_many(pts[q[upper]], pts[p[upper]]).min(initial=ub))
 
 
 @dataclass(frozen=True)
@@ -239,12 +208,16 @@ def covering_radius(seq: PointSequence, probe_region_modulus: float,
         raise ValidationError("covering radius of an empty sequence is undefined")
     if probe_points is None:
         probe_points = probe_lattice(probe_region_modulus, density=grid_density, seed=seed)
+    probes = np.asarray(probe_points, dtype=np.complex128)
     pts = seq.points
-    worst = 0.0
-    for i0 in range(0, probe_points.size, _ROW_CHUNK):
-        rho = pseudo_distance_many(probe_points[i0:i0 + _ROW_CHUNK, None], pts[None, :])
-        worst = max(worst, float(rho.min(axis=1).max()))
-    return worst
+    index = PointIndex(pts)
+    # each probe's Euclidean-nearest point bounds its distance to the
+    # sequence, and every closer point lies in the pseudo ball of that bound
+    bound = pseudo_distance_many(probes, pts[index.nearest(probes)])
+    q, p = pairs(index.pseudo_balls(probes, bound))
+    nearest = np.full(probes.size, np.inf)
+    np.minimum.at(nearest, q, pseudo_distance_many(probes[q], pts[p]))
+    return float(nearest.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -263,21 +236,20 @@ class DensityEstimate:
     truncation_dominated: tuple
     n_probes: int
 
-    @property
-    def value_at_largest_r(self) -> float:
-        curve = self.lower_curve if self.lower_curve is not None else self.upper_curve
-        return curve[-1]
-
 
 def _annular_sums(pts: np.ndarray, probes: np.ndarray, r_values: np.ndarray) -> np.ndarray:
     """sum_{rho(lambda, z) <= r} (1 - rho) for each probe and radius."""
+    # ties at rho == r are included (<=); snapped by 1e-12 so whole
+    # lattice rings land inside despite ulp noise on their moduli
+    cut = r_values + 1e-12
+    balls = PointIndex(pts).pseudo_balls(probes, cut.max())
     out = np.empty((probes.size, r_values.size))
-    for i, z in enumerate(probes):
-        rho = np.sort(pseudo_distance_many(z, pts))
+    for i, (z, cand) in enumerate(zip(probes, balls)):
+        # the candidates hold every point within the largest cut, so their
+        # sorted prefix up to each cut is that of the full scan
+        rho = np.sort(pseudo_distance_many(z, pts[cand]))
         csum = np.concatenate([[0.0], np.cumsum(rho)])
-        # ties at rho == r are included (<=); snapped by 1e-12 so whole
-        # lattice rings land inside despite ulp noise on their moduli
-        idx = np.searchsorted(rho, r_values + 1e-12, side="right")
+        idx = np.searchsorted(rho, cut, side="right")
         out[i] = idx - csum[idx]
     return out
 

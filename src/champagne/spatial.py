@@ -1,7 +1,14 @@
-"""Uniform-grid index over disjoint disks.
+"""Exact spatial queries: a kd-tree over points and a grid over disks.
 
-Supports three queries used by the walk engine and by exact
-distance-to-boundary lookups:
+PointIndex answers the nearest-point and within-radius queries on point
+sets (separation, covering, annular sums, disjointness, extremal
+potentials).  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
+disk, so it too is a ball query.  Queries yield candidates, a superset
+of the answer that callers filter with their own distance formula, so
+every value equals that of a brute-force scan.
+
+DiskGridIndex, a uniform grid over disjoint disks, supports three
+queries used by the walk engine and by exact distance-to-boundary lookups:
 
 * per-cell candidate lists: every disk intersecting the 3x3 cell block
   around a cell.  If the candidate minimum is <= the cell size h, it is
@@ -19,8 +26,10 @@ import math
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
+from .hyperbolic import pseudo_to_euclidean_arrays
 
 _SQRT2 = math.sqrt(2.0)
 # grid covers [-L, L]^2; slightly beyond the closed disk so that points
@@ -32,6 +41,55 @@ _L = 1.03125
 # walker handles encounters with them through the exact annulus formula
 # instead, using the clearance to the rest of the boundary.
 POINTLIKE_RADIUS = 1e-9
+
+
+# Candidate slack of a pseudo ball.  A point with computed rho(z, w) <= r
+# lies at most 2.7e-11 outside the computed Euclidean realization of
+# {rho(z, .) <= r} (measured for gaps 1 - |z| down to 1e-12 and r up to
+# _PSEUDO_RADIUS_MAX).  That error grows like 1e-16 / (1 - r), so wider
+# pseudo balls are taken to be the whole disk.
+_PSEUDO_SLACK = 1e-9
+_PSEUDO_RADIUS_MAX = 1.0 - 1e-5
+_QUERY_BLOCK = 128  # ball queries per tree call: bounds the candidate lists held at once
+
+
+class PointIndex:
+    """kd-tree over points of the plane; ball queries yield, query by
+    query, the sorted indices of the candidate points."""
+
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=np.complex128)
+        self._tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+
+    def nearest(self, z, k: int = 1) -> np.ndarray:
+        """Index of the k-th Euclidean nearest point to each query."""
+        z = np.asarray(z, dtype=np.complex128)
+        return self._tree.query(np.column_stack([z.real, z.imag]), k=[k])[1][:, 0]
+
+    def balls(self, centers, radii):
+        """Points p with |centers[q] - p| <= radii[q], for each query q."""
+        c = np.asarray(centers, dtype=np.complex128)
+        r = np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape)
+        xy = np.column_stack([c.real, c.imag])
+        for i0 in range(0, c.size, _QUERY_BLOCK):
+            block = slice(i0, i0 + _QUERY_BLOCK)
+            for hit in self._tree.query_ball_point(xy[block], r[block], return_sorted=True):
+                yield np.array(hit, dtype=np.int64)
+
+    def pseudo_balls(self, z, r):
+        """Candidates covering every point p with rho(z[q], p) <= r[q]."""
+        z = np.asarray(z, dtype=np.complex128)
+        r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
+        # a pseudo radius of 1 realizes as the unit disk itself
+        centers, radii = pseudo_to_euclidean_arrays(z, np.where(r > _PSEUDO_RADIUS_MAX, 1.0, r))
+        return self.balls(centers, radii + _PSEUDO_SLACK)
+
+
+def pairs(balls):
+    """Flatten per-query candidates into index pairs (q, p), sorted by (q, p)."""
+    cand = list(balls)
+    q = np.repeat(np.arange(len(cand), dtype=np.int64), [c.size for c in cand])
+    return q, np.concatenate([np.zeros(0, dtype=np.int64), *cand])
 
 
 def _auto_n_side(n_disks: int) -> int:

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 import champagne as ch
-from champagne.cli import main
+from champagne.cli import build_parser, main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(ch.__file__), "schema", "artifact.schema.json")
 
@@ -202,6 +202,30 @@ def test_config_file_fills_flags_with_defaults(tmp_path):
     cfg.write_text("bogus = 1\n")
     assert main(["measure", "--domain", str(dom_path), "--config", str(cfg),
                  "-o", str(out)]) == 2
+
+
+# every subcommand's option dests: --config keys are checked against these
+_FLAGS = {
+    "gen-seq": "config out ring seed",
+    "diag": "config grid_density out probe_modulus ring seed seq",
+    "density": "config grid_density out r_list ring seed seq",
+    "criterion": "config jmax k out profile tail_tol",
+    "build-domain": "config out profile ring seed seq truncation",
+    "measure": "config domain epsilon out seed start target threads walks",
+    "sandwich": "config domain out start",
+    "layered": "config domain epsilon grid_points jmax k out seed threads walks",
+    "barrier": "b config domain eta layers out samples start",
+    "theorem2": "config csv epsilon max_probes out r_list ring seed seq threads walks",
+    "dichotomy-sweep": "config epsilon out profile ring seed seq start threads truncations walks",
+}
+
+
+def test_subcommand_flags_are_pinned():
+    _, subcommands = build_parser()
+    got = {name: " ".join(sorted(a.dest for a in sp._actions
+                                 if a.option_strings and a.dest != "help"))
+           for name, sp in subcommands.items()}
+    assert got == _FLAGS
 
 
 def test_seed_dir_env(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 import champagne as ch
 from champagne.domains import (
     ChampagneDomain,
+    _check_disjoint,
     build_champagne,
     build_finitely_connected,
     criterion_integral,
@@ -155,6 +156,31 @@ def test_build_rejects_overlap():
     with pytest.raises(OverlapError) as exc:
         build_champagne(seq, fat, 1.0)
     assert exc.value.index_a != exc.value.index_b
+
+
+def _euclidean_domain(disks, sources):
+    centers = np.array([c for c, _ in disks], dtype=complex)
+    radii = np.array([r for _, r in disks])
+    return ChampagneDomain(centers=centers, radii=radii, pseudo_centers=centers,
+                           pseudo_radii=radii, source_index=sources, truncation_R=1.0,
+                           profile_spec="explicit")
+
+
+def test_tangent_bubbles_are_rejected():
+    dom = _euclidean_domain([(-0.25, 0.25), (0.25, 0.25)], [4, 9])
+    with pytest.raises(OverlapError) as exc:
+        _check_disjoint(dom)
+    assert (exc.value.index_a, exc.value.index_b, exc.value.gap) == (4, 9, 0.0)
+
+
+def test_overlap_report_names_the_most_overlapping_pair():
+    # indices 0-1 overlap by 0.02, indices 2-3 by 0.05
+    dom = _euclidean_domain([(-0.5, 0.1), (-0.68, 0.1), (0.5j, 0.1), (0.65j, 0.1)],
+                            [31, 17, 8, 23])
+    with pytest.raises(OverlapError) as exc:
+        _check_disjoint(dom)
+    assert (exc.value.index_a, exc.value.index_b) == (8, 23)
+    assert exc.value.gap == pytest.approx(-0.05)
 
 
 def test_build_rejects_covered_start():

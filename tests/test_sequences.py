@@ -5,6 +5,7 @@ import pytest
 
 import champagne as ch
 from champagne.errors import ValidationError
+from champagne.hyperbolic import pseudo_distance_many
 from champagne.sequences import (
     PointSequence,
     blaschke_sum,
@@ -51,11 +52,16 @@ def test_separation_examples():
     assert diagnose(PointSequence(np.array([0.3 + 0.3j]))).separation_vacuous
 
 
-def test_separation_indexed_agrees_with_exact_scan():
+def test_separation_matches_brute_force_scan():
     seq = generate_ring_lattice(0.5, 1, 8, seed=2)
-    exact = separation(seq, method="exact")
-    indexed = separation(seq, method="indexed")
-    assert indexed == pytest.approx(exact, abs=1e-14)
+    i, j = np.triu_indices(len(seq), k=1)
+    assert separation(seq) == float(pseudo_distance_many(seq.points[i], seq.points[j]).min())
+
+
+def test_twelve_ring_lattice_geometry_is_pinned():
+    seq = generate_ring_lattice(0.5, 2, 12, seed=20)   # 16,380 points
+    assert separation(seq) == 0.3334431374079788
+    assert covering_radius(seq, 0.9) == 0.49999999999999994
 
 
 # -- Blaschke sums ----------------------------------------------------------
