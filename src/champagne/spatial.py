@@ -125,9 +125,7 @@ class DiskGridIndex:
             self.cell_start = np.zeros(ns * ns + 1, dtype=np.int64)
             self.cell_items = np.zeros(0, dtype=np.int32)
             self.clearance = np.full(ns * ns, 2.0 * _L, dtype=np.float64)
-            self.pointlike = np.zeros(0, dtype=bool)
-            self.has_pointlike = False
-            self.enc_clearance = np.zeros(0)
+            self._build_encounter_data()
             return
         centers_x = -_L + (np.arange(ns) + 0.5) * h
         occupied = np.zeros((ns, ns), dtype=bool)
@@ -174,14 +172,16 @@ class DiskGridIndex:
     def _build_encounter_data(self):
         """For point-like disks, the clearance radius of the concentric
         annulus that stays inside the domain: distance from the center to
-        the unit circle and to every other disk."""
+        the unit circle and to every other disk.  The center's modulus is
+        kept too, for annuli bounded by a smaller outer circle."""
         self.pointlike = self.radii < POINTLIKE_RADIUS
-        self.has_pointlike = bool(np.any(self.pointlike))
         self.enc_clearance = np.zeros(self.n_disks)
+        self.enc_modulus = np.zeros(self.n_disks)
         for i in np.nonzero(self.pointlike)[0]:
             d_other, _ = self.nearest_surface(self.cx[i], self.cy[i], exclude=int(i))
-            d_rim = 1.0 - math.hypot(self.cx[i], self.cy[i])
-            self.enc_clearance[i] = min(d_rim, d_other)
+            # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+            self.enc_modulus[i] = math.hypot(self.cx[i], self.cy[i])
+            self.enc_clearance[i] = min(1.0 - self.enc_modulus[i], d_other)
 
     # -- addressing ---------------------------------------------------------
 

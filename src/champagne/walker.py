@@ -8,10 +8,18 @@ bubbles, conservative lower bounds elsewhere (any radius not exceeding
 the true boundary distance keeps the exit law exact, by the strong
 Markov property).
 
+The kernel advances a batch of walks as arrays, with no per-walk Python
+code.  Each iteration (1) classifies: walks within the shell exit at the
+nearest component; (2) resolves point-like encounters: a walk within
+1e-9 of a bubble too small to resolve is absorbed with the exact
+annulus hitting probability or moved to the annulus' outer circle;
+(3) jumps every other walk; (4) compacts away the walks that exited.
+
 Determinism contract: walk w consumes uniforms u(seed, w, t), t = 0, 1,
-..., one per jump, from counter-based streams.  Estimates are therefore
-bit-identical for fixed (seed, n_walks, epsilon, domain) regardless of
-batching or worker count.
+..., from counter-based streams: one per jump, and two per encounter
+(counters t and t+1: the survival draw, then the exit angle).  Estimates
+are therefore bit-identical for fixed (seed, n_walks, epsilon, domain)
+regardless of batching or worker count.
 """
 
 from __future__ import annotations
@@ -172,17 +180,6 @@ def _resolve_epsilon(domain: ChampagneDomain, epsilon):
     return epsilon
 
 
-def _classify_row(d_ext, seg_dist, seg_items):
-    """Nearest component for one terminating walk: exterior-first tie,
-    then lowest bubble index."""
-    if seg_dist.size == 0:
-        return _CODE_EXTERIOR
-    m = seg_dist.min()
-    if d_ext <= m:
-        return _CODE_EXTERIOR
-    return int(seg_items[seg_dist == m].min()) + 1
-
-
 def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
                 w0: int, w1: int, max_steps: int, r_out: float,
                 absorbing_shell):
@@ -210,109 +207,80 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
     cy = idx.cy
     rad = idx.radii
     h = idx.h
-    have_bubbles = idx.n_disks > 0
     eps_eff = max(eps, _STEP_FLOOR)
-
-    def record_exit(r_i, code):
-        w = walk_row[r_i]
-        exit_code[w] = code
-        exit_steps[w] = cnt[r_i]
-        exit_path[w] = path[r_i]
-        exit_x[w] = x[r_i]
-        exit_y[w] = y[r_i]
 
     while x.size:
         mod = np.sqrt(x * x + y * y)
         d_ext = r_out - mod
 
-        if have_bubbles:
-            cells = idx.cells_of(x, y)
-            rep, items, offsets, lens = idx.gather_candidates(cells)
-            cand_min = np.full(x.size, np.inf)
-            if items.size:
-                dist = np.sqrt((x[rep] - cx[items]) ** 2 + (y[rep] - cy[items]) ** 2) - rad[items]
-                nz = lens > 0
-                cand_min[nz] = np.minimum.reduceat(dist, offsets[:-1][nz])
-            exact = cand_min <= h
-            d_bub = np.where(exact, cand_min, np.maximum(h, idx.clearance[cells]))
-        else:
-            cand_min = np.full(x.size, np.inf)
-            d_bub = cand_min
+        # nearest candidate surface and the lowest bubble index attaining
+        # it; rows without candidates keep (inf, n_disks)
+        cells = idx.cells_of(x, y)
+        rep, items, offsets, lens = idx.gather_candidates(cells)
+        cand_min = np.full(x.size, np.inf)
+        near = np.full(x.size, idx.n_disks)
+        if items.size:
+            dist = np.sqrt((x[rep] - cx[items]) ** 2 + (y[rep] - cy[items]) ** 2) - rad[items]
+            nz = lens > 0
+            heads = offsets[:-1][nz]
+            cand_min[nz] = np.minimum.reduceat(dist, heads)
+            near[nz] = np.minimum.reduceat(
+                np.where(dist == cand_min[rep], items, idx.n_disks), heads)
+        d_bub = np.where(cand_min <= h, cand_min, np.maximum(h, idx.clearance[cells]))
         step = np.minimum(d_ext, d_bub)
 
-        done = (step < eps_eff) | (d_ext <= 0.0) | (cand_min <= 0.0)
+        # classify: a terminating walk exits at the nearest component,
+        # the exterior winning ties
+        out = (step < eps_eff) | (d_ext <= 0.0) | (cand_min <= 0.0)
+        code = np.where(d_ext <= cand_min, _CODE_EXTERIOR, near + 1)
         if absorbing_shell is not None:
             shell_hit = mod >= absorbing_shell
-            done = done | shell_hit
-        else:
-            shell_hit = None
-
-        def row_segment(r_i):
-            if not (have_bubbles and items.size):
-                return np.zeros(0), np.zeros(0, dtype=np.int32)
-            lo = offsets[r_i]
-            hi = lo + lens[r_i]
-            return dist[lo:hi], items[lo:hi]
-
-        if np.any(done):
-            for r_i in np.nonzero(done)[0]:
-                if shell_hit is not None and shell_hit[r_i]:
-                    record_exit(r_i, _CODE_SHELL)
-                else:
-                    record_exit(r_i, _classify_row(d_ext[r_i], *row_segment(r_i)))
+            out |= shell_hit
+            code[shell_hit] = _CODE_SHELL
 
         # point-like encounters: resolve by the exact annulus formula in
-        # the concentric bubble-free annulus around the tiny bubble
-        if idx.has_pointlike:
-            enc = (~done) & (cand_min < _ENC_TRIGGER)
-            for r_i in np.nonzero(enc)[0]:
-                seg_d, seg_i = row_segment(r_i)
-                m = seg_d.min()
-                i = int(seg_i[seg_d == m].min())
-                if not idx.pointlike[i]:
-                    continue  # a resolvable bubble this close is the walker's job
-                rho0 = m + rad[i]
-                big_d = min(idx.enc_clearance[i],
-                            r_out - math.hypot(cx[i], cy[i]))
-                if big_d <= max(4.0 * rho0, 4.0 * _ENC_TRIGGER):
-                    # cramped clearance: classify as a hit at the shell floor
-                    record_exit(r_i, i + 1)
-                    done[r_i] = True
-                    continue
-                p_hit = (math.log(big_d) - math.log(rho0)) / (math.log(big_d) - math.log(rad[i]))
-                u1 = float(uniforms_at(keys[r_i:r_i + 1], cnt[r_i])[0])
-                cnt[r_i] += 1
-                if u1 < p_hit:
-                    record_exit(r_i, i + 1)
-                    done[r_i] = True
-                else:
-                    u2 = float(uniforms_at(keys[r_i:r_i + 1], cnt[r_i])[0])
-                    cnt[r_i] += 1
-                    ang = _TWO_PI * u2
-                    x[r_i] = cx[i] + big_d * math.cos(ang)
-                    y[r_i] = cy[i] + big_d * math.sin(ang)
-                    path[r_i] += big_d
-                    step[r_i] = 0.0  # already moved; skip the normal jump
-                    done[r_i] = True  # exclude from the vectorized move
-                    walk_row[r_i] = -walk_row[r_i] - 1  # mark: keep alive
+        # the concentric bubble-free annulus of radius big_d around the
+        # tiny bubble (a resolvable bubble this close is the walker's job)
+        enc = np.nonzero(~out & (cand_min < _ENC_TRIGGER))[0]
+        enc = enc[idx.pointlike[near[enc]]]
+        jump = ~out
+        jump[enc] = False
+        b = near[enc]
+        code[enc] = b + 1  # even where the rim is nearer than the tiny bubble
+        rho0 = cand_min[enc] + rad[b]
+        big_d = np.minimum(idx.enc_clearance[b], r_out - idx.enc_modulus[b])
+        # cramped clearance: a hit at the shell floor, with no draw
+        cramped = big_d <= np.maximum(4.0 * rho0, 4.0 * _ENC_TRIGGER)
+        out[enc[cramped]] = True
+        enc, b, rho0, big_d = enc[~cramped], b[~cramped], rho0[~cramped], big_d[~cramped]
+        p_hit = (np.log(big_d) - np.log(rho0)) / (np.log(big_d) - np.log(rad[b]))
+        hit = uniforms_at(keys[enc], cnt[enc]) < p_hit
+        cnt[enc] += 1
+        out[enc[hit]] = True
+        enc, b, big_d = enc[~hit], b[~hit], big_d[~hit]
+        ang = _TWO_PI * uniforms_at(keys[enc], cnt[enc])
+        cnt[enc] += 1
+        x[enc] = cx[b] + big_d * np.cos(ang)
+        y[enc] = cy[b] + big_d * np.sin(ang)
+        path[enc] += big_d
 
-        keep = ~done
-        moved_back = walk_row < 0
-        if np.any(moved_back):
-            walk_row[moved_back] = -walk_row[moved_back] - 1
-            keep = keep | moved_back
+        gone = np.nonzero(out)[0]
+        w = walk_row[gone]
+        exit_code[w] = code[gone]
+        exit_steps[w] = cnt[gone]
+        exit_path[w] = path[gone]
+        exit_x[w] = x[gone]
+        exit_y[w] = y[gone]
 
-        live = ~done  # walks taking a normal jump this iteration
-        if np.any(live):
-            rows = np.nonzero(live)[0]
-            u = uniforms_at(keys[rows], cnt[rows])
-            theta = _TWO_PI * u
-            x[rows] += step[rows] * np.cos(theta)
-            y[rows] += step[rows] * np.sin(theta)
-            path[rows] += step[rows]
-            cnt[rows] += 1
+        rows = np.nonzero(jump)[0]
+        theta = _TWO_PI * uniforms_at(keys[rows], cnt[rows])
+        x[rows] += step[rows] * np.cos(theta)
+        y[rows] += step[rows] * np.sin(theta)
+        path[rows] += step[rows]
+        cnt[rows] += 1
 
-        if not np.all(keep):
+        if gone.size:
+            keep = ~out
             x = x[keep]
             y = y[keep]
             path = path[keep]
@@ -334,7 +302,10 @@ def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
         return _walk_chunk(domain, z0, eps, seed, bounds[0], bounds[1],
                            max_steps, r_out, absorbing_shell)
 
-    if threads <= 1 or len(chunks) == 1:
+    if threads < 0:
+        raise ValidationError(f"threads must be >= 0 (0 means one per core), got {threads!r}")
+    threads = threads or os.cpu_count() or 1
+    if threads == 1 or len(chunks) == 1:
         parts = [job(b) for b in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -417,8 +388,6 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
     eps = _resolve_epsilon(domain, epsilon)
-    if threads == 0:
-        threads = os.cpu_count() or 1
     t0 = time.perf_counter()
     code, steps, path, _, _ = _run_walks(domain, z0, eps, seed, n_walks,
                                          max_steps, 1.0, threads, absorbing_shell)

@@ -106,6 +106,13 @@ def test_one_bubble_measure_value(tmp_path):
     assert data["result"]["estimate"] == pytest.approx(0.5, abs=0.02)
 
 
+def test_measure_rejects_negative_threads(tmp_path):
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)]).save(dom_path)
+    assert main(["measure", "--domain", str(dom_path), "--walks", "10",
+                 "--threads", "-1"]) == 2
+
+
 def test_sandwich_and_layered(tmp_path):
     dom = ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=1.0)
     dom_path = tmp_path / "one.json"

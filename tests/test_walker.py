@@ -1,9 +1,15 @@
+import ast
+import hashlib
+import inspect
 import math
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import champagne as ch
+from champagne import walker
 from champagne.errors import ValidationError, WalkBudgetError
 from champagne.streams import WalkStream
 from champagne.walker import (
@@ -98,6 +104,26 @@ def test_walk_immediate_exit_when_started_in_shell(one_bubble_domain):
     assert ev.steps == 0
 
 
+def test_walk_exits_at_the_nearest_component():
+    # brute-force oracle of the classification rule, with the kernel's own
+    # distance formula: nearest component, exterior first, then lowest index
+    seq = ch.generate_ring_lattice(0.5, 2, 6, seed=12)
+    dom = ch.build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -6)
+    cx, cy, r = dom.centers.real, dom.centers.imag, dom.radii
+    kinds = set()
+    for w in range(50):
+        ev = wos_walk(dom, 0.2 - 0.1j, None, WalkStream(8, w))
+        x, y = ev.position.real, ev.position.imag
+        gaps = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - r
+        d_ext = 1.0 - math.sqrt(x * x + y * y)
+        if d_ext <= gaps.min():
+            assert (ev.component, ev.bubble_index) == ("exterior", -1)
+        else:
+            assert (ev.component, ev.bubble_index) == ("bubble", int(np.argmin(gaps)))
+        kinds.add(ev.component)
+    assert kinds == {"exterior", "bubble"}
+
+
 def test_walk_budget_error(one_bubble_domain):
     with pytest.raises(WalkBudgetError):
         wos_walk(one_bubble_domain, 0j, 1e-9, WalkStream(1, 0), max_steps=3)
@@ -169,6 +195,58 @@ def test_estimate_deterministic_across_threads(two_bubble_domain):
     runs = [estimate_measure(two_bubble_domain, 0j, n_walks=20_000, epsilon=1e-6,
                              seed=5, threads=t) for t in (1, 2, 4)]
     assert runs[0].canonical_json() == runs[1].canonical_json() == runs[2].canonical_json()
+
+
+def test_threads_zero_means_one_per_core_for_every_caller(empty_domain, monkeypatch):
+    opened = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(walker.os, "cpu_count", lambda: 3)
+    n = walker._CHUNK + 1  # two chunks, so a pool is worth opening
+    estimate_measure(empty_domain, 0j, n_walks=n, epsilon=1e-6, seed=1, threads=0)
+    layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=n, seed=1, threads=0)
+    assert opened == [3, 3]
+
+
+def test_negative_threads_are_rejected(empty_domain):
+    with pytest.raises(ValidationError):
+        estimate_measure(empty_domain, 0j, n_walks=10, epsilon=1e-6, threads=-4)
+    with pytest.raises(ValidationError):
+        layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=10, threads=-4)
+
+
+def test_pointlike_encounters_are_pinned():
+    # three bubbles below double-precision resolution: walks reaching them
+    # are resolved by the annulus formula, a few hundred times here
+    dom = ch.domain_from_pseudo([(0.5, 0.3), (0.5 + 0.3j, 1e-12), (-0.6, 1e-13), (0.95j, 1e-11)])
+    assert dom.index.pointlike.tolist() == [False, True, True, True]
+    est = estimate_measure(dom, 0j, target="all", n_walks=30_000, seed=0)
+    assert est.hits_per_bubble == {0: 17260, 1: 39, 2: 355, 3: 28}
+    assert (hashlib.sha256(est.canonical_json().encode()).hexdigest()
+            == "bb9633a10148221da8494c79e681314dfc7136f175fbf0901ff97c400acb21bd")
+
+
+def test_cramped_pointlike_encounter_is_a_hit_without_draws():
+    # the tiny bubble sits 3e-9 from the rim: its bubble-free annulus is
+    # no wider than 4 * 1e-9, so a walk 5e-10 away is absorbed at once
+    dom = ch.domain_from_pseudo([(0.5j, 0.2), (1 - 3e-9, 1e-3)])
+    assert dom.index.pointlike.tolist() == [False, True]
+    est = estimate_measure(dom, dom.centers[1] - 5e-10, target="bubble:1", n_walks=100, seed=0)
+    assert est.hits_per_bubble == {1: 100}
+    assert est.steps_total == 0
+
+
+def test_walk_kernel_has_no_per_walk_python():
+    assert not hasattr(walker, "_classify_row")
+    tree = ast.parse(textwrap.dedent(inspect.getsource(walker._walk_chunk)))
+    loops = [type(node).__name__ for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension, ast.FunctionDef, ast.Lambda))]
+    assert loops == ["FunctionDef"]  # only _walk_chunk itself
 
 
 def test_estimate_epsilon_bias_bounded(one_bubble_domain):
