@@ -456,7 +456,8 @@ class ChampagneDomain:
         if abs(z) >= 1.0:
             raise ValidationError(f"{name}={z!r} lies outside the open unit disk")
         if self.n_bubbles:
-            d, i = self.index.nearest_surface(z.real, z.imag)
+            # exact for d <= h, so exact for the test d <= 0
+            d, i = self.index.nearest_in_cell(z.real, z.imag)
             if d <= 0.0:
                 raise ValidationError(
                     f"{name}={z!r} lies inside or on bubble {i} (source {self.source_index[i]})"

@@ -17,7 +17,8 @@ queries used by the walk engine and by exact distance-to-boundary lookups:
 * a conservative per-cell clearance (from a Euclidean distance transform
   of the rasterized disks) that lower-bounds the distance to every disk,
   giving large safe steps in disk-free regions;
-* an exact nearest-surface ring search for one-off queries.
+* an exact nearest-surface ring search for one-off queries, and its
+  first step alone (the candidates of one cell), exact up to distance h.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ POINTLIKE_RADIUS = 1e-9
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
 _QUERY_BLOCK = 128  # ball queries per tree call: bounds the candidate lists held at once
+_BUILD_BLOCK = 1 << 14  # grid cells tested per block of the disk index build: bounds its memory
 
 
 class PointIndex:
@@ -128,33 +130,38 @@ class DiskGridIndex:
             self._build_encounter_data()
             return
         centers_x = -_L + (np.arange(ns) + 0.5) * h
-        occupied = np.zeros((ns, ns), dtype=bool)
+        # the cell box of each disk's candidate reach
+        reach = self.radii + 1.5 * h * _SQRT2 + 1e-12
+        ix0 = np.maximum(((self.cx - reach + _L) * self.inv_h).astype(np.int64), 0)
+        ix1 = np.minimum(((self.cx + reach + _L) * self.inv_h).astype(np.int64), ns - 1)
+        iy0 = np.maximum(((self.cy - reach + _L) * self.inv_h).astype(np.int64), 0)
+        iy1 = np.minimum(((self.cy + reach + _L) * self.inv_h).astype(np.int64), ns - 1)
+        ny = np.maximum(iy1 - iy0 + 1, 0)
+        size = np.maximum(ix1 - ix0 + 1, 0) * ny
+        first = np.cumsum(size) - size   # offset of each box in the flat enumeration
+        # blocks of whole boxes, about _BUILD_BLOCK cells each
+        cuts = np.unique(np.concatenate([
+            [0], np.searchsorted(first, np.arange(0, int(size.sum()), _BUILD_BLOCK)),
+            [self.n_disks]]))
+        occupied = np.zeros(ns * ns, dtype=bool)
         cand_cells: list[np.ndarray] = []
         cand_disks: list[np.ndarray] = []
-        for i in range(self.n_disks):
-            x, y, r = self.cx[i], self.cy[i], self.radii[i]
-            reach = r + 1.5 * h * _SQRT2 + 1e-12
-            ix0 = max(0, int((x - reach + _L) * self.inv_h))
-            ix1 = min(ns - 1, int((x + reach + _L) * self.inv_h))
-            iy0 = max(0, int((y - reach + _L) * self.inv_h))
-            iy1 = min(ns - 1, int((y + reach + _L) * self.inv_h))
-            gx = centers_x[ix0:ix1 + 1]
-            gy = centers_x[iy0:iy1 + 1]
-            dx = np.abs(x - gx)[:, None]
-            dy = np.abs(y - gy)[None, :]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            disk = np.repeat(np.arange(lo, hi, dtype=np.int32), size[lo:hi])
+            k = np.arange(disk.size) - np.repeat(first[lo:hi] - first[lo], size[lo:hi])
+            gi = ix0[disk] + k // ny[disk]
+            gj = iy0[disk] + k % ny[disk]
+            dx = np.abs(self.cx[disk] - centers_x[gi])
+            dy = np.abs(self.cy[disk] - centers_x[gj])
+            r = self.radii[disk]
+            cell = gi * ns + gj
             # distance from the disk center to the 3x3 block around each cell
-            bx = np.maximum(dx - 1.5 * h, 0.0)
-            by = np.maximum(dy - 1.5 * h, 0.0)
-            cand = np.hypot(bx, by) <= r
+            cand = np.hypot(np.maximum(dx - 1.5 * h, 0.0), np.maximum(dy - 1.5 * h, 0.0)) <= r
+            cand_cells.append(cell[cand])
+            cand_disks.append(disk[cand])
             # distance to the cell itself, for the occupancy raster
-            ox = np.maximum(dx - 0.5 * h, 0.0)
-            oy = np.maximum(dy - 0.5 * h, 0.0)
-            occ = np.hypot(ox, oy) <= r
-            ii, jj = np.nonzero(cand)
-            cand_cells.append(((ii + ix0) * ns + (jj + iy0)).astype(np.int64))
-            cand_disks.append(np.full(ii.size, i, dtype=np.int32))
-            oi, oj = np.nonzero(occ)
-            occupied[oi + ix0, oj + iy0] = True
+            occ = np.hypot(np.maximum(dx - 0.5 * h, 0.0), np.maximum(dy - 0.5 * h, 0.0)) <= r
+            occupied[cell[occ]] = True
         cells = np.concatenate(cand_cells)
         disks = np.concatenate(cand_disks)
         order = np.lexsort((disks, cells))
@@ -165,7 +172,7 @@ class DiskGridIndex:
         self.cell_items = disks
         # clearance: (EDT - sqrt2) * h lower-bounds the distance from any
         # point of a free cell to any point of any disk
-        edt = ndimage.distance_transform_edt(~occupied)
+        edt = ndimage.distance_transform_edt(~occupied.reshape(ns, ns))
         self.clearance = np.maximum((edt - _SQRT2) * h, 0.0).ravel()
         self._build_encounter_data()
 
@@ -186,11 +193,44 @@ class DiskGridIndex:
     # -- addressing ---------------------------------------------------------
 
     def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        ix = np.clip(((x + _L) * self.inv_h).astype(np.int64), 0, self.n_side - 1)
-        iy = np.clip(((y + _L) * self.inv_h).astype(np.int64), 0, self.n_side - 1)
+        # np.minimum(np.maximum()) rather than np.clip, whose Python
+        # wrapper costs more than the clipping on the walk kernel's arrays
+        top = self.n_side - 1
+        ix = np.minimum(np.maximum(((x + _L) * self.inv_h).astype(np.int64), 0), top)
+        iy = np.minimum(np.maximum(((y + _L) * self.inv_h).astype(np.int64), 0), top)
         return ix * self.n_side + iy
 
     # -- scalar queries -----------------------------------------------------
+
+    def _cell_ij(self, x: float, y: float):
+        top = self.n_side - 1
+        return (min(max(int((x + _L) * self.inv_h), 0), top),
+                min(max(int((y + _L) * self.inv_h), 0), top))
+
+    def _scan(self, cells, x: float, y: float, exclude: int = -1,
+              best: float = math.inf, best_i: int = -1):
+        """Fold the candidates of `cells` into (best, best_i), the lowest
+        index winning ties."""
+        for c in cells:
+            for kk in range(self.cell_start[c], self.cell_start[c + 1]):
+                i = self.cell_items[kk]
+                if i == exclude:
+                    continue
+                d = math.hypot(x - self.cx[i], y - self.cy[i]) - self.radii[i]
+                if d < best or (d == best and i < best_i):
+                    best = d
+                    best_i = int(i)
+        return best, best_i
+
+    def nearest_in_cell(self, x: float, y: float):
+        """(distance, index) of the nearest surface among the candidates of
+        the cell holding (x, y); (inf, -1) when it lists none.
+
+        Equal to nearest_surface whenever either result is <= h: a disk
+        that close intersects the 3x3 block and is listed, and the ring
+        search stops after this cell."""
+        ix, iy = self._cell_ij(x, y)
+        return self._scan((ix * self.n_side + iy,), x, y)
 
     def nearest_surface(self, x: float, y: float, exclude: int = -1):
         """Exact (distance, index) of the nearest disk surface, optionally
@@ -201,8 +241,7 @@ class DiskGridIndex:
         if self.n_disks == 0:
             return math.inf, -1
         ns = self.n_side
-        ix0 = min(max(int((x + _L) * self.inv_h), 0), ns - 1)
-        iy0 = min(max(int((y + _L) * self.inv_h), 0), ns - 1)
+        ix0, iy0 = self._cell_ij(x, y)
         best = math.inf
         best_i = -1
         for k in range(ns):
@@ -220,16 +259,8 @@ class DiskGridIndex:
                             ring.append((ix, iy0 - k))
                         if iy0 + k <= ns - 1:
                             ring.append((ix, iy0 + k))
-            for ix, iy in ring:
-                c = ix * ns + iy
-                for kk in range(self.cell_start[c], self.cell_start[c + 1]):
-                    i = self.cell_items[kk]
-                    if i == exclude:
-                        continue
-                    d = math.hypot(x - self.cx[i], y - self.cy[i]) - self.radii[i]
-                    if d < best or (d == best and i < best_i):
-                        best = d
-                        best_i = int(i)
+            best, best_i = self._scan([ix * ns + iy for ix, iy in ring], x, y,
+                                      exclude, best, best_i)
             if best <= (k + 1) * self.h:
                 break
         return best, best_i
@@ -251,5 +282,5 @@ class DiskGridIndex:
             return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32),
                     offsets, lens)
         rep = np.repeat(np.arange(cells.size, dtype=np.int64), lens)
-        pos = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lens) + np.repeat(starts, lens)
+        pos = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets[:-1], lens)
         return rep, self.cell_items[pos], offsets, lens

@@ -39,11 +39,11 @@ def mix64(z: int) -> int:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # uint64 wraparound is the point; silence the scalar-op overflow warning
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _V30)) * _V_MIX_A
-        z = (z ^ (z >> _V27)) * _V_MIX_B
-        return z ^ (z >> _V31)
+    # uint64 wraparound is the point; array arithmetic wraps silently,
+    # only numpy scalar arithmetic warns (callers silence it for scalars)
+    z = (z ^ (z >> _V30)) * _V_MIX_A
+    z = (z ^ (z >> _V27)) * _V_MIX_B
+    return z ^ (z >> _V31)
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -87,9 +87,8 @@ def uniforms_at(keys: np.ndarray, t) -> np.ndarray:
 
     `t` may be a scalar or an array aligned with `keys`.
     """
-    tt = np.asarray(t, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        v = _mix64_vec(keys + (tt + _V1) * _V_GOLDEN)
+    tt = np.array(t, dtype=np.uint64, ndmin=1)  # an array, so the products wrap silently
+    v = _mix64_vec(keys + (tt + _V1) * _V_GOLDEN)
     return (v >> _V11).astype(np.float64) * _INV_2_53
 
 

@@ -8,12 +8,13 @@ bubbles, conservative lower bounds elsewhere (any radius not exceeding
 the true boundary distance keeps the exit law exact, by the strong
 Markov property).
 
-The kernel advances a batch of walks as arrays, with no per-walk Python
+The kernel advances a pool of walks as arrays, with no per-walk Python
 code.  Each iteration (1) classifies: walks within the shell exit at the
 nearest component; (2) resolves point-like encounters: a walk within
 1e-9 of a bubble too small to resolve is absorbed with the exact
 annulus hitting probability or moved to the annulus' outer circle;
-(3) jumps every other walk; (4) compacts away the walks that exited.
+(3) jumps every other walk; (4) refills freed rows from the walk supply,
+and compacts once it is exhausted.
 
 Determinism contract: walk w consumes uniforms u(seed, w, t), t = 0, 1,
 ..., from counter-based streams: one per jump, and two per encounter
@@ -38,7 +39,9 @@ from .errors import ValidationError, WalkBudgetError
 from .hyperbolic import mobius_apply, pseudo_distance_many, require_disk_point
 from .streams import WalkStream, derive_seed, stream_keys, uniforms_at
 
-_CHUNK = 8192          # fixed batch size; part of the determinism contract
+# pool width: the most walks one kernel advances at once, which bounds its
+# memory; results do not depend on it (each walk reads only its own stream)
+_CHUNK = 8192
 _TWO_PI = 2.0 * math.pi
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile, for 95% intervals
 
@@ -185,17 +188,24 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
                 absorbing_shell):
     """Run walks [w0, w1); returns (exit_code, steps, path_length, exit_pos).
 
+    The walks share a pool of at most _CHUNK rows: a row whose walk exits
+    takes the next unstarted walk of the range, so the slow tail of the
+    step counts is paid once per range rather than once per batch.
+
     `steps` counts uniform draws: one per jump, two per analytically
     resolved point-like encounter (survival Bernoulli plus exit angle).
     """
     idx = domain.index
     n = w1 - w0
-    keys = stream_keys(seed, np.arange(w0, w1, dtype=np.uint64))
-    x = np.full(n, z0.real)
-    y = np.full(n, z0.imag)
-    path = np.zeros(n)
-    cnt = np.zeros(n, dtype=np.int64)   # per-walk stream counter
-    walk_row = np.arange(n)
+    width = min(n, _CHUNK)
+    supply = stream_keys(seed, np.arange(w0, w1, dtype=np.uint64))
+    started = width                     # walks of the range handed to a row so far
+    keys = supply[:width].copy()
+    x = np.full(width, z0.real)
+    y = np.full(width, z0.imag)
+    path = np.zeros(width)
+    cnt = np.zeros(width, dtype=np.int64)   # per-walk stream counter
+    walk_row = np.arange(width)             # walk of each row, relative to w0
 
     exit_code = np.full(n, -1, dtype=np.int64)
     exit_steps = np.zeros(n, dtype=np.int64)
@@ -244,25 +254,26 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
         enc = np.nonzero(~out & (cand_min < _ENC_TRIGGER))[0]
         enc = enc[idx.pointlike[near[enc]]]
         jump = ~out
-        jump[enc] = False
-        b = near[enc]
-        code[enc] = b + 1  # even where the rim is nearer than the tiny bubble
-        rho0 = cand_min[enc] + rad[b]
-        big_d = np.minimum(idx.enc_clearance[b], r_out - idx.enc_modulus[b])
-        # cramped clearance: a hit at the shell floor, with no draw
-        cramped = big_d <= np.maximum(4.0 * rho0, 4.0 * _ENC_TRIGGER)
-        out[enc[cramped]] = True
-        enc, b, rho0, big_d = enc[~cramped], b[~cramped], rho0[~cramped], big_d[~cramped]
-        p_hit = (np.log(big_d) - np.log(rho0)) / (np.log(big_d) - np.log(rad[b]))
-        hit = uniforms_at(keys[enc], cnt[enc]) < p_hit
-        cnt[enc] += 1
-        out[enc[hit]] = True
-        enc, b, big_d = enc[~hit], b[~hit], big_d[~hit]
-        ang = _TWO_PI * uniforms_at(keys[enc], cnt[enc])
-        cnt[enc] += 1
-        x[enc] = cx[b] + big_d * np.cos(ang)
-        y[enc] = cy[b] + big_d * np.sin(ang)
-        path[enc] += big_d
+        if enc.size:
+            jump[enc] = False
+            b = near[enc]
+            code[enc] = b + 1  # even where the rim is nearer than the tiny bubble
+            rho0 = cand_min[enc] + rad[b]
+            big_d = np.minimum(idx.enc_clearance[b], r_out - idx.enc_modulus[b])
+            # cramped clearance: a hit at the shell floor, with no draw
+            cramped = big_d <= np.maximum(4.0 * rho0, 4.0 * _ENC_TRIGGER)
+            out[enc[cramped]] = True
+            enc, b, rho0, big_d = enc[~cramped], b[~cramped], rho0[~cramped], big_d[~cramped]
+            p_hit = (np.log(big_d) - np.log(rho0)) / (np.log(big_d) - np.log(rad[b]))
+            hit = uniforms_at(keys[enc], cnt[enc]) < p_hit
+            cnt[enc] += 1
+            out[enc[hit]] = True
+            enc, b, big_d = enc[~hit], b[~hit], big_d[~hit]
+            ang = _TWO_PI * uniforms_at(keys[enc], cnt[enc])
+            cnt[enc] += 1
+            x[enc] = cx[b] + big_d * np.cos(ang)
+            y[enc] = cy[b] + big_d * np.sin(ang)
+            path[enc] += big_d
 
         gone = np.nonzero(out)[0]
         w = walk_row[gone]
@@ -279,7 +290,19 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
         path[rows] += step[rows]
         cnt[rows] += 1
 
-        if gone.size:
+        # refill freed rows with the next unstarted walks, in walk order;
+        # compact away the rest once the supply is exhausted
+        fresh = gone[:n - started]
+        if fresh.size:
+            walk_row[fresh] = np.arange(started, started + fresh.size)
+            started += fresh.size
+            keys[fresh] = supply[walk_row[fresh]]
+            x[fresh] = z0.real
+            y[fresh] = z0.imag
+            path[fresh] = 0.0
+            cnt[fresh] = 0
+            out[fresh] = False
+        if fresh.size < gone.size:
             keep = ~out
             x = x[keep]
             y = y[keep]
@@ -296,22 +319,26 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
 
 def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
                absorbing_shell):
-    chunks = [(w0, min(w0 + _CHUNK, n_walks)) for w0 in range(0, n_walks, _CHUNK)]
-
-    def job(bounds):
-        return _walk_chunk(domain, z0, eps, seed, bounds[0], bounds[1],
-                           max_steps, r_out, absorbing_shell)
-
     if threads < 0:
         raise ValidationError(f"threads must be >= 0 (0 means one per core), got {threads!r}")
     threads = threads or os.cpu_count() or 1
-    if threads == 1 or len(chunks) == 1:
-        parts = [job(b) for b in chunks]
+    # one pool per contiguous range of walks; walks that fit in one pool
+    # are not split, since a range costs the same fixed work per
+    # iteration however few rows it holds
+    k = min(threads, -(-n_walks // _CHUNK))
+    cuts = [n_walks * i // k for i in range(k + 1)]
+
+    def job(i):
+        return _walk_chunk(domain, z0, eps, seed, cuts[i], cuts[i + 1],
+                           max_steps, r_out, absorbing_shell)
+
+    if k == 1:
+        parts = [job(0)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, chunks))
-    # chunk partition is independent of the worker count, so concatenation
-    # order (by walk index) makes every aggregate bit-reproducible
+            parts = list(pool.map(job, range(k)))
+    # each walk's draws depend only on its index, so concatenating the
+    # ranges in walk order makes every aggregate bit-reproducible
     exit_code = np.concatenate([p[0] for p in parts])
     steps = np.concatenate([p[1] for p in parts])
     path = np.concatenate([p[2] for p in parts])
@@ -533,7 +560,7 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
         dropped = 0
         for k_s, z_s in enumerate(starts):
             if domain.n_bubbles:
-                d, _ = idx.nearest_surface(z_s.real, z_s.imag)
+                d, _ = idx.nearest_in_cell(z_s.real, z_s.imag)  # exact, as eps <= h
                 if d <= eps:
                     dropped += 1
                     continue

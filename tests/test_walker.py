@@ -241,6 +241,48 @@ def test_cramped_pointlike_encounter_is_a_hit_without_draws():
     assert est.steps_total == 0
 
 
+def _pointlike_domain():
+    # the domain of test_pointlike_encounters_are_pinned
+    return ch.domain_from_pseudo([(0.5, 0.3), (0.5 + 0.3j, 1e-12), (-0.6, 1e-13), (0.95j, 1e-11)])
+
+
+def _pool_runs():
+    dom = _pointlike_domain()
+    # a start 0.01 from the 1e-13 bubble: about one walk in eight ends there
+    near = estimate_measure(dom, -0.59 + 0j, target="bubble:2", n_walks=60, seed=3)
+    shell = estimate_measure(dom, 0j, target="all", n_walks=100, seed=4, absorbing_shell=0.7)
+    tiny = ch.domain_from_pseudo([(0.25 + 0j, 0.02), (0.6 + 0.3j, 1e-12)], truncation_R=1.0)
+    layered = layered_crossing(tiny, K=2.0, j_max=2, n_walks=20, seed=6, grid_points=8)
+    return near.canonical_json(), shell.canonical_json(), repr(layered), near
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_results_do_not_depend_on_the_pool_width(width, monkeypatch):
+    want = _pool_runs()
+    assert want[3].hits_per_bubble.get(2, 0) > 0  # point-like encounters happened
+    monkeypatch.setattr(walker, "_CHUNK", width)
+    assert _pool_runs()[:3] == want[:3]
+
+
+def test_walks_that_fit_one_pool_are_not_split(empty_domain, monkeypatch):
+    opened = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+    estimate_measure(empty_domain, 0j, n_walks=walker._CHUNK, epsilon=1e-6, seed=1, threads=4)
+    assert opened == []
+
+
+def test_budget_error_over_more_walks_than_one_pool(one_bubble_domain):
+    with pytest.raises(WalkBudgetError):
+        estimate_measure(one_bubble_domain, 0.1 + 0j, n_walks=walker._CHUNK + 1,
+                         epsilon=1e-9, seed=1, max_steps=3)
+
+
 def test_walk_kernel_has_no_per_walk_python():
     assert not hasattr(walker, "_classify_row")
     tree = ast.parse(textwrap.dedent(inspect.getsource(walker._walk_chunk)))
