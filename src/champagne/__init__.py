@@ -73,7 +73,7 @@ from .sequences import (
     separation,
     uniform_density,
 )
-from .streams import WalkStream, derive_seed, uniform_at
+from .streams import derive_seed
 from .walker import (
     ExitEvent,
     LayeredCrossingReport,

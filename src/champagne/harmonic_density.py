@@ -1,13 +1,31 @@
 """Harmonic-measure densities over finitely connected annulus domains.
 
-For each radius r and probe z, build_finitely_connected removes the
-bubbles D(lambda, 1-r) around the sequence points with
-1/2 < rho(lambda, z) < r, and transport_domain moves the probe to the
-origin by the automorphism swapping z and 0.  The exterior harmonic
-measure there is estimated by walk-on-spheres and recorded as
-log(1/omega).  The lower curve takes the infimum over a probe grid, the
-upper curve the supremum over the sequence points themselves.
-Curves are reported as data over r; no limit is extrapolated.
+Part (II) of the paper describes sampling and interpolating sequences by
+a lower and an upper density: as r -> 1, the infimum and the supremum
+over the same points z of the disk of a harmonic-measure quantity at z.
+That quantity is the harmonic measure at z of the outer boundary of the
+pseudohyperbolic disk D(z, r), with the bubbles around the sequence
+points in the annulus 1/2 < rho(lambda, z) < r removed.  The uniform
+counterparts are the normalized annular sums of
+`sequences.uniform_density`.
+
+What is estimated here, for each radius r and probe z:
+
+* the domain is the unit disk minus the bubbles D(lambda, delta) with
+  1/2 < rho(lambda, z) < r (`build_finitely_connected`), with
+  delta = 1 - r.  The outer boundary is the unit circle, so the annulus
+  r < rho < 1 stays empty, where the paper's outer boundary is the
+  circle rho(., z) = r;
+* `transport_domain` moves z to the origin by the automorphism swapping
+  z and 0, and walk-on-spheres estimates the exterior harmonic measure
+  omega there;
+* the value recorded is log(1/omega), not normalized, while the uniform
+  curve is divided by log(1/(1-r)).  Their ratios are reported as data.
+
+Both curves range over one probe set (`ProbeSpec.resolve`), and each
+probe is estimated once per r: the lower curve is the infimum of those
+values, the upper curve their supremum.  Curves are reported as data
+over r; no limit is extrapolated.
 """
 
 from __future__ import annotations
@@ -17,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import build_finitely_connected, resolve_delta_rule, transport_domain
+from .domains import build_finitely_connected, transport_domain
 from .errors import ValidationError
 from .hyperbolic import require_disk_point
 from .sequences import PointSequence, probe_lattice, uniform_density
@@ -45,36 +63,34 @@ class McParams:
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    points: tuple | None = None     # explicit probes for the lower mode
-    grid_density: float = 2.0
-    max_probes: int = 16
-    include_origin: bool = True
+    """The one probe set both curves range over.
 
-    def resolve(self, seq: PointSequence, mode: str, r_max: float) -> np.ndarray:
-        if mode == "lower":
-            if self.points is not None:
-                return np.asarray(self.points, dtype=np.complex128)
-            pts = [probe_lattice(min(0.75, seq.max_modulus), density=self.grid_density,
-                                 rim=False)]
-            if self.include_origin:
-                pts.append(np.array([0.0 + 0.0j]))
-            probes = np.unique(np.concatenate(pts))
-        else:
-            probes = seq.points
+    Explicit `points` are used as given.  Otherwise the set is the probe
+    lattice of |z| <= min(0.75, max modulus) together with the sequence
+    points in that disk, thinned to at most `max_probes`.
+    """
+
+    points: tuple | None = None
+    max_probes: int = 16
+
+    def resolve(self, seq: PointSequence) -> np.ndarray:
+        if self.points is not None:
+            return np.asarray(self.points, dtype=np.complex128)
+        m = min(0.75, seq.max_modulus)
+        inside = seq.points[np.abs(seq.points) <= m]
+        probes = np.unique(np.concatenate([probe_lattice(m, density=2.0, rim=False), inside]))
         if probes.size > self.max_probes:
-            # deterministic thinning: evenly strided after a canonical sort
-            order = np.lexsort((probes.imag, probes.real))
+            # deterministic thinning: evenly strided over np.unique's
+            # lexicographic (real, imag) order
             stride = probes.size / self.max_probes
-            pick = (np.arange(self.max_probes) * stride).astype(np.int64)
-            probes = probes[order][pick]
+            probes = probes[(np.arange(self.max_probes) * stride).astype(np.int64)]
         return probes
 
-    def describe(self, mode: str) -> str:
-        if mode == "upper":
-            return f"sequence points (capped at {self.max_probes})"
+    def describe(self) -> str:
         if self.points is not None:
             return f"explicit probes ({len(self.points)})"
-        return f"probe lattice density {self.grid_density:g} (capped at {self.max_probes})"
+        return (f"probe lattice density 2 and sequence points in |z| <= 0.75 "
+                f"(capped at {self.max_probes})")
 
 
 @dataclass(frozen=True)
@@ -95,13 +111,12 @@ class HarmonicDensityCurve:
     r_values: tuple
     curve: tuple                        # inf (lower) / sup (upper) per r
     per_r: tuple                        # tuple of tuples of ProbeResult
-    delta_rule: str
     grid_spec: str
     flags: tuple
 
 
-def _probe_estimate(seq, z, r, delta, mc: McParams, tag) -> ProbeResult:
-    dom = transport_domain(build_finitely_connected(seq, z, r, delta), z)
+def _probe_estimate(seq, z, r, mc: McParams, tag) -> ProbeResult:
+    dom = transport_domain(build_finitely_connected(seq, z, r), z)
     if dom.n_bubbles == 0:
         return ProbeResult(probe=z, n_bubbles=0, estimate=None, value=0.0,
                            ci_low=0.0, ci_high=0.0, n_walks_used=0,
@@ -126,15 +141,38 @@ def _probe_estimate(seq, z, r, delta, mc: McParams, tag) -> ProbeResult:
                        ci_low=lo, ci_high=hi, n_walks_used=n_eff, flags=tuple(flags))
 
 
-def harmonic_density_curve(seq: PointSequence, r_values, mode: str,
-                           probe_spec: ProbeSpec | None = None,
-                           mc: McParams | None = None,
-                           delta="one-minus-r") -> HarmonicDensityCurve:
-    """Curve of inf/sup over probes of log(1/omega-hat(z, exterior)).
+def _extreme_curve(mode: str, r_values: tuple, per_r: tuple,
+                   grid_spec: str) -> HarmonicDensityCurve:
+    """Inf (lower) or sup (upper) over the probes of each r.
 
     Unbounded probes (no exterior hits) are excluded from the infimum and
     enter the supremum as +inf with a warning flag.
     """
+    curve = []
+    flags = []
+    for rv, results in zip(r_values, per_r):
+        values = [p.value for p in results]
+        if mode == "lower":
+            finite = [v for v in values if v != _UNBOUNDED]
+            if not finite:
+                flags.append(f"r={rv:g}: every probe unbounded; infimum undefined")
+                curve.append(_UNBOUNDED)
+            else:
+                if len(finite) < len(values):
+                    flags.append(f"r={rv:g}: unbounded probes excluded from the infimum")
+                curve.append(min(finite))
+        else:
+            if any(v == _UNBOUNDED for v in values):
+                flags.append(f"r={rv:g}: supremum saturated by an unbounded probe")
+            curve.append(max(values))
+    return HarmonicDensityCurve(mode=mode, r_values=r_values, curve=tuple(curve),
+                                per_r=per_r, grid_spec=grid_spec, flags=tuple(flags))
+
+
+def harmonic_density_curve(seq: PointSequence, r_values, mode: str,
+                           probe_spec: ProbeSpec | None = None,
+                           mc: McParams | None = None) -> HarmonicDensityCurve:
+    """Curve of inf/sup over probes of log(1/omega-hat(z, exterior))."""
     if mode not in ("lower", "upper"):
         raise ValidationError(f"mode must be lower or upper, got {mode!r}")
     probe_spec = probe_spec or ProbeSpec()
@@ -142,41 +180,13 @@ def harmonic_density_curve(seq: PointSequence, r_values, mode: str,
     r = np.asarray(r_values, dtype=np.float64)
     if r.ndim != 1 or r.size == 0 or not np.all((r > 0.5) & (r < 1.0)):
         raise ValidationError("r_values must lie in (1/2, 1)")
-    probes = probe_spec.resolve(seq, mode, float(r.max()))
+    probes = probe_spec.resolve(seq)
     for z in probes:
         require_disk_point(z, "probe")
-
-    curve = []
-    per_r = []
-    all_flags = []
-    for ri, rv in enumerate(r):
-        d = resolve_delta_rule(delta, float(rv))
-        results = [_probe_estimate(seq, complex(z), float(rv), d, mc, (ri, pi))
-                   for pi, z in enumerate(probes)]
-        values = [p.value for p in results]
-        if mode == "lower":
-            finite = [v for v in values if v != _UNBOUNDED]
-            if not finite:
-                all_flags.append(f"r={rv:g}: every probe unbounded; infimum undefined")
-                curve.append(_UNBOUNDED)
-            else:
-                if len(finite) < len(values):
-                    all_flags.append(f"r={rv:g}: unbounded probes excluded from the infimum")
-                curve.append(min(finite))
-        else:
-            if any(v == _UNBOUNDED for v in values):
-                all_flags.append(f"r={rv:g}: supremum saturated by an unbounded probe")
-            curve.append(max(values))
-        per_r.append(tuple(results))
-    return HarmonicDensityCurve(
-        mode=mode,
-        r_values=tuple(float(v) for v in r),
-        curve=tuple(curve),
-        per_r=tuple(per_r),
-        delta_rule=str(delta),
-        grid_spec=probe_spec.describe(mode),
-        flags=tuple(all_flags),
-    )
+    per_r = tuple(tuple(_probe_estimate(seq, complex(z), float(rv), mc, (ri, pi))
+                        for pi, z in enumerate(probes))
+                  for ri, rv in enumerate(r))
+    return _extreme_curve(mode, tuple(float(v) for v in r), per_r, probe_spec.describe())
 
 
 @dataclass(frozen=True)
@@ -210,16 +220,13 @@ def _trend(curve) -> str:
 def theorem2_report(seq: PointSequence, r_values, probe_spec: ProbeSpec | None = None,
                     mc: McParams | None = None) -> Theorem2Report:
     """Compare the normalized annular sums with the harmonic curves at the
-    same radii, on the same probes.  Ratios and trends only; no limit is
+    same radii.  All four curves range over one probe set, and each probe
+    is estimated once per r.  Ratios and trends only; no limit is
     asserted."""
-    probe_spec = probe_spec or ProbeSpec()
-    mc = mc or McParams()
     h_lo = harmonic_density_curve(seq, r_values, "lower", probe_spec, mc)
-    h_up = harmonic_density_curve(seq, r_values, "upper", probe_spec, mc)
-    lower_probes = probe_spec.resolve(seq, "lower", max(r_values))
-    upper_probes = probe_spec.resolve(seq, "upper", max(r_values))
-    u_lo = uniform_density(seq, r_values, mode="lower", probe_points=lower_probes)
-    u_up = uniform_density(seq, r_values, mode="upper", probe_points=upper_probes)
+    h_up = _extreme_curve("upper", h_lo.r_values, h_lo.per_r, h_lo.grid_spec)
+    probes = np.array([p.probe for p in h_lo.per_r[0]], dtype=np.complex128)
+    ud = uniform_density(seq, r_values, mode="both", probe_points=probes)
 
     def ratios(h, u):
         out = []
@@ -229,20 +236,20 @@ def theorem2_report(seq: PointSequence, r_values, probe_spec: ProbeSpec | None =
 
     # degenerate or truncated data: annuli reaching past the populated
     # moduli, unbounded probes, or near-zero density
-    low_conf = (any(u_lo.truncation_dominated) or any(u_up.truncation_dominated)
-                or any(v < 0.05 for v in u_lo.lower_curve)
+    low_conf = (any(ud.truncation_dominated)
+                or any(v < 0.05 for v in ud.lower_curve)
                 or bool(h_lo.flags) or bool(h_up.flags))
     return Theorem2Report(
-        r_values=tuple(float(v) for v in r_values),
-        uniform_lower=u_lo.lower_curve,
-        uniform_upper=u_up.upper_curve,
+        r_values=h_lo.r_values,
+        uniform_lower=ud.lower_curve,
+        uniform_upper=ud.upper_curve,
         harmonic_lower=h_lo.curve,
         harmonic_upper=h_up.curve,
-        ratio_lower=ratios(h_lo.curve, u_lo.lower_curve),
-        ratio_upper=ratios(h_up.curve, u_up.upper_curve),
+        ratio_lower=ratios(h_lo.curve, ud.lower_curve),
+        ratio_upper=ratios(h_up.curve, ud.upper_curve),
         trend={
-            "uniform_lower": _trend(u_lo.lower_curve),
-            "uniform_upper": _trend(u_up.upper_curve),
+            "uniform_lower": _trend(ud.lower_curve),
+            "uniform_upper": _trend(ud.upper_curve),
             "harmonic_lower": _trend(h_lo.curve),
             "harmonic_upper": _trend(h_up.curve),
         },

@@ -63,19 +63,8 @@ def derive_seed(seed: int, *parts) -> int:
     return acc
 
 
-def stream_key(seed: int, walk_index: int) -> int:
-    return mix64((int(seed) & _U64) ^ mix64(((int(walk_index) + 1) * _GOLDEN) & _U64))
-
-
-def uniform_at(seed: int, walk_index: int, t: int) -> float:
-    """The t-th uniform of walk `walk_index` under `seed`, in [0, 1)."""
-    key = stream_key(seed, walk_index)
-    v = mix64((key + ((int(t) + 1) * _GOLDEN)) & _U64)
-    return (v >> 11) * _INV_2_53
-
-
 def stream_keys(seed: int, walk_indices: np.ndarray) -> np.ndarray:
-    """Vectorized stream_key for an array of walk indices (uint64)."""
+    """The stream key of each walk index under `seed` (uint64)."""
     w = np.asarray(walk_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
         keys = _mix64_vec((w + _V1) * _V_GOLDEN)
@@ -83,34 +72,10 @@ def stream_keys(seed: int, walk_indices: np.ndarray) -> np.ndarray:
 
 
 def uniforms_at(keys: np.ndarray, t) -> np.ndarray:
-    """Vectorized uniform_at for precomputed stream keys.
+    """The uniform in [0, 1) at counter `t` of each stream key.
 
     `t` may be a scalar or an array aligned with `keys`.
     """
     tt = np.array(t, dtype=np.uint64, ndmin=1)  # an array, so the products wrap silently
     v = _mix64_vec(keys + (tt + _V1) * _V_GOLDEN)
     return (v >> _V11).astype(np.float64) * _INV_2_53
-
-
-class WalkStream:
-    """Stateful view of one walk's uniform stream.
-
-    `uniform_at(t)` is pure; `next_uniform()` advances an internal cursor.
-    Two WalkStream instances with the same (seed, walk_index) always
-    produce the same values at the same counters.
-    """
-
-    __slots__ = ("seed", "walk_index", "cursor")
-
-    def __init__(self, seed: int, walk_index: int = 0):
-        self.seed = int(seed)
-        self.walk_index = int(walk_index)
-        self.cursor = 0
-
-    def uniform_at(self, t: int) -> float:
-        return uniform_at(self.seed, self.walk_index, t)
-
-    def next_uniform(self) -> float:
-        u = self.uniform_at(self.cursor)
-        self.cursor += 1
-        return u

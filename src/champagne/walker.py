@@ -37,7 +37,7 @@ import numpy as np
 from .domains import ChampagneDomain, transport_domain
 from .errors import ValidationError, WalkBudgetError
 from .hyperbolic import mobius_apply, pseudo_distance_many, require_disk_point
-from .streams import WalkStream, derive_seed, stream_keys, uniforms_at
+from .streams import derive_seed, stream_keys, uniforms_at
 
 # pool width: the most walks one kernel advances at once, which bounds its
 # memory; results do not depend on it (each walk reads only its own stream)
@@ -347,9 +347,9 @@ def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
     return exit_code, steps, path, ex, ey
 
 
-def wos_walk(domain: ChampagneDomain, z0, epsilon, stream: WalkStream,
+def wos_walk(domain: ChampagneDomain, z0, epsilon, seed: int, walk_index: int = 0,
              max_steps: int = 1_000_000, r_out: float = 1.0) -> ExitEvent:
-    """Run a single walk and return its exit event.
+    """Run walk `walk_index` of the stream `seed` and return its exit event.
 
     The walk jumps to a uniform point on a circle of the current safe
     radius until it lands within epsilon of the boundary; the nearest
@@ -361,8 +361,7 @@ def wos_walk(domain: ChampagneDomain, z0, epsilon, stream: WalkStream,
     domain.require_interior(z0, "z0")
     eps = _resolve_epsilon(domain, epsilon)
     code, steps, path, ex, ey = _walk_chunk(
-        domain, z0, eps, stream.seed, stream.walk_index, stream.walk_index + 1,
-        max_steps, r_out, None)
+        domain, z0, eps, seed, walk_index, walk_index + 1, max_steps, r_out, None)
     c = int(code[0])
     if c == _CODE_EXTERIOR:
         component, b_idx = "exterior", -1

@@ -46,23 +46,43 @@ def test_curve_is_deterministic():
     assert all(pa.value == pb.value for pa, pb in zip(a.per_r[0], b.per_r[0]))
 
 
-def test_upper_mode_probes_sequence_points():
-    seq = ch.generate_ring_lattice(0.5, 1, 5, seed=3)
-    spec = ProbeSpec(max_probes=4)
-    curve = harmonic_density_curve(seq, [0.9], "upper", spec, _mc())
-    assert len(curve.per_r[0]) == 4
-    probed = {p.probe for p in curve.per_r[0]}
-    assert probed.issubset(set(seq.points.tolist()))
-
-
 def test_upper_at_least_lower_with_shared_probes():
     seq = ch.generate_ring_lattice(0.5, 1.5, 6, seed=4)
-    lower_spec = ProbeSpec(points=tuple(seq.points[:6].tolist()) + (0j,))
-    lo = harmonic_density_curve(seq, [0.92], "lower", lower_spec, _mc(seed=10))
-    up_spec = ProbeSpec(max_probes=6)
-    up = harmonic_density_curve(seq, [0.92], "upper", up_spec, _mc(seed=10))
-    # the lower probe set contains the upper probes: inf <= sup
-    assert lo.curve[0] <= up.curve[0] + 1e-12
+    spec = ProbeSpec(max_probes=6)
+    lo = harmonic_density_curve(seq, [0.92], "lower", spec, _mc(seed=10))
+    up = harmonic_density_curve(seq, [0.92], "upper", spec, _mc(seed=10))
+    # one spec resolves one probe set for both modes: inf <= sup
+    assert [p.probe for p in lo.per_r[0]] == [p.probe for p in up.per_r[0]]
+    assert lo.curve[0] <= up.curve[0]
+
+
+def _probes(detail):
+    return [[p.probe for p in results] for results in detail.per_r]
+
+
+def test_theorem2_lower_never_above_upper():
+    # the 12-ring lattice of the benchmark: every curve's infimum and
+    # supremum range over the same probes, so lower <= upper at every r
+    seq = ch.generate_ring_lattice(0.5, 2, 12, seed=20)
+    rep = theorem2_report(seq, [1 - 2.0 ** -6, 1 - 2.0 ** -8], ProbeSpec(max_probes=8),
+                          McParams(n_walks=2000, seed=20, pilot_walks=500, walk_cap=100_000))
+    for i in range(2):
+        assert rep.uniform_lower[i] <= rep.uniform_upper[i]
+        assert rep.harmonic_lower[i] <= rep.harmonic_upper[i]
+    assert _probes(rep.lower_detail) == _probes(rep.upper_detail)
+    assert all(len(probes) == 8 for probes in _probes(rep.lower_detail))
+
+
+def test_explicit_probes_drive_both_curves():
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=6)
+    points = (0j, 0.15 + 0.1j, -0.3 + 0.2j)
+    r_values = [1 - 2.0 ** -3, 1 - 2.0 ** -4]
+    rep = theorem2_report(seq, r_values, ProbeSpec(points=points, max_probes=2),
+                          _mc(n=2000, seed=13))
+    for detail in (rep.lower_detail, rep.upper_detail):
+        assert _probes(detail) == [list(points)] * 2
+    ud = ch.uniform_density(seq, r_values, mode="both", probe_points=np.asarray(points))
+    assert (rep.uniform_lower, rep.uniform_upper) == (ud.lower_curve, ud.upper_curve)
 
 
 def test_rejects_bad_inputs():

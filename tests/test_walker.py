@@ -11,7 +11,6 @@ import pytest
 import champagne as ch
 from champagne import walker
 from champagne.errors import ValidationError, WalkBudgetError
-from champagne.streams import WalkStream
 from champagne.walker import (
     distance_to_boundary,
     estimate_measure,
@@ -89,7 +88,7 @@ def test_distance_matches_brute_force():
 # -- single walks ---------------------------------------------------------------
 
 def test_walk_empty_domain_exits_exterior(empty_domain):
-    ev = wos_walk(empty_domain, 0j, 1e-6, WalkStream(1, 0))
+    ev = wos_walk(empty_domain, 0j, 1e-6, seed=1)
     assert ev.component == "exterior"
     assert abs(abs(ev.position) - 1.0) < 1e-5
     assert ev.steps >= 1
@@ -98,7 +97,7 @@ def test_walk_empty_domain_exits_exterior(empty_domain):
 def test_walk_immediate_exit_when_started_in_shell(one_bubble_domain):
     dom = one_bubble_domain
     z0 = dom.centers[0] + dom.radii[0] + 5e-8  # within epsilon of the bubble
-    ev = wos_walk(dom, z0, 1e-6, WalkStream(3, 0))
+    ev = wos_walk(dom, z0, 1e-6, seed=3)
     assert ev.component == "bubble"
     assert ev.bubble_index == 0
     assert ev.steps == 0
@@ -112,7 +111,7 @@ def test_walk_exits_at_the_nearest_component():
     cx, cy, r = dom.centers.real, dom.centers.imag, dom.radii
     kinds = set()
     for w in range(50):
-        ev = wos_walk(dom, 0.2 - 0.1j, None, WalkStream(8, w))
+        ev = wos_walk(dom, 0.2 - 0.1j, None, seed=8, walk_index=w)
         x, y = ev.position.real, ev.position.imag
         gaps = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - r
         d_ext = 1.0 - math.sqrt(x * x + y * y)
@@ -126,7 +125,7 @@ def test_walk_exits_at_the_nearest_component():
 
 def test_walk_budget_error(one_bubble_domain):
     with pytest.raises(WalkBudgetError):
-        wos_walk(one_bubble_domain, 0j, 1e-9, WalkStream(1, 0), max_steps=3)
+        wos_walk(one_bubble_domain, 0j, 1e-9, seed=1, max_steps=3)
 
 
 def test_walk_step_count_law(empty_domain):
@@ -183,7 +182,7 @@ def test_estimate_walk_parity(two_bubble_domain):
     est = estimate_measure(two_bubble_domain, 0j, n_walks=150, epsilon=1e-6, seed=11)
     hits = {"exterior": 0}
     for w in range(150):
-        ev = wos_walk(two_bubble_domain, 0j, 1e-6, WalkStream(11, w))
+        ev = wos_walk(two_bubble_domain, 0j, 1e-6, seed=11, walk_index=w)
         key = "exterior" if ev.component == "exterior" else ev.bubble_index
         hits[key] = hits.get(key, 0) + 1
     assert hits["exterior"] == est.hits_exterior
