@@ -27,6 +27,9 @@ class OverlapError(ValidationError):
             )
         super().__init__(message)
 
+    def __reduce__(self):  # pickle (worker processes) by the constructor's arguments
+        return type(self), (self.index_a, self.index_b, self.gap, self.args[0])
+
 
 class WalkBudgetError(ChampagneError):
     """A walk exceeded its step budget; diagnostics attached."""
@@ -39,6 +42,9 @@ class WalkBudgetError(ChampagneError):
             f"{self.n_failed} walk(s) exceeded the step budget of {self.max_steps}"
             + (f"; example stuck near {self.sample_position}" if sample_position is not None else "")
         )
+
+    def __reduce__(self):  # pickle (worker processes) by the constructor's arguments
+        return type(self), (self.n_failed, self.max_steps, self.sample_position)
 
 
 class NumericalRefusalError(ChampagneError):

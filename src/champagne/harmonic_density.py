@@ -31,7 +31,7 @@ over r; no limit is extrapolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .hyperbolic import require_disk_point
 from .sequences import PointSequence, probe_lattice, uniform_density
 from .streams import derive_seed
-from .walker import MeasureEstimate, estimate_measure
+from .walker import MeasureEstimate, _fork_map, estimate_measure
 
 _UNBOUNDED = math.inf
 
@@ -50,7 +50,9 @@ class McParams:
     """Walk budget for the per-probe estimates.
 
     The pilot run sizes the main run so log(1/omega) keeps a bounded
-    relative error: n scales like 1/omega, capped at walk_cap.
+    relative error: n scales like 1/omega, capped at walk_cap.  `threads`
+    is a count of worker processes (0: one per core); the probe estimates
+    are spread over them, each run by one worker.
     """
 
     n_walks: int = 20_000
@@ -183,9 +185,17 @@ def harmonic_density_curve(seq: PointSequence, r_values, mode: str,
     probes = probe_spec.resolve(seq)
     for z in probes:
         require_disk_point(z, "probe")
-    per_r = tuple(tuple(_probe_estimate(seq, complex(z), float(rv), mc, (ri, pi))
-                        for pi, z in enumerate(probes))
-                  for ri, rv in enumerate(r))
+    # one job per (ri, pi), on one worker each (a pool worker must not
+    # fork again); the derive_seed tags keep every estimate as it is serially
+    one = replace(mc, threads=1)
+
+    def job(j):
+        ri, pi = divmod(j, probes.size)
+        return _probe_estimate(seq, complex(probes[pi]), float(r[ri]), one, (ri, pi))
+
+    done = _fork_map(job, r.size * probes.size, mc.threads)
+    per_r = tuple(tuple(done[ri * probes.size:(ri + 1) * probes.size])
+                  for ri in range(r.size))
     return _extreme_curve(mode, tuple(float(v) for v in r), per_r, probe_spec.describe())
 
 

@@ -14,7 +14,8 @@ nearest component; (2) resolves point-like encounters: a walk within
 1e-9 of a bubble too small to resolve is absorbed with the exact
 annulus hitting probability or moved to the annulus' outer circle;
 (3) jumps every other walk; (4) refills freed rows from the walk supply,
-and compacts once it is exhausted.
+and compacts once it is exhausted.  `threads` is a worker count: the
+walks are split into contiguous ranges, one per forked worker process.
 
 Determinism contract: walk w consumes uniforms u(seed, w, t), t = 0, 1,
 ..., from counter-based streams: one per jump, and two per encounter
@@ -27,9 +28,10 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -223,25 +225,32 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
         mod = np.sqrt(x * x + y * y)
         d_ext = r_out - mod
 
-        # nearest candidate surface and the lowest bubble index attaining
-        # it; rows without candidates keep (inf, n_disks)
+        # nearest candidate surface; rows without candidates keep inf
         cells = idx.cells_of(x, y)
         rep, items, offsets, lens = idx.gather_candidates(cells)
         cand_min = np.full(x.size, np.inf)
-        near = np.full(x.size, idx.n_disks)
+        nz = lens > 0
         if items.size:
             dist = np.sqrt((x[rep] - cx[items]) ** 2 + (y[rep] - cy[items]) ** 2) - rad[items]
-            nz = lens > 0
-            heads = offsets[:-1][nz]
-            cand_min[nz] = np.minimum.reduceat(dist, heads)
-            near[nz] = np.minimum.reduceat(
-                np.where(dist == cand_min[rep], items, idx.n_disks), heads)
+            cand_min[nz] = np.minimum.reduceat(dist, offsets[:-1][nz])
         d_bub = np.where(cand_min <= h, cand_min, np.maximum(h, idx.clearance[cells]))
         step = np.minimum(d_ext, d_bub)
 
         # classify: a terminating walk exits at the nearest component,
-        # the exterior winning ties
-        out = (step < eps_eff) | (d_ext <= 0.0) | (cand_min <= 0.0)
+        # the exterior winning ties (d_ext <= 0 or cand_min <= 0 make
+        # step <= 0, so walks on or past the boundary exit too)
+        out = step < eps_eff
+
+        # the lowest bubble index attaining cand_min, only for the rows
+        # that exit or may meet a point-like bubble; others keep n_disks
+        near = np.full(x.size, idx.n_disks)
+        sel = np.nonzero((out | (cand_min < _ENC_TRIGGER)) & nz)[0]
+        if sel.size:
+            seg = lens[sel]
+            pos = np.arange(seg.sum()) + np.repeat(offsets[sel] - np.cumsum(seg) + seg, seg)
+            near[sel] = np.minimum.reduceat(
+                np.where(dist[pos] == np.repeat(cand_min[sel], seg), items[pos], idx.n_disks),
+                np.cumsum(seg) - seg)
         code = np.where(d_ext <= cand_min, _CODE_EXTERIOR, near + 1)
         if absorbing_shell is not None:
             shell_hit = mod >= absorbing_shell
@@ -283,12 +292,14 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
         exit_x[w] = x[gone]
         exit_y[w] = y[gone]
 
-        rows = np.nonzero(jump)[0]
-        theta = _TWO_PI * uniforms_at(keys[rows], cnt[rows])
-        x[rows] += step[rows] * np.cos(theta)
-        y[rows] += step[rows] * np.sin(theta)
-        path[rows] += step[rows]
-        cnt[rows] += 1
+        # every row moves; the others by +-0, which leaves their values
+        # (up to the sign of a zero coordinate) and their counters alone
+        s = np.where(jump, step, 0.0)
+        theta = _TWO_PI * uniforms_at(keys, cnt)
+        x += s * np.cos(theta)
+        y += s * np.sin(theta)
+        path += s
+        cnt += jump
 
         # refill freed rows with the next unstarted walks, in walk order;
         # compact away the rest once the supply is exhausted
@@ -317,26 +328,58 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
     return exit_code, exit_steps, exit_path, exit_x, exit_y
 
 
-def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
-               absorbing_shell):
+def _worker_count(threads: int) -> int:
+    """The number of worker processes `threads` asks for (0: one per core)."""
     if threads < 0:
         raise ValidationError(f"threads must be >= 0 (0 means one per core), got {threads!r}")
-    threads = threads or os.cpu_count() or 1
+    return threads or os.cpu_count() or 1
+
+
+_forked_job = None  # a forked worker's job, inherited from the parent's memory
+
+
+def _install_job(job):
+    global _forked_job
+    _forked_job = job
+
+
+def _call_forked_job(i):
+    return _forked_job(i)
+
+
+def _fork_map(job, n_jobs: int, threads: int) -> list:
+    """[job(0), ..., job(n_jobs - 1)], spread over up to `threads` forked
+    worker processes (0: one per core).
+
+    The workers are forked, so they inherit `job` and everything it closes
+    over (the domain and its index) from the parent's memory: only job
+    numbers and results are pickled.  One worker runs the jobs in-process
+    and starts no process.  A job must not fork again, and since a fork
+    copies only the calling thread, no other thread may hold a lock that
+    the jobs take.
+    """
+    workers = min(_worker_count(threads), n_jobs)
+    if workers <= 1:
+        return [job(i) for i in range(n_jobs)]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_job, initargs=(job,)) as pool:
+        return list(pool.map(_call_forked_job, range(n_jobs)))
+
+
+def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
+               absorbing_shell):
     # one pool per contiguous range of walks; walks that fit in one pool
     # are not split, since a range costs the same fixed work per
     # iteration however few rows it holds
-    k = min(threads, -(-n_walks // _CHUNK))
+    k = min(_worker_count(threads), -(-n_walks // _CHUNK))
     cuts = [n_walks * i // k for i in range(k + 1)]
 
     def job(i):
         return _walk_chunk(domain, z0, eps, seed, cuts[i], cuts[i + 1],
                            max_steps, r_out, absorbing_shell)
 
-    if k == 1:
-        parts = [job(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, range(k)))
+    parts = _fork_map(job, k, k)
     # each walk's draws depend only on its index, so concatenating the
     # ranges in walk order makes every aggregate bit-reproducible
     exit_code = np.concatenate([p[0] for p in parts])
@@ -407,7 +450,7 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
     """Estimate the harmonic measure of a boundary component set at z0.
 
     Walk w draws from the counter-based stream (seed, w); the result is
-    bit-identical across thread counts and batch layouts.
+    bit-identical across worker counts and batch layouts.
     """
     z0 = complex(z0)
     domain.require_interior(z0, "z0")

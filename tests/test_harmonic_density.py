@@ -124,3 +124,17 @@ def test_probe_domain_matches_direct_measure():
     probe = curve.per_r[0][0].estimate
     direct = ch.estimate_measure(ch.build_finitely_connected(seq, z, r), z, n_walks=20_000)
     assert abs(probe.estimate - direct.estimate) <= 4 * math.hypot(probe.sigma, direct.sigma)
+
+
+def test_theorem2_is_the_same_over_worker_processes(small_lattice):
+    # probe estimates run in forked workers are byte-identical to serial ones
+    spec = ProbeSpec(max_probes=5)
+    reps = [theorem2_report(small_lattice, [1 - 2.0 ** -3, 1 - 2.0 ** -4], spec,
+                            McParams(n_walks=1000, seed=3, pilot_walks=200, threads=t))
+            for t in (1, 2)]
+    serial, forked = ([[p.estimate.canonical_json() if p.estimate else None for p in results]
+                       for results in rep.lower_detail.per_r] for rep in reps)
+    assert serial == forked
+    assert sum(e is not None for row in serial for e in row) >= 5
+    for name in ("harmonic_lower", "harmonic_upper", "uniform_lower", "uniform_upper"):
+        assert getattr(reps[0], name) == getattr(reps[1], name)

@@ -2,15 +2,17 @@ import ast
 import hashlib
 import inspect
 import math
+import pickle
 import textwrap
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import champagne as ch
 from champagne import walker
-from champagne.errors import ValidationError, WalkBudgetError
+from champagne.errors import OverlapError, ValidationError, WalkBudgetError
+from champagne.harmonic_density import McParams, ProbeSpec, harmonic_density_curve
 from champagne.walker import (
     distance_to_boundary,
     estimate_measure,
@@ -196,20 +198,32 @@ def test_estimate_deterministic_across_threads(two_bubble_domain):
     assert runs[0].canonical_json() == runs[1].canonical_json() == runs[2].canonical_json()
 
 
-def test_threads_zero_means_one_per_core_for_every_caller(empty_domain, monkeypatch):
+class RecordingPool(ProcessPoolExecutor):
+    """A process pool that records the worker count of each pool opened."""
+
     opened = []
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def __init__(self, max_workers=None, **kwargs):
+        self.opened.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+
+@pytest.fixture
+def opened(monkeypatch):
+    monkeypatch.setattr(walker, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "opened", [])
+    return RecordingPool.opened
+
+
+def test_threads_zero_means_one_per_core_for_every_caller(empty_domain, opened, monkeypatch):
     monkeypatch.setattr(walker.os, "cpu_count", lambda: 3)
-    n = walker._CHUNK + 1  # two chunks, so a pool is worth opening
+    n = 2 * walker._CHUNK + 1  # three ranges, so each of three workers has one
     estimate_measure(empty_domain, 0j, n_walks=n, epsilon=1e-6, seed=1, threads=0)
     layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=n, seed=1, threads=0)
-    assert opened == [3, 3]
+    seq = ch.PointSequence(np.array([0.7 + 0j, -0.7j]))
+    harmonic_density_curve(seq, [0.9], "lower", ProbeSpec(points=(0j, 0.1 + 0j, -0.1j)),
+                           McParams(n_walks=100, pilot_walks=100, seed=1, threads=0))
+    assert opened == [3, 3, 3]
 
 
 def test_negative_threads_are_rejected(empty_domain):
@@ -263,15 +277,7 @@ def test_results_do_not_depend_on_the_pool_width(width, monkeypatch):
     assert _pool_runs()[:3] == want[:3]
 
 
-def test_walks_that_fit_one_pool_are_not_split(empty_domain, monkeypatch):
-    opened = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+def test_walks_that_fit_one_pool_are_not_split(empty_domain, opened):
     estimate_measure(empty_domain, 0j, n_walks=walker._CHUNK, epsilon=1e-6, seed=1, threads=4)
     assert opened == []
 
@@ -280,6 +286,29 @@ def test_budget_error_over_more_walks_than_one_pool(one_bubble_domain):
     with pytest.raises(WalkBudgetError):
         estimate_measure(one_bubble_domain, 0.1 + 0j, n_walks=walker._CHUNK + 1,
                          epsilon=1e-9, seed=1, max_steps=3)
+
+
+def test_errors_survive_pickling():
+    err = pickle.loads(pickle.dumps(WalkBudgetError(3, 100, 0.5j)))
+    assert (type(err), err.n_failed, err.max_steps, err.sample_position) == (
+        WalkBudgetError, 3, 100, 0.5j)
+    err = pickle.loads(pickle.dumps(OverlapError(1, 2, -1e-3)))
+    assert (type(err), err.index_a, err.index_b, err.gap) == (OverlapError, 1, 2, -1e-3)
+    assert str(err) == str(OverlapError(1, 2, -1e-3))
+
+
+def test_budget_error_in_a_worker_reaches_the_caller(one_bubble_domain, opened):
+    with pytest.raises(WalkBudgetError) as info:
+        estimate_measure(one_bubble_domain, 0.1 + 0j, n_walks=walker._CHUNK + 1,
+                         epsilon=1e-9, seed=1, max_steps=3, threads=2)
+    assert opened == [2]
+    # the error of the first range, as that range raises it in-process
+    with pytest.raises(WalkBudgetError) as first:
+        walker._walk_chunk(one_bubble_domain, 0.1 + 0j, 1e-9, 1, 0, walker._CHUNK // 2,
+                           3, 1.0, None)
+    got, want = info.value, first.value
+    assert (got.n_failed, got.max_steps, got.sample_position) == (
+        want.n_failed, want.max_steps, want.sample_position)
 
 
 def test_walk_kernel_has_no_per_walk_python():
