@@ -29,7 +29,7 @@ from .hyperbolic import (
     require_disk_point,
 )
 from .sequences import PointSequence, separation
-from .spatial import DiskGridIndex, PointIndex, pairs
+from .spatial import DiskGridIndex, PointIndex, nearest_disk, pairs
 
 _EXP_GUARD = 700.0  # exponents beyond this under/overflow float64
 
@@ -452,12 +452,18 @@ class ChampagneDomain:
         return self._index
 
     def require_interior(self, z, name: str = "z") -> complex:
+        """z as a complex, or a ValidationError naming the bubble (the
+        nearest, lowest index on ties) that z lies inside or on.
+
+        Exact: one scan over every bubble with the walker's distance
+        formula.  It builds no walk grid, so checking a start point costs
+        O(bubbles) and not a grid build.
+        """
         z = complex(z)
         if abs(z) >= 1.0:
             raise ValidationError(f"{name}={z!r} lies outside the open unit disk")
         if self.n_bubbles:
-            # exact for d <= h, so exact for the test d <= 0
-            d, i = self.index.nearest_in_cell(z.real, z.imag)
+            d, i = nearest_disk(z.real, z.imag, self.centers.real, self.centers.imag, self.radii)
             if d <= 0.0:
                 raise ValidationError(
                     f"{name}={z!r} lies inside or on bubble {i} (source {self.source_index[i]})"
@@ -567,8 +573,10 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
 
     Checks pairwise disjointness of the closed Euclidean bubbles and that
     each requested interior point (the walk start, by default 0) stays
-    outside every bubble.  Records the circumference sum and the
-    union-bound mass of the discarded tail for downstream bounds.
+    outside every bubble.  Both checks are exact, and neither builds the
+    walk grid: the domain builds it when a walk first needs it.  Records
+    the circumference sum and the union-bound mass of the discarded tail
+    for downstream bounds.
     """
     if not 0.0 < truncation_R <= 1.0:
         raise ValidationError(f"truncation_R must lie in (0, 1], got {truncation_R!r}")

@@ -237,6 +237,9 @@ class DensityEstimate:
     n_probes: int
 
 
+_SUM_BLOCK = 1 << 13  # padded candidate entries per block of probes: bounds the memory of the sums
+
+
 def _annular_sums(pts: np.ndarray, probes: np.ndarray, r_values: np.ndarray) -> np.ndarray:
     """sum_{rho(lambda, z) <= r} (1 - rho) for each probe and radius."""
     # ties at rho == r are included (<=); snapped by 1e-12 so whole
@@ -244,13 +247,31 @@ def _annular_sums(pts: np.ndarray, probes: np.ndarray, r_values: np.ndarray) -> 
     cut = r_values + 1e-12
     balls = PointIndex(pts).pseudo_balls(probes, cut.max())
     out = np.empty((probes.size, r_values.size))
-    for i, (z, cand) in enumerate(zip(probes, balls)):
-        # the candidates hold every point within the largest cut, so their
-        # sorted prefix up to each cut is that of the full scan
-        rho = np.sort(pseudo_distance_many(z, pts[cand]))
-        csum = np.concatenate([[0.0], np.cumsum(rho)])
-        idx = np.searchsorted(rho, cut, side="right")
-        out[i] = idx - csum[idx]
+    i0 = 0
+    pending = next(balls, None)
+    while pending is not None:
+        # probes whose candidate rows, padded to the longest, fill a block
+        cand = [pending]
+        width = pending.size
+        pending = next(balls, None)
+        while pending is not None and (len(cand) + 1) * max(width, pending.size) <= _SUM_BLOCK:
+            cand.append(pending)
+            width = max(width, pending.size)
+            pending = next(balls, None)
+        lens = np.array([c.size for c in cand])
+        # the candidates hold every point within the largest cut, so each
+        # row's sorted prefix up to each cut is that of the full scan, and
+        # the cumulative sum along a row adds in the order of a 1-D scan
+        rho = np.full((lens.size, width), np.inf)
+        rho[np.arange(width) < lens[:, None]] = pseudo_distance_many(
+            np.repeat(probes[i0:i0 + lens.size], lens), pts[np.concatenate(cand)])
+        rho.sort(axis=1)
+        csum = np.zeros((lens.size, width + 1))
+        np.cumsum(rho, axis=1, out=csum[:, 1:])
+        for k, c in enumerate(cut):
+            idx = np.count_nonzero(rho <= c, axis=1)
+            out[i0:i0 + lens.size, k] = idx - np.take_along_axis(csum, idx[:, None], 1)[:, 0]
+        i0 += len(cand)
     return out
 
 

@@ -3,9 +3,15 @@
 PointIndex answers the nearest-point and within-radius queries on point
 sets (separation, covering, annular sums, disjointness, extremal
 potentials).  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
-disk, so it too is a ball query.  Queries yield candidates, a superset
-of the answer that callers filter with their own distance formula, so
-every value equals that of a brute-force scan.
+disk, so it too is a ball query; a pseudo ball wider than
+_PSEUDO_RADIUS_MAX is the whole disk and lists every point without a
+tree query.  Queries yield candidates, a superset of the answer that
+callers filter with their own distance formula, so every value equals
+that of a brute-force scan.
+
+nearest_disk is the exact nearest disk surface to one point by a single
+vectorised scan over all disks; it needs no grid, which is what a
+one-point check (is this start point interior?) should cost.
 
 DiskGridIndex, a uniform grid over disjoint disks, supports three
 queries used by the walk engine and by exact distance-to-boundary lookups:
@@ -19,6 +25,15 @@ queries used by the walk engine and by exact distance-to-boundary lookups:
   giving large safe steps in disk-free regions;
 * an exact nearest-surface ring search for one-off queries, and its
   first step alone (the candidates of one cell), exact up to distance h.
+
+The encounter data of point-like disks (their clearance to the rest of
+the boundary) is built from arrays: one candidate gather over the disks'
+own cells answers every disk with another surface within h, and the
+ring search is the exact fallback for the disks with none.
+
+Every surface distance is math.hypot(dx, dy) - r, as the ring search
+measures it; np.hypot, which differs from math.hypot in the last bit on
+some inputs, only screens which disks can attain the minimum.
 """
 
 from __future__ import annotations
@@ -53,6 +68,11 @@ _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
 _QUERY_BLOCK = 128  # ball queries per tree call: bounds the candidate lists held at once
 _BUILD_BLOCK = 1 << 14  # grid cells tested per block of the disk index build: bounds its memory
+# np.hypot and math.hypot differ by at most an ulp (4.4e-16 below 4, and
+# every distance in the grid's square is below 3); a disk whose np.hypot
+# distance is within this slack of the screened minimum may attain the
+# math.hypot minimum and is measured again
+_HYPOT_SLACK = 1e-14
 
 
 class PointIndex:
@@ -82,9 +102,14 @@ class PointIndex:
         """Candidates covering every point p with rho(z[q], p) <= r[q]."""
         z = np.asarray(z, dtype=np.complex128)
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
-        # a pseudo radius of 1 realizes as the unit disk itself
-        centers, radii = pseudo_to_euclidean_arrays(z, np.where(r > _PSEUDO_RADIUS_MAX, 1.0, r))
-        return self.balls(centers, radii + _PSEUDO_SLACK)
+        # a whole-disk ball lists every point, without a tree query
+        whole = r > _PSEUDO_RADIUS_MAX
+        centers, radii = pseudo_to_euclidean_arrays(z[~whole], r[~whole])
+        part = self.balls(centers, radii + _PSEUDO_SLACK)
+        every = np.arange(self._tree.n, dtype=np.int64)
+        every.setflags(write=False)
+        for w in whole:
+            yield every if w else next(part)
 
 
 def pairs(balls):
@@ -92,6 +117,24 @@ def pairs(balls):
     cand = list(balls)
     q = np.repeat(np.arange(len(cand), dtype=np.int64), [c.size for c in cand])
     return q, np.concatenate([np.zeros(0, dtype=np.int64), *cand])
+
+
+def _surface_distances(dx, dy, radii) -> np.ndarray:
+    """math.hypot(dx, dy) - radii elementwise: the ring search's distance."""
+    return np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())],
+                    dtype=np.float64) - radii
+
+
+def nearest_disk(x: float, y: float, cx, cy, radii):
+    """Exact (distance, index) of the nearest disk surface to (x, y) by one
+    scan over all (at least one) disks, the lowest index winning ties."""
+    dx = x - cx
+    dy = y - cy
+    screen = np.hypot(dx, dy) - radii
+    near = np.flatnonzero(screen <= screen.min() + _HYPOT_SLACK)
+    d = _surface_distances(dx[near], dy[near], radii[near])
+    k = int(np.argmin(d))     # the first minimum: near is ascending
+    return float(d[k]), int(near[k])
 
 
 def _auto_n_side(n_disks: int) -> int:
@@ -184,11 +227,30 @@ class DiskGridIndex:
         self.pointlike = self.radii < POINTLIKE_RADIUS
         self.enc_clearance = np.zeros(self.n_disks)
         self.enc_modulus = np.zeros(self.n_disks)
-        for i in np.nonzero(self.pointlike)[0]:
-            d_other, _ = self.nearest_surface(self.cx[i], self.cy[i], exclude=int(i))
-            # math.hypot, not np.hypot: the two differ in the last bit on some inputs
-            self.enc_modulus[i] = math.hypot(self.cx[i], self.cy[i])
-            self.enc_clearance[i] = min(1.0 - self.enc_modulus[i], d_other)
+        pl = np.flatnonzero(self.pointlike)
+        x = self.cx[pl]
+        y = self.cy[pl]
+        modulus = _surface_distances(x, y, 0.0)   # from the origin, by math.hypot
+        # nearest other surface among the candidates of each disk's own
+        # cell: the first step of nearest_surface, final when it is <= h
+        rep, items, _, _ = self.gather_candidates(self.cells_of(x, y))
+        other = items != pl[rep]
+        rep = rep[other]
+        items = items[other]
+        dx = x[rep] - self.cx[items]
+        dy = y[rep] - self.cy[items]
+        screen = np.hypot(dx, dy) - self.radii[items]
+        low = np.full(pl.size, np.inf)
+        np.minimum.at(low, rep, screen)
+        near = screen <= low[rep] + _HYPOT_SLACK
+        d_other = np.full(pl.size, np.inf)
+        np.minimum.at(d_other, rep[near],
+                      _surface_distances(dx[near], dy[near], self.radii[items[near]]))
+        # no other surface within h: the ring search goes on outwards
+        for k in np.flatnonzero(~(d_other <= self.h)):
+            d_other[k] = self.nearest_surface(x[k], y[k], exclude=int(pl[k]))[0]
+        self.enc_modulus[pl] = modulus
+        self.enc_clearance[pl] = np.minimum(1.0 - modulus, d_other)
 
     # -- addressing ---------------------------------------------------------
 

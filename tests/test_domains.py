@@ -189,6 +189,20 @@ def test_build_rejects_covered_start():
         build_champagne(seq, ch.const_profile(0.3), 1.0)  # bubble swallows 0
 
 
+def test_one_point_checks_build_no_walk_grid():
+    # build_champagne, sandwich_bounds and barrier_lower_bound each check
+    # one start point; the walk grid is built when a walk needs it
+    seq = ch.generate_ring_lattice(0.5, 2, 6, seed=8)
+    dom = build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -6)
+    ch.sandwich_bounds(dom)
+    assert dom._index is None
+    fc = build_finitely_connected(seq, 0j, 1 - 2.0 ** -6)
+    ch.barrier_lower_bound(fc, eta=0.5)
+    assert fc._index is None
+    ch.estimate_measure(dom, 0j, n_walks=10, seed=1)
+    assert dom._index is not None
+
+
 def test_build_order_invariance():
     seq = ch.generate_ring_lattice(0.5, 1, 5, seed=3)
     perm = np.random.default_rng(1).permutation(len(seq))

@@ -2,8 +2,9 @@
 
 Every caller of spatial.PointIndex must report exactly (==) what a scan
 over all pairs reports, including for points within 1e-12 of the rim.
-The disk grid index must equal a per-disk construction and its one-cell
-query the ring search.
+The disk grid index must equal a per-disk construction, its one-cell
+query and its encounter data the ring search, and the interior check
+the one-cell scan it replaced.
 """
 
 import math
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import champagne as ch
-from champagne import spatial
+from champagne import sequences, spatial
 from champagne.barriers import extremal_c, extremal_d
 from champagne.domains import ChampagneDomain, _check_disjoint
-from champagne.errors import OverlapError
+from champagne.errors import OverlapError, ValidationError
 from champagne.hyperbolic import pseudo_distance_many, pseudo_to_euclidean_arrays
 from champagne.sequences import PointSequence, covering_radius, separation, uniform_density
 
@@ -64,20 +65,68 @@ def test_covering_radius_matches_all_pairs(pts, probes):
     assert got == float(rho.min(axis=1).max())
 
 
-@given(point_sets, probe_sets, st.lists(st.floats(1e-3, 1.0 - 1e-6), min_size=1, max_size=4))
-@examples
-def test_uniform_density_matches_all_pairs(pts, probes, r_values):
-    r = np.array(r_values)
+def _annular_sums_by_scan(pts, probes, r):
     sums = []
     for z in probes:
         rho = np.sort(pseudo_distance_many(z, pts))
         csum = np.concatenate([[0.0], np.cumsum(rho)])
         idx = np.searchsorted(rho, r + 1e-12, side="right")
         sums.append(idx - csum[idx])
-    curves = np.array(sums) / np.log(1.0 / (1.0 - r))[None, :]
-    est = uniform_density(PointSequence(pts), r_values, mode="both", probe_points=probes)
+    return np.array(sums)
+
+
+@given(point_sets, st.lists(_polar, min_size=1, max_size=120).map(_to_points),
+       st.lists(st.floats(1e-3, 1.0 - 1e-6), min_size=1, max_size=4),
+       st.booleans(), st.sampled_from([1, 50, 400]))
+@examples
+def test_uniform_density_matches_all_pairs(pts, probes, r_values, whole, block):
+    # annular sums in blocks of one probe, a few and many, with ragged
+    # widths and last blocks; small radii leave probes without candidates,
+    # and a radius above _PSEUDO_RADIUS_MAX makes every point a candidate
+    r = np.array(r_values + [1.0 - 1e-6] * whole)
+    default, sequences._SUM_BLOCK = sequences._SUM_BLOCK, block
+    try:
+        got = sequences._annular_sums(pts, probes, r)
+        est = uniform_density(PointSequence(pts), r, mode="both", probe_points=probes)
+    finally:
+        sequences._SUM_BLOCK = default
+    sums = _annular_sums_by_scan(pts, probes, r)
+    assert np.array_equal(got, sums)
+    curves = sums / np.log(1.0 / (1.0 - r))[None, :]
     assert est.lower_curve == tuple(float(v) for v in curves.min(axis=0))
     assert est.upper_curve == tuple(float(v) for v in curves.max(axis=0))
+
+
+def test_annular_sums_over_several_full_blocks():
+    seq = ch.generate_ring_lattice(0.5, 2, 5, seed=4)
+    probes = np.concatenate([sequences.probe_lattice(0.99), seq.points])
+    for r in ([1e-3, 0.2], [0.5, 0.9, 1.0 - 1e-6]):
+        r = np.array(r)
+        assert np.array_equal(sequences._annular_sums(seq.points, probes, r),
+                              _annular_sums_by_scan(seq.points, probes, r))
+    # the whole-disk rows span more than one block, the last one ragged
+    rows = sequences._SUM_BLOCK // len(seq)
+    assert probes.size > rows and probes.size % rows
+
+
+def test_whole_disk_pseudo_balls_list_every_point_without_the_tree(monkeypatch):
+    pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
+    index = spatial.PointIndex(pts)
+    z = np.array([0.0, 0.3 + 0.2j, 0.9j, -0.5])
+    r = np.array([1.0 - 1e-6, 0.4, 1.0 - 1e-9, 0.7])
+    narrow = list(index.pseudo_balls(z[[1, 3]], r[[1, 3]]))
+    queried = []
+    balls = spatial.PointIndex.balls
+
+    def counted(self, centers, radii):
+        queried.append(len(centers))
+        return balls(self, centers, radii)
+
+    monkeypatch.setattr(spatial.PointIndex, "balls", counted)
+    got = list(index.pseudo_balls(z, r))
+    assert queried == [2]      # only the two narrow balls reach the tree
+    assert np.array_equal(got[0], np.arange(pts.size)) and np.array_equal(got[2], got[0])
+    assert np.array_equal(got[1], narrow[0]) and np.array_equal(got[3], narrow[1])
 
 
 @given(point_sets, probe_sets, st.floats(0.5001, 1.0 - 1e-6))
@@ -196,3 +245,99 @@ def test_one_cell_query_matches_ring_search_within_h(case, probes):
             assert got == want
         else:
             assert got[0] > idx.h and want[0] > idx.h
+
+
+def _ring_search_encounters(idx):
+    """enc_clearance and enc_modulus one point-like disk at a time."""
+    clearance = np.zeros(idx.n_disks)
+    modulus = np.zeros(idx.n_disks)
+    for i in np.nonzero(idx.radii < spatial.POINTLIKE_RADIUS)[0]:
+        d_other, _ = idx.nearest_surface(idx.cx[i], idx.cy[i], exclude=int(i))
+        modulus[i] = math.hypot(idx.cx[i], idx.cy[i])
+        clearance[i] = min(1.0 - modulus[i], d_other)
+    return clearance, modulus
+
+
+def _assert_encounters_match_ring_search(idx):
+    clearance, modulus = _ring_search_encounters(idx)
+    assert np.array_equal(idx.pointlike, idx.radii < spatial.POINTLIKE_RADIUS)
+    assert np.array_equal(idx.enc_clearance, clearance)
+    assert np.array_equal(idx.enc_modulus, modulus)
+
+
+# as disk_sets, with about half of the disks point-like (radius < 1e-9)
+pointlike_disk_sets = point_sets.flatmap(lambda pts: st.tuples(
+    st.just(pts),
+    st.lists(st.one_of(st.floats(-13.0, -9.5), st.floats(-9.5, -0.01)),
+             min_size=pts.size, max_size=pts.size),
+    st.sampled_from([64, 128, 256])))
+
+
+@given(pointlike_disk_sets)
+@examples
+def test_encounter_data_matches_ring_search(case):
+    _assert_encounters_match_ring_search(spatial.DiskGridIndex(*_disks(case)))
+
+
+def test_encounter_data_matches_ring_search_on_a_truncation_rung():
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    dom = ch.build_champagne(seq, ch.parse_profile("expinv:1,1"), 1.0 - 2.0 ** -8)
+    idx = dom.index
+    _assert_encounters_match_ring_search(idx)
+    # both ways of finding the nearest other surface are taken: within h
+    # of the disk's own cell, and by the ring search beyond
+    d_other = idx.enc_clearance[idx.pointlike]
+    assert np.any(d_other <= idx.h) and np.any(d_other > idx.h)
+
+
+def _cell_scan_verdict(idx, sources, z):
+    """The interior check by the one-cell scan: None or the error message."""
+    d, i = idx.nearest_in_cell(z.real, z.imag)
+    if d <= 0.0:
+        return f"z={z!r} lies inside or on bubble {i} (source {sources[i]})"
+    return None
+
+
+@given(pointlike_disk_sets, probe_sets)
+@examples
+def test_interior_check_matches_the_cell_scan(case, probes):
+    cx, cy, radii, n_side = _disks(case)
+    c = cx + 1j * cy
+    sources = 3 * np.arange(c.size) + 1
+    dom = ChampagneDomain(centers=c, radii=radii, pseudo_centers=c, pseudo_radii=radii,
+                          source_index=sources, truncation_R=1.0, profile_spec="explicit")
+    idx = spatial.DiskGridIndex(cx, cy, radii, n_side)
+    # random points, points on the bubble surfaces, and points inside
+    # bubbles (point-like ones included), where the distance is about 0
+    for z in np.concatenate([probes, c + radii, c - 1j * radii, c, c + 0.5 * radii]):
+        z = complex(z)
+        if abs(z) >= 1.0:
+            continue
+        try:
+            dom.require_interior(z)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == _cell_scan_verdict(idx, sources, z)
+    assert dom._index is None
+
+
+def test_interior_check_measures_with_math_hypot():
+    # one-bubble domains whose radius is the smaller of the np.hypot and
+    # math.hypot distances from 0 to the center, where the two differ
+    rng = np.random.default_rng(6)
+    c = 0.5 * rng.random(20_000) * np.exp(2j * np.pi * rng.random(20_000))
+    fast = np.hypot(-c.real, -c.imag)
+    exact = np.array([math.hypot(-z.real, -z.imag) for z in c])
+    cases = [(z, min(a, b), b <= a) for z, a, b in zip(c, fast, exact) if a != b][:40]
+    assert {inside for _, _, inside in cases} == {True, False}
+    for z, r, inside in cases:
+        dom = ChampagneDomain(centers=[z], radii=[r], pseudo_centers=[z], pseudo_radii=[r],
+                              source_index=[7], truncation_R=1.0, profile_spec="explicit")
+        want = _cell_scan_verdict(spatial.DiskGridIndex([z.real], [z.imag], [r]), [7], 0j)
+        assert (want is not None) == inside
+        try:
+            dom.require_interior(0j)
+            assert want is None
+        except ValidationError as exc:
+            assert str(exc) == want
