@@ -32,7 +32,13 @@ class OverlapError(ValidationError):
 
 
 class WalkBudgetError(ChampagneError):
-    """A walk exceeded its step budget; diagnostics attached."""
+    """Walks exceeded their step budget; diagnostics attached.
+
+    A walk fails once it has drawn `max_steps` uniforms.  `n_failed` is the
+    number of failed walks in the range of walks that raised (with several
+    worker ranges, the lowest failing one), and `sample_position` is where
+    the lowest-index failed walk stopped.
+    """
 
     def __init__(self, n_failed, max_steps, sample_position=None):
         self.n_failed = int(n_failed)

@@ -255,8 +255,7 @@ class DiskGridIndex:
     # -- addressing ---------------------------------------------------------
 
     def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # np.minimum(np.maximum()) rather than np.clip, whose Python
-        # wrapper costs more than the clipping on the walk kernel's arrays
+        # the walk kernel (_walk.c) addresses cells by this same formula
         top = self.n_side - 1
         ix = np.minimum(np.maximum(((x + _L) * self.inv_h).astype(np.int64), 0), top)
         iy = np.minimum(np.maximum(((y + _L) * self.inv_h).astype(np.int64), 0), top)
@@ -327,7 +326,7 @@ class DiskGridIndex:
                 break
         return best, best_i
 
-    # -- batch helpers for the walk engine -----------------------------------
+    # -- batch helpers ---------------------------------------------------------
 
     def gather_candidates(self, cells: np.ndarray):
         """CSR gather of candidate lists for an array of cells.

@@ -3,8 +3,9 @@
 Every walk owns a stream addressed by (seed, walk_index), and the value at
 counter t is a pure function of (seed, walk_index, t).  Results therefore
 cannot depend on scheduling, batching, or worker count.  The generator is
-the SplitMix64 finalizer applied to a per-stream key plus a Weyl increment;
-it is cheap enough to evaluate vectorized once per step for a whole batch.
+the SplitMix64 finalizer applied to a per-stream key plus a Weyl increment.
+The walk kernel (_walk.c) evaluates the same formula in C, one walk at a
+time; its tests compare it with this module's vectorized form.
 """
 
 from __future__ import annotations

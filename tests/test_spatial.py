@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import champagne as ch
-from champagne import sequences, spatial
+from champagne import _native, sequences, spatial
 from champagne.barriers import extremal_c, extremal_d
 from champagne.domains import ChampagneDomain, _check_disjoint
 from champagne.errors import OverlapError, ValidationError
@@ -168,6 +168,16 @@ def test_kd_tree_lives_in_spatial_only():
     users = [f.name for f in sorted(src.glob("*.py")) if f.name != "spatial.py"
              and any(word in f.read_text() for word in ("cKDTree", "scipy.spatial"))]
     assert users == []
+
+
+def test_walk_kernel_is_compiled_without_bit_changing_flags():
+    # contracted multiply-adds (FMA), fast-math reassociation and a
+    # machine-specific vector libm each change the last bits of walk
+    # positions, so estimates would no longer be byte-identical across
+    # machines or to the array kernel the tests keep
+    flags = _native.CFLAGS
+    assert "-ffp-contract=off" in flags
+    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(flags)
 
 
 # disjoint disks: each radius is a fraction (down to point-like) of the

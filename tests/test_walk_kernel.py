@@ -1,0 +1,189 @@
+"""The compiled walk kernel against the array kernel it replaced, and the
+loader that builds it.
+
+pool_kernel.py keeps the array kernel as the reference: for every range
+of walks the compiled kernel must return equal (==) exit codes, step
+counts, path lengths and exit positions, whatever the pool width.
+"""
+
+import os
+import stat
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import champagne as ch
+from champagne import _native, spatial, walker
+from champagne.errors import ChampagneError, WalkBudgetError
+from champagne.walker import estimate_measure
+
+from pool_kernel import pool_walk_chunk
+
+_angles = st.floats(0.0, 2.0 * np.pi)
+_pointlike_radii = st.floats(-13.0, -11.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def walk_cases(draw):
+    """(domain, z0, eps, seed, w0, w1, r_out, absorbing_shell) on random
+    disjoint disks.
+
+    A disk is point-like (radius 1e-13 to 1e-11) or takes a share of the
+    room that keeps it clear of the rim and of every other disk.  One more
+    point-like disk may sit 3e-10 to 2e-9 from the rim, where its
+    encounters are cramped.  The walks may start close to a point-like
+    disk, so that they meet it, or within 1e-9 of the cramped one.  r_out < 1
+    is an absorbing circle inside the rim, as layered_crossing sets it.
+    """
+    n = draw(st.integers(1, 10))
+    gaps = np.array(draw(st.lists(st.floats(-5.0, -0.05), min_size=n, max_size=n)))
+    theta = np.array(draw(st.lists(_angles, min_size=n, max_size=n)))
+    pts = (1.0 - 10.0 ** gaps) * np.exp(1j * theta)
+    apart = np.abs(pts[:, None] - pts[None, :]) + np.diag(np.full(n, np.inf))
+    room = np.minimum(0.5 * apart.min(axis=1), 1.0 - np.abs(pts))
+    share = np.array(draw(st.lists(st.floats(-3.0, -0.01), min_size=n, max_size=n)))
+    pointlike = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    tiny = np.array(draw(st.lists(_pointlike_radii, min_size=n, max_size=n)))
+    radii = np.where(pointlike, tiny, room * 10.0 ** share)
+    if draw(st.booleans()):
+        c = (1.0 - 10.0 ** draw(st.floats(-9.5, -8.7))) * np.exp(1j * draw(_angles))
+        assume(np.all(np.abs(pts - c) - radii > 1e-6))
+        pts = np.append(pts, c)
+        radii = np.append(radii, draw(_pointlike_radii))
+    assume(np.all(radii > 0.0))
+    index = spatial.DiskGridIndex(pts.real, pts.imag, radii,
+                                  draw(st.sampled_from([None, 8, 64])))
+    domain = types.SimpleNamespace(index=index)  # all the kernels read
+
+    small = np.flatnonzero(index.pointlike)
+    start = draw(st.sampled_from(["anywhere"] + ["near"] * bool(small.size)
+                                 + ["cramped"] * (radii.size > n)))
+    if start == "cramped":   # within 1e-9 of the disk by the rim
+        inwards = np.exp(1j * (np.angle(pts[-1]) + draw(st.floats(-1.2, 1.2))))
+        z0 = pts[-1] - 10.0 ** draw(st.floats(-10.0, -9.1)) * inwards
+    elif start == "near":
+        k = draw(st.sampled_from(small.tolist()))
+        z0 = pts[k] + 10.0 ** draw(st.floats(-10.0, -2.0)) * np.exp(1j * draw(_angles))
+    else:
+        z0 = (1.0 - 10.0 ** draw(st.floats(-3.0, -0.05))) * np.exp(1j * draw(_angles))
+    z0 = complex(z0)
+    assume(abs(z0) < 1.0 and np.all(np.abs(pts - z0) - radii > 0.0))
+    beyond = st.floats(0.05, 0.99).map(lambda f: abs(z0) + f * (1.0 - abs(z0)))
+    r_out = draw(st.one_of(st.just(1.0), beyond))
+    shell = draw(st.one_of(st.none(), beyond))
+    eps = min(1e-3 * index.r_min, 0.5 * index.h)
+    seed = draw(st.integers(-2 ** 63, 2 ** 64 - 1))
+    w0 = draw(st.integers(0, 10 ** 6))
+    return domain, z0, eps, seed, w0, w0 + draw(st.integers(1, 40)), r_out, shell
+
+
+def _run(kernel, case, max_steps, **kwargs):
+    domain, z0, eps, seed, w0, w1, r_out, shell = case
+    return kernel(domain, z0, eps, seed, w0, w1, max_steps, r_out, shell, **kwargs)
+
+
+def _assert_equal(got, want):
+    # == on positions: the array kernel's +-0 jump of rows that do not
+    # jump may flip the sign of a zero coordinate, which nothing reads
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@given(walk_cases())
+@settings(max_examples=60, deadline=None)
+def test_compiled_kernel_equals_the_array_kernel(case):
+    got = _run(walker._walk_chunk, case, 10 ** 6)
+    for width in (walker._CHUNK, 7):
+        _assert_equal(got, _run(pool_walk_chunk, case, 10 ** 6, chunk=width))
+
+
+@given(walk_cases(), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_budget_error_counts_the_walks_that_reach_the_budget(case, max_steps):
+    want = _run(pool_walk_chunk, case, 10 ** 6)
+    failed = np.flatnonzero(want[1] >= max_steps)
+    if not failed.size:
+        _assert_equal(_run(walker._walk_chunk, case, max_steps), want)
+        return
+    with pytest.raises(WalkBudgetError) as info:
+        _run(walker._walk_chunk, case, max_steps)
+    assert (info.value.n_failed, info.value.max_steps) == (failed.size, max_steps)
+    # the lowest-index failed walk, run alone by the array kernel, stops
+    # at the same place, unless its last draw is an encounter's hit
+    first = case[4] + int(failed[0])
+    alone = case[:4] + (first, first + 1) + case[6:]
+    try:
+        steps = _run(pool_walk_chunk, alone, max_steps)[1]
+    except WalkBudgetError as exc:
+        assert exc.sample_position == info.value.sample_position
+    else:
+        assert steps[0] == max_steps
+
+
+# -- the loader ------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache; the process loads its kernel again after."""
+    folder = tmp_path / "cache" / "champagne"
+    monkeypatch.setattr(_native, "cache_dir", lambda: folder)
+    _native.walk_kernel.cache_clear()
+    yield folder
+    _native.walk_kernel.cache_clear()
+
+
+def test_a_failing_compiler_is_named_with_its_stderr(fresh_cache, tmp_path, monkeypatch,
+                                                     empty_domain):
+    monkeypatch.setattr(_native, "COMPILER", "false")
+    with pytest.raises(ChampagneError, match="'false --version' failed"):
+        estimate_measure(empty_domain, 0j, n_walks=10, epsilon=1e-6)
+    # a compiler that reports its version but cannot build the kernel
+    broken = tmp_path / "broken-cc"
+    broken.write_text('#!/bin/sh\n[ "$1" = --version ] && exit 0\n'
+                      'echo "broken-cc: cannot compile" >&2\nexit 1\n')
+    broken.chmod(0o755)
+    monkeypatch.setattr(_native, "COMPILER", str(broken))
+    with pytest.raises(ChampagneError) as info:
+        _native.build()
+    assert f"{broken} -O2" in str(info.value)
+    assert "broken-cc: cannot compile" in str(info.value)
+    assert list(fresh_cache.iterdir()) == []  # no temporary file is left behind
+
+
+def test_a_second_load_reuses_the_cached_library(fresh_cache, monkeypatch, empty_domain):
+    commands = []
+    run = _native._run
+    monkeypatch.setattr(_native, "_run", lambda cmd: commands.append(cmd) or run(cmd))
+    lib = _native.build()
+    inode = lib.stat().st_ino
+    estimate_measure(empty_domain, 0j, n_walks=10, epsilon=1e-6)  # loads it again
+    assert _native.build() == lib and lib.stat().st_ino == inode
+    assert sum("-o" in cmd for cmd in commands) == 1
+    assert list(fresh_cache.iterdir()) == [lib]
+
+
+def test_the_cache_directory_is_private(fresh_cache):
+    fresh_cache.mkdir(parents=True)
+    fresh_cache.chmod(0o755)
+    _native.build()
+    assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
+
+
+def test_import_and_geometry_compile_nothing(tmp_path):
+    script = ("import champagne as ch\n"
+              "from champagne import _native\n"
+              "seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)\n"
+              "ch.separation(seq)\n"
+              "ch.build_champagne(seq, ch.parse_profile('power:0.1,2'), 1 - 2 ** -6)\n"
+              "assert _native.walk_kernel.cache_info().misses == 0\n")
+    src = str(Path(ch.__file__).parents[1])
+    env = {**os.environ, "HOME": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+    assert not (tmp_path / ".cache").exists()
