@@ -1,11 +1,12 @@
-"""Build and load the compiled walk kernel (_walk.c).
+"""Build and load the compiled library: the walk kernel (_walk.c) and the
+grid index build (_grid.c).
 
-The kernel is compiled with the system C compiler the first time a walk
-runs, never at import, and cached per user in ~/.cache/champagne under
-the sha256 of its source, the flags and the compiler's version, so each
-machine builds it once.  The library is written to a
-temporary file and renamed into place: a concurrent process never loads
-a half-written file.
+The library is compiled with the system C compiler the first time a grid
+index is built, never at import, and cached per user in
+~/.cache/champagne under the sha256 of its sources, the flags and the
+compiler's version, so each machine builds it once.  The library is
+written to a temporary file and renamed into place: a concurrent process
+never loads a half-written file.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from .errors import ChampagneError
 
-SOURCE = Path(__file__).with_name("_walk.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_walk.c", "_grid.c"))
 COMPILER = "cc"
 # No -ffast-math, -Ofast or -march=native: contracted multiply-adds or
-# reassociated sums change the last bits of walk positions, and estimates
-# must stay byte-identical to the array kernel the tests keep.
+# reassociated sums change the last bits of walk positions and grid
+# arrays, and both must stay byte-identical to the array code the tests keep.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 LIBS = ("-lm",)
 
@@ -40,27 +41,30 @@ def _run(cmd) -> str:
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
     except OSError as exc:
-        raise ChampagneError(f"could not run {' '.join(cmd)!r} to build the walk kernel: {exc}") from exc
+        raise ChampagneError(f"could not run {' '.join(cmd)!r} to build the compiled library: "
+                             f"{exc}") from exc
     if proc.returncode != 0:
         raise ChampagneError(
             f"{' '.join(cmd)!r} failed with exit code {proc.returncode} while building the "
-            f"walk kernel (a C compiler is needed for walks):\n{proc.stderr}")
+            f"compiled library (a C compiler is needed to build grid indexes and run walks):"
+            f"\n{proc.stderr}")
     return proc.stdout
 
 
 def build() -> Path:
-    """Path of the compiled kernel, compiling it unless it is cached."""
-    key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), " ".join((*CFLAGS, *LIBS)).encode(),
+    """Path of the compiled library, compiling it unless it is cached."""
+    key = hashlib.sha256(b"\0".join([*(src.read_bytes() for src in SOURCES),
+                                      " ".join((*CFLAGS, *LIBS)).encode(),
                                       _run([COMPILER, "--version"]).encode()]))
     folder = cache_dir()
     folder.mkdir(mode=0o700, parents=True, exist_ok=True)
     os.chmod(folder, 0o700)  # mkdir's mode is masked by the umask
-    lib = folder / f"walk-{key.hexdigest()}.so"
+    lib = folder / f"champagne-{key.hexdigest()}.so"
     if not lib.exists():
-        fd, tmp = tempfile.mkstemp(dir=folder, prefix="walk-", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix="champagne-", suffix=".tmp")
         os.close(fd)
         try:
-            _run([COMPILER, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS])
+            _run([COMPILER, *CFLAGS, "-o", tmp, *map(str, SOURCES), *LIBS])
             os.replace(tmp, lib)
         finally:
             if os.path.exists(tmp):
@@ -73,16 +77,23 @@ def _array(dtype):
 
 
 @functools.cache
-def walk_kernel() -> ctypes.CDLL:
-    """The compiled kernel, its walk_range's argument types declared: ctypes
+def library() -> ctypes.CDLL:
+    """The compiled library, its functions' argument types declared: ctypes
     checks each array's dtype and contiguity on every call."""
     lib = ctypes.CDLL(str(build()))
-    fn = lib.walk_range
-    f64, i64 = _array(np.float64), _array(np.int64)
-    fn.argtypes = (
-        [f64, f64, f64, i64, _array(np.int32), f64, _array(np.uint8), f64, f64]  # grid index
-        + [ctypes.c_int64] + [ctypes.c_double] * 3                               # grid geometry
-        + [ctypes.c_double] * 6 + [ctypes.c_uint64] + [ctypes.c_int64] * 3       # the walks
-        + [i64, i64, f64, f64, f64, f64])                                        # outputs
-    fn.restype = ctypes.c_int64
+    f64, i64, i32 = _array(np.float64), _array(np.int64), _array(np.int32)
+    disks = [f64, f64, f64, ctypes.c_int64]              # cx, cy, radii, their count
+    grid = [ctypes.c_int64] + [ctypes.c_double] * 3      # n_side, half_width, inv_h, h
+    lib.walk_range.argtypes = (
+        [f64, f64, f64, i64, i32, f64, _array(np.uint8), f64, f64]          # grid index
+        + grid
+        + [ctypes.c_double] * 6 + [ctypes.c_uint64] + [ctypes.c_int64] * 3  # the walks
+        + [i64, i64, f64, f64, f64, f64])                                    # outputs
+    lib.grid_cells.argtypes = disks + grid + [i64, f64]
+    lib.grid_items.argtypes = disks + grid + [i64, i32]
+    lib.grid_near_others.argtypes = (disks + [i64, i32] + grid
+                                     + [i64, ctypes.c_int64, ctypes.c_double, i64, i32,
+                                        ctypes.c_int64])
+    for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others):
+        fn.restype = ctypes.c_int64
     return lib

@@ -495,8 +495,10 @@ class ChampagneDomain:
         }
 
     def save(self, path) -> None:
+        # json.dumps runs the C encoder; json.dump with an indent would run
+        # the pure-Python one
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+            fh.write(json.dumps(self.to_json_dict()))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChampagneDomain":

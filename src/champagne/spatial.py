@@ -20,20 +20,23 @@ queries used by the walk engine and by exact distance-to-boundary lookups:
   around a cell.  If the candidate minimum is <= the cell size h, it is
   the exact nearest-surface distance (any closer disk would intersect
   the block and hence be listed);
-* a conservative per-cell clearance (from a Euclidean distance transform
-  of the rasterized disks) that lower-bounds the distance to every disk,
-  giving large safe steps in disk-free regions;
+* a conservative per-cell clearance (from an exact Euclidean distance
+  transform of the rasterized disks) that lower-bounds the distance to
+  every disk, giving large safe steps in disk-free regions;
 * an exact nearest-surface ring search for one-off queries, and its
   first step alone (the candidates of one cell), exact up to distance h.
 
-The encounter data of point-like disks (their clearance to the rest of
-the boundary) is built from arrays: one candidate gather over the disks'
-own cells answers every disk with another surface within h, and the
-ring search is the exact fallback for the disks with none.
+The compiled library (_grid.c, built by _native on the first grid)
+builds the candidate lists and the clearance, with the arithmetic of the
+array build the tests keep as the reference.  It also screens the
+encounter data of point-like disks (their clearance to the rest of the
+boundary): the ring search from each such disk lists the other disks
+that may attain its nearest surface, and Python measures those.
 
 Every surface distance is math.hypot(dx, dy) - r, as the ring search
-measures it; np.hypot, which differs from math.hypot in the last bit on
-some inputs, only screens which disks can attain the minimum.
+measures it; np.hypot and the square root of the sum of squares, which
+differ from math.hypot in the last bits on some inputs, only screen which
+disks can attain the minimum.
 """
 
 from __future__ import annotations
@@ -41,13 +44,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from . import _native
 from .errors import ValidationError
 from .hyperbolic import pseudo_to_euclidean_arrays
 
-_SQRT2 = math.sqrt(2.0)
 # grid covers [-L, L]^2; slightly beyond the closed disk so that points
 # pushed past |z| = 1 by rounding still index into a valid cell
 _L = 1.03125
@@ -67,9 +69,9 @@ POINTLIKE_RADIUS = 1e-9
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
 _QUERY_BLOCK = 128  # ball queries per tree call: bounds the candidate lists held at once
-_BUILD_BLOCK = 1 << 14  # grid cells tested per block of the disk index build: bounds its memory
-# np.hypot and math.hypot differ by at most an ulp (4.4e-16 below 4, and
-# every distance in the grid's square is below 3); a disk whose np.hypot
+# np.hypot differs from math.hypot by at most an ulp, and the screen of
+# _grid.c, sqrt(dx^2 + dy^2) - r, by under 3e-15 (every distance in the
+# grid's square is below 3, where an ulp is 4.4e-16); a disk whose screened
 # distance is within this slack of the screened minimum may attain the
 # math.hypot minimum and is measured again
 _HYPOT_SLACK = 1e-14
@@ -121,8 +123,8 @@ def pairs(balls):
 
 def _surface_distances(dx, dy, radii) -> np.ndarray:
     """math.hypot(dx, dy) - radii elementwise: the ring search's distance."""
-    return np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())],
-                    dtype=np.float64) - radii
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64,
+                       count=dx.size) - radii
 
 
 def nearest_disk(x: float, y: float, cx, cy, radii):
@@ -135,6 +137,13 @@ def nearest_disk(x: float, y: float, cx, cy, radii):
     d = _surface_distances(dx[near], dy[near], radii[near])
     k = int(np.argmin(d))     # the first minimum: near is ascending
     return float(d[k]), int(near[k])
+
+
+def _checked(result: int) -> int:
+    """A result of the grid build's C functions, which return -1 when out of memory."""
+    if result < 0:
+        raise MemoryError("out of memory building the grid index")
+    return result
 
 
 def _auto_n_side(n_disks: int) -> int:
@@ -164,62 +173,17 @@ class DiskGridIndex:
         self._build()
 
     def _build(self):
-        ns = self.n_side
-        h = self.h
-        if self.n_disks == 0:
-            self.cell_start = np.zeros(ns * ns + 1, dtype=np.int64)
-            self.cell_items = np.zeros(0, dtype=np.int32)
-            self.clearance = np.full(ns * ns, 2.0 * _L, dtype=np.float64)
-            self._build_encounter_data()
-            return
-        centers_x = -_L + (np.arange(ns) + 0.5) * h
-        # the cell box of each disk's candidate reach
-        reach = self.radii + 1.5 * h * _SQRT2 + 1e-12
-        ix0 = np.maximum(((self.cx - reach + _L) * self.inv_h).astype(np.int64), 0)
-        ix1 = np.minimum(((self.cx + reach + _L) * self.inv_h).astype(np.int64), ns - 1)
-        iy0 = np.maximum(((self.cy - reach + _L) * self.inv_h).astype(np.int64), 0)
-        iy1 = np.minimum(((self.cy + reach + _L) * self.inv_h).astype(np.int64), ns - 1)
-        ny = np.maximum(iy1 - iy0 + 1, 0)
-        size = np.maximum(ix1 - ix0 + 1, 0) * ny
-        first = np.cumsum(size) - size   # offset of each box in the flat enumeration
-        # blocks of whole boxes, about _BUILD_BLOCK cells each
-        cuts = np.unique(np.concatenate([
-            [0], np.searchsorted(first, np.arange(0, int(size.sum()), _BUILD_BLOCK)),
-            [self.n_disks]]))
-        occupied = np.zeros(ns * ns, dtype=bool)
-        cand_cells: list[np.ndarray] = []
-        cand_disks: list[np.ndarray] = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            disk = np.repeat(np.arange(lo, hi, dtype=np.int32), size[lo:hi])
-            k = np.arange(disk.size) - np.repeat(first[lo:hi] - first[lo], size[lo:hi])
-            gi = ix0[disk] + k // ny[disk]
-            gj = iy0[disk] + k % ny[disk]
-            dx = np.abs(self.cx[disk] - centers_x[gi])
-            dy = np.abs(self.cy[disk] - centers_x[gj])
-            r = self.radii[disk]
-            cell = gi * ns + gj
-            # distance from the disk center to the 3x3 block around each cell
-            cand = np.hypot(np.maximum(dx - 1.5 * h, 0.0), np.maximum(dy - 1.5 * h, 0.0)) <= r
-            cand_cells.append(cell[cand])
-            cand_disks.append(disk[cand])
-            # distance to the cell itself, for the occupancy raster
-            occ = np.hypot(np.maximum(dx - 0.5 * h, 0.0), np.maximum(dy - 0.5 * h, 0.0)) <= r
-            occupied[cell[occ]] = True
-        cells = np.concatenate(cand_cells)
-        disks = np.concatenate(cand_disks)
-        order = np.lexsort((disks, cells))
-        cells = cells[order]
-        disks = disks[order]
-        counts = np.bincount(cells, minlength=ns * ns)
-        self.cell_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.cell_items = disks
-        # clearance: (EDT - sqrt2) * h lower-bounds the distance from any
-        # point of a free cell to any point of any disk
-        edt = ndimage.distance_transform_edt(~occupied.reshape(ns, ns))
-        self.clearance = np.maximum((edt - _SQRT2) * h, 0.0).ravel()
-        self._build_encounter_data()
+        lib = _native.library()
+        disks = (self.cx, self.cy, self.radii, self.n_disks)
+        geometry = (self.n_side, _L, self.inv_h, self.h)
+        self.cell_start = np.empty(self.n_side ** 2 + 1, dtype=np.int64)
+        self.clearance = np.empty(self.n_side ** 2)
+        total = _checked(lib.grid_cells(*disks, *geometry, self.cell_start, self.clearance))
+        self.cell_items = np.empty(total, dtype=np.int32)
+        _checked(lib.grid_items(*disks, *geometry, self.cell_start, self.cell_items))
+        self._build_encounter_data(lib, disks, geometry)
 
-    def _build_encounter_data(self):
+    def _build_encounter_data(self, lib, disks, geometry):
         """For point-like disks, the clearance radius of the concentric
         annulus that stays inside the domain: distance from the center to
         the unit circle and to every other disk.  The center's modulus is
@@ -228,27 +192,25 @@ class DiskGridIndex:
         self.enc_clearance = np.zeros(self.n_disks)
         self.enc_modulus = np.zeros(self.n_disks)
         pl = np.flatnonzero(self.pointlike)
+        # the other disks that may attain each one's nearest surface, as
+        # the ring search finds them; listed again if they overflow `near`
+        near_start = np.empty(pl.size + 1, dtype=np.int64)
+        need = pl.size
+        while True:
+            near = np.empty(need, dtype=np.int32)
+            need = _checked(lib.grid_near_others(*disks, self.cell_start, self.cell_items,
+                                                 *geometry, pl, pl.size, _HYPOT_SLACK,
+                                                 near_start, near, near.size))
+            if need <= near.size:
+                break
+        near = near[:need]
+        rep = np.repeat(np.arange(pl.size), np.diff(near_start))
         x = self.cx[pl]
         y = self.cy[pl]
-        modulus = _surface_distances(x, y, 0.0)   # from the origin, by math.hypot
-        # nearest other surface among the candidates of each disk's own
-        # cell: the first step of nearest_surface, final when it is <= h
-        rep, items, _, _ = self.gather_candidates(self.cells_of(x, y))
-        other = items != pl[rep]
-        rep = rep[other]
-        items = items[other]
-        dx = x[rep] - self.cx[items]
-        dy = y[rep] - self.cy[items]
-        screen = np.hypot(dx, dy) - self.radii[items]
-        low = np.full(pl.size, np.inf)
-        np.minimum.at(low, rep, screen)
-        near = screen <= low[rep] + _HYPOT_SLACK
         d_other = np.full(pl.size, np.inf)
-        np.minimum.at(d_other, rep[near],
-                      _surface_distances(dx[near], dy[near], self.radii[items[near]]))
-        # no other surface within h: the ring search goes on outwards
-        for k in np.flatnonzero(~(d_other <= self.h)):
-            d_other[k] = self.nearest_surface(x[k], y[k], exclude=int(pl[k]))[0]
+        np.minimum.at(d_other, rep, _surface_distances(x[rep] - self.cx[near],
+                                                       y[rep] - self.cy[near], self.radii[near]))
+        modulus = _surface_distances(x, y, 0.0)   # from the origin, by math.hypot
         self.enc_modulus[pl] = modulus
         self.enc_clearance[pl] = np.minimum(1.0 - modulus, d_other)
 

@@ -8,7 +8,8 @@ bubbles, conservative lower bounds elsewhere (any radius not exceeding
 the true boundary distance keeps the exit law exact, by the strong
 Markov property).
 
-The kernel is compiled C (_walk.c, built on the first walk by _native):
+The kernel is compiled C (_walk.c, which _native builds into one library
+with the grid build the first time a grid index is built):
 one loop runs each walk of a range to its exit before starting the next.
 Each step (1) classifies: a walk within the shell exits at the nearest
 component; (2) resolves point-like encounters: a walk within 1e-9 of a
@@ -207,7 +208,7 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
     exit_x = np.empty(n)
     exit_y = np.empty(n)
     stuck = np.zeros(2)
-    n_failed = _native.walk_kernel().walk_range(
+    n_failed = _native.library().walk_range(
         idx.cx, idx.cy, idx.radii, idx.cell_start, idx.cell_items, idx.clearance,
         idx.pointlike.view(np.uint8), idx.enc_clearance, idx.enc_modulus,
         idx.n_side, _L, idx.inv_h, idx.h,

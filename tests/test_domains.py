@@ -278,11 +278,13 @@ def test_domain_json_roundtrip(tmp_path):
     path = tmp_path / "dom.json"
     dom.save(path)
     back = ChampagneDomain.load(path)
-    assert np.array_equal(back.centers, dom.centers)
-    assert np.array_equal(back.radii, dom.radii)
-    assert np.array_equal(back.pseudo_radii, dom.pseudo_radii)
+    for name in ("centers", "radii", "pseudo_centers", "pseudo_radii", "source_index"):
+        got, want = getattr(back, name), getattr(dom, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert back.truncation_R == dom.truncation_R
     assert back.profile_spec == dom.profile_spec
+    assert back.circumference_sum == dom.circumference_sum
+    assert back.tail_sum_points == dom.tail_sum_points
 
 
 def test_domain_load_without_pseudo_fields(tmp_path):

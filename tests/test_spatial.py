@@ -2,26 +2,30 @@
 
 Every caller of spatial.PointIndex must report exactly (==) what a scan
 over all pairs reports, including for points within 1e-12 of the rim.
-The disk grid index must equal a per-disk construction, its one-cell
-query and its encounter data the ring search, and the interior check
-the one-cell scan it replaced.
+The compiled disk grid index must equal a per-disk construction and the
+array build it replaced (grid_build.py), its one-cell query and its
+encounter data the ring search, and the interior check the one-cell
+scan it replaced.
 """
 
 import math
 import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 import champagne as ch
-from champagne import _native, sequences, spatial
+from champagne import _native, barriers, sequences, spatial
 from champagne.barriers import extremal_c, extremal_d
 from champagne.domains import ChampagneDomain, _check_disjoint
 from champagne.errors import OverlapError, ValidationError
 from champagne.hyperbolic import pseudo_distance_many, pseudo_to_euclidean_arrays
 from champagne.sequences import PointSequence, covering_radius, separation, uniform_density
+
+from grid_build import ArrayGridIndex
 
 # a point is (log10 of its gap 1 - |z|, angle): gaps from 1e-12 to ~0.9
 _polar = st.tuples(st.floats(-11.999, -0.05), st.floats(0.0, 2.0 * np.pi))
@@ -141,6 +145,42 @@ def test_extremal_potentials_match_all_pairs(pts, probes, r):
     assert extremal_d(seq, r) == (d_vals[k], complex(pts[k]))
 
 
+def _annulus_log_products_by_probe(pts, probes, r):
+    """barriers._annulus_log_products one probe at a time."""
+    balls = spatial.PointIndex(pts).pseudo_balls(probes, r)
+    out = np.zeros(probes.size)
+    for i, (z, cand) in enumerate(zip(probes, balls)):
+        rho = pseudo_distance_many(z, pts[cand])
+        sel = rho[(rho > 0.5) & (rho < r)]
+        if sel.size:
+            out[i] = np.log(sel).sum()
+    return out
+
+
+@given(point_sets, st.lists(_polar, min_size=1, max_size=120).map(_to_points),
+       st.floats(0.5001, 1.0 - 1e-6), st.sampled_from([1, 50, 400]))
+@examples
+def test_annulus_log_products_match_the_per_probe_loop(pts, probes, r, block):
+    # blocks of one candidate pair, a few and many; the probes themselves
+    # too, whose candidate lists hold a point at distance 0
+    probes = np.concatenate([probes, pts])
+    default, barriers._PRODUCT_BLOCK = barriers._PRODUCT_BLOCK, block
+    try:
+        got = barriers._annulus_log_products(pts, probes, r)
+    finally:
+        barriers._PRODUCT_BLOCK = default
+    assert np.array_equal(got, _annulus_log_products_by_probe(pts, probes, r))
+
+
+def test_annulus_log_products_over_several_blocks():
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    probes = np.concatenate([sequences.probe_lattice(seq.max_modulus, density=2.0), seq.points])
+    got = barriers._annulus_log_products(seq.points, probes, 0.99)
+    assert np.array_equal(got, _annulus_log_products_by_probe(seq.points, probes, 0.99))
+    pairs = sum(c.size for c in spatial.PointIndex(seq.points).pseudo_balls(probes, 0.99))
+    assert pairs > 4 * barriers._PRODUCT_BLOCK
+
+
 @given(point_sets.flatmap(lambda pts: st.tuples(
     st.just(pts), st.lists(st.floats(1e-6, 0.6), min_size=pts.size, max_size=pts.size))))
 @examples
@@ -170,14 +210,22 @@ def test_kd_tree_lives_in_spatial_only():
     assert users == []
 
 
-def test_walk_kernel_is_compiled_without_bit_changing_flags():
+def test_walk_kernel_is_compiled_without_bit_changing_flags(tmp_path, monkeypatch):
     # contracted multiply-adds (FMA), fast-math reassociation and a
     # machine-specific vector libm each change the last bits of walk
-    # positions, so estimates would no longer be byte-identical across
-    # machines or to the array kernel the tests keep
+    # positions and grid arrays, so estimates would no longer be
+    # byte-identical across machines or to the array code the tests keep
     flags = _native.CFLAGS
     assert "-ffp-contract=off" in flags
     assert not {"-ffast-math", "-Ofast", "-march=native"} & set(flags)
+    # the walk kernel and the grid build are compiled by one command
+    commands = []
+    monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_native, "_run", lambda cmd: commands.append(cmd) or "cc 0")
+    _native.build()
+    (compile_cmd,) = [cmd for cmd in commands if "-o" in cmd]
+    assert compile_cmd[1:1 + len(flags)] == list(flags)
+    assert {pathlib.Path(a).name for a in compile_cmd if a.endswith(".c")} == {"_walk.c", "_grid.c"}
 
 
 # disjoint disks: each radius is a fraction (down to point-like) of the
@@ -227,19 +275,103 @@ def _per_disk_index(cx, cy, radii, ns):
             clearance.ravel())
 
 
-@given(disk_sets, st.sampled_from([1, 50, spatial._BUILD_BLOCK]))
-@examples
-def test_grid_index_matches_per_disk_build(case, block):
+_GRID_ARRAYS = ("cell_start", "cell_items", "clearance", "pointlike", "enc_clearance",
+                "enc_modulus")
+
+
+def _assert_same_grid(got, want):
+    for name in _GRID_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# as disk_sets, with about half of the disks point-like, on grids of 8
+# cells a side (where disk boxes are clipped by the grid's edge) to 1024
+# (where most point-like disks have no other surface within h)
+grid_disk_sets = point_sets.flatmap(lambda pts: st.tuples(
+    st.just(pts),
+    st.lists(st.one_of(st.floats(-13.0, -9.5), st.floats(-9.5, -0.01)),
+             min_size=pts.size, max_size=pts.size),
+    st.sampled_from([8, 64, 256, 1024])))
+
+
+@given(grid_disk_sets)
+# a case at n_side 1024 takes up to a second, most of it in the Python ring
+# search of the array build
+@settings(max_examples=40, deadline=None)
+def test_grid_index_matches_per_disk_build(case):
     cx, cy, radii, n_side = _disks(case)
-    default, spatial._BUILD_BLOCK = spatial._BUILD_BLOCK, block  # blocks of one disk, a few, all
-    try:
-        idx = spatial.DiskGridIndex(cx, cy, radii, n_side)
-    finally:
-        spatial._BUILD_BLOCK = default
+    idx = spatial.DiskGridIndex(cx, cy, radii, n_side)
     start, items, clearance = _per_disk_index(cx, cy, radii, n_side)
     assert np.array_equal(idx.cell_start, start)
     assert np.array_equal(idx.cell_items, items) and idx.cell_items.dtype == np.int32
     assert np.array_equal(idx.clearance, clearance)
+    _assert_same_grid(idx, ArrayGridIndex(cx, cy, radii, n_side))
+
+
+def test_grid_index_matches_both_builds_on_clipped_boxes_and_lone_disks():
+    # disks by the rim whose candidate boxes the edge of an 8-cell grid
+    # clips on every side, and at n_side 1024 point-like disks whose
+    # nearest other surface lies far beyond h, found by the ring search
+    pts = (1.0 - 2.0 ** -9) * np.exp(2j * np.pi * np.arange(8) / 8)
+    pts = np.append(pts, [0.25 + 0.25j, -0.4j])
+    radii = np.array([1e-3, 1e-10, 2e-3, 1e-12] * 2 + [1e-11, 0.05])
+    for n_side in (8, 1024):
+        idx = spatial.DiskGridIndex(pts.real, pts.imag, radii, n_side)
+        start, items, clearance = _per_disk_index(idx.cx, idx.cy, idx.radii, n_side)
+        assert np.array_equal(idx.cell_start, start) and np.array_equal(idx.cell_items, items)
+        assert np.array_equal(idx.clearance, clearance)
+        _assert_same_grid(idx, ArrayGridIndex(pts.real, pts.imag, radii, n_side))
+        _assert_encounters_match_ring_search(idx)
+    assert np.any(idx.enc_clearance[idx.pointlike] > 100 * idx.h)
+
+
+def test_cell_tests_call_hypot():
+    # one-disk grids whose radius is the smaller of np.hypot(a, b) and
+    # sqrt(a^2 + b^2), where they differ, for the offsets (a, b) of the disk
+    # center beyond the 3x3 block (candidates) or the cell (occupancy)
+    # around cell (40, 40): only a build that calls hypot decides as the
+    # array build does
+    rng = np.random.default_rng(8)
+    n_side = 64
+    h = 2.0 * spatial._L / n_side
+    center = -spatial._L + 40.5 * h
+    found = {1.5: 0, 0.5: 0}
+    for off in 1e-3 + 0.05 * rng.random((4000, 2)):
+        half = 1.5 if found[1.5] < 15 else 0.5
+        x, y = center + half * h + off
+        a = max(abs(x - center) - half * h, 0.0)
+        b = max(abs(y - center) - half * h, 0.0)
+        fast, exact = math.sqrt(a * a + b * b), float(np.hypot(a, b))
+        if fast == exact:
+            continue
+        found[half] += 1
+        idx = spatial.DiskGridIndex([x], [y], [min(fast, exact)], n_side)
+        _assert_same_grid(idx, ArrayGridIndex([x], [y], [min(fast, exact)], n_side))
+        if found[0.5] == 15:
+            break
+    assert found == {1.5: 15, 0.5: 15}
+
+
+def _benchmark_domains(name):
+    """The domains the benchmark's workloads build, at its default seed 20."""
+    if name == "ladder":
+        seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+        return [(ch.build_champagne(seq, ch.parse_profile(spec), 1.0 - 2.0 ** -k), 512)
+                for spec in ("expinv:1,1", "power:0.1,2") for k in (4, 6, 8)]
+    if name == "floor10k":
+        seq = ch.generate_ring_lattice(0.5, 5, 10, seed=20)
+        return [(ch.build_champagne(seq, ch.power_profile(0.05, 2), 1.0 - 2.0 ** -10), None)]
+    seq = ch.generate_ring_lattice(0.5, 2, 12, seed=20)
+    return [(ch.build_finitely_connected(seq, 0j, r=1.0 - 2.0 ** -8), None)]
+
+
+@pytest.mark.parametrize("name", ["ladder", "floor10k", "density12"])
+def test_grid_index_matches_the_array_build_on_the_benchmark_domains(name):
+    for dom, n_side in _benchmark_domains(name):
+        c = dom.centers
+        got = spatial.DiskGridIndex(c.real, c.imag, dom.radii, n_side)
+        _assert_same_grid(got, ArrayGridIndex(c.real, c.imag, dom.radii, n_side))
 
 
 @given(disk_sets, probe_sets)
@@ -298,6 +430,26 @@ def test_encounter_data_matches_ring_search_on_a_truncation_rung():
     # of the disk's own cell, and by the ring search beyond
     d_other = idx.enc_clearance[idx.pointlike]
     assert np.any(d_other <= idx.h) and np.any(d_other > idx.h)
+
+
+def test_encounter_data_measures_near_ties_with_math_hypot():
+    # a point-like disk at the origin and two more, about 0.01 away, that
+    # the screen sqrt(dx^2 + dy^2) orders one way and math.hypot the other:
+    # the nearer by math.hypot sets the clearance, found within h of the
+    # disk's own cell (n_side 64) or by the ring search (n_side 1024)
+    rng = np.random.default_rng(3)
+    t = 2.0 * np.pi * rng.random(20_000)
+    x, y = 0.01 * np.cos(t), 0.01 * np.sin(t)
+    screen = np.sqrt(x * x + y * y)
+    exact = np.array([math.hypot(u, v) for u, v in zip(x, y)])
+    order = np.lexsort((exact, screen))
+    k = np.flatnonzero((np.diff(screen[order]) > 0) & (np.diff(exact[order]) < 0))[0]
+    a, b = order[k], order[k + 1]        # screen[a] < screen[b], exact[a] > exact[b]
+    for n_side in (64, 1024):
+        idx = spatial.DiskGridIndex([0.0, x[a], x[b]], [0.0, y[a], y[b]], [1e-19] * 3, n_side)
+        assert idx.enc_clearance[0] == exact[b]
+        _assert_encounters_match_ring_search(idx)
+        _assert_same_grid(idx, ArrayGridIndex(idx.cx, idx.cy, idx.radii, n_side))
 
 
 def _cell_scan_verdict(idx, sources, z):

@@ -3,7 +3,8 @@ loader that builds it.
 
 pool_kernel.py keeps the array kernel as the reference: for every range
 of walks the compiled kernel must return equal (==) exit codes, step
-counts, path lengths and exit positions, whatever the pool width.
+counts, path lengths and exit positions, whatever the pool width, on
+random domains and on exact ties built from dyadic coordinates.
 """
 
 import os
@@ -126,21 +127,64 @@ def test_budget_error_counts_the_walks_that_reach_the_budget(case, max_steps):
         assert steps[0] == max_steps
 
 
+# -- exact ties -------------------------------------------------------------------
+#
+# Dyadic coordinates make the compared distances exact, so each case puts
+# one comparison of the kernel on an exact tie at the start point; the
+# walks then exit at once, and both kernels must take the same side.
+
+def _tie_case(index, z0, eps, r_out=1.0, shell=None):
+    return types.SimpleNamespace(index=index), z0, eps, 5, 0, 3, r_out, shell
+
+
+def _assert_tie(case, code):
+    got = _run(walker._walk_chunk, case, 10 ** 6)
+    _assert_equal(got, _run(pool_walk_chunk, case, 10 ** 6))
+    assert got[0].tolist() == [code] * 3 and got[1].tolist() == [0] * 3
+
+
+def test_the_exterior_wins_a_tie_with_the_nearest_bubble():
+    # 2^-20 from the rim and from the surface of a disk of radius 2^-10
+    x0 = 1.0 - 2.0 ** -20
+    index = spatial.DiskGridIndex([x0 - 2.0 ** -10 - 2.0 ** -20], [0.0], [2.0 ** -10])
+    _assert_tie(_tie_case(index, complex(x0), 2.0 ** -19), walker._CODE_EXTERIOR)
+
+
+def test_a_candidate_exactly_h_away_sets_the_step():
+    # a disk of radius 2^-4 at the origin, h = 33/1024 beyond its surface
+    index = spatial.DiskGridIndex([0.0], [0.0], [2.0 ** -4], 64)
+    z0 = complex(2.0 ** -4 + index.h)
+    # a sound clearance is at most the distance to every disk a cell lists,
+    # so at cand == h both branches give a step of h; a clearance above h
+    # tells them apart: stepping by cand (h < eps) exits, stepping by the
+    # clearance (2 h > eps) would jump
+    index.clearance[index.cells_of(np.array([z0.real]), np.array([z0.imag]))] = 2.0 * index.h
+    _assert_tie(_tie_case(index, z0, 1.5 * index.h), 1)
+
+
+def test_a_walk_on_the_absorbing_shell_is_absorbed():
+    index = spatial.DiskGridIndex([0.0], [0.0], [2.0 ** -4], 64)
+    _assert_tie(_tie_case(index, 0.75 + 0j, 1e-6, shell=0.75), walker._CODE_SHELL)
+
+
 # -- the loader ------------------------------------------------------------------
 
 @pytest.fixture
 def fresh_cache(tmp_path, monkeypatch):
-    """An empty kernel cache; the process loads its kernel again after."""
+    """An empty library cache; the process loads its library again after."""
     folder = tmp_path / "cache" / "champagne"
     monkeypatch.setattr(_native, "cache_dir", lambda: folder)
-    _native.walk_kernel.cache_clear()
+    _native.library.cache_clear()
     yield folder
-    _native.walk_kernel.cache_clear()
+    _native.library.cache_clear()
 
 
 def test_a_failing_compiler_is_named_with_its_stderr(fresh_cache, tmp_path, monkeypatch,
                                                      empty_domain):
     monkeypatch.setattr(_native, "COMPILER", "false")
+    with pytest.raises(ChampagneError, match="'false --version' failed") as info:
+        spatial.DiskGridIndex([0.5], [0.0], [0.25])
+    assert "needed to build grid indexes and run walks" in str(info.value)
     with pytest.raises(ChampagneError, match="'false --version' failed"):
         estimate_measure(empty_domain, 0j, n_walks=10, epsilon=1e-6)
     # a compiler that reports its version but cannot build the kernel
@@ -156,13 +200,17 @@ def test_a_failing_compiler_is_named_with_its_stderr(fresh_cache, tmp_path, monk
     assert list(fresh_cache.iterdir()) == []  # no temporary file is left behind
 
 
-def test_a_second_load_reuses_the_cached_library(fresh_cache, monkeypatch, empty_domain):
+def test_a_second_load_reuses_the_cached_library(fresh_cache, monkeypatch):
     commands = []
     run = _native._run
     monkeypatch.setattr(_native, "_run", lambda cmd: commands.append(cmd) or run(cmd))
-    lib = _native.build()
+    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.25)])
+    dom.build_index(64)                 # the first grid compiles the library
+    (lib,) = fresh_cache.iterdir()
     inode = lib.stat().st_ino
-    estimate_measure(empty_domain, 0j, n_walks=10, epsilon=1e-6)  # loads it again
+    _native.library.cache_clear()
+    estimate_measure(dom, 0j, n_walks=10, epsilon=1e-6)  # loads it again
+    spatial.DiskGridIndex([0.5], [0.0], [0.25])
     assert _native.build() == lib and lib.stat().st_ino == inode
     assert sum("-o" in cmd for cmd in commands) == 1
     assert list(fresh_cache.iterdir()) == [lib]
@@ -180,8 +228,11 @@ def test_import_and_geometry_compile_nothing(tmp_path):
               "from champagne import _native\n"
               "seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)\n"
               "ch.separation(seq)\n"
-              "ch.build_champagne(seq, ch.parse_profile('power:0.1,2'), 1 - 2 ** -6)\n"
-              "assert _native.walk_kernel.cache_info().misses == 0\n")
+              "dom = ch.build_champagne(seq, ch.parse_profile('power:0.1,2'), 1 - 2 ** -6)\n"
+              "ch.sandwich_bounds(dom)\n"
+              "dom.require_interior(0.1 + 0.2j)\n"
+              "assert dom._index is None\n"
+              "assert _native.library.cache_info().misses == 0\n")
     src = str(Path(ch.__file__).parents[1])
     env = {**os.environ, "HOME": str(tmp_path),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
