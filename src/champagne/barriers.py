@@ -25,7 +25,6 @@ from .spatial import PointIndex
 
 ILL_CONDITIONED_RATIO = 1e-2   # (a-b)/a below this: weights collapse geometrically
 MAX_RESCALE = 10.0             # deficit factor beyond which the barrier is refused
-_PRODUCT_BLOCK = 1 << 15       # candidate pairs per block of probes: bounds the memory of the products
 
 
 @dataclass(frozen=True)
@@ -275,28 +274,11 @@ def _annulus_log_products(pts: np.ndarray, probes: np.ndarray, r: float) -> np.n
     evaluated at z, for each probe z."""
     balls = PointIndex(pts).pseudo_balls(probes, r)
     out = np.zeros(probes.size)
-    i0 = 0
-    while i0 < probes.size:
-        # the candidates of the next probes, at least _PRODUCT_BLOCK pairs
-        # unless the probes run out
-        cand = []
-        pairs = 0
-        while i0 + len(cand) < probes.size and pairs < _PRODUCT_BLOCK:
-            cand.append(next(balls))
-            pairs += cand[-1].size
-        rows = np.repeat(np.arange(len(cand)), [c.size for c in cand])
-        rho = pseudo_distance_many(probes[i0 + rows], pts[np.concatenate(cand)])
-        keep = (rho > 0.5) & (rho < r)
-        logs = np.log(rho[keep])
-        counts = np.bincount(rows[keep], minlength=len(cand))
-        first = np.cumsum(counts) - counts
-        # numpy sums each row of a 2-D array as it sums a 1-D array of that
-        # length, so probes with equal counts are summed together, each in
-        # the order of a per-probe sum over its candidates
-        for n in np.unique(counts[counts > 0]):
-            q = np.flatnonzero(counts == n)
-            out[i0 + q] = logs[first[q][:, None] + np.arange(n)].sum(axis=1)
-        i0 += len(cand)
+    for i, (z, cand) in enumerate(zip(probes, balls)):
+        rho = pseudo_distance_many(z, pts[cand])
+        sel = rho[(rho > 0.5) & (rho < r)]
+        if sel.size:
+            out[i] = np.log(sel).sum()
     return out
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import champagne as ch
-from champagne import _native, barriers, sequences, spatial
+from champagne import _native, sequences, spatial
 from champagne.barriers import extremal_c, extremal_d
 from champagne.domains import ChampagneDomain, _check_disjoint
 from champagne.errors import OverlapError, ValidationError
@@ -145,42 +145,6 @@ def test_extremal_potentials_match_all_pairs(pts, probes, r):
     assert extremal_d(seq, r) == (d_vals[k], complex(pts[k]))
 
 
-def _annulus_log_products_by_probe(pts, probes, r):
-    """barriers._annulus_log_products one probe at a time."""
-    balls = spatial.PointIndex(pts).pseudo_balls(probes, r)
-    out = np.zeros(probes.size)
-    for i, (z, cand) in enumerate(zip(probes, balls)):
-        rho = pseudo_distance_many(z, pts[cand])
-        sel = rho[(rho > 0.5) & (rho < r)]
-        if sel.size:
-            out[i] = np.log(sel).sum()
-    return out
-
-
-@given(point_sets, st.lists(_polar, min_size=1, max_size=120).map(_to_points),
-       st.floats(0.5001, 1.0 - 1e-6), st.sampled_from([1, 50, 400]))
-@examples
-def test_annulus_log_products_match_the_per_probe_loop(pts, probes, r, block):
-    # blocks of one candidate pair, a few and many; the probes themselves
-    # too, whose candidate lists hold a point at distance 0
-    probes = np.concatenate([probes, pts])
-    default, barriers._PRODUCT_BLOCK = barriers._PRODUCT_BLOCK, block
-    try:
-        got = barriers._annulus_log_products(pts, probes, r)
-    finally:
-        barriers._PRODUCT_BLOCK = default
-    assert np.array_equal(got, _annulus_log_products_by_probe(pts, probes, r))
-
-
-def test_annulus_log_products_over_several_blocks():
-    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
-    probes = np.concatenate([sequences.probe_lattice(seq.max_modulus, density=2.0), seq.points])
-    got = barriers._annulus_log_products(seq.points, probes, 0.99)
-    assert np.array_equal(got, _annulus_log_products_by_probe(seq.points, probes, 0.99))
-    pairs = sum(c.size for c in spatial.PointIndex(seq.points).pseudo_balls(probes, 0.99))
-    assert pairs > 4 * barriers._PRODUCT_BLOCK
-
-
 @given(point_sets.flatmap(lambda pts: st.tuples(
     st.just(pts), st.lists(st.floats(1e-6, 0.6), min_size=pts.size, max_size=pts.size))))
 @examples
@@ -285,28 +249,38 @@ def _assert_same_grid(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-# as disk_sets, with about half of the disks point-like, on grids of 8
-# cells a side (where disk boxes are clipped by the grid's edge) to 1024
-# (where most point-like disks have no other surface within h)
-grid_disk_sets = point_sets.flatmap(lambda pts: st.tuples(
-    st.just(pts),
-    st.lists(st.one_of(st.floats(-13.0, -9.5), st.floats(-9.5, -0.01)),
-             min_size=pts.size, max_size=pts.size),
-    st.sampled_from([8, 64, 256, 1024])))
-
-
-@given(grid_disk_sets)
-# a case at n_side 1024 takes up to a second, most of it in the Python ring
-# search of the array build
-@settings(max_examples=40, deadline=None)
-def test_grid_index_matches_per_disk_build(case):
-    cx, cy, radii, n_side = _disks(case)
+def _assert_grid_matches_both_builds(cx, cy, radii, n_side):
     idx = spatial.DiskGridIndex(cx, cy, radii, n_side)
-    start, items, clearance = _per_disk_index(cx, cy, radii, n_side)
+    start, items, clearance = _per_disk_index(idx.cx, idx.cy, idx.radii, n_side)
     assert np.array_equal(idx.cell_start, start)
     assert np.array_equal(idx.cell_items, items) and idx.cell_items.dtype == np.int32
     assert np.array_equal(idx.clearance, clearance)
     _assert_same_grid(idx, ArrayGridIndex(cx, cy, radii, n_side))
+    return idx
+
+
+@given(disk_sets)
+@examples
+def test_grid_index_matches_per_disk_build(case):
+    _assert_grid_matches_both_builds(*_disks(case))
+
+
+# as disk_sets, with about half of the disks point-like, on grids of 8
+# cells a side (where disk boxes are clipped by the grid's edge) and 1024
+# (where most point-like disks have no other surface within h)
+small_and_large_grid_disk_sets = point_sets.flatmap(lambda pts: st.tuples(
+    st.just(pts),
+    st.lists(st.one_of(st.floats(-13.0, -9.5), st.floats(-9.5, -0.01)),
+             min_size=pts.size, max_size=pts.size),
+    st.sampled_from([8, 1024])))
+
+
+@given(small_and_large_grid_disk_sets)
+# fewer cases than the other properties: a case at n_side 1024 takes up to
+# a second, most of it in the Python ring search of the array build
+@settings(max_examples=20, deadline=None)
+def test_grid_index_matches_both_builds_on_small_and_large_grids(case):
+    _assert_grid_matches_both_builds(*_disks(case))
 
 
 def test_grid_index_matches_both_builds_on_clipped_boxes_and_lone_disks():
@@ -317,11 +291,7 @@ def test_grid_index_matches_both_builds_on_clipped_boxes_and_lone_disks():
     pts = np.append(pts, [0.25 + 0.25j, -0.4j])
     radii = np.array([1e-3, 1e-10, 2e-3, 1e-12] * 2 + [1e-11, 0.05])
     for n_side in (8, 1024):
-        idx = spatial.DiskGridIndex(pts.real, pts.imag, radii, n_side)
-        start, items, clearance = _per_disk_index(idx.cx, idx.cy, idx.radii, n_side)
-        assert np.array_equal(idx.cell_start, start) and np.array_equal(idx.cell_items, items)
-        assert np.array_equal(idx.clearance, clearance)
-        _assert_same_grid(idx, ArrayGridIndex(pts.real, pts.imag, radii, n_side))
+        idx = _assert_grid_matches_both_builds(pts.real, pts.imag, radii, n_side)
         _assert_encounters_match_ring_search(idx)
     assert np.any(idx.enc_clearance[idx.pointlike] > 100 * idx.h)
 
