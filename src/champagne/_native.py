@@ -1,8 +1,9 @@
-"""Build and load the compiled library: the walk kernel (_walk.c) and the
-grid index build (_grid.c).
+"""Build and load the compiled library: the walk kernel (_walk.c), the
+grid index build (_grid.c) and the barrier potential (_blaschke.c).
 
-The library is compiled with the system C compiler the first time a grid
-index is built, never at import, and cached per user in
+The library is compiled with the system C compiler the first time one of
+its functions is needed (a grid index is built or a barrier evaluated),
+never at import, and cached per user in
 ~/.cache/champagne under the sha256 of its sources, the flags and the
 compiler's version, so each machine builds it once.  The library is
 written to a temporary file and renamed into place: a concurrent process
@@ -23,11 +24,12 @@ import numpy as np
 
 from .errors import ChampagneError
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_walk.c", "_grid.c"))
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_walk.c", "_grid.c", "_blaschke.c"))
 COMPILER = "cc"
 # No -ffast-math, -Ofast or -march=native: contracted multiply-adds or
 # reassociated sums change the last bits of walk positions and grid
 # arrays, and both must stay byte-identical to the array code the tests keep.
+# The barrier potential is checked against its array code to 1e-12 relative.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 LIBS = ("-lm",)
 
@@ -46,8 +48,8 @@ def _run(cmd) -> str:
     if proc.returncode != 0:
         raise ChampagneError(
             f"{' '.join(cmd)!r} failed with exit code {proc.returncode} while building the "
-            f"compiled library (a C compiler is needed to build grid indexes and run walks):"
-            f"\n{proc.stderr}")
+            f"compiled library (a C compiler is needed to build grid indexes and run walks, "
+            f"and to evaluate barriers):\n{proc.stderr}")
     return proc.stdout
 
 
@@ -96,4 +98,7 @@ def library() -> ctypes.CDLL:
                                         ctypes.c_int64])
     for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others):
         fn.restype = ctypes.c_int64
+    lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64, f64,
+                                      _array(np.complex128), ctypes.c_int64, f64]
+    lib.barrier_potential.restype = None
     return lib

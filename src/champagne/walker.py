@@ -41,7 +41,7 @@ from . import _native
 from .domains import ChampagneDomain, transport_domain
 from .errors import ValidationError, WalkBudgetError
 from .hyperbolic import mobius_apply, pseudo_distance_many, require_disk_point
-from .spatial import _L
+from .spatial import _L, nearest_disk
 from .streams import _U64, derive_seed
 
 # the walks that justify one more forked range: n walks are split into at
@@ -95,7 +95,8 @@ def distance_to_boundary(domain: ChampagneDomain, z):
     component: (distance, kind, bubble_index).
 
     Tie-break is exterior first, then lowest bubble index.  Raises when z
-    is not strictly interior.
+    is not strictly interior.  One scan over every bubble (as
+    require_interior): no walk grid is built.
     """
     z = complex(z)
     d_ext = 1.0 - abs(z)
@@ -103,7 +104,8 @@ def distance_to_boundary(domain: ChampagneDomain, z):
         raise ValidationError(f"z={z!r} is not inside the open unit disk")
     if domain.n_bubbles == 0:
         return d_ext, "exterior", -1
-    d_bub, idx = domain.index.nearest_surface(z.real, z.imag)
+    d_bub, idx = nearest_disk(z.real, z.imag, domain.centers.real, domain.centers.imag,
+                              domain.radii)
     if min(d_ext, d_bub) <= 0.0:
         raise ValidationError(
             f"z={z!r} is on or inside bubble {idx}: interior points need positive clearance"
@@ -263,7 +265,7 @@ def _fork_map(job, n_jobs: int, threads: int) -> list:
 def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
                absorbing_shell):
     # one kernel call per contiguous range of walks (see _CHUNK)
-    k =min(_worker_count(threads), -(-n_walks // _CHUNK))
+    k = min(_worker_count(threads), -(-n_walks // _CHUNK))
     cuts = [n_walks * i // k for i in range(k + 1)]
 
     def job(i):

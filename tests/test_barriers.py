@@ -1,11 +1,25 @@
+"""Blaschke products, shell weights and the barrier certificates.
+
+The compiled shell potential (barriers._shell_potential) is checked
+against the array sum it replaced (blaschke_sum.py) to 1e-12 relative:
+on the boundary samples and certificates of random ring-lattice domains,
+and on a sample on a zero, a shell whose product underflows a double and
+a sample 1e-200 from a zero.
+"""
+
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import champagne as ch
+from champagne import barriers
 from champagne.barriers import (
+    _shell_potential,
     annular_partition,
     barrier_lower_bound,
     barrier_weights,
@@ -14,8 +28,9 @@ from champagne.barriers import (
     log_blaschke,
     shell_of_modulus,
 )
-from champagne.errors import NumericalRefusalError, ValidationError
+from champagne.errors import ChampagneError, NumericalRefusalError, ValidationError
 
+from blaschke_sum import array_shell_potential
 from conftest import rand_disk_points
 
 
@@ -167,6 +182,95 @@ def test_barrier_refuses_when_rescale_too_large():
     dom = ch.build_finitely_connected(seq, 0j, 1 - 2.0 ** -5, "one-minus-r")
     with pytest.raises(NumericalRefusalError):
         barrier_lower_bound(dom, eta=0.9, n=40, b=3.45)
+
+
+# -- the compiled shell potential against the array sum ------------------------------
+
+def _assert_potentials_match(zeros, shells, weights, pts):
+    got = _shell_potential(zeros, shells, weights, pts)
+    want = array_shell_potential(zeros, shells, weights, pts)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    return got
+
+
+def _certificate(dom, **kwargs):
+    """(certificate or error, potential inputs and values) of one barrier."""
+    calls = []
+
+    def spy(*args):
+        calls.append((args, _shell_potential(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(barriers, "_shell_potential", spy):
+        try:
+            return barrier_lower_bound(dom, **kwargs), calls
+        except ChampagneError as exc:
+            return exc, calls
+
+
+@st.composite
+def barrier_cases(draw):
+    """(domain, barrier arguments) on a random ring lattice.  The bubbles
+    lie at rho > 1/2 from the start, so one layer fits them only for
+    eta = 0.3; otherwise both evaluations raise the same error."""
+    seq = ch.generate_ring_lattice(draw(st.floats(0.3, 0.75)), draw(st.floats(0.5, 3.0)),
+                                   draw(st.integers(1, 6)), seed=draw(st.integers(0, 99)))
+    start = draw(st.sampled_from([0j, 0.1 + 0.05j, -0.2j, 0.3 - 0.1j]))
+    try:
+        dom = ch.build_finitely_connected(seq, start, 1.0 - 2.0 ** -draw(st.floats(1.2, 8.0)))
+    except ChampagneError:
+        assume(False)
+    assume(dom.n_bubbles > 0)
+    return dom, dict(eta=draw(st.sampled_from([0.3, 0.5, 0.9])),
+                     n=draw(st.sampled_from([1, 40, None])), start=start)
+
+
+@given(barrier_cases())
+@settings(max_examples=150, deadline=None)
+def test_barrier_matches_the_array_sum(case):
+    dom, kwargs = case
+    got, calls = _certificate(dom, **kwargs)
+    for args, values in calls:
+        np.testing.assert_allclose(values, array_shell_potential(*args), rtol=1e-12, atol=0.0)
+    with mock.patch.object(barriers, "_shell_potential", array_shell_potential):
+        try:
+            want = barrier_lower_bound(dom, **kwargs)
+        except ChampagneError as exc:
+            want = exc
+    if isinstance(want, ChampagneError):
+        assert type(got) is type(want)
+        return
+    assert len(calls) == 1
+    np.testing.assert_allclose(got.per_bubble_min, want.per_bubble_min, rtol=1e-12, atol=0.0)
+    assert got.rescale_factor == pytest.approx(want.rescale_factor, rel=1e-12, abs=0.0)
+    assert got.exterior_lower == pytest.approx(want.exterior_lower, rel=0.0, abs=1e-12)
+    assert (got.spec, got.n, got.flags) == (want.spec, want.n, want.flags)
+
+
+def test_potential_on_a_zero_is_infinite():
+    zeros = np.array([0.3 + 0.2j, -0.5j, 0.6 + 0j])
+    pts = np.array([0.6 + 0j, 0.1j, -0.4 + 0.2j])
+    got = _assert_potentials_match(zeros, [1, 2, 2], (0.5, 0.25), pts)
+    assert got[0] == math.inf and np.all(np.isfinite(got[1:]))
+
+
+def test_potential_of_a_shell_whose_product_underflows():
+    # 600 zeros at moduli 0.05 to 0.5 around the sample 0: the product of
+    # rho^2 is about 1e-750, far below the smallest double
+    rng = np.random.default_rng(11)
+    zeros = rng.uniform(0.05, 0.5, 600) * np.exp(2j * np.pi * rng.uniform(size=600))
+    assert np.prod(np.abs(zeros) ** 2) == 0.0
+    pts = np.array([0j, 0.02 + 0.01j, 0.7 - 0.3j])
+    got = _assert_potentials_match(zeros, np.ones(600, dtype=np.int64), (0.75,), pts)
+    assert got[0] == pytest.approx(-0.75 * np.log(np.abs(zeros)).sum(), rel=1e-13)
+
+
+def test_potential_1e_200_from_a_zero():
+    # |s - lambda|^2 = 1e-400 underflows; rho itself, about 1.2e-200, does not
+    zeros = np.array([0.4j, -0.3 + 0.1j, 0.5 + 0.5j])
+    pts = np.array([1e-200 + 0.4j, 0.4j + 1e-140, 0.2 + 0j])
+    got = _assert_potentials_match(zeros, [1, 1, 2], (1.0, 0.5), pts)
+    assert got[0] > 400.0 and np.all(np.isfinite(got))
 
 
 # -- extremal annular potentials ------------------------------------------------------

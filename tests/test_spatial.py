@@ -182,14 +182,23 @@ def test_walk_kernel_is_compiled_without_bit_changing_flags(tmp_path, monkeypatc
     flags = _native.CFLAGS
     assert "-ffp-contract=off" in flags
     assert not {"-ffast-math", "-Ofast", "-march=native"} & set(flags)
-    # the walk kernel and the grid build are compiled by one command
+    # the walk kernel, the grid build and the barrier potential are
+    # compiled by one command
     commands = []
     monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
     monkeypatch.setattr(_native, "_run", lambda cmd: commands.append(cmd) or "cc 0")
     _native.build()
     (compile_cmd,) = [cmd for cmd in commands if "-o" in cmd]
     assert compile_cmd[1:1 + len(flags)] == list(flags)
-    assert {pathlib.Path(a).name for a in compile_cmd if a.endswith(".c")} == {"_walk.c", "_grid.c"}
+    assert ({pathlib.Path(a).name for a in compile_cmd if a.endswith(".c")}
+            == {"_walk.c", "_grid.c", "_blaschke.c"})
+
+
+def test_the_library_is_built_from_every_c_source():
+    # a C file left out of SOURCES would be left out of the cache key too
+    src = pathlib.Path(ch.__file__).parent
+    assert sorted(path.name for path in _native.SOURCES) == sorted(f.name for f in src.glob("*.c"))
+    assert all(path.parent == src for path in _native.SOURCES)
 
 
 # disjoint disks: each radius is a fraction (down to point-like) of the

@@ -8,6 +8,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import champagne as ch
 from champagne import walker
@@ -85,6 +87,50 @@ def test_distance_matches_brute_force():
         if kind == "bubble":
             assert gaps[idx] == pytest.approx(d, abs=1e-14)
             assert d < d_ext
+
+
+@st.composite
+def distance_cases(draw):
+    """(domain, points) on a random lattice: points anywhere in the disk and
+    points 1e-16 to 1e-9 outside a bubble's surface."""
+    seq = ch.generate_ring_lattice(draw(st.floats(0.3, 0.7)), draw(st.floats(0.5, 3.0)),
+                                   draw(st.integers(1, 6)), seed=draw(st.integers(0, 99)))
+    profile = ch.parse_profile(draw(st.sampled_from(["power:0.1,2", "expinv:1,1",
+                                                     "power:0.05,4"])))
+    try:
+        dom = ch.build_champagne(seq, profile, 1.0 - 2.0 ** -draw(st.integers(1, 8)))
+    except OverlapError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rand_disk_points(rng, 30, 0.999)
+    if dom.n_bubbles:
+        i = rng.integers(0, dom.n_bubbles, 30)
+        gap = 10.0 ** rng.uniform(-16.0, -9.0, 30)
+        pts = np.concatenate([pts, dom.centers[i] + (dom.radii[i] + gap)
+                              * np.exp(2j * np.pi * rng.uniform(size=30))])
+    return dom, pts
+
+
+@given(distance_cases())
+@settings(max_examples=60, deadline=None)
+def test_distance_equals_the_ring_search(case):
+    dom, pts = case
+    got = []
+    for z in pts:
+        try:
+            got.append(distance_to_boundary(dom, z))
+        except ValidationError:
+            got.append(None)
+    assert dom._index is None       # the query builds no walk grid
+    for z, result in zip(pts, got):
+        d_ext = 1.0 - abs(z)
+        want = dom.index.nearest_surface(z.real, z.imag) if dom.n_bubbles else (math.inf, -1)
+        if min(d_ext, want[0]) <= 0.0:
+            assert result is None
+        elif d_ext <= want[0]:
+            assert result == (d_ext, "exterior", -1)
+        else:
+            assert result == (want[0], "bubble", want[1])
 
 
 # -- single walks ---------------------------------------------------------------
