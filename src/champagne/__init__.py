@@ -75,7 +75,6 @@ from .sequences import (
 )
 from .streams import derive_seed
 from .walker import (
-    ExitEvent,
     LayeredCrossingReport,
     MeasureEstimate,
     SandwichBounds,
@@ -85,5 +84,4 @@ from .walker import (
     one_hole_exact,
     sandwich_bounds,
     wilson_interval,
-    wos_walk,
 )

@@ -180,8 +180,9 @@ int64_t grid_items(const double *cx, const double *cy, const double *radii, int6
     return 0;
 }
 
-/* The cells at Chebyshev distance k from (i0, j0), as
- * DiskGridIndex.nearest_surface enumerates its rings; at most 8 k + 1. */
+/* The cells at Chebyshev distance k from (i0, j0), in the order the
+ * reference ring search of the tests enumerates its rings; at most
+ * 8 k + 1. */
 static int64_t ring(int64_t n_side, int64_t i0, int64_t j0, int64_t k, int64_t *cells)
 {
     if (k == 0) {
@@ -206,12 +207,12 @@ static int64_t ring(int64_t n_side, int64_t i0, int64_t j0, int64_t k, int64_t *
 }
 
 /* Screens the nearest other surface of each point-like disk p = pl[q]:
- * the ring search of DiskGridIndex.nearest_surface from p's center,
- * excluding p.  The screened distance sqrt(dx^2 + dy^2) - r lies within a
- * few ulps (under 3e-15 in the grid's square) of the distance math.hypot
- * gives, so the search goes on until the screened minimum plus `slack` is
- * within the scanned rings, and every distinct disk within `slack` of that
- * minimum is listed: the caller measures those with math.hypot.
+ * the reference ring search from p's center, excluding p.  The screened
+ * distance sqrt(dx^2 + dy^2) - r lies within a few ulps (under 3e-15 in
+ * the grid's square) of the distance math.hypot gives, so the search
+ * goes on until the screened minimum plus `slack` is within the scanned
+ * rings, and every distinct disk within `slack` of that minimum is listed:
+ * the caller measures those with math.hypot.
  * near[near_start[q] .. near_start[q + 1]) lists p's disks; only the first
  * `capacity` entries of `near` are written.  Returns the number of
  * entries, or -1 when out of memory. */

@@ -7,7 +7,8 @@ never at import, and cached per user in
 ~/.cache/champagne under the sha256 of its sources, the flags and the
 compiler's version, so each machine builds it once.  The library is
 written to a temporary file and renamed into place: a concurrent process
-never loads a half-written file.
+never loads a half-written file, and threads of one process compile it
+once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,9 @@ COMPILER = "cc"
 # The barrier potential is checked against its array code to 1e-12 relative.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 LIBS = ("-lm",)
+# worker threads that need the library at once compile it once: the check
+# for the cached file and the compile that makes it are one step
+_BUILD_LOCK = threading.Lock()
 
 
 def cache_dir() -> Path:
@@ -62,15 +67,16 @@ def build() -> Path:
     folder.mkdir(mode=0o700, parents=True, exist_ok=True)
     os.chmod(folder, 0o700)  # mkdir's mode is masked by the umask
     lib = folder / f"champagne-{key.hexdigest()}.so"
-    if not lib.exists():
-        fd, tmp = tempfile.mkstemp(dir=folder, prefix="champagne-", suffix=".tmp")
-        os.close(fd)
-        try:
-            _run([COMPILER, *CFLAGS, "-o", tmp, *map(str, SOURCES), *LIBS])
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    with _BUILD_LOCK:
+        if not lib.exists():
+            fd, tmp = tempfile.mkstemp(dir=folder, prefix="champagne-", suffix=".tmp")
+            os.close(fd)
+            try:
+                _run([COMPILER, *CFLAGS, "-o", tmp, *map(str, SOURCES), *LIBS])
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
     return lib
 
 

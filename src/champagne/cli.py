@@ -432,7 +432,7 @@ def build_parser():
     def common(sp, walks_default):
         sp.add_argument("--walks", type=int, default=walks_default)
         sp.add_argument("--epsilon", type=float, default=None)
-        sp.add_argument("--threads", type=int, default=1, help="worker processes; 0 means one per core")
+        sp.add_argument("--threads", type=int, default=1, help="worker threads; 0 means one per core")
 
     sp = sub.add_parser("gen-seq", parents=[seeded, io],
                         help="generate a ring lattice sequence (-o takes a .csv or .json path)")

@@ -27,9 +27,6 @@ class OverlapError(ValidationError):
             )
         super().__init__(message)
 
-    def __reduce__(self):  # pickle (worker processes) by the constructor's arguments
-        return type(self), (self.index_a, self.index_b, self.gap, self.args[0])
-
 
 class WalkBudgetError(ChampagneError):
     """Walks exceeded their step budget; diagnostics attached.
@@ -48,9 +45,6 @@ class WalkBudgetError(ChampagneError):
             f"{self.n_failed} walk(s) exceeded the step budget of {self.max_steps}"
             + (f"; example stuck near {self.sample_position}" if sample_position is not None else "")
         )
-
-    def __reduce__(self):  # pickle (worker processes) by the constructor's arguments
-        return type(self), (self.n_failed, self.max_steps, self.sample_position)
 
 
 class NumericalRefusalError(ChampagneError):

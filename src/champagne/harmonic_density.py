@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .hyperbolic import require_disk_point
 from .sequences import PointSequence, probe_lattice, uniform_density
 from .streams import derive_seed
-from .walker import MeasureEstimate, _fork_map, estimate_measure
+from .walker import MeasureEstimate, _map_jobs, estimate_measure
 
 _UNBOUNDED = math.inf
 
@@ -51,7 +51,7 @@ class McParams:
 
     The pilot run sizes the main run so log(1/omega) keeps a bounded
     relative error: n scales like 1/omega, capped at walk_cap.  `threads`
-    is a count of worker processes (0: one per core); the probe estimates
+    is a count of worker threads (0: one per core); the probe estimates
     are spread over them, each run by one worker.
     """
 
@@ -185,15 +185,15 @@ def harmonic_density_curve(seq: PointSequence, r_values, mode: str,
     probes = probe_spec.resolve(seq)
     for z in probes:
         require_disk_point(z, "probe")
-    # one job per (ri, pi), on one worker each (a pool worker must not
-    # fork again); the derive_seed tags keep every estimate as it is serially
+    # one job per (ri, pi), each estimating on its own worker thread alone;
+    # the derive_seed tags keep every estimate as it is serially
     one = replace(mc, threads=1)
 
     def job(j):
         ri, pi = divmod(j, probes.size)
         return _probe_estimate(seq, complex(probes[pi]), float(r[ri]), one, (ri, pi))
 
-    done = _fork_map(job, r.size * probes.size, mc.threads)
+    done = _map_jobs(job, r.size * probes.size, mc.threads)
     per_r = tuple(tuple(done[ri * probes.size:(ri + 1) * probes.size])
                   for ri in range(r.size))
     return _extreme_curve(mode, tuple(float(v) for v in r), per_r, probe_spec.describe())

@@ -11,10 +11,11 @@ that of a brute-force scan.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
-one-point check (is this start point interior?) should cost.
+one-point query (is this start point interior, how far is the boundary?)
+should cost.  It is the package's one nearest-disk query.
 
-DiskGridIndex, a uniform grid over disjoint disks, supports three
-queries used by the walk engine and by exact distance-to-boundary lookups:
+DiskGridIndex, a uniform grid over disjoint disks, holds what the walk
+kernel (_walk.c) reads:
 
 * per-cell candidate lists: every disk intersecting the 3x3 cell block
   around a cell.  If the candidate minimum is <= the cell size h, it is
@@ -22,21 +23,19 @@ queries used by the walk engine and by exact distance-to-boundary lookups:
   the block and hence be listed);
 * a conservative per-cell clearance (from an exact Euclidean distance
   transform of the rasterized disks) that lower-bounds the distance to
-  every disk, giving large safe steps in disk-free regions;
-* an exact nearest-surface ring search for one-off queries, and its
-  first step alone (the candidates of one cell), exact up to distance h.
+  every disk, giving large safe steps in disk-free regions.
 
 The compiled library (_grid.c, built by _native on the first grid)
 builds the candidate lists and the clearance, with the arithmetic of the
 array build the tests keep as the reference.  It also screens the
 encounter data of point-like disks (their clearance to the rest of the
-boundary): the ring search from each such disk lists the other disks
-that may attain its nearest surface, and Python measures those.
+boundary): a ring search over the grid from each such disk lists the
+other disks that may attain its nearest surface, and Python measures
+those.
 
-Every surface distance is math.hypot(dx, dy) - r, as the ring search
-measures it; np.hypot and the square root of the sum of squares, which
-differ from math.hypot in the last bits on some inputs, only screen which
-disks can attain the minimum.
+Every surface distance is math.hypot(dx, dy) - r; np.hypot and the
+square root of the sum of squares, which differ from math.hypot in the
+last bits on some inputs, only screen which disks can attain the minimum.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def pairs(balls):
 
 
 def _surface_distances(dx, dy, radii) -> np.ndarray:
-    """math.hypot(dx, dy) - radii elementwise: the ring search's distance."""
+    """math.hypot(dx, dy) - radii elementwise: the exact surface distance."""
     return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64,
                        count=dx.size) - radii
 
@@ -214,84 +213,10 @@ class DiskGridIndex:
         self.enc_modulus[pl] = modulus
         self.enc_clearance[pl] = np.minimum(1.0 - modulus, d_other)
 
-    # -- addressing ---------------------------------------------------------
-
-    def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # the walk kernel (_walk.c) addresses cells by this same formula
-        top = self.n_side - 1
-        ix = np.minimum(np.maximum(((x + _L) * self.inv_h).astype(np.int64), 0), top)
-        iy = np.minimum(np.maximum(((y + _L) * self.inv_h).astype(np.int64), 0), top)
-        return ix * self.n_side + iy
-
-    # -- scalar queries -----------------------------------------------------
-
-    def _cell_ij(self, x: float, y: float):
-        top = self.n_side - 1
-        return (min(max(int((x + _L) * self.inv_h), 0), top),
-                min(max(int((y + _L) * self.inv_h), 0), top))
-
-    def _scan(self, cells, x: float, y: float, exclude: int = -1,
-              best: float = math.inf, best_i: int = -1):
-        """Fold the candidates of `cells` into (best, best_i), the lowest
-        index winning ties."""
-        for c in cells:
-            for kk in range(self.cell_start[c], self.cell_start[c + 1]):
-                i = self.cell_items[kk]
-                if i == exclude:
-                    continue
-                d = math.hypot(x - self.cx[i], y - self.cy[i]) - self.radii[i]
-                if d < best or (d == best and i < best_i):
-                    best = d
-                    best_i = int(i)
-        return best, best_i
-
-    def nearest_in_cell(self, x: float, y: float):
-        """(distance, index) of the nearest surface among the candidates of
-        the cell holding (x, y); (inf, -1) when it lists none.
-
-        Equal to nearest_surface whenever either result is <= h: a disk
-        that close intersects the 3x3 block and is listed, and the ring
-        search stops after this cell."""
-        ix, iy = self._cell_ij(x, y)
-        return self._scan((ix * self.n_side + iy,), x, y)
-
-    def nearest_surface(self, x: float, y: float, exclude: int = -1):
-        """Exact (distance, index) of the nearest disk surface, optionally
-        ignoring one disk; (inf, -1) when the index holds no disks.
-
-        Expanding ring search: after scanning all cells within Chebyshev
-        radius k, every unseen disk is farther than (k+1) h away."""
-        if self.n_disks == 0:
-            return math.inf, -1
-        ns = self.n_side
-        ix0, iy0 = self._cell_ij(x, y)
-        best = math.inf
-        best_i = -1
-        for k in range(ns):
-            lo_x, hi_x = max(ix0 - k, 0), min(ix0 + k, ns - 1)
-            lo_y, hi_y = max(iy0 - k, 0), min(iy0 + k, ns - 1)
-            ring = []
-            for ix in range(lo_x, hi_x + 1):
-                if k == 0:
-                    ring.append((ix, iy0))
-                else:
-                    if ix == ix0 - k or ix == ix0 + k:
-                        ring.extend((ix, iy) for iy in range(lo_y, hi_y + 1))
-                    else:
-                        if iy0 - k >= 0:
-                            ring.append((ix, iy0 - k))
-                        if iy0 + k <= ns - 1:
-                            ring.append((ix, iy0 + k))
-            best, best_i = self._scan([ix * ns + iy for ix, iy in ring], x, y,
-                                      exclude, best, best_i)
-            if best <= (k + 1) * self.h:
-                break
-        return best, best_i
-
-    # -- batch helpers ---------------------------------------------------------
-
     def gather_candidates(self, cells: np.ndarray):
-        """CSR gather of candidate lists for an array of cells.
+        """CSR gather of candidate lists for an array of cells (the array
+        oracles in the tests read the grid through it, and the benchmark's
+        tracer counts its calls).
 
         Returns (rep, items, offsets, lens): `rep[t]` is the query row of
         gathered entry t, `items[t]` the disk index; entries of one query

@@ -16,7 +16,7 @@ component; (2) resolves point-like encounters: a walk within 1e-9 of a
 bubble too small to resolve is absorbed with the exact annulus hitting
 probability or moved to the annulus' outer circle; (3) otherwise jumps.
 `threads` is a worker count: the walks are split into contiguous ranges,
-one per forked worker process.
+one per worker thread (the kernel runs with the GIL released).
 
 Determinism contract: walk w consumes uniforms u(seed, w, t), t = 0, 1,
 ..., from counter-based streams: one per jump, and two per encounter
@@ -29,23 +29,22 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _native
-from .domains import ChampagneDomain, transport_domain
+from .domains import ChampagneDomain
 from .errors import ValidationError, WalkBudgetError
-from .hyperbolic import mobius_apply, pseudo_distance_many, require_disk_point
+from .hyperbolic import pseudo_distance_many, require_disk_point
 from .spatial import _L, nearest_disk
 from .streams import _U64, derive_seed
 
-# the walks that justify one more forked range: n walks are split into at
-# most ceil(n / _CHUNK) ranges, so no worker is forked for a few walks;
+# the walks that justify one more range: n walks are split into at most
+# ceil(n / _CHUNK) ranges, so a few walks run on the calling thread alone;
 # results do not depend on it (each walk reads only its own stream)
 _CHUNK = 8192
 _TWO_PI = 2.0 * math.pi
@@ -113,15 +112,6 @@ def distance_to_boundary(domain: ChampagneDomain, z):
     if d_ext <= d_bub:
         return d_ext, "exterior", -1
     return d_bub, "bubble", int(idx)
-
-
-@dataclass(frozen=True)
-class ExitEvent:
-    component: str          # "exterior" | "bubble" | "truncation_shell"
-    bubble_index: int       # -1 unless component == "bubble"
-    position: complex
-    steps: int
-    path_length: float
 
 
 @dataclass
@@ -224,42 +214,29 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
 
 
 def _worker_count(threads: int) -> int:
-    """The number of worker processes `threads` asks for (0: one per core)."""
+    """The number of worker threads `threads` asks for (0: one per core)."""
     if threads < 0:
         raise ValidationError(f"threads must be >= 0 (0 means one per core), got {threads!r}")
     return threads or os.cpu_count() or 1
 
 
-_forked_job = None  # a forked worker's job, inherited from the parent's memory
+def _map_jobs(job, n_jobs: int, threads: int) -> list:
+    """[job(0), ..., job(n_jobs - 1)], spread over up to `threads` worker
+    threads (0: one per core).
 
-
-def _install_job(job):
-    global _forked_job
-    _forked_job = job
-
-
-def _call_forked_job(i):
-    return _forked_job(i)
-
-
-def _fork_map(job, n_jobs: int, threads: int) -> list:
-    """[job(0), ..., job(n_jobs - 1)], spread over up to `threads` forked
-    worker processes (0: one per core).
-
-    The workers are forked, so they inherit `job` and everything it closes
-    over (the domain and its index) from the parent's memory: only job
-    numbers and results are pickled.  One worker runs the jobs in-process
-    and starts no process.  A job must not fork again, and since a fork
-    copies only the calling thread, no other thread may hold a lock that
-    the jobs take.
+    The compiled calls (walks, grid builds) release the GIL, so the
+    threads run them in parallel, sharing the domain and its index in
+    place.  One worker runs the jobs on the calling thread.  Jobs run at
+    once, so none may reach process-global state such as
+    warnings.catch_warnings (domains._decade_block): the theorem-2 probe
+    jobs only build finitely connected domains and estimate on them.  The
+    first job to raise, in job order, raises here.
     """
     workers = min(_worker_count(threads), n_jobs)
     if workers <= 1:
         return [job(i) for i in range(n_jobs)]
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_job, initargs=(job,)) as pool:
-        return list(pool.map(_call_forked_job, range(n_jobs)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, range(n_jobs)))
 
 
 def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
@@ -272,7 +249,7 @@ def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
         return _walk_chunk(domain, z0, eps, seed, cuts[i], cuts[i + 1],
                            max_steps, r_out, absorbing_shell)
 
-    parts = _fork_map(job, k, k)
+    parts = _map_jobs(job, k, k)
     # each walk's draws depend only on its index, so concatenating the
     # ranges in walk order makes every aggregate bit-reproducible
     exit_code = np.concatenate([p[0] for p in parts])
@@ -281,33 +258,6 @@ def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
     ex = np.concatenate([p[3] for p in parts])
     ey = np.concatenate([p[4] for p in parts])
     return exit_code, steps, path, ex, ey
-
-
-def wos_walk(domain: ChampagneDomain, z0, epsilon, seed: int, walk_index: int = 0,
-             max_steps: int = 1_000_000, r_out: float = 1.0) -> ExitEvent:
-    """Run walk `walk_index` of the stream `seed` and return its exit event.
-
-    The walk jumps to a uniform point on a circle of the current safe
-    radius until it lands within epsilon of the boundary; the nearest
-    component at termination is the sample.  A walk beyond the outermost
-    bubbles keeps walking in the bubble-free annulus until the epsilon
-    shell of the unit circle absorbs it; it is never short-circuited.
-    """
-    z0 = complex(z0)
-    domain.require_interior(z0, "z0")
-    eps = _resolve_epsilon(domain, epsilon)
-    code, steps, path, ex, ey = _walk_chunk(
-        domain, z0, eps, seed, walk_index, walk_index + 1, max_steps, r_out, None)
-    c = int(code[0])
-    if c == _CODE_EXTERIOR:
-        component, b_idx = "exterior", -1
-    elif c == _CODE_SHELL:
-        component, b_idx = "truncation_shell", -1
-    else:
-        component, b_idx = "bubble", c - 1
-    return ExitEvent(component=component, bubble_index=b_idx,
-                     position=complex(ex[0], ey[0]), steps=int(steps[0]),
-                     path_length=float(path[0]))
 
 
 def parse_target(target, n_bubbles: int):
@@ -495,7 +445,7 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
         dropped = 0
         for k_s, z_s in enumerate(starts):
             if domain.n_bubbles:
-                d, _ = idx.nearest_in_cell(z_s.real, z_s.imag)  # exact, as eps <= h
+                d, _ = nearest_disk(z_s.real, z_s.imag, idx.cx, idx.cy, idx.radii)
                 if d <= eps:
                     dropped += 1
                     continue
@@ -522,11 +472,3 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
         convention=("the target circle absorbs; the unit circle is unreachable inside it, "
                     "so rim-first trajectories count as crossings"),
     )
-
-
-def mobius_transported_estimate(domain: ChampagneDomain, z0, a, **kwargs) -> MeasureEstimate:
-    """Estimate after transporting domain and start point by the
-    automorphism swapping a and 0 (invariance checks)."""
-    moved = transport_domain(domain, a)
-    z_new = mobius_apply(a, z0)
-    return estimate_measure(moved, z_new, **kwargs)

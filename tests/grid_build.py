@@ -1,5 +1,6 @@
 """The array build of the disk grid index that the compiled one
-(champagne/_grid.c) replaced, kept as its reference.
+(champagne/_grid.c) replaced, kept as its reference, and the Python
+queries over any grid index that serve as the tests' oracles.
 
 ArrayGridIndex is a DiskGridIndex whose arrays come from NumPy: the cell
 boxes of all disks enumerated in blocks, np.hypot cell tests, a lexsort
@@ -7,6 +8,10 @@ into (cell, disk) order, scipy's Euclidean distance transform for the
 clearance, and the encounter data from one candidate gather over the
 point-like disks' own cells with the ring search as the fallback.  The
 compiled build must give equal (==) arrays.
+
+cells_of addresses cells as the walk kernel does; nearest_surface is the
+exact nearest-surface ring search over the grid, and nearest_in_cell its
+first step alone (the candidates of one cell), exact up to distance h.
 """
 
 import math
@@ -19,6 +24,81 @@ from champagne.spatial import _HYPOT_SLACK, _L, POINTLIKE_RADIUS, DiskGridIndex,
 _SQRT2 = math.sqrt(2.0)
 
 BUILD_BLOCK = 1 << 14  # grid cells tested per block of the build: bounds its memory
+
+
+def cells_of(index, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the walk kernel (_walk.c) addresses cells by this same formula
+    top = index.n_side - 1
+    ix = np.minimum(np.maximum(((x + _L) * index.inv_h).astype(np.int64), 0), top)
+    iy = np.minimum(np.maximum(((y + _L) * index.inv_h).astype(np.int64), 0), top)
+    return ix * index.n_side + iy
+
+
+def _cell_ij(index, x: float, y: float):
+    top = index.n_side - 1
+    return (min(max(int((x + _L) * index.inv_h), 0), top),
+            min(max(int((y + _L) * index.inv_h), 0), top))
+
+
+def _scan(index, cells, x: float, y: float, exclude: int = -1,
+          best: float = math.inf, best_i: int = -1):
+    """Fold the candidates of `cells` into (best, best_i), the lowest
+    index winning ties."""
+    for c in cells:
+        for kk in range(index.cell_start[c], index.cell_start[c + 1]):
+            i = index.cell_items[kk]
+            if i == exclude:
+                continue
+            d = math.hypot(x - index.cx[i], y - index.cy[i]) - index.radii[i]
+            if d < best or (d == best and i < best_i):
+                best = d
+                best_i = int(i)
+    return best, best_i
+
+
+def nearest_in_cell(index, x: float, y: float):
+    """(distance, index) of the nearest surface among the candidates of
+    the cell holding (x, y); (inf, -1) when it lists none.
+
+    Equal to nearest_surface whenever either result is <= h: a disk
+    that close intersects the 3x3 block and is listed, and the ring
+    search stops after this cell."""
+    ix, iy = _cell_ij(index, x, y)
+    return _scan(index, (ix * index.n_side + iy,), x, y)
+
+
+def nearest_surface(index, x: float, y: float, exclude: int = -1):
+    """Exact (distance, index) of the nearest disk surface, optionally
+    ignoring one disk; (inf, -1) when the index holds no disks.
+
+    Expanding ring search: after scanning all cells within Chebyshev
+    radius k, every unseen disk is farther than (k+1) h away."""
+    if index.n_disks == 0:
+        return math.inf, -1
+    ns = index.n_side
+    ix0, iy0 = _cell_ij(index, x, y)
+    best = math.inf
+    best_i = -1
+    for k in range(ns):
+        lo_x, hi_x = max(ix0 - k, 0), min(ix0 + k, ns - 1)
+        lo_y, hi_y = max(iy0 - k, 0), min(iy0 + k, ns - 1)
+        ring = []
+        for ix in range(lo_x, hi_x + 1):
+            if k == 0:
+                ring.append((ix, iy0))
+            else:
+                if ix == ix0 - k or ix == ix0 + k:
+                    ring.extend((ix, iy) for iy in range(lo_y, hi_y + 1))
+                else:
+                    if iy0 - k >= 0:
+                        ring.append((ix, iy0 - k))
+                    if iy0 + k <= ns - 1:
+                        ring.append((ix, iy0 + k))
+        best, best_i = _scan(index, [ix * ns + iy for ix, iy in ring], x, y,
+                             exclude, best, best_i)
+        if best <= (k + 1) * index.h:
+            break
+    return best, best_i
 
 
 class ArrayGridIndex(DiskGridIndex):
@@ -94,7 +174,7 @@ class ArrayGridIndex(DiskGridIndex):
         modulus = _surface_distances(x, y, 0.0)   # from the origin, by math.hypot
         # nearest other surface among the candidates of each disk's own
         # cell: the first step of nearest_surface, final when it is <= h
-        rep, items, _, _ = self.gather_candidates(self.cells_of(x, y))
+        rep, items, _, _ = self.gather_candidates(cells_of(self, x, y))
         other = items != pl[rep]
         rep = rep[other]
         items = items[other]
@@ -109,6 +189,6 @@ class ArrayGridIndex(DiskGridIndex):
                       _surface_distances(dx[near], dy[near], self.radii[items[near]]))
         # no other surface within h: the ring search goes on outwards
         for k in np.flatnonzero(~(d_other <= self.h)):
-            d_other[k] = self.nearest_surface(x[k], y[k], exclude=int(pl[k]))[0]
+            d_other[k] = nearest_surface(self, x[k], y[k], exclude=int(pl[k]))[0]
         self.enc_modulus[pl] = modulus
         self.enc_clearance[pl] = np.minimum(1.0 - modulus, d_other)

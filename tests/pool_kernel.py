@@ -21,6 +21,8 @@ from champagne.walker import (
     _TWO_PI,
 )
 
+from grid_build import cells_of
+
 
 def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
                     w0: int, w1: int, max_steps: int, r_out: float,
@@ -63,7 +65,7 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
         d_ext = r_out - mod
 
         # nearest candidate surface; rows without candidates keep inf
-        cells = idx.cells_of(x, y)
+        cells = cells_of(idx, x, y)
         rep, items, offsets, lens = idx.gather_candidates(cells)
         cand_min = np.full(x.size, np.inf)
         nz = lens > 0

@@ -15,9 +15,9 @@ import pytest
 import champagne as ch
 from champagne.barriers import barrier_lower_bound, barrier_weights, log_blaschke
 from champagne.harmonic_density import McParams, ProbeSpec, harmonic_density_curve
-from champagne.walker import estimate_measure, mobius_transported_estimate, sandwich_bounds
+from champagne.walker import estimate_measure, sandwich_bounds
 
-from conftest import rand_disk_points
+from conftest import mobius_transported_estimate, rand_disk_points
 
 THREADS = 4
 

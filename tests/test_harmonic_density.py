@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import champagne as ch
+from champagne import harmonic_density
 from champagne.errors import ValidationError
 from champagne.harmonic_density import (
     McParams,
@@ -11,6 +13,7 @@ from champagne.harmonic_density import (
     harmonic_density_curve,
     theorem2_report,
 )
+from champagne.walker import estimate_measure
 
 
 def _mc(n=4000, seed=0, cap=100_000):
@@ -127,14 +130,36 @@ def test_probe_domain_matches_direct_measure():
 
 
 def test_theorem2_is_the_same_over_worker_processes(small_lattice):
-    # probe estimates run in forked workers are byte-identical to serial ones
+    # probe estimates run on worker threads are byte-identical to serial ones
     spec = ProbeSpec(max_probes=5)
     reps = [theorem2_report(small_lattice, [1 - 2.0 ** -3, 1 - 2.0 ** -4], spec,
                             McParams(n_walks=1000, seed=3, pilot_walks=200, threads=t))
             for t in (1, 2)]
-    serial, forked = ([[p.estimate.canonical_json() if p.estimate else None for p in results]
-                       for results in rep.lower_detail.per_r] for rep in reps)
-    assert serial == forked
+    serial, threaded = ([[p.estimate.canonical_json() if p.estimate else None for p in results]
+                         for results in rep.lower_detail.per_r] for rep in reps)
+    assert serial == threaded
     assert sum(e is not None for row in serial for e in row) >= 5
     for name in ("harmonic_lower", "harmonic_upper", "uniform_lower", "uniform_upper"):
         assert getattr(reps[0], name) == getattr(reps[1], name)
+
+
+def test_theorem2_estimates_on_threads_are_seen_by_the_caller(small_lattice, monkeypatch):
+    # worker threads share the caller's module state, so a wrapper of
+    # estimate_measure sees every pilot and main estimate of the probes
+    seen = []
+
+    def counted(*args, **kwargs):
+        est = estimate_measure(*args, **kwargs)
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     est.canonical_json()))
+        return est
+
+    monkeypatch.setattr(harmonic_density, "estimate_measure", counted)
+    rep = theorem2_report(small_lattice, [1 - 2.0 ** -3, 1 - 2.0 ** -4], ProbeSpec(max_probes=5),
+                          McParams(n_walks=1000, seed=3, pilot_walks=200, threads=2))
+    mains = [p.estimate.canonical_json() for results in rep.lower_detail.per_r
+             for p in results if p.estimate is not None]
+    assert len(mains) >= 5
+    assert len(seen) == 2 * len(mains)
+    assert not any(on_main for on_main, _ in seen)
+    assert set(mains) <= {js for _, js in seen}

@@ -3,9 +3,10 @@
 Every caller of spatial.PointIndex must report exactly (==) what a scan
 over all pairs reports, including for points within 1e-12 of the rim.
 The compiled disk grid index must equal a per-disk construction and the
-array build it replaced (grid_build.py), its one-cell query and its
-encounter data the ring search, and the interior check the one-cell
-scan it replaced.
+array build it replaced (grid_build.py); over its candidate lists the
+one-cell query must equal the ring search within h, and its encounter
+data the ring search; the interior check must equal the one-cell scan it
+replaced.
 """
 
 import math
@@ -25,7 +26,7 @@ from champagne.errors import OverlapError, ValidationError
 from champagne.hyperbolic import pseudo_distance_many, pseudo_to_euclidean_arrays
 from champagne.sequences import PointSequence, covering_radius, separation, uniform_density
 
-from grid_build import ArrayGridIndex
+from grid_build import ArrayGridIndex, nearest_in_cell, nearest_surface
 
 # a point is (log10 of its gap 1 - |z|, angle): gaps from 1e-12 to ~0.9
 _polar = st.tuples(st.floats(-11.999, -0.05), st.floats(0.0, 2.0 * np.pi))
@@ -360,8 +361,8 @@ def test_one_cell_query_matches_ring_search_within_h(case, probes):
     idx = spatial.DiskGridIndex(cx, cy, radii, n_side)
     # probes on the disk surfaces too, where the distance is about 0
     for z in np.concatenate([probes, cx + radii + 1j * cy]):
-        got = idx.nearest_in_cell(z.real, z.imag)
-        want = idx.nearest_surface(z.real, z.imag)
+        got = nearest_in_cell(idx, z.real, z.imag)
+        want = nearest_surface(idx, z.real, z.imag)
         if min(got[0], want[0]) <= idx.h:
             assert got == want
         else:
@@ -373,7 +374,7 @@ def _ring_search_encounters(idx):
     clearance = np.zeros(idx.n_disks)
     modulus = np.zeros(idx.n_disks)
     for i in np.nonzero(idx.radii < spatial.POINTLIKE_RADIUS)[0]:
-        d_other, _ = idx.nearest_surface(idx.cx[i], idx.cy[i], exclude=int(i))
+        d_other, _ = nearest_surface(idx, idx.cx[i], idx.cy[i], exclude=int(i))
         modulus[i] = math.hypot(idx.cx[i], idx.cy[i])
         clearance[i] = min(1.0 - modulus[i], d_other)
     return clearance, modulus
@@ -433,7 +434,7 @@ def test_encounter_data_measures_near_ties_with_math_hypot():
 
 def _cell_scan_verdict(idx, sources, z):
     """The interior check by the one-cell scan: None or the error message."""
-    d, i = idx.nearest_in_cell(z.real, z.imag)
+    d, i = nearest_in_cell(idx, z.real, z.imag)
     if d <= 0.0:
         return f"z={z!r} lies inside or on bubble {i} (source {sources[i]})"
     return None

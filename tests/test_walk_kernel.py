@@ -11,7 +11,9 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from champagne import _native, spatial, walker
 from champagne.errors import ChampagneError, WalkBudgetError
 from champagne.walker import estimate_measure
 
+from grid_build import cells_of
 from pool_kernel import pool_walk_chunk
 
 _angles = st.floats(0.0, 2.0 * np.pi)
@@ -158,7 +161,7 @@ def test_a_candidate_exactly_h_away_sets_the_step():
     # so at cand == h both branches give a step of h; a clearance above h
     # tells them apart: stepping by cand (h < eps) exits, stepping by the
     # clearance (2 h > eps) would jump
-    index.clearance[index.cells_of(np.array([z0.real]), np.array([z0.imag]))] = 2.0 * index.h
+    index.clearance[cells_of(index, np.array([z0.real]), np.array([z0.imag]))] = 2.0 * index.h
     _assert_tie(_tie_case(index, z0, 1.5 * index.h), 1)
 
 
@@ -214,6 +217,25 @@ def test_a_second_load_reuses_the_cached_library(fresh_cache, monkeypatch):
     assert _native.build() == lib and lib.stat().st_ino == inode
     assert sum("-o" in cmd for cmd in commands) == 1
     assert list(fresh_cache.iterdir()) == [lib]
+
+
+def test_threads_that_need_the_library_at_once_compile_it_once(fresh_cache, monkeypatch):
+    # as theorem-2 probe jobs on worker threads do when each builds the
+    # first grid of a process with an empty cache
+    commands = []
+    run = _native._run
+    monkeypatch.setattr(_native, "_run", lambda cmd: commands.append(cmd) or run(cmd))
+    start = threading.Barrier(4)
+
+    def load(_):
+        start.wait(timeout=60)
+        return _native.library()
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        libs = list(pool.map(load, range(4)))
+    assert all(lib is not None for lib in libs)
+    assert sum("-o" in cmd for cmd in commands) == 1
+    assert len(list(fresh_cache.iterdir())) == 1
 
 
 def test_the_cache_directory_is_private(fresh_cache):
