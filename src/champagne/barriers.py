@@ -174,9 +174,8 @@ class BarrierCertificate:
     flags: tuple
 
 
-def barrier_lower_bound(domain: ChampagneDomain, seq: PointSequence | None = None,
-                        eta: float = 0.5, n: int | None = None, start=0j,
-                        boundary_sample_density: int = 64,
+def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5,
+                        n: int | None = None, start=0j, boundary_sample_density: int = 64,
                         b: float | None = None) -> BarrierCertificate:
     """Certified lower bound on the exterior harmonic measure at `start`.
 

@@ -24,7 +24,6 @@ from .hyperbolic import (
     euclidean_to_pseudo,
     mobius_apply_many,
     pseudo_distance_many,
-    pseudo_to_euclidean,
     pseudo_to_euclidean_arrays,
     require_disk_point,
 )
@@ -216,10 +215,6 @@ class CriterionReport:
     J_max: int | None
     flags: tuple
 
-    @property
-    def integral_value(self):
-        return self.value
-
 
 _DECAY_RATIO = 0.5  # blocks decaying slower than this over the last decades => divergent
 
@@ -299,32 +294,23 @@ def criterion_integral(profile: RadiusProfile, tail_tolerance: float = 1e-9) -> 
                            tuple(running), None, None, tuple(flags))
 
 
-def criterion_tail_integral(profile: RadiusProfile, R: float,
-                            tail_tolerance: float = 1e-9):
-    """Criterion integrand integrated beyond modulus R, by the same decade
-    blocks: a scale-free comparison for the mass a truncation discards.
-    Returns inf for divergent profiles, None when inconclusive."""
+def criterion_tail_integral(profile: RadiusProfile, R: float) -> float:
+    """Criterion integrand integrated beyond modulus R, in closed form: a
+    scale-free comparison for the mass a truncation discards.
+
+    In u = log(1/(1-t)) the expinv integrand is e^(-beta u)/c, so the tail
+    from u0 = log(1/(1-R)) is (1-R)^beta/(c beta).  Every other kind
+    diverges, so its tail is inf: const integrates the constant
+    1/log(1/c), power the 1/(log(1/c) + gamma u) whose integral grows like
+    log u, and a table is clamped to its last row (value_at_gap), so its
+    integrand is constant beyond it.
+    """
     if not 0.0 < R < 1.0:
         raise ValidationError(f"R must lie in (0, 1), got {R!r}")
-    u0 = math.log(1.0 / (1.0 - R))
-    knots = [u0]
-    blocks = []
-    total = 0.0
-    classification = "inconclusive"
-    tail = None
-    while knots[-1] < 1e8:
-        knots.append(knots[-1] * 10.0)
-        v = _decade_block(profile, knots[-2], knots[-1])
-        blocks.append(v)
-        total += v
-        classification, tail = _classify_blocks(blocks, tail_tolerance)
-        if classification != "inconclusive":
-            break
-    if classification == "convergent":
-        return total + tail
-    if classification == "divergent":
-        return math.inf
-    return None
+    if profile.kind == "expinv":
+        c, beta = profile.params
+        return (1.0 - R) ** beta / (c * beta)
+    return math.inf
 
 
 def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000,
@@ -529,25 +515,32 @@ class ChampagneDomain:
             return cls.from_json_dict(json.load(fh))
 
 
+def _realize(pseudo_centers, pseudo_radii, source_index, **record) -> ChampagneDomain:
+    """The domain whose bubbles realize the given pseudo disks, with their
+    circumference sum; `record` holds the other fields.  Every builder
+    realizes its bubbles here."""
+    centers, radii = pseudo_to_euclidean_arrays(pseudo_centers, pseudo_radii)
+    return ChampagneDomain(
+        centers=centers, radii=radii,
+        pseudo_centers=pseudo_centers, pseudo_radii=pseudo_radii,
+        source_index=source_index,
+        circumference_sum=float(2.0 * math.pi * radii.sum()),
+        **record,
+    )
+
+
 def domain_from_pseudo(pseudo_disks, truncation_R: float = 1.0,
                        profile_spec: str = "explicit", meta: dict | None = None,
                        source_index=None) -> ChampagneDomain:
     """Build a domain from explicit pseudohyperbolic bubbles (fixtures,
     transported domains)."""
     disks = [PseudoDisk(complex(c), float(r)) for c, r in pseudo_disks]
-    p_centers = np.array([d.center for d in disks], dtype=np.complex128)
-    p_radii = np.array([d.radius for d in disks], dtype=np.float64)
-    centers, radii = pseudo_to_euclidean_arrays(p_centers, p_radii)
     if source_index is None:
         source_index = np.arange(len(disks))
-    dom = ChampagneDomain(
-        centers=centers, radii=radii,
-        pseudo_centers=p_centers, pseudo_radii=p_radii,
-        source_index=np.asarray(source_index),
-        truncation_R=float(truncation_R), profile_spec=profile_spec,
-        circumference_sum=float(2.0 * math.pi * radii.sum()) if len(disks) else 0.0,
-        meta=meta or {},
-    )
+    dom = _realize(np.array([d.center for d in disks], dtype=np.complex128),
+                   np.array([d.radius for d in disks], dtype=np.float64),
+                   source_index, truncation_R=float(truncation_R),
+                   profile_spec=profile_spec, meta=meta or {})
     _check_disjoint(dom)
     return dom
 
@@ -578,14 +571,15 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
     outside every bubble.  Both checks are exact, and neither builds the
     walk grid: the domain builds it when a walk first needs it.  Records
     the circumference sum and the union-bound mass of the discarded tail
-    for downstream bounds.
+    for downstream bounds, and in meta the criterion tail integral beyond
+    the truncation (criterion_tail_integral, closed form): building a
+    domain runs no numerical integration.
     """
     if not 0.0 < truncation_R <= 1.0:
         raise ValidationError(f"truncation_R must lie in (0, 1], got {truncation_R!r}")
     moduli = np.abs(seq.points)
     keep = moduli <= truncation_R + _TIE_SNAP
     lam = seq.points[keep]
-    src = np.nonzero(keep)[0]
     gaps = 1.0 - moduli[keep]
     p_radii = np.asarray(profile.value_at_gap(gaps), dtype=np.float64)
     if lam.size and not np.all((p_radii > 0.0) & (p_radii < 1.0)):
@@ -594,7 +588,6 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
             f"profile {profile.describe()} gives radius {p_radii[bad]!r} at modulus "
             f"{np.abs(lam[bad]):.6g} (underflow below double precision); lower the truncation"
         )
-    centers, radii = pseudo_to_euclidean_arrays(lam, p_radii)
 
     # union-bound mass of the discarded tail, in two readings: the exact
     # sum over the materialized points beyond R, and the scale-free
@@ -608,13 +601,10 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
                                              np.log(1.0 / tail_m) / tail_li)))
     tail_int = criterion_tail_integral(profile, truncation_R) if truncation_R < 1.0 else 0.0
 
-    dom = ChampagneDomain(
-        centers=centers, radii=radii,
-        pseudo_centers=lam.copy(), pseudo_radii=p_radii,
-        source_index=src,
+    dom = _realize(
+        lam, p_radii, np.nonzero(keep)[0],
         truncation_R=float(truncation_R),
         profile_spec=profile.describe(),
-        circumference_sum=float(2.0 * math.pi * radii.sum()) if lam.size else 0.0,
         tail_sum_points=tail_pts,
         meta={"kind": "champagne", "n_source_points": len(seq), "sequence": seq.label,
               "tail_integral_from_R": tail_int},
@@ -654,17 +644,10 @@ def build_finitely_connected(seq: PointSequence, z, r: float,
     rho = pseudo_distance_many(z, seq.points)
     keep = (rho > 0.5 + _TIE_SNAP) & (rho < r - _TIE_SNAP)
     lam = seq.points[keep]
-    src = np.nonzero(keep)[0]
-    p_radii = np.full(lam.size, d)
-    centers, radii = pseudo_to_euclidean_arrays(lam, p_radii) if lam.size else (
-        np.zeros(0, dtype=np.complex128), np.zeros(0))
-    dom = ChampagneDomain(
-        centers=centers, radii=radii,
-        pseudo_centers=lam.copy(), pseudo_radii=p_radii,
-        source_index=src,
+    dom = _realize(
+        lam, np.full(lam.size, d), np.nonzero(keep)[0],
         truncation_R=float(r),
         profile_spec=f"const:{d:.17g}",
-        circumference_sum=float(2.0 * math.pi * radii.sum()) if lam.size else 0.0,
         meta={"kind": "finitely_connected", "z": [z.real, z.imag], "r": float(r),
               "delta": float(d), "sequence": seq.label},
     )
@@ -694,16 +677,12 @@ def transport_domain(dom: ChampagneDomain, a) -> ChampagneDomain:
     a = require_disk_point(a, "a")
     if a == 0:
         return dom
-    p_centers = mobius_apply_many(a, dom.pseudo_centers)
-    centers, radii = pseudo_to_euclidean_arrays(p_centers, dom.pseudo_radii)
     meta = dict(dom.meta)
     meta["transported_by"] = [a.real, a.imag]
-    return ChampagneDomain(
-        centers=centers, radii=radii,
-        pseudo_centers=p_centers, pseudo_radii=dom.pseudo_radii.copy(),
-        source_index=dom.source_index.copy(),
+    return _realize(
+        mobius_apply_many(a, dom.pseudo_centers), dom.pseudo_radii.copy(),
+        dom.source_index.copy(),
         truncation_R=dom.truncation_R, profile_spec=dom.profile_spec,
-        circumference_sum=float(2.0 * math.pi * radii.sum()) if dom.n_bubbles else 0.0,
         tail_sum_points=dom.tail_sum_points,
         meta=meta,
     )

@@ -107,13 +107,11 @@ def pseudo_to_euclidean(d: PseudoDisk) -> EuclideanDisk:
     """Euclidean realization of a pseudohyperbolic disk.
 
     Every boundary point of the result is at pseudohyperbolic distance
-    exactly d.radius from d.center.
+    exactly d.radius from d.center.  Wraps pseudo_to_euclidean_arrays, so
+    it is bit for bit the disk a domain builder realizes.
     """
-    c = complex(d.center)
-    r = float(d.radius)
-    m2 = abs(c) ** 2
-    denom = 1.0 - r * r * m2
-    return EuclideanDisk(center=c * (1.0 - r * r) / denom, radius=r * (1.0 - m2) / denom)
+    c, r = pseudo_to_euclidean_arrays(d.center, d.radius)
+    return EuclideanDisk(center=complex(c), radius=float(r))
 
 
 def euclidean_to_pseudo(d: EuclideanDisk) -> PseudoDisk:
@@ -139,7 +137,8 @@ def euclidean_to_pseudo(d: EuclideanDisk) -> PseudoDisk:
 
 
 def pseudo_to_euclidean_arrays(centers: np.ndarray, radii: np.ndarray):
-    """Vectorized pseudo_to_euclidean; returns (centers, radii) arrays."""
+    """Euclidean (centers, radii) of pseudo disks, elementwise (no
+    per-disk checks); pseudo_to_euclidean wraps it."""
     c = np.asarray(centers, dtype=np.complex128)
     r = np.asarray(radii, dtype=np.float64)
     m2 = np.abs(c) ** 2

@@ -168,7 +168,6 @@ class DiskGridIndex:
         self.h = 2.0 * _L / self.n_side
         self.inv_h = 1.0 / self.h
         self.r_min = float(self.radii.min()) if n else math.inf
-        self.r_max = float(self.radii.max()) if n else 0.0
         self._build()
 
     def _build(self):

@@ -228,9 +228,10 @@ def _map_jobs(job, n_jobs: int, threads: int) -> list:
     threads run them in parallel, sharing the domain and its index in
     place.  One worker runs the jobs on the calling thread.  Jobs run at
     once, so none may reach process-global state such as
-    warnings.catch_warnings (domains._decade_block): the theorem-2 probe
-    jobs only build finitely connected domains and estimate on them.  The
-    first job to raise, in job order, raises here.
+    warnings.catch_warnings (domains._decade_block, which only
+    criterion_integral reaches): the theorem-2 probe jobs only build
+    finitely connected domains and estimate on them.  The first job to
+    raise, in job order, raises here.
     """
     workers = min(_worker_count(threads), n_jobs)
     if workers <= 1:
@@ -427,10 +428,9 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
     idx = domain.index
     min_gap = (K - 1.0) * K ** (-j_max)
     if epsilon is None:
-        epsilon = 1e-3 * min(min_gap, idx.r_min if domain.n_bubbles else math.inf)
-    eps = float(epsilon)
-    if domain.n_bubbles:
-        eps = _resolve_epsilon(domain, eps)
+        # r_min is inf on a domain without bubbles
+        epsilon = 1e-3 * min(min_gap, idx.r_min)
+    eps = _resolve_epsilon(domain, epsilon)
 
     layers = []
     for j in range(1, j_max + 1):

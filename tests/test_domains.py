@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import champagne as ch
+from champagne import domains
 from champagne.domains import (
     ChampagneDomain,
     _check_disjoint,
@@ -11,6 +13,7 @@ from champagne.domains import (
     build_finitely_connected,
     criterion_integral,
     criterion_sum,
+    criterion_tail_integral,
     parse_profile,
     transport_domain,
 )
@@ -217,13 +220,56 @@ def test_build_order_invariance():
 
 
 def test_criterion_tail_integral():
-    from champagne.domains import criterion_tail_integral
-
     # expinv tail: integral of e^-u from u0 = log(1/(1-R))
     R = 0.9375
     got = criterion_tail_integral(ch.expinv_profile(1, 1), R)
     assert got == pytest.approx(1.0 - R, rel=1e-8)
-    assert criterion_tail_integral(ch.power_profile(0.1, 2), R) == math.inf
+    # every other kind diverges; a table is constant beyond its last row
+    t = np.linspace(0.01, 0.99, 50)
+    table = ch.table_profile(t, np.exp(-1 / (1 - t)) * 0.99)
+    for prof in (ch.const_profile(0.3), ch.power_profile(0.1, 2), table):
+        for R in (0.5, 0.95, 1 - 2.0 ** -20):
+            assert criterion_tail_integral(prof, R) == math.inf
+    with pytest.raises(ValidationError):
+        criterion_tail_integral(ch.expinv_profile(1, 1), 1.0)
+
+
+@pytest.mark.parametrize("R", [1 - 2.0 ** -4, 1 - 2.0 ** -8])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+def test_criterion_tail_closed_form_matches_quad(c, beta, R):
+    prof = ch.expinv_profile(c, beta)
+    # the criterion integrand 1/log(1/phi(1 - e^-u)), integrated numerically
+    # from u0 = log(1/(1-R)) in the profile's log-space evaluation
+    u0 = math.log(1.0 / (1.0 - R))
+    oracle, _ = quad(lambda u: prof.criterion_term_at_loggap(-u), u0, math.inf,
+                     epsabs=0.0, epsrel=1e-13, limit=200)
+    got = criterion_tail_integral(prof, R)
+    assert got == pytest.approx((1.0 - R) ** beta / (c * beta), rel=1e-15)
+    assert got == pytest.approx(oracle, rel=1e-9)
+
+
+def test_build_runs_no_numerical_integration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("domain build called quad")
+
+    monkeypatch.setattr(domains, "quad", refuse)
+    seq = ch.generate_ring_lattice(0.5, 1, 4, seed=0)
+    t = np.linspace(0.01, 0.99, 50)
+    R = 1 - 2.0 ** -3
+    for prof in (ch.const_profile(0.05), ch.power_profile(0.1, 2), ch.expinv_profile(1, 1),
+                 ch.table_profile(t, 0.1 * (1 - t) ** 2)):
+        dom = build_champagne(seq, prof, R)
+        assert dom.n_bubbles == 14
+        assert dom.meta["tail_integral_from_R"] == criterion_tail_integral(prof, R)
+
+
+def test_expinv_domain_records_the_closed_form_tail():
+    seq = ch.generate_ring_lattice(0.5, 1, 6, seed=0)
+    R = 1 - 2.0 ** -5
+    dom = build_champagne(seq, ch.expinv_profile(2.0, 0.5), R)
+    assert dom.meta["tail_integral_from_R"] == (1.0 - R) ** 0.5 / (2.0 * 0.5)
+    assert build_champagne(seq, ch.expinv_profile(1, 1), 1.0).meta["tail_integral_from_R"] == 0.0
 
 
 def test_tail_sum_and_circumference_decay():

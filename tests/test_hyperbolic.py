@@ -17,6 +17,7 @@ from champagne.hyperbolic import (
     pseudo_distance,
     pseudo_distance_many,
     pseudo_to_euclidean,
+    pseudo_to_euclidean_arrays,
 )
 
 from conftest import rand_disk_points
@@ -148,9 +149,13 @@ def test_broadcast_forms_match_scalar_exactly():
     w = rand_disk_points(rng, 40)
     elementwise = pseudo_distance_many(z, w)
     moved = mobius_apply_many(z, w)
+    radii = rng.uniform(1e-6, 1.0 - 1e-6, z.size)
+    realized = pseudo_to_euclidean_arrays(z, radii)
     for k in range(z.size):
         assert elementwise[k] == pseudo_distance(z[k], w[k])
         assert moved[k] == mobius_apply(z[k], w[k])
+        disk = pseudo_to_euclidean(PseudoDisk(z[k], radii[k]))
+        assert (disk.center, disk.radius) == (realized[0][k], realized[1][k])
     # one point against many, and a full pairwise block
     assert np.array_equal(pseudo_distance_many(z[0], w),
                           [pseudo_distance(z[0], v) for v in w])
@@ -168,3 +173,10 @@ def test_mobius_formula_lives_in_hyperbolic_only():
     inline = [f.name for f in sorted(src.glob("*.py"))
               if f.name != "hyperbolic.py" and "1.0 - np.conj(" in f.read_text()]
     assert inline == []
+
+
+def test_realization_formula_is_stated_once():
+    src = pathlib.Path(ch.__file__).parent
+    found = {f.name: f.read_text().count("1.0 - r * r * m2")
+             for f in sorted(src.rglob("*")) if f.suffix in (".py", ".c")}
+    assert {k: v for k, v in found.items() if v} == {"hyperbolic.py": 1}

@@ -480,6 +480,16 @@ def test_layered_validation(empty_domain, one_bubble_domain):
         layered_crossing(shallow, K=2.0, j_max=4)
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0])
+def test_layered_checks_epsilon_without_bubbles(empty_domain, epsilon):
+    # estimate_measure refuses the same value on the same domain
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
+        ch.estimate_measure(empty_domain, 0j, n_walks=10, epsilon=epsilon)
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
+        layered_crossing(empty_domain, K=2.0, j_max=2, n_walks=10, epsilon=epsilon,
+                         grid_points=8)
+
+
 def _drop_domain(eps):
     # bubble 0 holds the layer-2 start 0.5 e^{i pi/4}; bubble 1 lies eps/2
     # beyond the start 0.5i and bubble 2 lies 2 eps beyond the start -0.5
