@@ -1,9 +1,12 @@
 """Build and load the compiled library: the walk kernel (_walk.c), the
-grid index build (_grid.c) and the barrier potential (_blaschke.c).
+grid index build and the point ball query (_grid.c) and the barrier
+potential (_blaschke.c).
 
 The library is compiled with the system C compiler the first time one of
-its functions is needed (a grid index is built or a barrier evaluated),
-never at import, and cached per user in
+its functions is needed, never at import: a walk's grid index, a barrier,
+and every ball query over a point set, so building a domain (its
+disjointness check) and the sequence diagnostics (separation, covering,
+annular sums) compile it too.  It is cached per user in
 ~/.cache/champagne under the sha256 of its sources, the flags and the
 compiler's version, so each machine builds it once.  The library is
 written to a temporary file and renamed into place: a concurrent process
@@ -53,8 +56,9 @@ def _run(cmd) -> str:
     if proc.returncode != 0:
         raise ChampagneError(
             f"{' '.join(cmd)!r} failed with exit code {proc.returncode} while building the "
-            f"compiled library (a C compiler is needed to build grid indexes and run walks, "
-            f"and to evaluate barriers):\n{proc.stderr}")
+            f"compiled library (a C compiler is needed to build grid indexes and run walks, to "
+            f"evaluate barriers, and for the ball queries that building a domain and "
+            f"diagnosing a sequence run):\n{proc.stderr}")
     return proc.stdout
 
 
@@ -102,7 +106,12 @@ def library() -> ctypes.CDLL:
     lib.grid_near_others.argtypes = (disks + [i64, i32] + grid
                                      + [i64, ctypes.c_int64, ctypes.c_double, i64, i32,
                                         ctypes.c_int64])
-    for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others):
+    lib.point_balls.argtypes = ([f64, f64, i64, ctypes.c_int64, i64]      # bucketed points
+                                + grid[:3]                                 # n_side, half_width, inv_h
+                                + [f64, f64, f64, _array(np.uint8), ctypes.c_int64]  # queries
+                                + [i64, i64, ctypes.c_int64])              # outputs
+    for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others,
+               lib.point_balls):
         fn.restype = ctypes.c_int64
     lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64, f64,
                                       _array(np.complex128), ctypes.c_int64, f64]

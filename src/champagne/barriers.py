@@ -273,13 +273,18 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5,
 def _annulus_log_products(pts: np.ndarray, probes: np.ndarray, r: float) -> np.ndarray:
     """log of the Blaschke product over {lambda: 1/2 < rho(lambda, z) < r},
     evaluated at z, for each probe z."""
-    balls = PointIndex(pts).pseudo_balls(probes, r)
     out = np.zeros(probes.size)
-    for i, (z, cand) in enumerate(zip(probes, balls)):
-        rho = pseudo_distance_many(z, pts[cand])
-        sel = rho[(rho > 0.5) & (rho < r)]
-        if sel.size:
-            out[i] = np.log(sel).sum()
+    for q0, offsets, items in PointIndex(pts).pseudo_balls(probes, r):
+        lens = np.diff(offsets)
+        rho = pseudo_distance_many(np.repeat(probes[q0:q0 + lens.size], lens), pts[items])
+        keep = (rho > 0.5) & (rho < r)
+        logs = np.log(rho[keep])
+        # each probe's logs are contiguous, ascending in the point index, and
+        # summed by their own np.sum: its pairwise order is that of a scan
+        # of the probe alone (np.add.reduceat would add in another order)
+        ends = np.concatenate([[0], np.cumsum(keep)])[offsets]
+        for k in np.flatnonzero(ends[1:] > ends[:-1]):
+            out[q0 + k] = logs[ends[k]:ends[k + 1]].sum()
     return out
 
 

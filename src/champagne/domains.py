@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import OverlapError, ValidationError
 from .hyperbolic import (
@@ -217,10 +216,25 @@ class CriterionReport:
 
 
 _DECAY_RATIO = 0.5  # blocks decaying slower than this over the last decades => divergent
+# a table reads "inconclusive" as data, but the domain builders clamp it
+# to its last row, whose integrand is constant beyond the table
+_TABLE_CLAMPED = ("builders clamp the table to its last row, so its criterion tail is "
+                  "divergent (criterion_tail_integral is inf)")
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first criterion integral and
+    not with the package: scipy.integrate loads most of scipy, which
+    building domains and walking never need."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _decade_block(profile: RadiusProfile, a: float, b: float) -> float:
     """Criterion integrand integrated over the log-gap block [a, b]."""
+    from scipy.integrate import IntegrationWarning
+
     f = profile.criterion_term_at_loggap
     # kinked table interpolants trip quad's roundoff detector; the value is
     # still good to far better than the classifier needs
@@ -271,7 +285,7 @@ def criterion_integral(profile: RadiusProfile, tail_tolerance: float = 1e-9) -> 
         running.append(running[-1] + v)
 
     if coverage is not None and u_cap < 1000.0:
-        flags.append("table tail data insufficient for the three-decade classifier")
+        flags += ["table tail data insufficient for the three-decade classifier", _TABLE_CLAMPED]
         return CriterionReport("integral", "inconclusive", None, tuple(blocks),
                                tuple(running), None, None, tuple(flags))
 
@@ -337,7 +351,7 @@ def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000,
 
     coverage = profile.table_coverage_loggap
     if coverage is not None and -coverage < J_max * math.log(K):
-        flags.append("table tail data insufficient for the three-decade classifier")
+        flags += ["table tail data insufficient for the three-decade classifier", _TABLE_CLAMPED]
         return CriterionReport("sum", "inconclusive", None, (), tuple(partial),
                                float(K), int(J_max), tuple(flags))
 

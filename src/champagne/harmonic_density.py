@@ -19,8 +19,17 @@ What is estimated here, for each radius r and probe z:
 * `transport_domain` moves z to the origin by the automorphism swapping
   z and 0, and walk-on-spheres estimates the exterior harmonic measure
   omega there;
-* the value recorded is log(1/omega), not normalized, while the uniform
-  curve is divided by log(1/(1-r)).  Their ratios are reported as data.
+* the value recorded is log(1/omega), and it is not divided by
+  log(1/(1-r)) again: the rule delta = 1 - r already carries that
+  normalization.  A bubble D(lambda, delta) alone has exterior measure
+  log rho / log delta = log(1/rho) / log(1/(1-r)) at z, with
+  rho = rho(lambda, z); these are the `sandwich_bounds` components of the
+  probe domain, and their sum is the normalized annular sum of the uniform
+  curve with log(1/rho) in place of 1 - rho and the points with
+  rho <= 1/2 left out.  Both differences are open choices that only the
+  paper's text settles: the weight 1 - rho against log(1/rho), and
+  whether rho <= 1/2 is counted.  The ratios of the two curves are
+  reported as data.
 
 Both curves range over one probe set (`ProbeSpec.resolve`), and each
 probe is estimated once per r: the lower curve is the infimum of those

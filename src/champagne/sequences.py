@@ -245,33 +245,29 @@ def _annular_sums(pts: np.ndarray, probes: np.ndarray, r_values: np.ndarray) -> 
     # ties at rho == r are included (<=); snapped by 1e-12 so whole
     # lattice rings land inside despite ulp noise on their moduli
     cut = r_values + 1e-12
-    balls = PointIndex(pts).pseudo_balls(probes, cut.max())
     out = np.empty((probes.size, r_values.size))
-    i0 = 0
-    pending = next(balls, None)
-    while pending is not None:
-        # probes whose candidate rows, padded to the longest, fill a block
-        cand = [pending]
-        width = pending.size
-        pending = next(balls, None)
-        while pending is not None and (len(cand) + 1) * max(width, pending.size) <= _SUM_BLOCK:
-            cand.append(pending)
-            width = max(width, pending.size)
-            pending = next(balls, None)
-        lens = np.array([c.size for c in cand])
-        # the candidates hold every point within the largest cut, so each
-        # row's sorted prefix up to each cut is that of the full scan, and
-        # the cumulative sum along a row adds in the order of a 1-D scan
-        rho = np.full((lens.size, width), np.inf)
-        rho[np.arange(width) < lens[:, None]] = pseudo_distance_many(
-            np.repeat(probes[i0:i0 + lens.size], lens), pts[np.concatenate(cand)])
-        rho.sort(axis=1)
-        csum = np.zeros((lens.size, width + 1))
-        np.cumsum(rho, axis=1, out=csum[:, 1:])
-        for k, c in enumerate(cut):
-            idx = np.count_nonzero(rho <= c, axis=1)
-            out[i0:i0 + lens.size, k] = idx - np.take_along_axis(csum, idx[:, None], 1)[:, 0]
-        i0 += len(cand)
+    for q0, offsets, items in PointIndex(pts).pseudo_balls(probes, cut.max()):
+        lens = np.diff(offsets)
+        flat = pseudo_distance_many(np.repeat(probes[q0:q0 + lens.size], lens), pts[items])
+        a = 0
+        while a < lens.size:
+            # the most rows from a whose candidates, padded to the longest,
+            # fill at most _SUM_BLOCK entries (at least one row)
+            width = np.maximum.accumulate(lens[a:a + _SUM_BLOCK])
+            b = a + max(1, np.count_nonzero(np.arange(1, width.size + 1) * width <= _SUM_BLOCK))
+            w = width[b - a - 1]
+            # the candidates hold every point within the largest cut, so each
+            # row's sorted prefix up to each cut is that of the full scan, and
+            # the cumulative sum along a row adds in the order of a 1-D scan
+            rho = np.full((b - a, w), np.inf)
+            rho[np.arange(w) < lens[a:b, None]] = flat[offsets[a]:offsets[b]]
+            rho.sort(axis=1)
+            csum = np.zeros((b - a, w + 1))
+            np.cumsum(rho, axis=1, out=csum[:, 1:])
+            for k, c in enumerate(cut):
+                idx = np.count_nonzero(rho <= c, axis=1)
+                out[q0 + a:q0 + b, k] = idx - np.take_along_axis(csum, idx[:, None], 1)[:, 0]
+            a = b
     return out
 
 

@@ -1,13 +1,19 @@
-"""Exact spatial queries: a kd-tree over points and a grid over disks.
+"""Exact spatial queries: a bucket grid and a kd-tree over points, and a
+grid over disks.
 
-PointIndex answers the nearest-point and within-radius queries on point
+PointIndex answers the within-radius and nearest-point queries on point
 sets (separation, covering, annular sums, disjointness, extremal
-potentials).  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
+potentials).  Within-radius (ball) queries go to the compiled library
+(point_balls in _grid.c), which scans the rows of cells of each query's
+box in a uniform bucket grid over the points; the kd-tree serves nearest
+queries only.  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
 disk, so it too is a ball query; a pseudo ball wider than
 _PSEUDO_RADIUS_MAX is the whole disk and lists every point without a
-tree query.  Queries yield candidates, a superset of the answer that
+cell scan.  Queries return candidates, a superset of the answer that
 callers filter with their own distance formula, so every value equals
-that of a brute-force scan.
+that of a brute-force scan.  They come as flat CSR blocks (q0, offsets,
+items), each query's candidates ascending in the point index, and a block
+holds a bounded number of entries.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -25,8 +31,8 @@ kernel (_walk.c) reads:
   transform of the rasterized disks) that lower-bounds the distance to
   every disk, giving large safe steps in disk-free regions.
 
-The compiled library (_grid.c, built by _native on the first grid)
-builds the candidate lists and the clearance, with the arithmetic of the
+The compiled library (_grid.c, built by _native on first use) builds
+the disk grid's candidate lists and clearance, with the arithmetic of the
 array build the tests keep as the reference.  It also screens the
 encounter data of point-like disks (their clearance to the rest of the
 boundary): a ring search over the grid from each such disk lists the
@@ -40,10 +46,10 @@ last bits on some inputs, only screen which disks can attain the minimum.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _native
 from .errors import ValidationError
@@ -67,7 +73,7 @@ POINTLIKE_RADIUS = 1e-9
 # pseudo balls are taken to be the whole disk.
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
-_QUERY_BLOCK = 128  # ball queries per tree call: bounds the candidate lists held at once
+_BALL_BLOCK = 1 << 13  # queries and candidates per block of a ball query: bounds its memory
 # np.hypot differs from math.hypot by at most an ulp, and the screen of
 # _grid.c, sqrt(dx^2 + dy^2) - r, by under 3e-15 (every distance in the
 # grid's square is below 3, where an ulp is 4.4e-16); a disk whose screened
@@ -77,12 +83,32 @@ _HYPOT_SLACK = 1e-14
 
 
 class PointIndex:
-    """kd-tree over points of the plane; ball queries yield, query by
-    query, the sorted indices of the candidate points."""
+    """Points of the plane bucketed in a uniform grid over [-_L, _L]^2,
+    for ball queries; a kd-tree, built on the first nearest query, for
+    nearest-point queries."""
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=np.complex128)
-        self._tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+        self.points = np.asarray(points, dtype=np.complex128).ravel()
+        self.n = self.points.size
+        x, y = self.points.real, self.points.imag
+        self.n_side = _point_n_side(self.n)
+        self.inv_h = self.n_side / (2.0 * _L)
+        # the cell arithmetic of _grid.c's axis_cell: clamped, then truncated
+        cell = self._axis_cell(x) * self.n_side + self._axis_cell(y)
+        self.order = np.argsort(cell, kind="stable")
+        self.px = x[self.order]
+        self.py = y[self.order]
+        self.cell_start = np.zeros(self.n_side ** 2 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=self.n_side ** 2), out=self.cell_start[1:])
+
+    def _axis_cell(self, t):
+        return np.clip((t + _L) * self.inv_h, 0.0, self.n_side - 1).astype(np.int64)
+
+    @functools.cached_property
+    def _tree(self):
+        from scipy.spatial import cKDTree   # with the first nearest query: it loads most of scipy
+
+        return cKDTree(np.column_stack([self.points.real, self.points.imag]))
 
     def nearest(self, z, k: int = 1) -> np.ndarray:
         """Index of the k-th Euclidean nearest point to each query."""
@@ -90,34 +116,54 @@ class PointIndex:
         return self._tree.query(np.column_stack([z.real, z.imag]), k=[k])[1][:, 0]
 
     def balls(self, centers, radii):
-        """Points p with |centers[q] - p| <= radii[q], for each query q."""
-        c = np.asarray(centers, dtype=np.complex128)
+        """Points p with |centers[q] - p| <= radii[q] (as dx^2 + dy^2 <= r^2),
+        in CSR blocks: see _blocks."""
+        c = np.asarray(centers, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape)
-        xy = np.column_stack([c.real, c.imag])
-        for i0 in range(0, c.size, _QUERY_BLOCK):
-            block = slice(i0, i0 + _QUERY_BLOCK)
-            for hit in self._tree.query_ball_point(xy[block], r[block], return_sorted=True):
-                yield np.array(hit, dtype=np.int64)
+        return self._blocks(c, r, np.zeros(c.size, dtype=np.uint8))
 
     def pseudo_balls(self, z, r):
-        """Candidates covering every point p with rho(z[q], p) <= r[q]."""
-        z = np.asarray(z, dtype=np.complex128)
+        """Candidates covering every point p with rho(z[q], p) <= r[q], in
+        CSR blocks: see _blocks."""
+        z = np.asarray(z, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
-        # a whole-disk ball lists every point, without a tree query
+        # a whole-disk ball lists every point, without a cell scan
         whole = r > _PSEUDO_RADIUS_MAX
-        centers, radii = pseudo_to_euclidean_arrays(z[~whole], r[~whole])
-        part = self.balls(centers, radii + _PSEUDO_SLACK)
-        every = np.arange(self._tree.n, dtype=np.int64)
-        every.setflags(write=False)
-        for w in whole:
-            yield every if w else next(part)
+        centers = np.zeros(z.size, dtype=np.complex128)
+        radii = np.zeros(z.size)
+        centers[~whole], radii[~whole] = pseudo_to_euclidean_arrays(z[~whole], r[~whole])
+        return self._blocks(centers, radii + _PSEUDO_SLACK, whole.astype(np.uint8))
+
+    def _blocks(self, centers, radii, whole):
+        """Yields (q0, offsets, items) for consecutive runs of queries: the
+        candidates of query q0 + k are items[offsets[k]:offsets[k + 1]],
+        ascending.  A block holds at most _BALL_BLOCK queries and
+        max(_BALL_BLOCK, n) items, so that every query fits in one block."""
+        lib = _native.library()
+        points = (self.px, self.py, self.order, self.n, self.cell_start,
+                  self.n_side, _L, self.inv_h)
+        qx = np.ascontiguousarray(centers.real)
+        qy = np.ascontiguousarray(centers.imag)
+        qr = np.ascontiguousarray(radii)
+        capacity = max(_BALL_BLOCK, self.n)
+        q0 = 0
+        while q0 < centers.size:
+            n_q = min(centers.size - q0, _BALL_BLOCK)
+            offsets = np.empty(n_q + 1, dtype=np.int64)
+            items = np.empty(capacity, dtype=np.int64)
+            m = lib.point_balls(*points, qx[q0:], qy[q0:], qr[q0:], whole[q0:], n_q,
+                                offsets, items, capacity)
+            yield q0, offsets[:m + 1], items[:offsets[m]]
+            q0 += m
 
 
-def pairs(balls):
-    """Flatten per-query candidates into index pairs (q, p), sorted by (q, p)."""
-    cand = list(balls)
-    q = np.repeat(np.arange(len(cand), dtype=np.int64), [c.size for c in cand])
-    return q, np.concatenate([np.zeros(0, dtype=np.int64), *cand])
+def pairs(blocks):
+    """Flatten CSR candidate blocks into index pairs (q, p), sorted by (q, p)."""
+    qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for q0, offsets, items in blocks:
+        qs.append(np.repeat(np.arange(q0, q0 + offsets.size - 1), np.diff(offsets)))
+        ps.append(items)
+    return np.concatenate(qs), np.concatenate(ps)
 
 
 def _surface_distances(dx, dy, radii) -> np.ndarray:
@@ -143,6 +189,14 @@ def _checked(result: int) -> int:
     if result < 0:
         raise MemoryError("out of memory building the grid index")
     return result
+
+
+def _point_n_side(n_points: int) -> int:
+    """Side of a point bucket grid: about one cell per point."""
+    n = 1
+    while n * n < n_points and n < 1024:
+        n *= 2
+    return n
 
 
 def _auto_n_side(n_disks: int) -> int:

@@ -96,8 +96,12 @@ def test_criterion_partial_sums_nondecreasing():
 def test_criterion_table_inconclusive():
     t = np.linspace(0.01, 0.99, 50)
     prof = ch.table_profile(t, np.exp(-1 / (1 - t)) * 0.99)
-    assert criterion_integral(prof).classification == "inconclusive"
-    assert criterion_sum(prof).classification == "inconclusive"
+    for report in (criterion_integral(prof), criterion_sum(prof)):
+        assert report.classification == "inconclusive"
+        # the builders read the table clamped to its last row: a divergent tail
+        assert any("clamp the table to its last row" in f for f in report.flags)
+    assert criterion_tail_integral(prof, 0.5) == math.inf
+    assert criterion_tail_integral(prof, 1.0 - 1e-9) == math.inf
 
 
 @pytest.mark.parametrize("K", [2.0, 4.0, 10.0])

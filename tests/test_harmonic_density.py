@@ -13,6 +13,7 @@ from champagne.harmonic_density import (
     harmonic_density_curve,
     theorem2_report,
 )
+from champagne.hyperbolic import pseudo_distance_many
 from champagne.walker import estimate_measure
 
 
@@ -127,6 +128,21 @@ def test_probe_domain_matches_direct_measure():
     probe = curve.per_r[0][0].estimate
     direct = ch.estimate_measure(ch.build_finitely_connected(seq, z, r), z, n_walks=20_000)
     assert abs(probe.estimate - direct.estimate) <= 4 * math.hypot(probe.sigma, direct.sigma)
+
+
+@pytest.mark.parametrize("z, r", [(-0.718 - 0.115j, 1 - 2.0 ** -4), (0.3 + 0.2j, 1 - 2.0 ** -6),
+                                  (0j, 0.95)])
+def test_probe_domain_components_are_the_normalized_annular_log_sum(z, r):
+    # with delta = 1 - r, each bubble's one-hole measure is
+    # log(1/rho)/log(1/(1-r)): the probe domain's sandwich components sum to
+    # the annular sum over 1/2 < rho < r normalized by log(1/(1-r))
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    got = math.fsum(ch.sandwich_bounds(ch.build_finitely_connected(seq, z, r), z).components)
+    rho = pseudo_distance_many(z, seq.points)
+    rho = rho[(rho > 0.5) & (rho < r)]
+    want = math.fsum(np.log(1.0 / rho) / math.log(1.0 / (1.0 - r)))
+    assert rho.size > 0
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_theorem2_is_the_same_over_worker_processes(small_lattice):

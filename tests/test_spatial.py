@@ -9,8 +9,10 @@ data the ring search; the interior check must equal the one-cell scan it
 replaced.
 """
 
+import contextlib
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,24 +116,108 @@ def test_annular_sums_over_several_full_blocks():
     assert probes.size > rows and probes.size % rows
 
 
-def test_whole_disk_pseudo_balls_list_every_point_without_the_tree(monkeypatch):
+def test_whole_disk_pseudo_balls_list_every_point_without_a_cell_scan():
     pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
     index = spatial.PointIndex(pts)
     z = np.array([0.0, 0.3 + 0.2j, 0.9j, -0.5])
     r = np.array([1.0 - 1e-6, 0.4, 1.0 - 1e-9, 0.7])
-    narrow = list(index.pseudo_balls(z[[1, 3]], r[[1, 3]]))
-    queried = []
-    balls = spatial.PointIndex.balls
+    ((_, offsets, items),) = index.pseudo_balls(z, r)
+    assert np.all(np.diff(offsets)[[1, 3]] > 0)
+    # with every bucket emptied a cell scan finds nothing, and the whole
+    # rows still list every point
+    index.cell_start = np.zeros_like(index.cell_start)
+    ((_, offsets, items),) = index.pseudo_balls(z, r)
+    rows = np.split(items, offsets[1:-1])
+    assert np.array_equal(rows[0], np.arange(pts.size)) and np.array_equal(rows[2], rows[0])
+    assert rows[1].size == 0 and rows[3].size == 0
 
-    def counted(self, centers, radii):
-        queried.append(len(centers))
-        return balls(self, centers, radii)
 
-    monkeypatch.setattr(spatial.PointIndex, "balls", counted)
-    got = list(index.pseudo_balls(z, r))
-    assert queried == [2]      # only the two narrow balls reach the tree
-    assert np.array_equal(got[0], np.arange(pts.size)) and np.array_equal(got[2], got[0])
-    assert np.array_equal(got[1], narrow[0]) and np.array_equal(got[3], narrow[1])
+def test_whole_disk_annular_sums_hold_bounded_memory():
+    # 6,272 probes whose second cut is the whole disk, so every point is a
+    # candidate of every probe: the sums hold bounded blocks of those
+    # 6.4 million pairs, never all of them (51 MB of int64 indices alone)
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    r = [0.9, 1.0 - 1e-6]
+    uniform_density(seq, r, mode="both")    # the library is loaded outside the window
+    tracemalloc.start()
+    try:
+        uniform_density(seq, r, mode="both")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+def _rows(blocks, n_q, n, block):
+    """The rows of CSR ball blocks, each block checked: consecutive queries,
+    consistent offsets, within the block bounds, each row ascending."""
+    rows = []
+    for q0, offsets, items in blocks:
+        assert q0 == len(rows)
+        assert offsets[0] == 0 and offsets[-1] == items.size and np.all(np.diff(offsets) >= 0)
+        assert 1 <= offsets.size - 1 <= block and items.size <= max(block, n)
+        rows += np.split(items, offsets[1:-1])
+    assert len(rows) == n_q
+    assert all(np.all(np.diff(row) > 0) for row in rows)
+    return rows
+
+
+# points in the disk (down to 1e-12 from the rim) and on or beyond the unit
+# circle, out to where the bucket grid clamps them into its edge cells
+_outer = st.tuples(st.floats(1.0, 3.0), st.floats(0.0, 2.0 * np.pi))
+plane_sets = st.tuples(st.lists(_polar, max_size=30), st.lists(_outer, max_size=6)).map(
+    lambda parts: np.concatenate([_to_points(parts[0]),
+                                  [m * np.exp(1j * t) for m, t in parts[1]]]).astype(complex))
+blocks = st.sampled_from([1, 2, 3, 7, spatial._BALL_BLOCK])
+
+
+@contextlib.contextmanager
+def _ball_block(block):
+    default, spatial._BALL_BLOCK = spatial._BALL_BLOCK, block
+    try:
+        yield
+    finally:
+        spatial._BALL_BLOCK = default
+
+
+@given(plane_sets, st.lists(st.tuples(st.integers(0, 40), _polar,
+                                      st.one_of(st.just(0.0), st.floats(0.0, 2.5))), max_size=25),
+       blocks)
+@examples
+def test_ball_query_matches_a_scan(pts, queries, block):
+    # query centers are points of the set (so a zero radius hits them) or
+    # new points; each row equals the brute-force dx^2 + dy^2 <= r^2
+    centers = np.array([pts[k] if k < pts.size else _to_points(p)[0] for k, p, _ in queries],
+                       dtype=complex)
+    radii = np.array([r for _, _, r in queries])
+    with _ball_block(block):
+        rows = _rows(spatial.PointIndex(pts).balls(centers, radii), centers.size, pts.size, block)
+    dx = pts.real[None, :] - centers.real[:, None]
+    dy = pts.imag[None, :] - centers.imag[:, None]
+    hit = dx * dx + dy * dy <= (radii * radii)[:, None]
+    for row, want in zip(rows, hit):
+        assert np.array_equal(row, np.flatnonzero(want))
+
+
+@given(st.lists(_polar, max_size=30).map(_to_points),
+       st.lists(st.tuples(st.integers(0, 40), _polar,
+                          st.one_of(st.sampled_from([0.0, 1.0 - 1e-6, 1.0 - 1e-9]),
+                                    st.floats(0.0, 0.99999))), max_size=25),
+       blocks)
+@examples
+def test_pseudo_ball_query_holds_every_hit(pts, queries, block):
+    # every point with rho(z, p) <= r is a candidate, and a whole-disk row
+    # (r above _PSEUDO_RADIUS_MAX) lists every point
+    z = np.array([pts[k] if k < pts.size else _to_points(p)[0] for k, p, _ in queries],
+                 dtype=complex)
+    r = np.array([r for _, _, r in queries])
+    with _ball_block(block):
+        rows = _rows(spatial.PointIndex(pts).pseudo_balls(z, r), z.size, pts.size, block)
+    for zq, rq, row in zip(z, r, rows):
+        if rq > spatial._PSEUDO_RADIUS_MAX:
+            assert np.array_equal(row, np.arange(pts.size))
+        else:
+            assert np.isin(np.flatnonzero(pseudo_distance_many(zq, pts) <= rq), row).all()
 
 
 @given(point_sets, probe_sets, st.floats(0.5001, 1.0 - 1e-6))

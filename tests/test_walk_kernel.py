@@ -245,18 +245,39 @@ def test_the_cache_directory_is_private(fresh_cache):
     assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
 
 
-def test_import_and_geometry_compile_nothing(tmp_path):
-    script = ("import champagne as ch\n"
-              "from champagne import _native\n"
-              "seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)\n"
-              "ch.separation(seq)\n"
-              "dom = ch.build_champagne(seq, ch.parse_profile('power:0.1,2'), 1 - 2 ** -6)\n"
-              "ch.sandwich_bounds(dom)\n"
-              "dom.require_interior(0.1 + 0.2j)\n"
-              "assert dom._index is None\n"
-              "assert _native.library.cache_info().misses == 0\n")
+def _run_fresh(script, home):
+    """Runs `script` in a new interpreter whose library cache is under `home`."""
     src = str(Path(ch.__file__).parents[1])
-    env = {**os.environ, "HOME": str(tmp_path),
+    env = {**os.environ, "HOME": str(home),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+def test_import_and_geometry_compile_nothing(tmp_path):
+    # a saved domain is loaded without a disjointness check; its sandwich
+    # bounds, interior check and boundary distance need no compiled code
+    seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)
+    path = tmp_path / "domain.json"
+    ch.build_champagne(seq, ch.parse_profile("power:0.1,2"), 1 - 2 ** -6).save(path)
+    _run_fresh("import champagne as ch\n"
+               "from champagne import _native\n"
+               f"dom = ch.ChampagneDomain.load({str(path)!r})\n"
+               "ch.sandwich_bounds(dom)\n"
+               "dom.require_interior(0.1 + 0.2j)\n"
+               "ch.distance_to_boundary(dom, 0.1 + 0.2j)\n"
+               "assert dom._index is None\n"
+               "assert _native.library.cache_info().misses == 0\n", tmp_path)
     assert not (tmp_path / ".cache").exists()
+
+
+def test_ball_queries_compile_the_library_but_build_no_walk_grid(tmp_path):
+    # separation and the disjointness check run the compiled ball query
+    _run_fresh("import champagne as ch\n"
+               "from champagne import _native\n"
+               "seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)\n"
+               "assert _native.library.cache_info().misses == 0\n"
+               "ch.separation(seq)\n"
+               "dom = ch.build_champagne(seq, ch.parse_profile('power:0.1,2'), 1 - 2 ** -6)\n"
+               "assert dom._index is None\n"
+               "assert _native.library.cache_info().misses == 1\n", tmp_path)
+    assert list((tmp_path / ".cache" / "champagne").glob("champagne-*.so"))
