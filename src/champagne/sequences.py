@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .hyperbolic import BOUNDARY_MARGIN, mobius_apply_many, pseudo_distance_many, require_disk_point
+from .hyperbolic import BOUNDARY_MARGIN, pseudo_distance_many
 from .spatial import PointIndex, pairs
 from .streams import derive_seed, mix64
 
@@ -115,14 +115,12 @@ def separation(seq: PointSequence) -> float:
     if pts.size < 2:
         return 1.0
     index = PointIndex(pts)
-    # Euclidean nearest neighbours bound the separation from above (a point is
-    # its own second neighbour only if squared distances underflow), and every
-    # closer pair lies in the pseudo balls of that bound.  Pairs are evaluated
-    # as rho(pts[i], pts[j]) with i < j, as an upper-triangle scan does.
-    i = np.arange(pts.size)
-    j = index.nearest(pts, 2)
-    rho_nn = pseudo_distance_many(pts[np.minimum(i, j)], pts[np.maximum(i, j)])
-    ub = float(rho_nn[i != j].min(initial=np.inf))
+    # neighbours in the bucket order are pairs of distinct points, so the
+    # closest of them bounds the separation from above, and every closer pair
+    # lies in the pseudo balls of that bound.  Pairs are evaluated as
+    # rho(pts[i], pts[j]) with i < j, as an upper-triangle scan does.
+    i, j = index.order[:-1], index.order[1:]
+    ub = float(pseudo_distance_many(pts[np.minimum(i, j)], pts[np.maximum(i, j)]).min())
     q, p = pairs(index.pseudo_balls(pts, ub))
     upper = q < p
     return float(pseudo_distance_many(pts[q[upper]], pts[p[upper]]).min(initial=ub))
@@ -209,15 +207,7 @@ def covering_radius(seq: PointSequence, probe_region_modulus: float,
     if probe_points is None:
         probe_points = probe_lattice(probe_region_modulus, density=grid_density, seed=seed)
     probes = np.asarray(probe_points, dtype=np.complex128)
-    pts = seq.points
-    index = PointIndex(pts)
-    # each probe's Euclidean-nearest point bounds its distance to the
-    # sequence, and every closer point lies in the pseudo ball of that bound
-    bound = pseudo_distance_many(probes, pts[index.nearest(probes)])
-    q, p = pairs(index.pseudo_balls(probes, bound))
-    nearest = np.full(probes.size, np.inf)
-    np.minimum.at(nearest, q, pseudo_distance_many(probes[q], pts[p]))
-    return float(nearest.max(initial=0.0))
+    return float(PointIndex(seq.points).pseudo_nearest(probes).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -312,13 +302,6 @@ def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
     )
 
 
-def transform_sequence(seq: PointSequence, a: complex, label_suffix: str = "") -> PointSequence:
-    """Transport every point through the automorphism swapping a and 0."""
-    pts = mobius_apply_many(require_disk_point(a, "a"), seq.points)
-    return PointSequence(points=pts, label=seq.label + (label_suffix or f" via mobius({a})"),
-                         ring_index=seq.ring_index, meta=dict(seq.meta))
-
-
 # ---------------------------------------------------------------------------
 # ingestion / emission: CSV with a re,im header, or a JSON array of pairs
 
@@ -336,6 +319,16 @@ def save_sequence(seq: PointSequence, path) -> None:
         fh.write(text)
 
 
+def _point(path, where: str, entry) -> complex:
+    """One entry of a sequence file, which must be exactly two reals re, im."""
+    if isinstance(entry, list) and len(entry) == 2:
+        try:
+            return complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{path}: {where} is not two reals re, im: {entry!r}")
+
+
 def load_sequence(path, label: str | None = None) -> PointSequence:
     path = str(path)
     if path.endswith(".csv"):
@@ -343,20 +336,16 @@ def load_sequence(path, label: str | None = None) -> PointSequence:
             header = fh.readline().strip()
             if header.replace(" ", "") != "re,im":
                 raise ValidationError(f"{path}: expected header 're,im', got {header!r}")
-            rows = [line.strip() for line in fh if line.strip()]
-        try:
-            vals = [tuple(float(p) for p in row.split(",")) for row in rows]
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed row ({exc})") from exc
+            vals = [_point(path, f"line {n}", line.strip().split(","))
+                    for n, line in enumerate(fh, start=2) if line.strip()]
     elif path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValidationError(f"{path}: expected a JSON array of [re, im] pairs")
-        vals = [(float(p[0]), float(p[1])) for p in data]
+        vals = [_point(path, f"entry {k}", entry) for k, entry in enumerate(data)]
     else:
         raise ValidationError(f"unsupported sequence format for {path!r} (use .csv or .json)")
     if not vals:
         raise ValidationError(f"{path}: empty sequence")
-    pts = np.array([complex(re, im) for re, im in vals])
-    return PointSequence(points=pts, label=label or path)
+    return PointSequence(points=np.array(vals), label=label or path)

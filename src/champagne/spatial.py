@@ -1,19 +1,19 @@
-"""Exact spatial queries: a bucket grid and a kd-tree over points, and a
-grid over disks.
+"""Exact spatial queries: a bucket grid over points, and a grid over disks.
 
-PointIndex answers the within-radius and nearest-point queries on point
-sets (separation, covering, annular sums, disjointness, extremal
-potentials).  Within-radius (ball) queries go to the compiled library
-(point_balls in _grid.c), which scans the rows of cells of each query's
-box in a uniform bucket grid over the points; the kd-tree serves nearest
-queries only.  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
+PointIndex answers every query on a point set (separation, covering,
+annular sums, disjointness, extremal potentials) from one uniform bucket
+grid over the points.  Within-radius (ball) queries go to the compiled
+library (point_balls in _grid.c), which scans the rows of cells of each
+query's box.  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
 disk, so it too is a ball query; a pseudo ball wider than
 _PSEUDO_RADIUS_MAX is the whole disk and lists every point without a
 cell scan.  Queries return candidates, a superset of the answer that
 callers filter with their own distance formula, so every value equals
 that of a brute-force scan.  They come as flat CSR blocks (q0, offsets,
 items), each query's candidates ascending in the point index, and a block
-holds a bounded number of entries.
+holds a bounded number of entries.  The pseudo nearest query is a run of
+pseudo ball queries whose radius doubles (in hyperbolic distance) until
+each ball holds its query's nearest point.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -46,14 +46,13 @@ last bits on some inputs, only screen which disks can attain the minimum.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from . import _native
 from .errors import ValidationError
-from .hyperbolic import pseudo_to_euclidean_arrays
+from .hyperbolic import pseudo_distance_many, pseudo_to_euclidean_arrays
 
 # grid covers [-L, L]^2; slightly beyond the closed disk so that points
 # pushed past |z| = 1 by rounding still index into a valid cell
@@ -73,6 +72,7 @@ POINTLIKE_RADIUS = 1e-9
 # pseudo balls are taken to be the whole disk.
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
+_PSEUDO_START = 2.0 ** -8  # first pseudo radius of a nearest query
 _BALL_BLOCK = 1 << 13  # queries and candidates per block of a ball query: bounds its memory
 # np.hypot differs from math.hypot by at most an ulp, and the screen of
 # _grid.c, sqrt(dx^2 + dy^2) - r, by under 3e-15 (every distance in the
@@ -83,9 +83,8 @@ _HYPOT_SLACK = 1e-14
 
 
 class PointIndex:
-    """Points of the plane bucketed in a uniform grid over [-_L, _L]^2,
-    for ball queries; a kd-tree, built on the first nearest query, for
-    nearest-point queries."""
+    """Points of the plane bucketed in a uniform grid over [-_L, _L]^2: the
+    one structure behind ball queries and the pseudo nearest query."""
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=np.complex128).ravel()
@@ -104,16 +103,24 @@ class PointIndex:
     def _axis_cell(self, t):
         return np.clip((t + _L) * self.inv_h, 0.0, self.n_side - 1).astype(np.int64)
 
-    @functools.cached_property
-    def _tree(self):
-        from scipy.spatial import cKDTree   # with the first nearest query: it loads most of scipy
-
-        return cKDTree(np.column_stack([self.points.real, self.points.imag]))
-
-    def nearest(self, z, k: int = 1) -> np.ndarray:
-        """Index of the k-th Euclidean nearest point to each query."""
-        z = np.asarray(z, dtype=np.complex128)
-        return self._tree.query(np.column_stack([z.real, z.imag]), k=[k])[1][:, 0]
+    def pseudo_nearest(self, z) -> np.ndarray:
+        """min over points p of rho(z[q], p) for each query, exactly as a
+        scan over all (at least one) points evaluates it."""
+        z = np.asarray(z, dtype=np.complex128).ravel()
+        nearest = np.full(z.size, np.inf)
+        r = np.full(z.size, _PSEUDO_START)
+        live = np.arange(z.size)
+        while live.size:
+            q, p = pairs(self.pseudo_balls(z[live], r[live]))
+            q = live[q]
+            # rho(query, point): the orientation _PSEUDO_SLACK is measured for
+            np.minimum.at(nearest, q, pseudo_distance_many(z[q], self.points[p]))
+            # a minimum within the radius is exact, as the ball listed every
+            # nearer point; the whole-disk round is exact and ends the search
+            # even where a computed rho rounds above 1
+            live = live[(nearest[live] > r[live]) & (r[live] <= _PSEUDO_RADIUS_MAX)]
+            r[live] = 2.0 * r[live] / (1.0 + r[live] ** 2)
+        return nearest
 
     def balls(self, centers, radii):
         """Points p with |centers[q] - p| <= radii[q] (as dx^2 + dy^2 <= r^2),

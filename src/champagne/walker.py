@@ -256,9 +256,7 @@ def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
     exit_code = np.concatenate([p[0] for p in parts])
     steps = np.concatenate([p[1] for p in parts])
     path = np.concatenate([p[2] for p in parts])
-    ex = np.concatenate([p[3] for p in parts])
-    ey = np.concatenate([p[4] for p in parts])
-    return exit_code, steps, path, ex, ey
+    return exit_code, steps, path
 
 
 def parse_target(target, n_bubbles: int):
@@ -302,8 +300,8 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
         raise ValidationError("n_walks must be >= 1")
     eps = _resolve_epsilon(domain, epsilon)
     t0 = time.perf_counter()
-    code, steps, path, _, _ = _run_walks(domain, z0, eps, seed, n_walks,
-                                         max_steps, 1.0, threads, absorbing_shell)
+    code, steps, path = _run_walks(domain, z0, eps, seed, n_walks,
+                                   max_steps, 1.0, threads, absorbing_shell)
     wall = time.perf_counter() - t0
 
     counts = np.bincount(code[code >= 0], minlength=domain.n_bubbles + 1)
@@ -450,8 +448,8 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
                     dropped += 1
                     continue
             sub_seed = derive_seed(seed, "layered", j, k_s)
-            code, _, _, _, _ = _run_walks(domain, complex(z_s), eps, sub_seed,
-                                          n_walks, max_steps, m_to, threads, None)
+            code, _, _ = _run_walks(domain, complex(z_s), eps, sub_seed,
+                                    n_walks, max_steps, m_to, threads, None)
             hits = int(np.count_nonzero(code == _CODE_EXTERIOR))
             lo, hi = wilson_interval(hits, n_walks)
             per_start.append((complex(z_s), hits / n_walks, lo, hi))

@@ -150,6 +150,19 @@ def test_validation_errors_exit_2(tmp_path):
     assert main(["measure", "--domain", str(bad), "--walks", "10"]) in (2, 3)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("one-field.csv", "re,im\n0.1,0.2\n0.3\n"),
+    ("three-fields.csv", "re,im\n0.1,0.2,0.3\n"),
+    ("one-real.json", "[[0.1]]"),
+    ("bare-reals.json", "[1, 2]"),
+])
+def test_malformed_sequence_files_exit_2(tmp_path, name, text):
+    # every entry must be exactly two reals
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["diag", "--seq", str(path), "-o", str(tmp_path / "out.json")]) == 2
+
+
 def test_theorem2_cli_with_csv(tmp_path):
     seq_path = tmp_path / "seq.json"
     assert main(["gen-seq", "--ring", "q=0.5,scale=2,depth=6", "--seed", "2",

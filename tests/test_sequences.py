@@ -5,7 +5,7 @@ import pytest
 
 import champagne as ch
 from champagne.errors import ValidationError
-from champagne.hyperbolic import pseudo_distance_many
+from champagne.hyperbolic import mobius_apply_many, pseudo_distance_many
 from champagne.sequences import (
     PointSequence,
     blaschke_sum,
@@ -15,7 +15,6 @@ from champagne.sequences import (
     load_sequence,
     save_sequence,
     separation,
-    transform_sequence,
     uniform_density,
 )
 
@@ -154,7 +153,7 @@ def test_density_mobius_covariance():
     seq = generate_ring_lattice(0.5, 1, 5, seed=8)
     probes = np.asarray(rand_disk_points(np.random.default_rng(5), 40, 0.7))
     a = 0.3 - 0.25j
-    moved = transform_sequence(seq, a)
+    moved = PointSequence(mobius_apply_many(a, seq.points))
     moved_probes = np.array([ch.mobius_apply(a, z) for z in probes])
     r_values = [0.8, 0.9]
     est0 = uniform_density(seq, r_values, mode="both", probe_points=probes)

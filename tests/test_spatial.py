@@ -11,7 +11,10 @@ replaced.
 
 import contextlib
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -70,6 +73,44 @@ def test_covering_radius_matches_all_pairs(pts, probes):
     rho = pseudo_distance_many(probes[:, None], pts[None, :])
     got = covering_radius(PointSequence(pts), 0.5, probe_points=probes)
     assert got == float(rho.min(axis=1).max())
+
+
+def test_pseudo_nearest_ends_after_the_whole_disk_round(monkeypatch):
+    # the computed rho of this pair rounds above 1, beyond every radius, so
+    # the search must stop after the whole-disk round; a bound on the rounds
+    # makes a missing stop fail instead of hang
+    z = np.array([0.998066103210284 + 0.06216150074871263j])
+    pts = np.array([-0.9980218895065883 - 0.06286738420552307j])
+    index = spatial.PointIndex(pts)
+    rounds = []
+    balls = index.pseudo_balls
+
+    def counted(*args):
+        rounds.append(1)
+        assert len(rounds) <= 64, "the pseudo nearest search does not end"
+        return balls(*args)
+
+    monkeypatch.setattr(index, "pseudo_balls", counted)
+    assert index.pseudo_nearest(z)[0] == pseudo_distance_many(z, pts)[0] == 1.0000000000000004
+    assert covering_radius(PointSequence(pts), 0.5, probe_points=z) == 1.0000000000000004
+
+
+def test_separation_takes_the_whole_disk_path_for_a_wide_pair():
+    pts = np.array([0.999999 + 0j, -0.999999 + 1e-3j])
+    rho = float(pseudo_distance_many(pts[0], pts[1]))
+    assert rho > spatial._PSEUDO_RADIUS_MAX     # the bucket-order bound of the one pair
+    assert separation(PointSequence(pts)) == rho
+
+
+def test_separation_and_covering_match_all_pairs_on_a_shuffled_lattice():
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    pts = np.random.default_rng(20).permutation(seq.points)
+    i, j = np.triu_indices(pts.size, k=1)
+    assert separation(PointSequence(pts)) == float(pseudo_distance_many(pts[i], pts[j]).min())
+    probes = sequences.probe_lattice(0.99)
+    nearest = pseudo_distance_many(probes[:, None], pts[None, :]).min(axis=1)
+    assert np.array_equal(spatial.PointIndex(pts).pseudo_nearest(probes), nearest)
+    assert covering_radius(PointSequence(pts), 0.99) == float(nearest.max())
 
 
 def _annular_sums_by_scan(pts, probes, r):
@@ -254,11 +295,23 @@ def test_disjointness_check_matches_all_pairs(case):
         assert gap.min() > 0.0
 
 
-def test_kd_tree_lives_in_spatial_only():
+def test_no_module_loads_scipy_spatial():
     src = pathlib.Path(ch.__file__).parent
-    users = [f.name for f in sorted(src.glob("*.py")) if f.name != "spatial.py"
-             and any(word in f.read_text() for word in ("cKDTree", "scipy.spatial"))]
+    users = [f.name for f in sorted(src.glob("*.py"))
+             if any(word in f.read_text() for word in ("cKDTree", "scipy.spatial"))]
     assert users == []
+    # the sequence diagnostics run on the bucket grid alone
+    script = ("import sys\n"
+              "import champagne as ch\n"
+              "seq = ch.generate_ring_lattice(0.5, 2, 12, seed=20)\n"
+              "ch.sequences.diagnose(seq)\n"
+              "ch.sequences.covering_radius(seq, 0.9)\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_walk_kernel_is_compiled_without_bit_changing_flags(tmp_path, monkeypatch):
