@@ -265,8 +265,8 @@ def cmd_density(args) -> int:
 
 def cmd_criterion(args) -> int:
     profile = parse_profile(args.profile)
-    rep_i = criterion_integral(profile, tail_tolerance=args.tail_tol)
-    rep_s = criterion_sum(profile, K=args.k, J_max=args.jmax, tail_tolerance=args.tail_tol)
+    rep_i = criterion_integral(profile)
+    rep_s = criterion_sum(profile, K=args.k, J_max=args.jmax)
     result = {
         "integral_value": rep_i.value,
         "classification": rep_i.classification,
@@ -285,8 +285,7 @@ def cmd_criterion(args) -> int:
             or "inconclusive" in (rep_i.classification, rep_s.classification)
         ),
     }
-    emit(args, "criterion", {"profile": args.profile, "k": args.k,
-                             "jmax": args.jmax, "tail_tol": args.tail_tol}, result)
+    emit(args, "criterion", {"profile": args.profile, "k": args.k, "jmax": args.jmax}, result)
     return 0
 
 
@@ -456,7 +455,6 @@ def build_parser():
                     help="const:c | power:c,gamma | expinv:c,beta | table:<path>")
     sp.add_argument("--k", type=float, default=2.0)
     sp.add_argument("--jmax", type=int, default=10000)
-    sp.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_criterion)
 
     sp = sub.add_parser("build-domain", parents=[sequence, seeded, io],

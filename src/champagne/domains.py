@@ -4,14 +4,16 @@ A champagne domain is the unit disk minus finitely many pairwise disjoint
 closed bubbles.  Bubbles come from pseudohyperbolic disks D(lambda, phi(|lambda|))
 realized as Euclidean disks; the decay profile phi decides, through the
 criterion evaluated here in integral and sum form, whether the exterior
-circle keeps positive harmonic measure as the truncation deepens.
+circle keeps positive harmonic measure as the truncation deepens.  The
+criterion is decided exactly per profile kind, in closed form; a table
+profile is inconclusive by construction, since its rows stop before the
+rim.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +188,13 @@ def parse_profile(spec: str) -> RadiusProfile:
             c, beta = (float(x) for x in rest.split(","))
             return expinv_profile(c, beta)
         if kind == "table":
-            rows = np.loadtxt(rest, delimiter=",", skiprows=1, ndmin=2)
-            return table_profile(rows[:, 0], rows[:, 1])
+            with open(rest, "r", encoding="utf-8") as fh:
+                rows = [line.split(",") for line in fh.readlines()[1:] if line.strip()]
+            if not rows or any(len(row) != 2 for row in rows):
+                raise ValidationError(f"{rest}: rows after the header must hold exactly "
+                                      "two columns t,phi")
+            t, phi = np.array(rows, dtype=np.float64).T
+            return table_profile(t, phi)
     except (ValueError, OSError) as exc:
         raise ValidationError(f"bad profile spec {spec!r}: {exc}") from exc
     raise ValidationError(f"bad profile spec {spec!r}")
@@ -200,9 +207,10 @@ def parse_profile(spec: str) -> RadiusProfile:
 class CriterionReport:
     """Outcome of a criterion evaluation.
 
-    classification is operational: 'divergent' means the partial data grew
-    without decay over three decades, not a proof.  The raw partials are
-    kept so callers can rerun with larger horizons.
+    The classification is exact per profile kind: expinv converges (value
+    is the whole integral or sum, in closed form), const and power diverge
+    (value None), and a table is inconclusive by construction, since its
+    rows end before the rim.  blocks and partial_sums show the approach.
     """
 
     kind: str                     # "integral" | "sum"
@@ -215,97 +223,68 @@ class CriterionReport:
     flags: tuple
 
 
-_DECAY_RATIO = 0.5  # blocks decaying slower than this over the last decades => divergent
-# a table reads "inconclusive" as data, but the domain builders clamp it
-# to its last row, whose integrand is constant beyond the table
-_TABLE_CLAMPED = ("builders clamp the table to its last row, so its criterion tail is "
-                  "divergent (criterion_tail_integral is inf)")
+# u-decade knots of the integral report: [0, 1] and then one block per decade
+_KNOTS = (0.0, 1.0, 10.0, 100.0, 1000.0)
+# a table's integrand is smooth between its knots; this rule integrates it
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# a table stops at its last row, while the domain builders clamp it there
+_TABLE_FLAGS = ("table tail data insufficient: the criterion needs phi up to the rim",
+                "builders clamp the table to its last row, so its criterion tail is "
+                "divergent (criterion_tail_integral is inf)")
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first criterion integral and
-    not with the package: scipy.integrate loads most of scipy, which
-    building domains and walking never need."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
-
-
-def _decade_block(profile: RadiusProfile, a: float, b: float) -> float:
-    """Criterion integrand integrated over the log-gap block [a, b]."""
-    from scipy.integrate import IntegrationWarning
-
-    f = profile.criterion_term_at_loggap
-    # kinked table interpolants trip quad's roundoff detector; the value is
-    # still good to far better than the classifier needs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v, _ = quad(lambda u: f(-u), a, b, limit=200, epsabs=1e-12, epsrel=1e-10)
-    return v
-
-
-def _classify_blocks(blocks: list[float], tail_tolerance: float):
-    """Shared three-decade classifier on per-decade blocks."""
-    usable = [b for b in blocks if b is not None]
-    if len(usable) < 3:
-        return "inconclusive", None
-    b_prev, b_last = usable[-2], usable[-1]
-    if b_last > tail_tolerance and b_prev > 0 and b_last >= _DECAY_RATIO * b_prev:
-        return "divergent", None
-    if b_prev <= 0.0 or b_last <= 0.0:
-        return "convergent", 0.0
-    q = b_last / b_prev
-    if q < _DECAY_RATIO:
-        tail = b_last * q / (1.0 - q)
-        if tail <= tail_tolerance:
-            return "convergent", tail
-    return "inconclusive", None
+def _block_integrals(profile: RadiusProfile, knots) -> np.ndarray:
+    """The criterion integrand 1/log(1/phi(1 - e^-u)) integrated over each
+    [knots[k], knots[k + 1]] in u.  With L = log(1/c) it is 1/L for const,
+    1/(L + gamma u) for power and e^(-beta u)/c for expinv, each integrated
+    in closed form."""
+    a, b = np.asarray(knots[:-1]), np.asarray(knots[1:])
+    if profile.kind == "const":
+        return (b - a) / math.log(1.0 / profile.params[0])
+    if profile.kind == "power":
+        c, gamma = profile.params
+        return np.log1p(gamma * (b - a) / (math.log(1.0 / c) + gamma * a)) / gamma
+    if profile.kind == "expinv":
+        # a difference of the integrals from 0 would cancel on far decades
+        c, beta = profile.params
+        return np.exp(-beta * a) * -np.expm1(-beta * (b - a)) / (c * beta)
+    # table: the Gauss rule on pieces split at the table's knots, where the
+    # interpolant kinks
+    cuts = -np.log1p(-profile.table_t)
+    edges = np.union1d(knots, cuts[(cuts > knots[0]) & (cuts < knots[-1])])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    u = mid[:, None] + half[:, None] * _GAUSS_NODES
+    pieces = half * (profile.criterion_term_at_loggap(-u) @ _GAUSS_WEIGHTS)
+    return np.add.reduceat(pieces, np.searchsorted(edges, knots[:-1]))
 
 
-def criterion_integral(profile: RadiusProfile, tail_tolerance: float = 1e-9) -> CriterionReport:
-    """Integral form of the decay criterion.
+def _verdict(profile: RadiusProfile, expinv_value) -> tuple:
+    """(classification, value, flags): expinv converges to
+    expinv_value(c, beta), const and power diverge, a table cannot decide."""
+    if profile.kind == "expinv":
+        return "convergent", float(expinv_value(*profile.params)), ()
+    if profile.kind == "table":
+        return "inconclusive", None, _TABLE_FLAGS
+    return "divergent", None, ()
 
-    Substituting u = log(1/(1-t)) turns the integrand into
-    1/log(1/phi(1 - e^-u)) on [0, inf); partial integrals over u-decades
-    feed the divergence classifier.
+
+def criterion_integral(profile: RadiusProfile) -> CriterionReport:
+    """Integral form of the decay criterion: the integrand over u in
+    [0, inf), which is 1/(c beta) for expinv.
+
+    blocks integrate it over the u-decades [1, 10], [10, 100] and
+    [100, 1000]; for a table they stop at the decade that holds its last
+    row.
     """
-    flags: list[str] = []
-    coverage = profile.table_coverage_loggap
-    u_cap = math.inf if coverage is None else -coverage
-    knots = [0.0, 1.0]
-    while knots[-1] < min(1e8, 1000.0 if u_cap == math.inf else u_cap):
-        knots.append(knots[-1] * 10.0)
-
-    head = _decade_block(profile, knots[0], knots[1])
-    blocks = []
-    running = [head]
-    for a, b in zip(knots[1:-1], knots[2:]):
-        v = _decade_block(profile, a, b)
-        blocks.append(v)
-        running.append(running[-1] + v)
-
-    if coverage is not None and u_cap < 1000.0:
-        flags += ["table tail data insufficient for the three-decade classifier", _TABLE_CLAMPED]
-        return CriterionReport("integral", "inconclusive", None, tuple(blocks),
-                               tuple(running), None, None, tuple(flags))
-
-    classification, tail = _classify_blocks(blocks, tail_tolerance)
-    # extend decades while the data is still decaying but the tail estimate
-    # has not dropped under the tolerance
-    while classification == "inconclusive" and knots[-1] < 1e8:
-        a = knots[-1]
-        knots.append(a * 10.0)
-        v = _decade_block(profile, a, knots[-1])
-        blocks.append(v)
-        running.append(running[-1] + v)
-        classification, tail = _classify_blocks(blocks, tail_tolerance)
-    value = None
-    if classification == "convergent":
-        value = running[-1] + tail
-    elif classification == "inconclusive":
-        flags.append("horizon exhausted without a decisive trend")
-    return CriterionReport("integral", classification, value, tuple(blocks),
-                           tuple(running), None, None, tuple(flags))
+    knots = _KNOTS
+    if profile.kind == "table":
+        knots = [0.0, 1.0]
+        while knots[-1] < -profile.table_coverage_loggap:
+            knots.append(knots[-1] * 10.0)
+    pieces = _block_integrals(profile, knots)
+    classification, value, flags = _verdict(profile, lambda c, beta: 1.0 / (c * beta))
+    return CriterionReport("integral", classification, value, tuple(pieces[1:].tolist()),
+                           tuple(np.cumsum(pieces).tolist()), None, None, flags)
 
 
 def criterion_tail_integral(profile: RadiusProfile, R: float) -> float:
@@ -327,66 +306,30 @@ def criterion_tail_integral(profile: RadiusProfile, R: float) -> float:
     return math.inf
 
 
-def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000,
-                  tail_tolerance: float = 1e-9) -> CriterionReport:
-    """Sum form: partial sums of 1/log(1/phi(1 - K^-j)) with the same
-    three-decade classifier.  Terms where phi >= 1 are skipped and flagged."""
+def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000) -> CriterionReport:
+    """Sum form: the sum of 1/log(1/phi(1 - K^-j)) over j >= 1, which is
+    1/(c (K^beta - 1)) for expinv.
+
+    partial_sums are the first J_max partial sums, and blocks sum the
+    terms j in [10, 100), [100, 1000), ... up to J_max.
+    """
     if not K > 1.0:
         raise ValidationError(f"K must exceed 1, got {K!r}")
     if J_max < 0:
         raise ValidationError("J_max must be >= 0")
-    flags: list[str] = []
     if J_max == 0:
         return CriterionReport("sum", "inconclusive", None, (), (), float(K), 0,
                                ("empty sum",))
     j = np.arange(1, J_max + 1, dtype=np.float64)
-    log_gap = -j * math.log(K)
-    log_inv = np.asarray(profile.log_inv_at_loggap(log_gap), dtype=np.float64)
-    bad = log_inv <= 0.0
-    if np.any(bad):
-        flags.append(f"{int(bad.sum())} term(s) skipped: phi >= 1 at those moduli")
-    with np.errstate(divide="ignore"):
-        terms = np.where(bad | np.isinf(log_inv), 0.0, 1.0 / log_inv)
-    partial = np.cumsum(terms)
-
-    coverage = profile.table_coverage_loggap
-    if coverage is not None and -coverage < J_max * math.log(K):
-        flags += ["table tail data insufficient for the three-decade classifier", _TABLE_CLAMPED]
-        return CriterionReport("sum", "inconclusive", None, (), tuple(partial),
-                               float(K), int(J_max), tuple(flags))
-
-    # per-decade blocks over j
-    blocks = []
-    lo = 10
-    while lo < J_max:
-        hi = min(lo * 10, J_max)
-        blocks.append(float(terms[lo:hi].sum()))
-        if hi == J_max and hi < lo * 10:
-            break
-        lo = hi
-    classification, _ = _classify_blocks(blocks, tail_tolerance)
-    value = None
-    if classification != "divergent":
-        # geometric tail from the trailing term ratios
-        nz = np.nonzero(terms)[0]
-        if nz.size == 0:
-            classification, value = "inconclusive", None
-        else:
-            last = nz[-1]
-            if last < J_max - 1:
-                # trailing terms underflowed to zero: the tail is negligible
-                classification, value = "convergent", float(partial[-1])
-            elif last >= 3:
-                ratios = terms[last - 2:last + 1] / terms[last - 3:last]
-                r_hat = float(ratios.max())
-                if r_hat < 0.9:
-                    tail = float(terms[last] * r_hat / (1.0 - r_hat))
-                    if tail <= tail_tolerance:
-                        classification, value = "convergent", float(partial[-1] + tail)
-    if classification == "inconclusive":
-        flags.append("no decisive trend at this horizon")
-    return CriterionReport("sum", classification, value, tuple(blocks),
-                           tuple(partial), float(K), int(J_max), tuple(flags))
+    terms = profile.criterion_term_at_loggap(-j * math.log(K))
+    edges = [10]
+    while edges[-1] < J_max:
+        edges.append(min(edges[-1] * 10, J_max))
+    blocks = tuple(float(terms[lo:hi].sum()) for lo, hi in zip(edges, edges[1:]))
+    classification, value, flags = _verdict(
+        profile, lambda c, beta: 1.0 / (c * math.expm1(beta * math.log(K))))
+    return CriterionReport("sum", classification, value, blocks, tuple(np.cumsum(terms)),
+                           float(K), int(J_max), flags)
 
 
 # ---------------------------------------------------------------------------

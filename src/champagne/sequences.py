@@ -118,12 +118,17 @@ def separation(seq: PointSequence) -> float:
     # neighbours in the bucket order are pairs of distinct points, so the
     # closest of them bounds the separation from above, and every closer pair
     # lies in the pseudo balls of that bound.  Pairs are evaluated as
-    # rho(pts[i], pts[j]) with i < j, as an upper-triangle scan does.
+    # rho(pts[i], pts[j]) with i < j, as an upper-triangle scan does, and
+    # each block of candidates is reduced as it arrives: a wide bound lists
+    # every pair.
     i, j = index.order[:-1], index.order[1:]
     ub = float(pseudo_distance_many(pts[np.minimum(i, j)], pts[np.maximum(i, j)]).min())
-    q, p = pairs(index.pseudo_balls(pts, ub))
-    upper = q < p
-    return float(pseudo_distance_many(pts[q[upper]], pts[p[upper]]).min(initial=ub))
+    sep = ub
+    for block in index.pseudo_balls(pts, ub):
+        q, p = pairs([block])
+        upper = q < p
+        sep = float(pseudo_distance_many(pts[q[upper]], pts[p[upper]]).min(initial=sep))
+    return sep
 
 
 @dataclass(frozen=True)

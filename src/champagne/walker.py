@@ -227,11 +227,9 @@ def _map_jobs(job, n_jobs: int, threads: int) -> list:
     The compiled calls (walks, grid builds) release the GIL, so the
     threads run them in parallel, sharing the domain and its index in
     place.  One worker runs the jobs on the calling thread.  Jobs run at
-    once, so none may reach process-global state such as
-    warnings.catch_warnings (domains._decade_block, which only
-    criterion_integral reaches): the theorem-2 probe jobs only build
-    finitely connected domains and estimate on them.  The first job to
-    raise, in job order, raises here.
+    once, so none may reach process-global state: the theorem-2 probe
+    jobs only build finitely connected domains and estimate on them.  The
+    first job to raise, in job order, raises here.
     """
     workers = min(_worker_count(threads), n_jobs)
     if workers <= 1:

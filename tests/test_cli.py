@@ -163,6 +163,18 @@ def test_malformed_sequence_files_exit_2(tmp_path, name, text):
     assert main(["diag", "--seq", str(path), "-o", str(tmp_path / "out.json")]) == 2
 
 
+@pytest.mark.parametrize("name, text", [
+    ("one-column.csv", "t\n0.1\n0.5\n"),
+    ("header-only.csv", "t,phi\n"),
+])
+def test_malformed_table_profiles_exit_2(tmp_path, capsys, name, text):
+    # every row after the header must be exactly two reals t,phi
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["criterion", "--profile", f"table:{path}"]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_theorem2_cli_with_csv(tmp_path):
     seq_path = tmp_path / "seq.json"
     assert main(["gen-seq", "--ring", "q=0.5,scale=2,depth=6", "--seed", "2",
@@ -204,6 +216,13 @@ def test_config_file_supplies_defaults(tmp_path):
     assert _validate(out)["result"]["integral_value"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_config_naming_tail_tol_exits_2(tmp_path):
+    # the criterion is exact, so it has no tail tolerance to configure
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("tail_tol = 1e-9\n")
+    assert main(["criterion", "--profile", "expinv:1,2", "--config", str(cfg)]) == 2
+
+
 def test_config_file_fills_flags_with_defaults(tmp_path):
     dom_path = tmp_path / "one.json"
     ch.domain_from_pseudo([(0.5 + 0j, 0.25)]).save(dom_path)
@@ -229,7 +248,7 @@ _FLAGS = {
     "gen-seq": "config out ring seed",
     "diag": "config grid_density out probe_modulus ring seed seq",
     "density": "config grid_density out r_list ring seed seq",
-    "criterion": "config jmax k out profile tail_tol",
+    "criterion": "config jmax k out profile",
     "build-domain": "config out profile ring seed seq truncation",
     "measure": "config domain epsilon out seed start target threads walks",
     "sandwich": "config domain out start",

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import champagne as ch
-from champagne import domains
 from champagne.domains import (
     ChampagneDomain,
     _check_disjoint,
@@ -83,8 +84,63 @@ def test_criterion_sum_edge_cases():
     assert r.classification == "inconclusive"
     assert r.partial_sums == ()
     r = criterion_sum(ch.expinv_profile(1, 1), J_max=40)
-    assert r.classification == "convergent"  # term-ratio tail handles short horizons
+    assert r.classification == "convergent"  # the closed form holds at any horizon
     assert r.value == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.01, 10.0), beta=st.floats(0.01, 3.0), K=st.sampled_from([2.0, 4.0, 10.0]))
+@example(c=1.0, beta=0.01, K=2.0)     # slow decay: once read as divergent
+@example(c=1.0, beta=0.01, K=10.0)
+@example(c=1.0, beta=0.1, K=2.0)      # once read as convergent without a value
+def test_expinv_criterion_is_the_closed_form(c, beta, K):
+    prof = ch.expinv_profile(c, beta)
+    ri, rs = criterion_integral(prof), criterion_sum(prof, K=K)
+    assert (ri.classification, rs.classification) == ("convergent", "convergent")
+    assert ri.value == pytest.approx(1.0 / (c * beta), rel=1e-12)
+    assert rs.value == pytest.approx(1.0 / (c * math.expm1(beta * math.log(K))), rel=1e-12)
+
+
+@pytest.mark.parametrize("J_max", [1, 40, 10_000])
+def test_criterion_reports_a_value_exactly_when_convergent(J_max):
+    t = np.linspace(0.01, 0.99, 50)
+    for prof in (ch.const_profile(0.3), ch.power_profile(0.1, 2), ch.expinv_profile(1, 0.01),
+                 ch.expinv_profile(1, 0.1), ch.table_profile(t, 0.1 * (1 - t) ** 2)):
+        for r in (criterion_integral(prof), criterion_sum(prof, J_max=J_max)):
+            assert (r.classification == "convergent") == (r.value is not None)
+
+
+def _quad(f, edges):
+    """The oracle: quad over each piece between consecutive edges."""
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("spec", ["expinv:1,1", "expinv:0.5,1.5", "expinv:2,3", "expinv:1,0.1",
+                                  "expinv:1,0.01", "power:0.1,2", "power:0.5,1.2", "const:0.3"])
+def test_criterion_blocks_match_quad(spec):
+    prof = parse_profile(spec)
+    r = criterion_integral(prof)
+    knots = (0.0, 1.0, 10.0, 100.0, 1000.0)
+    oracle = [_quad(lambda u: prof.criterion_term_at_loggap(-u), (a, b))
+              for a, b in zip(knots, knots[1:])]
+    np.testing.assert_allclose(r.blocks, oracle[1:], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(r.partial_sums, np.cumsum(oracle), rtol=1e-12, atol=0.0)
+
+
+def test_criterion_table_blocks_match_quad():
+    t = np.linspace(0.01, 0.99, 50)
+    cuts = -np.log1p(-t)
+    # the steep table's interpolant nearly reaches 0 at its last row
+    for phi in (np.exp(-1 / (1 - t)) * 0.99, 0.1 * (1 - t) ** 2):
+        prof = ch.table_profile(t, phi)
+        r = criterion_integral(prof)
+        knots = (0.0, 1.0, 10.0)     # the last row, u = 4.6, lies in the first decade
+        oracle = [_quad(lambda u: prof.criterion_term_at_loggap(-u),
+                        (a, *cuts[(cuts > a) & (cuts < b)], b))
+                  for a, b in zip(knots, knots[1:])]
+        np.testing.assert_allclose(r.blocks, oracle[1:], rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(r.partial_sums, np.cumsum(oracle), rtol=1e-6, atol=0.0)
 
 
 def test_criterion_partial_sums_nondecreasing():
@@ -251,21 +307,6 @@ def test_criterion_tail_closed_form_matches_quad(c, beta, R):
     got = criterion_tail_integral(prof, R)
     assert got == pytest.approx((1.0 - R) ** beta / (c * beta), rel=1e-15)
     assert got == pytest.approx(oracle, rel=1e-9)
-
-
-def test_build_runs_no_numerical_integration(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("domain build called quad")
-
-    monkeypatch.setattr(domains, "quad", refuse)
-    seq = ch.generate_ring_lattice(0.5, 1, 4, seed=0)
-    t = np.linspace(0.01, 0.99, 50)
-    R = 1 - 2.0 ** -3
-    for prof in (ch.const_profile(0.05), ch.power_profile(0.1, 2), ch.expinv_profile(1, 1),
-                 ch.table_profile(t, 0.1 * (1 - t) ** 2)):
-        dom = build_champagne(seq, prof, R)
-        assert dom.n_bubbles == 14
-        assert dom.meta["tail_integral_from_R"] == criterion_tail_integral(prof, R)
 
 
 def test_expinv_domain_records_the_closed_form_tail():

@@ -102,6 +102,24 @@ def test_separation_takes_the_whole_disk_path_for_a_wide_pair():
     assert separation(PointSequence(pts)) == rho
 
 
+def test_separation_of_a_circle_near_the_rim_reduces_block_by_block():
+    # every pair lies in the whole-disk ball of the bucket-order bound, so
+    # the pass lists all n^2 pairs; memory stays at one block of them
+    n = 3000
+    pts = (1.0 - 1e-9) * np.exp(2j * np.pi * np.arange(n) / n)
+    exact = min(float(pseudo_distance_many(pts[k], pts[k + 1:]).min()) for k in range(n - 1))
+    separation(PointSequence(pts[:2]))     # the library is loaded outside the window
+    tracemalloc.start()
+    try:
+        got = separation(PointSequence(pts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact > spatial._PSEUDO_RADIUS_MAX
+    assert got == exact
+    assert peak <= 50 * 2 ** 20
+
+
 def test_separation_and_covering_match_all_pairs_on_a_shuffled_lattice():
     seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
     pts = np.random.default_rng(20).permutation(seq.points)
@@ -295,23 +313,38 @@ def test_disjointness_check_matches_all_pairs(case):
         assert gap.min() > 0.0
 
 
-def test_no_module_loads_scipy_spatial():
+def test_no_module_loads_scipy(tmp_path):
     src = pathlib.Path(ch.__file__).parent
-    users = [f.name for f in sorted(src.glob("*.py"))
-             if any(word in f.read_text() for word in ("cKDTree", "scipy.spatial"))]
+    users = [f.name for f in sorted(src.rglob("*"))
+             if f.is_file() and f.suffix != ".pyc" and "scipy" in f.read_text()]
     assert users == []
-    # the sequence diagnostics run on the bucket grid alone
+    # the sequence diagnostics, the criterion and every domain build run
+    # with scipy blocked: importing it raises
+    table = tmp_path / "table.csv"
+    t = np.linspace(0.01, 0.99, 50)
+    np.savetxt(table, np.column_stack([t, 0.1 * (1 - t) ** 2]), delimiter=",",
+               header="t,phi", comments="")
     script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
               "import champagne as ch\n"
+              "from champagne.cli import main\n"
               "seq = ch.generate_ring_lattice(0.5, 2, 12, seed=20)\n"
               "ch.sequences.diagnose(seq)\n"
               "ch.sequences.covering_radius(seq, 0.9)\n"
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+              "small = ch.generate_ring_lattice(0.5, 1, 4, seed=0)\n"
+              "R = 1 - 2.0 ** -3\n"
+              f"for spec in ('const:0.05', 'power:0.1,2', 'expinv:1,1', 'table:{table}'):\n"
+              f"    assert main(['criterion', '--profile', spec, '-o', '{tmp_path / 'c.json'}']) == 0\n"
+              "    prof = ch.parse_profile(spec)\n"
+              "    dom = ch.build_champagne(small, prof, R)\n"
+              "    assert dom.n_bubbles == 14\n"
+              "    assert dom.meta['tail_integral_from_R'] == ch.domains.criterion_tail_integral(prof, R)\n"
+              "print('ok')\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "ok"
 
 
 def test_walk_kernel_is_compiled_without_bit_changing_flags(tmp_path, monkeypatch):
