@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import champagne as ch
+from champagne import domains
 from champagne.domains import (
     ChampagneDomain,
     _check_disjoint,
@@ -307,6 +308,23 @@ def test_criterion_tail_closed_form_matches_quad(c, beta, R):
     got = criterion_tail_integral(prof, R)
     assert got == pytest.approx((1.0 - R) ** beta / (c * beta), rel=1e-15)
     assert got == pytest.approx(oracle, rel=1e-9)
+
+
+def test_build_runs_no_numerical_integration(monkeypatch):
+    # the tail a build records is closed form; the Gauss rule serves only
+    # the criterion report
+    def refuse(*args, **kwargs):
+        raise AssertionError("domain build integrated numerically")
+
+    monkeypatch.setattr(domains, "_block_integrals", refuse)
+    seq = ch.generate_ring_lattice(0.5, 1, 4, seed=0)
+    t = np.linspace(0.01, 0.99, 50)
+    R = 1 - 2.0 ** -3
+    for prof in (ch.const_profile(0.05), ch.power_profile(0.1, 2), ch.expinv_profile(1, 1),
+                 ch.table_profile(t, 0.1 * (1 - t) ** 2)):
+        dom = build_champagne(seq, prof, R)
+        assert dom.n_bubbles == 14
+        assert dom.meta["tail_integral_from_R"] == criterion_tail_integral(prof, R)
 
 
 def test_expinv_domain_records_the_closed_form_tail():

@@ -313,6 +313,25 @@ def test_disjointness_check_matches_all_pairs(case):
         assert gap.min() > 0.0
 
 
+def test_no_module_loads_scipy_spatial():
+    src = pathlib.Path(ch.__file__).parent
+    users = [f.name for f in sorted(src.glob("*.py"))
+             if any(word in f.read_text() for word in ("cKDTree", "scipy.spatial"))]
+    assert users == []
+    # the sequence diagnostics run on the bucket grid alone
+    script = ("import sys\n"
+              "import champagne as ch\n"
+              "seq = ch.generate_ring_lattice(0.5, 2, 12, seed=20)\n"
+              "ch.sequences.diagnose(seq)\n"
+              "ch.sequences.covering_radius(seq, 0.9)\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_no_module_loads_scipy(tmp_path):
     src = pathlib.Path(ch.__file__).parent
     users = [f.name for f in sorted(src.rglob("*"))
