@@ -1,12 +1,12 @@
 """Build and load the compiled library: the walk kernel (_walk.c), the
-grid index build and the point ball query (_grid.c) and the barrier
-potential (_blaschke.c).
+grid index build and the point ball and nearest queries (_grid.c) and the
+barrier potential (_blaschke.c).
 
 The library is compiled with the system C compiler the first time one of
 its functions is needed, never at import: a walk's grid index, a barrier,
-and every ball query over a point set, so building a domain (its
-disjointness check) and the sequence diagnostics (separation, covering,
-annular sums) compile it too.  It is cached per user in
+and every ball or nearest query over a point set, so building a domain
+(its disjointness check) and the sequence diagnostics (separation,
+covering, annular sums) compile it too.  It is cached per user in
 ~/.cache/champagne under the sha256 of its sources, the flags and the
 compiler's version, so each machine builds it once.  The library is
 written to a temporary file and renamed into place: a concurrent process
@@ -110,8 +110,13 @@ def library() -> ctypes.CDLL:
                                 + grid[:3]                                 # n_side, half_width, inv_h
                                 + [f64, f64, f64, _array(np.uint8), ctypes.c_int64]  # queries
                                 + [i64, i64, ctypes.c_int64])              # outputs
+    lib.point_nearest.argtypes = ([f64, f64, i64, ctypes.c_int64, i64]    # bucketed points
+                                  + grid[:3]                               # n_side, half_width, inv_h
+                                  + [f64, f64, ctypes.c_int64]             # queries
+                                  + [ctypes.c_int64] + [ctypes.c_double] * 3  # others, gap_max, slack
+                                  + [i64, i64, ctypes.c_int64])            # outputs
     for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others,
-               lib.point_balls):
+               lib.point_balls, lib.point_nearest):
         fn.restype = ctypes.c_int64
     lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64, f64,
                                       _array(np.complex128), ctypes.c_int64, f64]

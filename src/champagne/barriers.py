@@ -185,6 +185,8 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5,
     Refuses when the required deficit rescale exceeds 10x.
     """
     start = complex(start)
+    if not 0.0 < eta < 1.0:
+        raise ValidationError(f"eta must lie in (0, 1), got {eta!r}")
     if boundary_sample_density < 4:
         raise ValidationError("need at least 4 samples per bubble boundary")
     domain.require_interior(start, "start")

@@ -280,10 +280,6 @@ def cmd_criterion(args) -> int:
             "flags": rep_s.flags,
             "partial_sums_head": rep_s.partial_sums[:64],
         },
-        "classifications_agree": (
-            rep_i.classification == rep_s.classification
-            or "inconclusive" in (rep_i.classification, rep_s.classification)
-        ),
     }
     emit(args, "criterion", {"profile": args.profile, "k": args.k, "jmax": args.jmax}, result)
     return 0
@@ -293,7 +289,7 @@ def cmd_build_domain(args) -> int:
     seq = _load_seq(args)
     profile = parse_profile(args.profile)
     dom = build_champagne(seq, profile, args.truncation)
-    _write(args, json.dumps(_jsonify(dom.to_json_dict()), indent=1, sort_keys=True))
+    _write(args, dom.to_json())
     return 0
 
 

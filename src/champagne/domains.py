@@ -437,11 +437,14 @@ class ChampagneDomain:
             "tail_sum_points": float(self.tail_sum_points),
         }
 
+    def to_json(self) -> str:
+        """The text of a domain file.  json.dumps runs the C encoder; an
+        indent would run the pure-Python one."""
+        return json.dumps(self.to_json_dict())
+
     def save(self, path) -> None:
-        # json.dumps runs the C encoder; json.dump with an indent would run
-        # the pure-Python one
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json_dict()))
+            fh.write(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChampagneDomain":

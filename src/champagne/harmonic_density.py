@@ -84,6 +84,10 @@ class ProbeSpec:
     points: tuple | None = None
     max_probes: int = 16
 
+    def __post_init__(self):
+        if self.max_probes < 1:
+            raise ValidationError(f"max_probes must be >= 1, got {self.max_probes!r}")
+
     def resolve(self, seq: PointSequence) -> np.ndarray:
         if self.points is not None:
             return np.asarray(self.points, dtype=np.complex128)

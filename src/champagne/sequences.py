@@ -114,20 +114,14 @@ def separation(seq: PointSequence) -> float:
     pts = seq.points
     if pts.size < 2:
         return 1.0
-    index = PointIndex(pts)
-    # neighbours in the bucket order are pairs of distinct points, so the
-    # closest of them bounds the separation from above, and every closer pair
-    # lies in the pseudo balls of that bound.  Pairs are evaluated as
-    # rho(pts[i], pts[j]) with i < j, as an upper-triangle scan does, and
-    # each block of candidates is reduced as it arrives: a wide bound lists
-    # every pair.
-    i, j = index.order[:-1], index.order[1:]
-    ub = float(pseudo_distance_many(pts[np.minimum(i, j)], pts[np.maximum(i, j)]).min())
-    sep = ub
-    for block in index.pseudo_balls(pts, ub):
+    # each point's candidates for its nearest other point hold one at which
+    # rho(pts[min(i, j)], pts[max(i, j)]), the value of an upper-triangle
+    # scan, is least; each block is reduced as it arrives
+    sep = math.inf
+    for block in PointIndex(pts).nearest(pts, others=True):
         q, p = pairs([block])
-        upper = q < p
-        sep = float(pseudo_distance_many(pts[q[upper]], pts[p[upper]]).min(initial=sep))
+        sep = float(pseudo_distance_many(pts[np.minimum(q, p)], pts[np.maximum(q, p)])
+                    .min(initial=sep))
     return sep
 
 
@@ -207,8 +201,6 @@ def covering_radius(seq: PointSequence, probe_region_modulus: float,
     The sequence is certified uniformly dense on the probed region when
     this stays below 1 with margin.
     """
-    if len(seq) == 0:
-        raise ValidationError("covering radius of an empty sequence is undefined")
     if probe_points is None:
         probe_points = probe_lattice(probe_region_modulus, density=grid_density, seed=seed)
     probes = np.asarray(probe_points, dtype=np.complex128)

@@ -2,18 +2,18 @@
 
 PointIndex answers every query on a point set (separation, covering,
 annular sums, disjointness, extremal potentials) from one uniform bucket
-grid over the points.  Within-radius (ball) queries go to the compiled
-library (point_balls in _grid.c), which scans the rows of cells of each
-query's box.  A pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean
-disk, so it too is a ball query; a pseudo ball wider than
-_PSEUDO_RADIUS_MAX is the whole disk and lists every point without a
-cell scan.  Queries return candidates, a superset of the answer that
-callers filter with their own distance formula, so every value equals
-that of a brute-force scan.  They come as flat CSR blocks (q0, offsets,
-items), each query's candidates ascending in the point index, and a block
-holds a bounded number of entries.  The pseudo nearest query is a run of
-pseudo ball queries whose radius doubles (in hyperbolic distance) until
-each ball holds its query's nearest point.
+grid over the points, through two compiled queries (_grid.c).
+Within-radius (ball) queries go to point_balls, which scans the rows of
+cells of each query's box.  A pseudo ball {w : rho(z, w) <= r} is
+exactly a Euclidean disk, so it too is a ball query; a pseudo ball wider
+than _PSEUDO_RADIUS_MAX is the whole disk and lists every point without a
+cell scan.  Pseudo nearest queries go to point_nearest, one ring search
+outwards from each query's cell, which stops once no unscanned point can
+be nearer.  Queries return candidates, a superset of the answer that
+callers measure with pseudo_distance_many or their own distance formula,
+so every value equals that of a brute-force scan.  They come as flat CSR
+blocks (q0, offsets, items), and a block holds a bounded number of
+entries.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -72,19 +72,35 @@ POINTLIKE_RADIUS = 1e-9
 # pseudo balls are taken to be the whole disk.
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
-_PSEUDO_START = 2.0 ** -8  # first pseudo radius of a nearest query
-_BALL_BLOCK = 1 << 13  # queries and candidates per block of a ball query: bounds its memory
+_BALL_BLOCK = 1 << 13  # queries and candidates per block of a point query: bounds its memory
 # np.hypot differs from math.hypot by at most an ulp, and the screen of
 # _grid.c, sqrt(dx^2 + dy^2) - r, by under 3e-15 (every distance in the
 # grid's square is below 3, where an ulp is 4.4e-16); a disk whose screened
 # distance is within this slack of the screened minimum may attain the
 # math.hypot minimum and is measured again
 _HYPOT_SLACK = 1e-14
+# Error bounds of a pseudo nearest query, (a, b) for a + b / |1 - conj(w) z|,
+# in units of 2^-52 = 2u, first order in u, for z and w in the disk:
+# * pseudo_distance_many: z - w is off by u relatively; conj(w) z by
+#   sqrt(5) u absolutely (Brent, Percival and Zimmermann 2007), so
+#   1 - conj(w) z by u + sqrt(5) u / |1 - conj(w) z| relatively; Smith's
+#   complex division adds (6 + sqrt 2) u and the modulus (hypot) 2u: in
+#   all 5.7 + 1.12 / |1 - conj(w) z|.
+# * the screen of _grid.c, sqrt(d^2) / sqrt(d^2 + (1 - |z|^2)(1 - |w|^2)):
+#   d^2 is off by 4u relatively and each 1 - |.|^2 by 2u absolutely, which
+#   moves the screen by at most 2u / |1 - conj(w) z| (as 2 - |z|^2 - |w|^2
+#   <= 2 (1 - |z||w|)), and the sum, product, roots and quotient by 7u
+#   more: 3.5 + 1 / |1 - conj(w) z|.
+# The two sum to 9.2 + 2.12 / |1 - conj(w) z|, and the rounding of the
+# search's lower bound for unscanned points adds 2 to the first; both are
+# rounded up for the second-order terms and the 2^-6 relative error that
+# 1 - |z|^2 may reach.
+_NEAREST_SLACK = (10.0 * 2.0 ** -52, 2.5 * 2.0 ** -52)
 
 
 class PointIndex:
     """Points of the plane bucketed in a uniform grid over [-_L, _L]^2: the
-    one structure behind ball queries and the pseudo nearest query."""
+    one structure behind ball queries and pseudo nearest queries."""
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=np.complex128).ravel()
@@ -99,6 +115,9 @@ class PointIndex:
         self.py = y[self.order]
         self.cell_start = np.zeros(self.n_side ** 2 + 1, dtype=np.int64)
         np.cumsum(np.bincount(cell, minlength=self.n_side ** 2), out=self.cell_start[1:])
+        # the largest 1 - |p|^2, which this arithmetic gets within 2^-52:
+        # the nearest search bounds the rho of unscanned points with it
+        self.gap_max = float((1.0 - (x * x + y * y)).max(initial=0.0)) + 2.0 ** -52
 
     def _axis_cell(self, t):
         return np.clip((t + _L) * self.inv_h, 0.0, self.n_side - 1).astype(np.int64)
@@ -108,30 +127,33 @@ class PointIndex:
         scan over all (at least one) points evaluates it."""
         z = np.asarray(z, dtype=np.complex128).ravel()
         nearest = np.full(z.size, np.inf)
-        r = np.full(z.size, _PSEUDO_START)
-        live = np.arange(z.size)
-        while live.size:
-            q, p = pairs(self.pseudo_balls(z[live], r[live]))
-            q = live[q]
-            # rho(query, point): the orientation _PSEUDO_SLACK is measured for
+        for block in self.nearest(z):
+            q, p = pairs([block])
             np.minimum.at(nearest, q, pseudo_distance_many(z[q], self.points[p]))
-            # a minimum within the radius is exact, as the ball listed every
-            # nearer point; the whole-disk round is exact and ends the search
-            # even where a computed rho rounds above 1
-            live = live[(nearest[live] > r[live]) & (r[live] <= _PSEUDO_RADIUS_MAX)]
-            r[live] = 2.0 * r[live] / (1.0 + r[live] ** 2)
         return nearest
+
+    def nearest(self, z, others=False):
+        """Candidates for the point nearest to each query in rho, in CSR
+        blocks (see _blocks): a superset of the points p at which
+        pseudo_distance_many, of (z[q], p) or of (p, z[q]), is least, over
+        the points other than z[q] itself if `others`.  The points must lie
+        in the open disk with 1 - |p|^2 > 2^-46, as those of a
+        PointSequence do."""
+        z = np.asarray(z, dtype=np.complex128).ravel()
+        return self._blocks(_native.library().point_nearest,
+                            (np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)),
+                            others, self.gap_max, *_NEAREST_SLACK)
 
     def balls(self, centers, radii):
         """Points p with |centers[q] - p| <= radii[q] (as dx^2 + dy^2 <= r^2),
-        in CSR blocks: see _blocks."""
+        in CSR blocks (see _blocks), each query's ascending."""
         c = np.asarray(centers, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape)
-        return self._blocks(c, r, np.zeros(c.size, dtype=np.uint8))
+        return self._ball_blocks(c, r, np.zeros(c.size, dtype=np.uint8))
 
     def pseudo_balls(self, z, r):
         """Candidates covering every point p with rho(z[q], p) <= r[q], in
-        CSR blocks: see _blocks."""
+        CSR blocks (see _blocks), each query's ascending."""
         z = np.asarray(z, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
         # a whole-disk ball lists every point, without a cell scan
@@ -139,33 +161,39 @@ class PointIndex:
         centers = np.zeros(z.size, dtype=np.complex128)
         radii = np.zeros(z.size)
         centers[~whole], radii[~whole] = pseudo_to_euclidean_arrays(z[~whole], r[~whole])
-        return self._blocks(centers, radii + _PSEUDO_SLACK, whole.astype(np.uint8))
+        return self._ball_blocks(centers, radii + _PSEUDO_SLACK, whole.astype(np.uint8))
 
-    def _blocks(self, centers, radii, whole):
+    def _ball_blocks(self, centers, radii, whole):
+        return self._blocks(_native.library().point_balls,
+                            (np.ascontiguousarray(centers.real),
+                             np.ascontiguousarray(centers.imag), np.ascontiguousarray(radii),
+                             whole))
+
+    def _blocks(self, query, arrays, *extra):
         """Yields (q0, offsets, items) for consecutive runs of queries: the
-        candidates of query q0 + k are items[offsets[k]:offsets[k + 1]],
-        ascending.  A block holds at most _BALL_BLOCK queries and
-        max(_BALL_BLOCK, n) items, so that every query fits in one block."""
-        lib = _native.library()
+        candidates of query q0 + k are items[offsets[k]:offsets[k + 1]].
+        query, point_balls or point_nearest, is called with the bucketed
+        points, the query arrays from q0 on, their count, `extra` and the
+        block's arrays; it writes the queries that fit.  A block holds at
+        most _BALL_BLOCK queries and max(_BALL_BLOCK, n) items, so that
+        every query fits in one block."""
         points = (self.px, self.py, self.order, self.n, self.cell_start,
                   self.n_side, _L, self.inv_h)
-        qx = np.ascontiguousarray(centers.real)
-        qy = np.ascontiguousarray(centers.imag)
-        qr = np.ascontiguousarray(radii)
         capacity = max(_BALL_BLOCK, self.n)
         q0 = 0
-        while q0 < centers.size:
-            n_q = min(centers.size - q0, _BALL_BLOCK)
+        while q0 < arrays[0].size:
+            n_q = min(arrays[0].size - q0, _BALL_BLOCK)
             offsets = np.empty(n_q + 1, dtype=np.int64)
             items = np.empty(capacity, dtype=np.int64)
-            m = lib.point_balls(*points, qx[q0:], qy[q0:], qr[q0:], whole[q0:], n_q,
-                                offsets, items, capacity)
+            m = _checked(query(*points, *(a[q0:] for a in arrays), n_q, *extra,
+                               offsets, items, capacity))
             yield q0, offsets[:m + 1], items[:offsets[m]]
             q0 += m
 
 
 def pairs(blocks):
-    """Flatten CSR candidate blocks into index pairs (q, p), sorted by (q, p)."""
+    """Flatten CSR candidate blocks into index pairs (q, p), sorted by q (and
+    by p where each query's candidates are ascending)."""
     qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for q0, offsets, items in blocks:
         qs.append(np.repeat(np.arange(q0, q0 + offsets.size - 1), np.diff(offsets)))
@@ -192,7 +220,7 @@ def nearest_disk(x: float, y: float, cx, cy, radii):
 
 
 def _checked(result: int) -> int:
-    """A result of the grid build's C functions, which return -1 when out of memory."""
+    """A result of the C functions of _grid.c that return -1 when out of memory."""
     if result < 0:
         raise MemoryError("out of memory building the grid index")
     return result

@@ -261,7 +261,10 @@ def parse_target(target, n_bubbles: int):
     if target in ("exterior", "all"):
         return target, -1
     if isinstance(target, str) and target.startswith("bubble:"):
-        k = int(target.split(":", 1)[1])
+        try:
+            k = int(target.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"bad target {target!r}: the bubble index must be an integer") from None
     elif isinstance(target, int):
         k = target
     else:
@@ -296,6 +299,7 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
     domain.require_interior(z0, "z0")
     if n_walks < 1:
         raise ValidationError("n_walks must be >= 1")
+    kind, k = parse_target(target, domain.n_bubbles)
     eps = _resolve_epsilon(domain, epsilon)
     t0 = time.perf_counter()
     code, steps, path = _run_walks(domain, z0, eps, seed, n_walks,
@@ -307,7 +311,6 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
     per_bubble = {int(k - 1): int(counts[k]) for k in range(1, counts.size) if counts[k]}
     hits_shell = int(np.count_nonzero(code == _CODE_SHELL))
 
-    kind, k = parse_target(target, domain.n_bubbles)
     if kind == "exterior":
         successes = hits_ext
     elif kind == "all":
@@ -414,6 +417,8 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
         raise ValidationError(f"K must exceed 1, got {K!r}")
     if j_max < 1:
         raise ValidationError("j_max must be >= 1")
+    if n_walks < 1:
+        raise ValidationError("n_walks must be >= 1")
     if grid_points < 8:
         raise ValidationError("need at least 8 grid points per circle")
     outermost = 1.0 - K ** (-j_max)

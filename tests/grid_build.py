@@ -40,22 +40,6 @@ def _cell_ij(index, x: float, y: float):
             min(max(int((y + _L) * index.inv_h), 0), top))
 
 
-def _scan(index, cells, x: float, y: float, exclude: int = -1,
-          best: float = math.inf, best_i: int = -1):
-    """Fold the candidates of `cells` into (best, best_i), the lowest
-    index winning ties."""
-    for c in cells:
-        for kk in range(index.cell_start[c], index.cell_start[c + 1]):
-            i = index.cell_items[kk]
-            if i == exclude:
-                continue
-            d = math.hypot(x - index.cx[i], y - index.cy[i]) - index.radii[i]
-            if d < best or (d == best and i < best_i):
-                best = d
-                best_i = int(i)
-    return best, best_i
-
-
 def nearest_in_cell(index, x: float, y: float):
     """(distance, index) of the nearest surface among the candidates of
     the cell holding (x, y); (inf, -1) when it lists none.
@@ -64,7 +48,26 @@ def nearest_in_cell(index, x: float, y: float):
     that close intersects the 3x3 block and is listed, and the ring
     search stops after this cell."""
     ix, iy = _cell_ij(index, x, y)
-    return _scan(index, (ix * index.n_side + iy,), x, y)
+    c = ix * index.n_side + iy
+    best, best_i = math.inf, -1
+    for kk in range(index.cell_start[c], index.cell_start[c + 1]):
+        i = index.cell_items[kk]
+        d = math.hypot(x - index.cx[i], y - index.cy[i]) - index.radii[i]
+        if d < best or (d == best and i < best_i):
+            best, best_i = d, int(i)
+    return best, best_i
+
+
+def _ring_cells(ns: int, ix0: int, iy0: int, k: int) -> np.ndarray:
+    """The cells at Chebyshev distance k from (ix0, iy0) inside the grid:
+    its two rows at ix0 -+ k, then its two columns at iy0 -+ k between them."""
+    if k == 0:
+        return np.array([ix0 * ns + iy0])
+    ys = np.arange(max(iy0 - k, 0), min(iy0 + k, ns - 1) + 1)
+    xs = np.arange(max(ix0 - k + 1, 0), min(ix0 + k - 1, ns - 1) + 1)
+    parts = [ix * ns + ys for ix in (ix0 - k, ix0 + k) if 0 <= ix < ns]
+    parts += [xs * ns + iy for iy in (iy0 - k, iy0 + k) if 0 <= iy < ns]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def nearest_surface(index, x: float, y: float, exclude: int = -1):
@@ -72,7 +75,9 @@ def nearest_surface(index, x: float, y: float, exclude: int = -1):
     ignoring one disk; (inf, -1) when the index holds no disks.
 
     Expanding ring search: after scanning all cells within Chebyshev
-    radius k, every unseen disk is farther than (k+1) h away."""
+    radius k, every unseen disk is farther than (k+1) h away.  Each ring's
+    candidates are gathered at once and measured with math.hypot; the
+    lowest index wins ties."""
     if index.n_disks == 0:
         return math.inf, -1
     ns = index.n_side
@@ -80,22 +85,14 @@ def nearest_surface(index, x: float, y: float, exclude: int = -1):
     best = math.inf
     best_i = -1
     for k in range(ns):
-        lo_x, hi_x = max(ix0 - k, 0), min(ix0 + k, ns - 1)
-        lo_y, hi_y = max(iy0 - k, 0), min(iy0 + k, ns - 1)
-        ring = []
-        for ix in range(lo_x, hi_x + 1):
-            if k == 0:
-                ring.append((ix, iy0))
-            else:
-                if ix == ix0 - k or ix == ix0 + k:
-                    ring.extend((ix, iy) for iy in range(lo_y, hi_y + 1))
-                else:
-                    if iy0 - k >= 0:
-                        ring.append((ix, iy0 - k))
-                    if iy0 + k <= ns - 1:
-                        ring.append((ix, iy0 + k))
-        best, best_i = _scan(index, [ix * ns + iy for ix, iy in ring], x, y,
-                             exclude, best, best_i)
+        _, items, _, _ = index.gather_candidates(_ring_cells(ns, ix0, iy0, k))
+        items = items[items != exclude]
+        if items.size:
+            d = _surface_distances(x - index.cx[items], y - index.cy[items], index.radii[items])
+            m = float(d.min())
+            i = int(items[d == m].min())
+            if m < best or (m == best and i < best_i):
+                best, best_i = m, i
         if best <= (k + 1) * index.h:
             break
     return best, best_i

@@ -61,17 +61,30 @@ def test_acceptance_2_criterion_closed_forms():
     checks.append(abs(ch.criterion_integral(e12).value - 0.5) <= 1e-6)
     checks.append(ch.criterion_integral(p).classification == "divergent")
     checks.append(ch.criterion_sum(p, K=2.0).classification == "divergent")
-    agree = True
-    profiles = [e11, e12, p, ch.power_profile(0.5, 1.5), ch.const_profile(0.3),
-                ch.expinv_profile(0.7, 1.3)]
-    for prof in profiles:
-        ci = ch.criterion_integral(prof).classification
+    # the sum's partial sums against its closed form (expinv) and against
+    # the integral of its decreasing term, which they bound from above
+    # (power, const): log(1/phi) at the gap K^-j is a + b j for power
+    worst_expinv = 0.0
+    for prof in (e11, e12, ch.expinv_profile(0.7, 1.3)):
         for K in (2.0, 4.0, 10.0):
-            agree = agree and (ch.criterion_sum(prof, K=K).classification == ci)
-    checks.append(agree)
+            rep = ch.criterion_sum(prof, K=K)
+            worst_expinv = max(worst_expinv, abs(rep.partial_sums[-1] / rep.value - 1.0))
+    checks.append(worst_expinv <= 1e-12)
+    bounded = True
+    for prof in (p, ch.power_profile(0.5, 1.5), ch.const_profile(0.3)):
+        c, gamma = (*prof.params, 0.0)[:2]
+        for K in (2.0, 4.0, 10.0):
+            rep = ch.criterion_sum(prof, K=K)
+            a, b = math.log(1.0 / c), gamma * math.log(K)
+            J = np.arange(1, rep.J_max + 1)
+            integral = np.log((a + b * (J + 1)) / (a + b)) / b if b else J / a
+            # a constant term makes the two equal, up to the rounding of the sums
+            bounded = bounded and bool(np.all(np.array(rep.partial_sums) >= integral * (1 - 1e-12)))
+    checks.append(bounded)
     _report("2 criterion closed forms", all(checks),
             f"integral(exp(-1/(1-t)))={ri.value:.9f}, sum(K=2)={rs.value:.9f}, "
-            f"K-agreement over {len(profiles)} profiles: {agree}")
+            f"expinv partial sums off their closed forms by {worst_expinv:.2g} relative, "
+            f"power and const partial sums above their integrals: {bounded}")
 
 
 # -- 3: sandwich property --------------------------------------------------------

@@ -16,6 +16,8 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,22 +77,12 @@ def test_covering_radius_matches_all_pairs(pts, probes):
     assert got == float(rho.min(axis=1).max())
 
 
-def test_pseudo_nearest_ends_after_the_whole_disk_round(monkeypatch):
-    # the computed rho of this pair rounds above 1, beyond every radius, so
-    # the search must stop after the whole-disk round; a bound on the rounds
-    # makes a missing stop fail instead of hang
+def test_pseudo_nearest_ends_after_the_whole_disk_round():
+    # the computed rho of this pair rounds above 1, which the nearest search
+    # must still report as it is
     z = np.array([0.998066103210284 + 0.06216150074871263j])
     pts = np.array([-0.9980218895065883 - 0.06286738420552307j])
     index = spatial.PointIndex(pts)
-    rounds = []
-    balls = index.pseudo_balls
-
-    def counted(*args):
-        rounds.append(1)
-        assert len(rounds) <= 64, "the pseudo nearest search does not end"
-        return balls(*args)
-
-    monkeypatch.setattr(index, "pseudo_balls", counted)
     assert index.pseudo_nearest(z)[0] == pseudo_distance_many(z, pts)[0] == 1.0000000000000004
     assert covering_radius(PointSequence(pts), 0.5, probe_points=z) == 1.0000000000000004
 
@@ -98,13 +90,12 @@ def test_pseudo_nearest_ends_after_the_whole_disk_round(monkeypatch):
 def test_separation_takes_the_whole_disk_path_for_a_wide_pair():
     pts = np.array([0.999999 + 0j, -0.999999 + 1e-3j])
     rho = float(pseudo_distance_many(pts[0], pts[1]))
-    assert rho > spatial._PSEUDO_RADIUS_MAX     # the bucket-order bound of the one pair
     assert separation(PointSequence(pts)) == rho
 
 
 def test_separation_of_a_circle_near_the_rim_reduces_block_by_block():
-    # every pair lies in the whole-disk ball of the bucket-order bound, so
-    # the pass lists all n^2 pairs; memory stays at one block of them
+    # every pair lies within 1e-12 of rho = 1, where the screen's slack
+    # nearly reaches the gap to 1; memory stays at one block of candidates
     n = 3000
     pts = (1.0 - 1e-9) * np.exp(2j * np.pi * np.arange(n) / n)
     exact = min(float(pseudo_distance_many(pts[k], pts[k + 1:]).min()) for k in range(n - 1))
@@ -118,6 +109,98 @@ def test_separation_of_a_circle_near_the_rim_reduces_block_by_block():
     assert exact > spatial._PSEUDO_RADIUS_MAX
     assert got == exact
     assert peak <= 50 * 2 ** 20
+
+
+def _count_pairs(monkeypatch):
+    """The number of pairs that separation and covering measure."""
+    measured = [0]
+
+    def counted(z, w):
+        rho = pseudo_distance_many(z, w)
+        measured[0] += rho.size
+        return rho
+
+    monkeypatch.setattr(spatial, "pseudo_distance_many", counted)
+    monkeypatch.setattr(sequences, "pseudo_distance_many", counted)
+    return measured
+
+
+def test_the_nearest_search_stays_local_on_a_circle_near_the_rim(monkeypatch):
+    # 3,000 points on |z| = 1 - 1e-8 and probes halfway between them: every
+    # pair has rho within 1e-9 of 1, yet each query measures a few
+    # candidates, and covering holds a few blocks of them in memory
+    n = 3000
+    pts = (1.0 - 1e-8) * np.exp(2j * np.pi * np.arange(n) / n)
+    probes = (1.0 - 1e-8) * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    exact_sep = min(float(pseudo_distance_many(pts[k], pts[k + 1:]).min()) for k in range(n - 1))
+    exact_cover = max(float(pseudo_distance_many(z, pts).min()) for z in probes)
+    seq = PointSequence(pts)
+    covering_radius(PointSequence(pts[:2]), 0.5, probe_points=probes[:2])  # loads the library
+    measured = _count_pairs(monkeypatch)
+    assert separation(seq) == exact_sep
+    assert measured[0] <= 64 * n
+    measured[0] = 0
+    tracemalloc.start()
+    try:
+        got = covering_radius(seq, 0.5, probe_points=probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == exact_cover
+    assert measured[0] <= 64 * n
+    assert peak <= 50 * 2 ** 20
+
+
+def test_the_nearest_slack_bounds_the_rounding_of_both_distances():
+    # the nearest search screens with s = d / b, d = |z - w|, b = |1 - conj(w) z|
+    # formed as sqrt(d^2 + (1 - |z|^2)(1 - |w|^2)), and lists every point
+    # whose s is within a + b_coef / b of the least: the errors of s and of
+    # pseudo_distance_many (either way round) against the exact rho must
+    # add up to at most that slack.  Pairs by the rim, down to 1e-12 from
+    # it, and near each other, down to 1e-24 apart
+    rng = np.random.default_rng(17)
+    n = 3000
+    gap = 10.0 ** rng.uniform(-12.0, -0.05, n)
+    z = (1.0 - gap) * np.exp(2j * np.pi * rng.random(n))
+    step = 10.0 ** rng.uniform(-12.0, 0.3, n) * np.exp(2j * np.pi * rng.random(n))
+    far = (1.0 - 10.0 ** rng.uniform(-12.0, -0.05, n)) * np.exp(2j * np.pi * rng.random(n))
+    kind = np.arange(n) % 3
+    w = np.where(kind == 0, z + step * gap, np.where(kind == 1, z + step, far))
+    keep = (np.abs(w) <= 1.0 - 1e-12) & (w != z)
+    z, w = z[keep], w[keep]
+    # the screen as _grid.c forms it, operation for operation
+    x, y, px, py = z.real, z.imag, w.real, w.imag
+    dx, dy = x - px, y - py
+    d2 = dx * dx + dy * dy
+    inv_b = 1.0 / np.sqrt(d2 + (1.0 - (x * x + y * y)) * (1.0 - (px * px + py * py)))
+    screen = np.sqrt(d2) * inv_b
+    slack_abs, slack_rel = spatial._NEAREST_SLACK
+    slack = slack_abs + slack_rel * inv_b
+    forward, backward = pseudo_distance_many(z, w), pseudo_distance_many(w, z)
+    worst = 0.0
+    for k in range(z.size):
+        a, b, c, e = map(Fraction, (x[k], y[k], px[k], py[k]))
+        rho2 = (a - c) ** 2 + (b - e) ** 2
+        rho2 = rho2 / (rho2 + (1 - a * a - b * b) * (1 - c * c - e * e))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            rho = (Decimal(rho2.numerator) / Decimal(rho2.denominator)).sqrt()
+        err = max(abs(Decimal(float(forward[k])) - rho), abs(Decimal(float(backward[k])) - rho))
+        err += abs(Decimal(float(screen[k])) - rho)
+        worst = max(worst, float(err / Decimal(float(slack[k]))))
+    assert worst <= 1.0
+    assert worst > 0.1       # a slack many times too wide would search more than it needs
+
+
+def test_a_query_outside_the_disk_measures_every_point():
+    # a query not surely inside the disk lists every point; a query on a
+    # point finds it at rho 0
+    pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
+    z = np.concatenate([[1.0, -1j, 1.0 - 2.0 ** -52, 0.6 + 0.8j, 2.0 + 1j], pts[::7]])
+    want = pseudo_distance_many(z[:, None], pts[None, :]).min(axis=1)
+    got = spatial.PointIndex(pts).pseudo_nearest(z)
+    assert np.array_equal(got, want)
+    assert np.all(got[5:] == 0.0)
 
 
 def test_separation_and_covering_match_all_pairs_on_a_shuffled_lattice():
@@ -477,8 +560,8 @@ small_and_large_grid_disk_sets = point_sets.flatmap(lambda pts: st.tuples(
 
 
 @given(small_and_large_grid_disk_sets)
-# fewer cases than the other properties: a case at n_side 1024 takes up to
-# a second, most of it in the Python ring search of the array build
+# fewer cases than the other properties: a case at n_side 1024 is the
+# slowest, most of it in the ring searches of the array build
 @settings(max_examples=20, deadline=None)
 def test_grid_index_matches_both_builds_on_small_and_large_grids(case):
     _assert_grid_matches_both_builds(*_disks(case))

@@ -271,7 +271,8 @@ def test_import_and_geometry_compile_nothing(tmp_path):
 
 
 def test_ball_queries_compile_the_library_but_build_no_walk_grid(tmp_path):
-    # separation and the disjointness check run the compiled ball query
+    # separation runs the compiled nearest query, the disjointness check the
+    # compiled ball query
     _run_fresh("import champagne as ch\n"
                "from champagne import _native\n"
                "seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)\n"

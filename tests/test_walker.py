@@ -396,6 +396,16 @@ def test_target_parsing(two_bubble_domain):
     assert est.estimate == 1.0
 
 
+@pytest.mark.parametrize("target", ["bubble:abc", "bubble:", "bubble:7", "nowhere"])
+def test_a_bad_target_is_refused_before_any_walk(two_bubble_domain, target, monkeypatch):
+    def no_walks(*args):
+        raise AssertionError("walks ran before the target was checked")
+
+    monkeypatch.setattr(walker, "_run_walks", no_walks)
+    with pytest.raises(ValidationError):
+        estimate_measure(two_bubble_domain, 0j, target=target, n_walks=500, epsilon=1e-6)
+
+
 def test_steps_histogram_partitions_walks(one_bubble_domain):
     est = estimate_measure(one_bubble_domain, 0j, n_walks=3000, epsilon=1e-6, seed=4)
     assert sum(est.steps_hist) == est.n_walks
