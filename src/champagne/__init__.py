@@ -54,7 +54,6 @@ from .harmonic_density import (
 from .hyperbolic import (
     EuclideanDisk,
     PseudoDisk,
-    euclidean_to_pseudo,
     mobius_apply,
     pseudo_distance,
     pseudo_to_euclidean,

@@ -145,7 +145,11 @@ def resolve_seed(args) -> int:
         path = os.path.join(seed_dir, "default_seed")
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                return int(fh.read().strip())
+                text = fh.read().strip()
+            try:
+                return int(text)
+            except ValueError:
+                raise ValidationError(f"{path}: seed {text!r} is not an integer") from None
     return secrets.randbits(63)
 
 

@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import OverlapError, ValidationError
 from .hyperbolic import (
-    EuclideanDisk,
-    PseudoDisk,
-    euclidean_to_pseudo,
+    BOUNDARY_MARGIN,
     mobius_apply_many,
     pseudo_distance_many,
     pseudo_to_euclidean_arrays,
@@ -339,10 +337,12 @@ def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000) -
 class ChampagneDomain:
     """Unit disk minus pairwise disjoint closed bubbles.
 
-    Euclidean and pseudohyperbolic bubble parameters are both kept: the
-    walker works on Euclidean circles, the bounds (one-hole formula,
-    barriers) need the pseudo data.  Instances are immutable by
-    convention; the spatial index is built lazily and cached.
+    The pseudohyperbolic disks define the bubbles; the Euclidean centers
+    and radii are their realization by _realize, kept beside them because
+    the walker works on Euclidean circles while the bounds (one-hole
+    formula, barriers) need the pseudo data.  A domain file stores only
+    the pseudo disks, and load realizes them again.  Instances are
+    immutable by convention; the spatial index is built lazily and cached.
     """
 
     centers: np.ndarray            # complex Euclidean centers
@@ -352,7 +352,6 @@ class ChampagneDomain:
     source_index: np.ndarray       # indices into the originating sequence
     truncation_R: float
     profile_spec: str
-    circumference_sum: float = 0.0
     tail_sum_points: float = 0.0   # union-bound mass of discarded source points
     meta: dict = field(default_factory=dict)
     _index: DiskGridIndex | None = field(default=None, repr=False, compare=False)
@@ -376,6 +375,10 @@ class ChampagneDomain:
     @property
     def n_bubbles(self) -> int:
         return int(self.centers.size)
+
+    @property
+    def circumference_sum(self) -> float:
+        return float(2.0 * math.pi * self.radii.sum())
 
     @property
     def index(self) -> DiskGridIndex:
@@ -413,96 +416,113 @@ class ChampagneDomain:
                 )
         return z
 
-    def to_json_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
-            return v
-
-        return {
-            "meta": {k: clean(v) for k, v in self.meta.items()},
-            "bubbles": [
-                {
-                    "cx": float(c.real), "cy": float(c.imag), "radius": float(r),
-                    "source_index": int(s),
-                    "pseudo_cx": float(pc.real), "pseudo_cy": float(pc.imag),
-                    "pseudo_radius": float(pr),
-                }
-                for c, r, s, pc, pr in zip(self.centers, self.radii, self.source_index,
-                                           self.pseudo_centers, self.pseudo_radii)
-            ],
+    def to_json(self) -> str:
+        """The text of a domain file (_FILE_KEYS), standard JSON: non-finite
+        meta values are spelled "inf", "-inf" and "nan".  Refuses bubbles
+        that are not _realize's realization of the pseudo disks, which load
+        would realize instead.  No indent: json.dumps then runs its C encoder."""
+        centers, radii = pseudo_to_euclidean_arrays(self.pseudo_centers, self.pseudo_radii)
+        if not (np.array_equal(centers, self.centers) and np.array_equal(radii, self.radii)):
+            raise ValidationError("the bubbles are not the realization of the pseudo disks, "
+                                  "so a domain file could not reproduce them")
+        return json.dumps({
+            "pseudo_cx": self.pseudo_centers.real.tolist(),
+            "pseudo_cy": self.pseudo_centers.imag.tolist(),
+            "pseudo_radius": self.pseudo_radii.tolist(),
+            "source_index": self.source_index.tolist(),
             "truncation_R": float(self.truncation_R),
             "profile_spec": self.profile_spec,
-            "circumference_sum": float(self.circumference_sum),
             "tail_sum_points": float(self.tail_sum_points),
-        }
-
-    def to_json(self) -> str:
-        """The text of a domain file.  json.dumps runs the C encoder; an
-        indent would run the pure-Python one."""
-        return json.dumps(self.to_json_dict())
+            "meta": {k: repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in self.meta.items()},
+        }, allow_nan=False)
 
     def save(self, path) -> None:
+        text = self.to_json()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChampagneDomain":
-        bubbles = data["bubbles"]
-        centers = np.array([complex(b["cx"], b["cy"]) for b in bubbles])
-        radii = np.array([b["radius"] for b in bubbles], dtype=np.float64)
-        if bubbles and "pseudo_radius" in bubbles[0]:
-            p_centers = np.array([complex(b["pseudo_cx"], b["pseudo_cy"]) for b in bubbles])
-            p_radii = np.array([b["pseudo_radius"] for b in bubbles], dtype=np.float64)
-        else:
-            pseudo = [euclidean_to_pseudo(EuclideanDisk(c, r)) for c, r in zip(centers, radii)]
-            p_centers = np.array([p.center for p in pseudo], dtype=np.complex128)
-            p_radii = np.array([p.radius for p in pseudo], dtype=np.float64)
-        return cls(
-            centers=centers, radii=radii,
-            pseudo_centers=p_centers, pseudo_radii=p_radii,
-            source_index=np.array([b.get("source_index", k) for k, b in enumerate(bubbles)]),
-            truncation_R=float(data["truncation_R"]),
-            profile_spec=str(data.get("profile_spec", "")),
-            circumference_sum=float(data.get("circumference_sum", 0.0)),
-            tail_sum_points=float(data.get("tail_sum_points", 0.0)),
-            meta=dict(data.get("meta", {})),
-        )
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "ChampagneDomain":
+        """The domain of a file that save wrote, built as domain_from_pseudo
+        builds one.  A fault of the file raises a ValidationError (an
+        OverlapError for bubbles that meet) naming it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            text = fh.read()
+        try:
+            data = json.loads(text)
+            if not (isinstance(data, dict) and sorted(data) == sorted(_FILE_KEYS)):
+                raise ValidationError(f"a domain file is a JSON object with the keys "
+                                      f"{', '.join(_FILE_KEYS)}; rebuild older files "
+                                      "with build-domain")
+            cols = [np.array(data[key]) for key in _FILE_KEYS[:4]]
+            for key, col, kinds in zip(_FILE_KEYS, cols, ("iuf", "iuf", "iuf", "iu")):
+                if col.ndim != 1 or (col.size and col.dtype.kind not in kinds):
+                    raise ValidationError(f"{key} must be a list of "
+                                          f"{'integers' if kinds == 'iu' else 'numbers'}")
+            if len({col.size for col in cols}) != 1:
+                raise ValidationError("the columns have unequal lengths")
+            if not (type(data["truncation_R"]) in (int, float) and isinstance(data["meta"], dict)
+                    and type(data["tail_sum_points"]) in (int, float)
+                    and isinstance(data["profile_spec"], str)):
+                raise ValidationError("truncation_R and tail_sum_points must be numbers, "
+                                      "profile_spec a string and meta an object")
+            p_centers = cols[0].astype(np.complex128)
+            p_centers.imag = cols[1]
+            return _from_pseudo(
+                p_centers, cols[2], cols[3], truncation_R=float(data["truncation_R"]),
+                profile_spec=data["profile_spec"], tail_sum_points=float(data["tail_sum_points"]),
+                meta={k: float(v) if v in ("inf", "-inf", "nan") else v
+                      for k, v in data["meta"].items()})
+        except OverlapError as exc:
+            raise OverlapError(exc.index_a, exc.index_b, exc.gap,
+                               message=f"{path}: {exc}") from exc
+        except ValueError as exc:   # a ValidationError, or text that is not JSON
+            raise ValidationError(f"{path}: {exc}") from exc
+
+
+# a domain file: the pseudo disks as columns, then the record fields
+_FILE_KEYS = ("pseudo_cx", "pseudo_cy", "pseudo_radius", "source_index",
+              "truncation_R", "profile_spec", "tail_sum_points", "meta")
 
 
 def _realize(pseudo_centers, pseudo_radii, source_index, **record) -> ChampagneDomain:
-    """The domain whose bubbles realize the given pseudo disks, with their
-    circumference sum; `record` holds the other fields.  Every builder
-    realizes its bubbles here."""
+    """The domain whose bubbles realize the given pseudo disks by
+    pseudo_to_euclidean_arrays; `record` holds the other fields.  Every
+    builder and load realize bubbles here, and save refuses others, so a
+    domain file reproduces its domain bit for bit."""
     centers, radii = pseudo_to_euclidean_arrays(pseudo_centers, pseudo_radii)
-    return ChampagneDomain(
-        centers=centers, radii=radii,
-        pseudo_centers=pseudo_centers, pseudo_radii=pseudo_radii,
-        source_index=source_index,
-        circumference_sum=float(2.0 * math.pi * radii.sum()),
-        **record,
-    )
+    return ChampagneDomain(centers=centers, radii=radii, pseudo_centers=pseudo_centers,
+                           pseudo_radii=pseudo_radii, source_index=source_index, **record)
+
+
+def _from_pseudo(pseudo_centers, pseudo_radii, source_index, **record) -> ChampagneDomain:
+    """_realize for the builders and load, which need centers in
+    |z| <= 1 - BOUNDARY_MARGIN, radii in (0, 1) and disjoint closed
+    bubbles (transport_domain maps disks that passed)."""
+    bad = ~((np.abs(pseudo_centers) <= 1.0 - BOUNDARY_MARGIN)
+            & (pseudo_radii > 0.0) & (pseudo_radii < 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(f"pseudo disk {k} ({complex(pseudo_centers[k])!r}, "
+                              f"{float(pseudo_radii[k])!r}) needs |center| <= 1 - "
+                              f"{BOUNDARY_MARGIN:g} and radius in (0, 1)")
+    dom = _realize(pseudo_centers, pseudo_radii, source_index, **record)
+    _check_disjoint(dom)
+    return dom
 
 
 def domain_from_pseudo(pseudo_disks, truncation_R: float = 1.0,
                        profile_spec: str = "explicit", meta: dict | None = None,
                        source_index=None) -> ChampagneDomain:
-    """Build a domain from explicit pseudohyperbolic bubbles (fixtures,
-    transported domains)."""
-    disks = [PseudoDisk(complex(c), float(r)) for c, r in pseudo_disks]
-    if source_index is None:
-        source_index = np.arange(len(disks))
-    dom = _realize(np.array([d.center for d in disks], dtype=np.complex128),
-                   np.array([d.radius for d in disks], dtype=np.float64),
-                   source_index, truncation_R=float(truncation_R),
-                   profile_spec=profile_spec, meta=meta or {})
-    _check_disjoint(dom)
-    return dom
+    """Build a domain from a list of explicit pseudohyperbolic bubbles,
+    (center, radius) pairs (fixtures)."""
+    n = len(pseudo_disks)
+    centers, radii = np.array(pseudo_disks, dtype=np.complex128).reshape(n, 2).T
+    return _from_pseudo(centers.copy(), radii.real.copy(),
+                        np.arange(n) if source_index is None else source_index,
+                        truncation_R=float(truncation_R), profile_spec=profile_spec,
+                        meta=meta or {})
 
 
 def _check_disjoint(dom: ChampagneDomain) -> None:
@@ -530,10 +550,10 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
     each requested interior point (the walk start, by default 0) stays
     outside every bubble.  Both checks are exact, and neither builds the
     walk grid: the domain builds it when a walk first needs it.  Records
-    the circumference sum and the union-bound mass of the discarded tail
-    for downstream bounds, and in meta the criterion tail integral beyond
-    the truncation (criterion_tail_integral, closed form): building a
-    domain runs no numerical integration.
+    the union-bound mass of the discarded tail for downstream bounds, and
+    in meta the criterion tail integral beyond the truncation
+    (criterion_tail_integral, closed form): building a domain runs no
+    numerical integration.
     """
     if not 0.0 < truncation_R <= 1.0:
         raise ValidationError(f"truncation_R must lie in (0, 1], got {truncation_R!r}")
@@ -561,7 +581,7 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
                                              np.log(1.0 / tail_m) / tail_li)))
     tail_int = criterion_tail_integral(profile, truncation_R) if truncation_R < 1.0 else 0.0
 
-    dom = _realize(
+    dom = _from_pseudo(
         lam, p_radii, np.nonzero(keep)[0],
         truncation_R=float(truncation_R),
         profile_spec=profile.describe(),
@@ -569,7 +589,6 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
         meta={"kind": "champagne", "n_source_points": len(seq), "sequence": seq.label,
               "tail_integral_from_R": tail_int},
     )
-    _check_disjoint(dom)
     for z in ensure_interior:
         dom.require_interior(z, "requested interior point")
     return dom
@@ -604,15 +623,14 @@ def build_finitely_connected(seq: PointSequence, z, r: float,
     rho = pseudo_distance_many(z, seq.points)
     keep = (rho > 0.5 + _TIE_SNAP) & (rho < r - _TIE_SNAP)
     lam = seq.points[keep]
-    dom = _realize(
-        lam, np.full(lam.size, d), np.nonzero(keep)[0],
-        truncation_R=float(r),
-        profile_spec=f"const:{d:.17g}",
-        meta={"kind": "finitely_connected", "z": [z.real, z.imag], "r": float(r),
-              "delta": float(d), "sequence": seq.label},
-    )
     try:
-        _check_disjoint(dom)
+        return _from_pseudo(
+            lam, np.full(lam.size, d), np.nonzero(keep)[0],
+            truncation_R=float(r),
+            profile_spec=f"const:{d:.17g}",
+            meta={"kind": "finitely_connected", "z": [z.real, z.imag], "r": float(r),
+                  "delta": float(d), "sequence": seq.label},
+        )
     except OverlapError as exc:
         sep = separation(seq)
         # disjointness is guaranteed once 2 delta/(1+delta^2) < separation
@@ -624,7 +642,6 @@ def build_finitely_connected(seq: PointSequence, z, r: float,
                      f"delta={d:g}; the rule delta=1-r is admissible for r >= {r_min:.6g} "
                      f"(sequence separation {sep:.6g})"),
         ) from exc
-    return dom
 
 
 def transport_domain(dom: ChampagneDomain, a) -> ChampagneDomain:

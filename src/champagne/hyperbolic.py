@@ -10,7 +10,6 @@ walking) works on Euclidean circles.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,28 +111,6 @@ def pseudo_to_euclidean(d: PseudoDisk) -> EuclideanDisk:
     """
     c, r = pseudo_to_euclidean_arrays(d.center, d.radius)
     return EuclideanDisk(center=complex(c), radius=float(r))
-
-
-def euclidean_to_pseudo(d: EuclideanDisk) -> PseudoDisk:
-    """Invert pseudo_to_euclidean for a disk strictly inside the unit disk."""
-    c = complex(d.center)
-    radius = float(d.radius)
-    m = abs(c)
-    if m + radius >= 1.0:
-        raise ValidationError("disk is not strictly inside the unit disk")
-    # Work on the ray through the center: the pseudo center lies on it,
-    # between the two radial boundary points u < v.
-    u = m - radius
-    v = m + radius
-    if abs(u + v) < 1e-300:
-        pc, pr = 0.0, v
-    else:
-        s = u + v
-        p = 1.0 + u * v
-        pc = (p - math.sqrt(p * p - s * s)) / s
-        pr = (v - pc) / (1.0 - v * pc)
-    phase = c / m if m > 0 else 1.0
-    return PseudoDisk(center=phase * pc, radius=pr)
 
 
 def pseudo_to_euclidean_arrays(centers: np.ndarray, radii: np.ndarray):

@@ -80,7 +80,7 @@ def test_measure_pipeline(tmp_path):
                  "--truncation", "0.875", "-o", str(dom_path)]) == 0
     dom_data = json.loads(dom_path.read_text())
     assert dom_data["truncation_R"] == 0.875
-    assert len(dom_data["bubbles"]) == 14
+    assert len(dom_data["pseudo_cx"]) == 14
     assert main(["measure", "--domain", str(dom_path), "--start", "0,0",
                  "--walks", "4000", "--seed", "4", "-o", str(est_path)]) == 0
     data = _validate(est_path)
@@ -172,6 +172,33 @@ def test_malformed_table_profiles_exit_2(tmp_path, capsys, name, text):
     path.write_text(text)
     assert main(["criterion", "--profile", f"table:{path}"]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def _edit(key, value):
+    return lambda data: {**data, key: value}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: [[0.1, 0.2], [0.3, 0.4]],                     # a sequence file
+    lambda data: {k: v for k, v in data.items() if k != "pseudo_radius"},
+    _edit("pseudo_cx", ["0.5", -0.5]),
+    _edit("source_index", [0.0, 1.0]),
+    _edit("truncation_R", "1"),
+    _edit("pseudo_cy", [0.0]),
+    _edit("pseudo_cx", [1.0, -0.5]),                            # centre on the circle
+    _edit("pseudo_radius", [0.25, 1.0]),
+    _edit("pseudo_radius", [0.6, 0.6]),                         # the two bubbles meet
+    lambda data: "{",                                           # not JSON
+], ids=["sequence-file", "missing-column", "string-column", "float-index", "string-R",
+        "unequal-columns", "centre-outside", "radius-outside", "overlap", "not-json"])
+def test_malformed_domain_files_exit_2(tmp_path, capsys, edit):
+    data = json.loads(ch.domain_from_pseudo([(0.5 + 0j, 0.25), (-0.5 + 0j, 0.25)]).to_json())
+    edited = edit(data)
+    path = tmp_path / "dom.json"
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    assert main(["measure", "--domain", str(path), "--walks", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_theorem2_cli_with_csv(tmp_path):
@@ -305,3 +332,13 @@ def test_seed_dir_env(tmp_path, monkeypatch):
     assert main(["gen-seq", "--ring", "q=0.5,scale=1,depth=2", "-o", str(seq_path)]) == 0
     meta = json.loads((tmp_path / "seq.json.meta.json").read_text())
     assert meta["config"]["seed"] == 12345
+
+
+def test_seed_dir_non_integer_seed_exits_2(tmp_path, monkeypatch, capsys):
+    seed_dir = tmp_path / "seeds"
+    seed_dir.mkdir()
+    (seed_dir / "default_seed").write_text("twelve\n")
+    monkeypatch.setenv("CHAMPAGNE_SEED_DIR", str(seed_dir))
+    assert main(["gen-seq", "--ring", "q=0.5,scale=1,depth=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(seed_dir / "default_seed") in err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -383,28 +384,55 @@ def test_finitely_connected_overlap_reports_admissible_r():
 
 def test_domain_json_roundtrip(tmp_path):
     seq = ch.generate_ring_lattice(0.5, 1, 5, seed=3)
-    dom = build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -5)
+    power = build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -5)
+    assert power.meta["tail_integral_from_R"] == math.inf
+    doms = [power, build_finitely_connected(seq, 0.1j, 1 - 2.0 ** -4),
+            transport_domain(power, 0.3 - 0.2j),
+            ch.domain_from_pseudo([(0.5 + 0j, 0.2), (-0.3 + 0.4j, 0.15)], meta={"r": 0.9})]
     path = tmp_path / "dom.json"
+    for dom in doms:
+        assert dom.n_bubbles > 0
+        dom.save(path)
+        back = ChampagneDomain.load(path)
+        for name in ("centers", "radii", "pseudo_centers", "pseudo_radii", "source_index"):
+            got, want = getattr(back, name), getattr(dom, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name in ("circumference_sum", "tail_sum_points", "truncation_R", "profile_spec",
+                     "meta"):
+            assert getattr(back, name) == getattr(dom, name), name
+
+
+def test_domain_file_keys_are_pinned():
+    seq = ch.generate_ring_lattice(0.5, 1, 5, seed=3)
+    dom = build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -5)
+
+    def refuse(token):
+        raise AssertionError(f"{token} is not standard JSON")
+
+    data = json.loads(dom.to_json(), parse_constant=refuse)
+    assert sorted(data) == ["meta", "profile_spec", "pseudo_cx", "pseudo_cy", "pseudo_radius",
+                            "source_index", "tail_sum_points", "truncation_R"]
+    assert data["meta"]["tail_integral_from_R"] == "inf"
+
+
+def test_save_refuses_bubbles_the_file_cannot_reproduce(tmp_path):
+    # Euclidean disks passed as their own pseudo disks: load would realize others
+    dom = _euclidean_domain([(-0.5, 0.25), (0.5, 0.25)], [0, 1])
+    path = tmp_path / "dom.json"
+    with pytest.raises(ValidationError, match="realization"):
+        dom.save(path)
+    assert not path.exists()
+
+
+def test_estimate_on_loaded_floor_domain_matches_built(tmp_path):
+    seq = ch.generate_ring_lattice(0.5, 5, 10, seed=1)
+    dom = build_champagne(seq, ch.power_profile(0.05, 2), 1 - 2.0 ** -10)
+    path = tmp_path / "big.json"
     dom.save(path)
     back = ChampagneDomain.load(path)
-    for name in ("centers", "radii", "pseudo_centers", "pseudo_radii", "source_index"):
-        got, want = getattr(back, name), getattr(dom, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert back.truncation_R == dom.truncation_R
-    assert back.profile_spec == dom.profile_spec
-    assert back.circumference_sum == dom.circumference_sum
-    assert back.tail_sum_points == dom.tail_sum_points
-
-
-def test_domain_load_without_pseudo_fields(tmp_path):
-    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.25)])
-    data = dom.to_json_dict()
-    for b in data["bubbles"]:
-        for k in ("pseudo_cx", "pseudo_cy", "pseudo_radius"):
-            b.pop(k)
-    back = ChampagneDomain.from_json_dict(data)
-    assert back.pseudo_centers[0] == pytest.approx(0.5 + 0j, abs=1e-10)
-    assert back.pseudo_radii[0] == pytest.approx(0.25, abs=1e-10)
+    built, loaded = (ch.estimate_measure(d, 0j, n_walks=500, seed=3, threads=1)
+                     for d in (dom, back))
+    assert loaded.canonical_json() == built.canonical_json()
 
 
 def test_transport_preserves_pseudo_radii_and_distances():

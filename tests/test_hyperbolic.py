@@ -11,7 +11,6 @@ from champagne.errors import ValidationError
 from champagne.hyperbolic import (
     EuclideanDisk,
     PseudoDisk,
-    euclidean_to_pseudo,
     mobius_apply,
     mobius_apply_many,
     pseudo_distance,
@@ -123,15 +122,6 @@ def test_boundary_points_at_stated_pseudo_distance():
         p = d.boundary_point(rng.uniform(0, 2 * np.pi))
         assert pseudo_distance(c, p) == pytest.approx(r, abs=1e-10)
         assert abs(d.center) + d.radius < 1.0
-
-
-def test_euclidean_pseudo_roundtrip():
-    rng = np.random.default_rng(11)
-    for c, r in zip(rand_disk_points(rng, 30, 0.8), rng.uniform(0.02, 0.4, 30)):
-        e = pseudo_to_euclidean(PseudoDisk(c, r))
-        back = euclidean_to_pseudo(e)
-        assert back.center == pytest.approx(c, abs=1e-10)
-        assert back.radius == pytest.approx(r, abs=1e-10)
 
 
 def test_disk_validation():

@@ -254,20 +254,23 @@ def _run_fresh(script, home):
 
 
 def test_import_and_geometry_compile_nothing(tmp_path):
-    # a saved domain is loaded without a disjointness check; its sandwich
-    # bounds, interior check and boundary distance need no compiled code
+    # importing compiles nothing; loading a domain checks disjointness with
+    # the compiled ball query, and then its sandwich bounds, interior check
+    # and boundary distance call no compiled code and build no walk grid
     seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)
     path = tmp_path / "domain.json"
     ch.build_champagne(seq, ch.parse_profile("power:0.1,2"), 1 - 2 ** -6).save(path)
     _run_fresh("import champagne as ch\n"
                "from champagne import _native\n"
+               "assert _native.library.cache_info().misses == 0\n"
                f"dom = ch.ChampagneDomain.load({str(path)!r})\n"
+               "calls = _native.library.cache_info()\n"
+               "assert calls.misses == 1\n"
                "ch.sandwich_bounds(dom)\n"
                "dom.require_interior(0.1 + 0.2j)\n"
                "ch.distance_to_boundary(dom, 0.1 + 0.2j)\n"
                "assert dom._index is None\n"
-               "assert _native.library.cache_info().misses == 0\n", tmp_path)
-    assert not (tmp_path / ".cache").exists()
+               "assert _native.library.cache_info() == calls\n", tmp_path)
 
 
 def test_ball_queries_compile_the_library_but_build_no_walk_grid(tmp_path):
