@@ -51,13 +51,7 @@ from .harmonic_density import (
     harmonic_density_curve,
     theorem2_report,
 )
-from .hyperbolic import (
-    EuclideanDisk,
-    PseudoDisk,
-    mobius_apply,
-    pseudo_distance,
-    pseudo_to_euclidean,
-)
+from .hyperbolic import mobius_apply, pseudo_distance
 from .sequences import (
     DensityEstimate,
     PointSequence,

@@ -24,7 +24,7 @@ import numpy as np
 from . import _native
 from .domains import ChampagneDomain, transport_domain
 from .errors import NumericalRefusalError, ValidationError
-from .hyperbolic import mobius_apply_many, pseudo_distance_many, require_disk_point
+from .hyperbolic import mobius_apply_many, pseudo_distance_many
 from .sequences import PointSequence, probe_lattice
 from .spatial import PointIndex
 

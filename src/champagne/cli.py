@@ -26,7 +26,6 @@ from .barriers import barrier_lower_bound
 from .domains import (
     ChampagneDomain,
     build_champagne,
-    build_finitely_connected,
     criterion_integral,
     criterion_sum,
     parse_profile,
@@ -35,13 +34,11 @@ from .errors import ChampagneError, NumericalRefusalError, ValidationError, Walk
 from .harmonic_density import McParams, ProbeSpec, theorem2_report
 from .sequences import (
     PointSequence,
-    blaschke_sum,
     covering_radius,
     diagnose,
     generate_ring_lattice,
     load_sequence,
     save_sequence,
-    separation,
     uniform_density,
 )
 from .walker import estimate_measure, layered_crossing, sandwich_bounds

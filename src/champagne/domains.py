@@ -333,20 +333,20 @@ def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000) -
 # ---------------------------------------------------------------------------
 # champagne domains
 
-@dataclass
+@dataclass(eq=False)
 class ChampagneDomain:
     """Unit disk minus pairwise disjoint closed bubbles.
 
-    The pseudohyperbolic disks define the bubbles; the Euclidean centers
-    and radii are their realization by _realize, kept beside them because
-    the walker works on Euclidean circles while the bounds (one-hole
-    formula, barriers) need the pseudo data.  A domain file stores only
-    the pseudo disks, and load realizes them again.  Instances are
+    The pseudohyperbolic disks D(pseudo_centers, pseudo_radii) are the
+    domain: construction realizes them as the Euclidean centers and radii
+    the walker needs (pseudo_to_euclidean_arrays, the one realization),
+    while the bounds (one-hole formula, barriers) read the pseudo data.
+    The builders below check the pseudo disks and their disjointness; a
+    domain file stores only the pseudo disks.  Two domains are == when
+    their pseudo disks, sources and record fields are.  Instances are
     immutable by convention; the spatial index is built lazily and cached.
     """
 
-    centers: np.ndarray            # complex Euclidean centers
-    radii: np.ndarray              # Euclidean radii
     pseudo_centers: np.ndarray     # complex pseudo centers (the source points)
     pseudo_radii: np.ndarray
     source_index: np.ndarray       # indices into the originating sequence
@@ -354,23 +354,32 @@ class ChampagneDomain:
     profile_spec: str
     tail_sum_points: float = 0.0   # union-bound mass of discarded source points
     meta: dict = field(default_factory=dict)
-    _index: DiskGridIndex | None = field(default=None, repr=False, compare=False)
+    centers: np.ndarray = field(init=False)   # complex Euclidean centers
+    radii: np.ndarray = field(init=False)     # Euclidean radii
+    _index: DiskGridIndex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.complex128)
-        self.radii = np.asarray(self.radii, dtype=np.float64)
         self.pseudo_centers = np.asarray(self.pseudo_centers, dtype=np.complex128)
         self.pseudo_radii = np.asarray(self.pseudo_radii, dtype=np.float64)
         self.source_index = np.asarray(self.source_index, dtype=np.int64)
-        n = self.centers.size
-        if not (self.radii.size == n and self.pseudo_centers.size == n
-                and self.pseudo_radii.size == n and self.source_index.size == n):
+        n = self.pseudo_centers.size
+        if not (self.pseudo_radii.size == n and self.source_index.size == n):
             raise ValidationError("bubble arrays must align")
+        self.centers, self.radii = pseudo_to_euclidean_arrays(self.pseudo_centers,
+                                                              self.pseudo_radii)
         if n and not np.all(np.abs(self.centers) + self.radii < 1.0):
             bad = int(np.argmax(np.abs(self.centers) + self.radii))
             raise ValidationError(
                 f"bubble {bad} (source {self.source_index[bad]}) is not strictly inside the unit disk"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, ChampagneDomain):
+            return NotImplemented
+        return (all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("pseudo_centers", "pseudo_radii", "source_index"))
+                and (self.truncation_R, self.profile_spec, self.tail_sum_points, self.meta)
+                == (other.truncation_R, other.profile_spec, other.tail_sum_points, other.meta))
 
     @property
     def n_bubbles(self) -> int:
@@ -417,14 +426,10 @@ class ChampagneDomain:
         return z
 
     def to_json(self) -> str:
-        """The text of a domain file (_FILE_KEYS), standard JSON: non-finite
-        meta values are spelled "inf", "-inf" and "nan".  Refuses bubbles
-        that are not _realize's realization of the pseudo disks, which load
-        would realize instead.  No indent: json.dumps then runs its C encoder."""
-        centers, radii = pseudo_to_euclidean_arrays(self.pseudo_centers, self.pseudo_radii)
-        if not (np.array_equal(centers, self.centers) and np.array_equal(radii, self.radii)):
-            raise ValidationError("the bubbles are not the realization of the pseudo disks, "
-                                  "so a domain file could not reproduce them")
+        """The text of a domain file (_FILE_KEYS), standard JSON: a
+        non-finite meta value is written as the one-key object
+        {"float": "inf"} (or "-inf", "nan"), and load decodes that exact
+        shape only.  No indent: json.dumps then runs its C encoder."""
         return json.dumps({
             "pseudo_cx": self.pseudo_centers.real.tolist(),
             "pseudo_cy": self.pseudo_centers.imag.tolist(),
@@ -433,8 +438,8 @@ class ChampagneDomain:
             "truncation_R": float(self.truncation_R),
             "profile_spec": self.profile_spec,
             "tail_sum_points": float(self.tail_sum_points),
-            "meta": {k: repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
-                     for k, v in self.meta.items()},
+            "meta": {k: {"float": repr(float(v))} if isinstance(v, float) and not math.isfinite(v)
+                     else v for k, v in self.meta.items()},
         }, allow_nan=False)
 
     def save(self, path) -> None:
@@ -472,7 +477,8 @@ class ChampagneDomain:
             return _from_pseudo(
                 p_centers, cols[2], cols[3], truncation_R=float(data["truncation_R"]),
                 profile_spec=data["profile_spec"], tail_sum_points=float(data["tail_sum_points"]),
-                meta={k: float(v) if v in ("inf", "-inf", "nan") else v
+                meta={k: float(v["float"]) if isinstance(v, dict) and list(v) == ["float"]
+                      and v["float"] in ("inf", "-inf", "nan") else v
                       for k, v in data["meta"].items()})
         except OverlapError as exc:
             raise OverlapError(exc.index_a, exc.index_b, exc.gap,
@@ -486,20 +492,10 @@ _FILE_KEYS = ("pseudo_cx", "pseudo_cy", "pseudo_radius", "source_index",
               "truncation_R", "profile_spec", "tail_sum_points", "meta")
 
 
-def _realize(pseudo_centers, pseudo_radii, source_index, **record) -> ChampagneDomain:
-    """The domain whose bubbles realize the given pseudo disks by
-    pseudo_to_euclidean_arrays; `record` holds the other fields.  Every
-    builder and load realize bubbles here, and save refuses others, so a
-    domain file reproduces its domain bit for bit."""
-    centers, radii = pseudo_to_euclidean_arrays(pseudo_centers, pseudo_radii)
-    return ChampagneDomain(centers=centers, radii=radii, pseudo_centers=pseudo_centers,
-                           pseudo_radii=pseudo_radii, source_index=source_index, **record)
-
-
 def _from_pseudo(pseudo_centers, pseudo_radii, source_index, **record) -> ChampagneDomain:
-    """_realize for the builders and load, which need centers in
-    |z| <= 1 - BOUNDARY_MARGIN, radii in (0, 1) and disjoint closed
-    bubbles (transport_domain maps disks that passed)."""
+    """The domain of the given pseudo disks, for the builders and load,
+    which need centers in |z| <= 1 - BOUNDARY_MARGIN, radii in (0, 1) and
+    disjoint closed bubbles (transport_domain maps disks that passed)."""
     bad = ~((np.abs(pseudo_centers) <= 1.0 - BOUNDARY_MARGIN)
             & (pseudo_radii > 0.0) & (pseudo_radii < 1.0))
     if bad.any():
@@ -507,7 +503,7 @@ def _from_pseudo(pseudo_centers, pseudo_radii, source_index, **record) -> Champa
         raise ValidationError(f"pseudo disk {k} ({complex(pseudo_centers[k])!r}, "
                               f"{float(pseudo_radii[k])!r}) needs |center| <= 1 - "
                               f"{BOUNDARY_MARGIN:g} and radius in (0, 1)")
-    dom = _realize(pseudo_centers, pseudo_radii, source_index, **record)
+    dom = ChampagneDomain(pseudo_centers, pseudo_radii, source_index, **record)
     _check_disjoint(dom)
     return dom
 
@@ -594,30 +590,22 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
     return dom
 
 
-def resolve_delta_rule(delta, r: float) -> float:
-    """delta may be a number, a callable of r, or the name 'one-minus-r'."""
-    if callable(delta):
-        return float(delta(r))
-    if isinstance(delta, str):
-        if delta in ("one-minus-r", "1-r"):
-            return 1.0 - r
-        raise ValidationError(f"unknown delta rule {delta!r}")
-    return float(delta)
-
-
 def build_finitely_connected(seq: PointSequence, z, r: float,
                              delta="one-minus-r") -> ChampagneDomain:
-    """Disk minus D(lambda, delta(r)) over lambda with 1/2 < rho(lambda, z) < r.
+    """Disk minus D(lambda, delta) over lambda with 1/2 < rho(lambda, z) < r.
 
-    Finitely many bubbles by construction; the default rule delta = 1 - r
-    shrinks them as the annulus widens.  On an overlap, the error reports
+    delta is a number or "one-minus-r".  Finitely many bubbles by
+    construction; the default rule delta = 1 - r shrinks them as the
+    annulus widens.  On an overlap, the error reports
     the smallest r for which the default rule is admissible given the
     sequence separation.
     """
     z = require_disk_point(z, "z")
     if not 0.5 < r < 1.0:
         raise ValidationError(f"r must lie in (1/2, 1), got {r!r}")
-    d = resolve_delta_rule(delta, r)
+    if isinstance(delta, str) and delta != "one-minus-r":
+        raise ValidationError(f"unknown delta rule {delta!r}")
+    d = 1.0 - r if delta == "one-minus-r" else float(delta)
     if not 0.0 < d <= 0.5:
         raise ValidationError(f"delta(r) must lie in (0, 1/2], got {d!r}")
     rho = pseudo_distance_many(z, seq.points)
@@ -656,7 +644,7 @@ def transport_domain(dom: ChampagneDomain, a) -> ChampagneDomain:
         return dom
     meta = dict(dom.meta)
     meta["transported_by"] = [a.real, a.imag]
-    return _realize(
+    return ChampagneDomain(
         mobius_apply_many(a, dom.pseudo_centers), dom.pseudo_radii.copy(),
         dom.source_index.copy(),
         truncation_R=dom.truncation_R, profile_spec=dom.profile_spec,

@@ -2,15 +2,12 @@
 
 Points are plain complex numbers.  The pseudohyperbolic distance is
 rho(z, w) = |(z - w) / (1 - conj(w) z)|, invariant under disk
-automorphisms.  Pseudohyperbolic disks are converted to their exact
-Euclidean realizations; everything downstream (domain construction,
-walking) works on Euclidean circles.
+automorphisms.  A pseudohyperbolic disk is given by its center and
+radius arrays, never as an object; pseudo_to_euclidean_arrays realizes
+disks as exact Euclidean circles, which the walker works on.
 """
 
 from __future__ import annotations
-
-import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,49 +70,11 @@ def mobius_apply_many(a, z) -> np.ndarray:
     return (a - z) / (1.0 - np.conj(a) * z)
 
 
-@dataclass(frozen=True)
-class EuclideanDisk:
-    """A Euclidean disk; for bubbles inside the unit disk the closure must
-    stay strictly interior."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValidationError(f"EuclideanDisk radius must be positive, got {self.radius!r}")
-
-    def boundary_point(self, theta: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * theta)
-
-
-@dataclass(frozen=True)
-class PseudoDisk:
-    """Pseudohyperbolic disk: {zeta : rho(center, zeta) <= radius}."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        require_disk_point(self.center, "center")
-        if not 0.0 < self.radius < 1.0:
-            raise ValidationError(f"PseudoDisk radius must lie in (0, 1), got {self.radius!r}")
-
-
-def pseudo_to_euclidean(d: PseudoDisk) -> EuclideanDisk:
-    """Euclidean realization of a pseudohyperbolic disk.
-
-    Every boundary point of the result is at pseudohyperbolic distance
-    exactly d.radius from d.center.  Wraps pseudo_to_euclidean_arrays, so
-    it is bit for bit the disk a domain builder realizes.
-    """
-    c, r = pseudo_to_euclidean_arrays(d.center, d.radius)
-    return EuclideanDisk(center=complex(c), radius=float(r))
-
-
 def pseudo_to_euclidean_arrays(centers: np.ndarray, radii: np.ndarray):
     """Euclidean (centers, radii) of pseudo disks, elementwise (no
-    per-disk checks); pseudo_to_euclidean wraps it."""
+    per-disk checks): every boundary point of a realized disk is at
+    pseudohyperbolic distance exactly its radius from its center.  It is
+    the one realization; ChampagneDomain realizes its bubbles here."""
     c = np.asarray(centers, dtype=np.complex128)
     r = np.asarray(radii, dtype=np.float64)
     m2 = np.abs(c) ** 2

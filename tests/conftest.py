@@ -30,6 +30,20 @@ def empty_domain():
     return ch.domain_from_pseudo([], truncation_R=1.0)
 
 
+def euclidean_domain(centers, radii, source_index) -> ch.ChampagneDomain:
+    """A domain whose bubbles are the given Euclidean disks, for tests of
+    code that reads only the Euclidean arrays (disjointness, interior and
+    boundary-distance checks, walks).  The disks are passed as their own
+    pseudo disks, and centers/radii are then set to the Euclidean values
+    before any index is built: the pseudo data of such a fixture is not
+    its realization, so bounds, barriers and domain files see other disks."""
+    dom = ch.ChampagneDomain(centers, radii, source_index, truncation_R=1.0,
+                             profile_spec="explicit")
+    dom.centers = np.asarray(centers, dtype=np.complex128)
+    dom.radii = np.asarray(radii, dtype=np.float64)
+    return dom
+
+
 def rand_disk_points(rng: np.random.Generator, n: int, max_mod: float = 0.95) -> np.ndarray:
     r = max_mod * np.sqrt(rng.uniform(0.0, 1.0, n))
     th = rng.uniform(0.0, 2.0 * np.pi, n)

@@ -21,6 +21,9 @@ from champagne.domains import (
     transport_domain,
 )
 from champagne.errors import OverlapError, ValidationError
+from champagne.hyperbolic import pseudo_to_euclidean_arrays
+
+from conftest import euclidean_domain
 
 
 # -- profiles ----------------------------------------------------------------
@@ -196,10 +199,10 @@ def test_criterion_monotonicity_in_profile():
 def test_build_single_bubble():
     seq = ch.PointSequence(np.array([0.5 + 0j]))
     dom = build_champagne(seq, ch.const_profile(0.25), 1.0)
-    ed = ch.pseudo_to_euclidean(ch.PseudoDisk(0.5 + 0j, 0.25))
+    center, radius = pseudo_to_euclidean_arrays(0.5 + 0j, 0.25)
     assert dom.n_bubbles == 1
-    assert dom.centers[0] == pytest.approx(ed.center, abs=1e-15)
-    assert dom.radii[0] == pytest.approx(ed.radius, abs=1e-15)
+    assert dom.centers[0] == pytest.approx(center, abs=1e-15)
+    assert dom.radii[0] == pytest.approx(radius, abs=1e-15)
 
 
 def test_build_lattice_count_and_disjointness():
@@ -223,25 +226,16 @@ def test_build_rejects_overlap():
     assert exc.value.index_a != exc.value.index_b
 
 
-def _euclidean_domain(disks, sources):
-    centers = np.array([c for c, _ in disks], dtype=complex)
-    radii = np.array([r for _, r in disks])
-    return ChampagneDomain(centers=centers, radii=radii, pseudo_centers=centers,
-                           pseudo_radii=radii, source_index=sources, truncation_R=1.0,
-                           profile_spec="explicit")
-
-
 def test_tangent_bubbles_are_rejected():
-    dom = _euclidean_domain([(-0.25, 0.25), (0.25, 0.25)], [4, 9])
+    # both pseudo disks pass through 0, so their realizations touch there
     with pytest.raises(OverlapError) as exc:
-        _check_disjoint(dom)
+        ch.domain_from_pseudo([(-0.25, 0.25), (0.25, 0.25)], source_index=[4, 9])
     assert (exc.value.index_a, exc.value.index_b, exc.value.gap) == (4, 9, 0.0)
 
 
 def test_overlap_report_names_the_most_overlapping_pair():
     # indices 0-1 overlap by 0.02, indices 2-3 by 0.05
-    dom = _euclidean_domain([(-0.5, 0.1), (-0.68, 0.1), (0.5j, 0.1), (0.65j, 0.1)],
-                            [31, 17, 8, 23])
+    dom = euclidean_domain([-0.5, -0.68, 0.5j, 0.65j], [0.1] * 4, [31, 17, 8, 23])
     with pytest.raises(OverlapError) as exc:
         _check_disjoint(dom)
     assert (exc.value.index_a, exc.value.index_b) == (8, 23)
@@ -372,6 +366,15 @@ def test_finitely_connected_empty_annulus():
     assert dom.n_bubbles == 0
 
 
+def test_finitely_connected_delta_is_a_number_or_one_minus_r():
+    seq = ch.generate_ring_lattice(0.5, 1, 6, seed=0)
+    r = 1 - 2.0 ** -5
+    assert build_finitely_connected(seq, 0j, r) == build_finitely_connected(seq, 0j, r, 1 - r)
+    for rule in ("1-r", "nosuch"):
+        with pytest.raises(ValidationError, match="unknown delta rule"):
+            build_finitely_connected(seq, 0j, r, rule)
+
+
 def test_finitely_connected_overlap_reports_admissible_r():
     pts = 0.8 * np.exp(2j * np.pi * np.arange(40) / 40)  # tightly packed ring
     seq = ch.PointSequence(pts)
@@ -394,12 +397,25 @@ def test_domain_json_roundtrip(tmp_path):
         assert dom.n_bubbles > 0
         dom.save(path)
         back = ChampagneDomain.load(path)
+        assert back == dom
         for name in ("centers", "radii", "pseudo_centers", "pseudo_radii", "source_index"):
-            got, want = getattr(back, name), getattr(dom, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        for name in ("circumference_sum", "tail_sum_points", "truncation_R", "profile_spec",
-                     "meta"):
-            assert getattr(back, name) == getattr(dom, name), name
+            assert getattr(back, name).dtype == getattr(dom, name).dtype, name
+
+
+def test_domains_compare_by_pseudo_disks_and_record():
+    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.2), (-0.5 + 0j, 0.2)])
+    assert dom == ch.domain_from_pseudo([(0.5 + 0j, 0.2), (-0.5 + 0j, 0.2)])
+    assert dom != ch.domain_from_pseudo([(0.5 + 0j, 0.2), (-0.5 + 0j, 0.25)])
+
+
+def test_meta_strings_and_non_finite_floats_roundtrip(tmp_path):
+    meta = {"sequence": "inf", "tail": math.inf, "low": -math.inf}
+    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.2)], meta=meta)
+    path = tmp_path / "dom.json"
+    dom.save(path)
+    back = ChampagneDomain.load(path)
+    assert back == dom
+    assert back.meta == meta and isinstance(back.meta["sequence"], str)
 
 
 def test_domain_file_keys_are_pinned():
@@ -412,16 +428,7 @@ def test_domain_file_keys_are_pinned():
     data = json.loads(dom.to_json(), parse_constant=refuse)
     assert sorted(data) == ["meta", "profile_spec", "pseudo_cx", "pseudo_cy", "pseudo_radius",
                             "source_index", "tail_sum_points", "truncation_R"]
-    assert data["meta"]["tail_integral_from_R"] == "inf"
-
-
-def test_save_refuses_bubbles_the_file_cannot_reproduce(tmp_path):
-    # Euclidean disks passed as their own pseudo disks: load would realize others
-    dom = _euclidean_domain([(-0.5, 0.25), (0.5, 0.25)], [0, 1])
-    path = tmp_path / "dom.json"
-    with pytest.raises(ValidationError, match="realization"):
-        dom.save(path)
-    assert not path.exists()
+    assert data["meta"]["tail_integral_from_R"] == {"float": "inf"}
 
 
 def test_estimate_on_loaded_floor_domain_matches_built(tmp_path):

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 import champagne as ch
 from champagne.errors import ValidationError
 from champagne.hyperbolic import (
-    EuclideanDisk,
-    PseudoDisk,
     mobius_apply,
     mobius_apply_many,
     pseudo_distance,
     pseudo_distance_many,
-    pseudo_to_euclidean,
     pseudo_to_euclidean_arrays,
 )
 
@@ -83,18 +80,18 @@ def test_mobius_invariance_of_distance(a, z, w):
 
 
 def test_pseudo_to_euclidean_origin():
-    d = pseudo_to_euclidean(PseudoDisk(0j, 0.37))
-    assert d.center == 0
-    assert d.radius == pytest.approx(0.37, abs=1e-15)
+    center, radius = pseudo_to_euclidean_arrays(0j, 0.37)
+    assert center == 0
+    assert radius == pytest.approx(0.37, abs=1e-15)
 
 
 def test_pseudo_to_euclidean_hand_value():
-    d = pseudo_to_euclidean(PseudoDisk(0.5 + 0j, 0.5))
-    assert d.center == pytest.approx(0.4, abs=1e-12)
-    assert d.radius == pytest.approx(0.4, abs=1e-12)
+    center, radius = pseudo_to_euclidean_arrays(0.5 + 0j, 0.5)
+    assert center == pytest.approx(0.4, abs=1e-12)
+    assert radius == pytest.approx(0.4, abs=1e-12)
     # real-axis crossings of the pseudo circle: rho(0.5, x) = 0.5 at 0 and 0.8
-    assert pseudo_distance(0.5, d.center - d.radius) == pytest.approx(0.5, abs=1e-12)
-    assert pseudo_distance(0.5, d.center + d.radius) == pytest.approx(0.5, abs=1e-12)
+    assert pseudo_distance(0.5, center - radius) == pytest.approx(0.5, abs=1e-12)
+    assert pseudo_distance(0.5, center + radius) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pseudo_to_euclidean_sampling_oracle():
@@ -108,9 +105,9 @@ def test_pseudo_to_euclidean_sampling_oracle():
     ctr = complex(cx, 0.0)
     assert np.allclose(np.abs(pts - ctr), rad, atol=1e-9)
 
-    d = pseudo_to_euclidean(PseudoDisk(c, r))
-    assert d.center == pytest.approx(ctr, abs=1e-9)
-    assert d.radius == pytest.approx(rad, abs=1e-9)
+    center, radius = pseudo_to_euclidean_arrays(c, r)
+    assert center == pytest.approx(ctr, abs=1e-9)
+    assert radius == pytest.approx(rad, abs=1e-9)
 
 
 def test_boundary_points_at_stated_pseudo_distance():
@@ -118,19 +115,16 @@ def test_boundary_points_at_stated_pseudo_distance():
     centers = rand_disk_points(rng, 50, 0.9)
     radii = rng.uniform(0.05, 0.6, 50)
     for c, r in zip(centers, radii):
-        d = pseudo_to_euclidean(PseudoDisk(c, r))
-        p = d.boundary_point(rng.uniform(0, 2 * np.pi))
+        center, radius = pseudo_to_euclidean_arrays(c, r)
+        p = center + radius * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
         assert pseudo_distance(c, p) == pytest.approx(r, abs=1e-10)
-        assert abs(d.center) + d.radius < 1.0
+        assert abs(center) + radius < 1.0
 
 
 def test_disk_validation():
-    with pytest.raises(ValidationError):
-        EuclideanDisk(0j, 0.0)
-    with pytest.raises(ValidationError):
-        PseudoDisk(0j, 1.0)
-    with pytest.raises(ValidationError):
-        PseudoDisk(1.0 + 0j, 0.5)
+    for bad in ((0j, 0.0), (0j, 1.0), (1.0 + 0j, 0.5)):
+        with pytest.raises(ValidationError):
+            ch.domain_from_pseudo([bad])
 
 
 def test_broadcast_forms_match_scalar_exactly():
@@ -144,8 +138,7 @@ def test_broadcast_forms_match_scalar_exactly():
     for k in range(z.size):
         assert elementwise[k] == pseudo_distance(z[k], w[k])
         assert moved[k] == mobius_apply(z[k], w[k])
-        disk = pseudo_to_euclidean(PseudoDisk(z[k], radii[k]))
-        assert (disk.center, disk.radius) == (realized[0][k], realized[1][k])
+        assert pseudo_to_euclidean_arrays(z[k], radii[k]) == (realized[0][k], realized[1][k])
     # one point against many, and a full pairwise block
     assert np.array_equal(pseudo_distance_many(z[0], w),
                           [pseudo_distance(z[0], v) for v in w])

@@ -9,6 +9,7 @@ data the ring search; the interior check must equal the one-cell scan it
 replaced.
 """
 
+import ast
 import contextlib
 import math
 import os
@@ -30,9 +31,10 @@ from champagne import _native, sequences, spatial
 from champagne.barriers import extremal_c, extremal_d
 from champagne.domains import ChampagneDomain, _check_disjoint
 from champagne.errors import OverlapError, ValidationError
-from champagne.hyperbolic import pseudo_distance_many, pseudo_to_euclidean_arrays
+from champagne.hyperbolic import pseudo_distance_many
 from champagne.sequences import PointSequence, covering_radius, separation, uniform_density
 
+from conftest import euclidean_domain
 from grid_build import ArrayGridIndex, nearest_in_cell, nearest_surface
 
 # a point is (log10 of its gap 1 - |z|, angle): gaps from 1e-12 to ~0.9
@@ -379,10 +381,9 @@ def test_extremal_potentials_match_all_pairs(pts, probes, r):
 @examples
 def test_disjointness_check_matches_all_pairs(case):
     pts, p_radii = case
-    centers, radii = pseudo_to_euclidean_arrays(pts, np.array(p_radii))
-    dom = ChampagneDomain(centers=centers, radii=radii, pseudo_centers=pts,
-                          pseudo_radii=p_radii, source_index=np.arange(pts.size),
-                          truncation_R=1.0, profile_spec="explicit")
+    dom = ChampagneDomain(pts, p_radii, np.arange(pts.size), truncation_R=1.0,
+                          profile_spec="explicit")
+    centers, radii = dom.centers, dom.radii
     i, j = np.triu_indices(pts.size, k=1)
     gap = np.hypot(centers.real[i] - centers.real[j], centers.imag[i] - centers.imag[j])
     gap = gap - radii[i] - radii[j]
@@ -413,6 +414,25 @@ def test_no_module_loads_scipy_spatial():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = pathlib.Path(ch.__file__).parent
+    unused = {}
+    for f in sorted(src.glob("*.py")):
+        if f.name == "__init__.py":     # the package namespace re-exports its imports
+            continue
+        tree = ast.parse(f.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if imported - used:
+            unused[f.name] = sorted(imported - used)
+    assert unused == {}
 
 
 def test_no_module_loads_scipy(tmp_path):
@@ -720,8 +740,7 @@ def test_interior_check_matches_the_cell_scan(case, probes):
     cx, cy, radii, n_side = _disks(case)
     c = cx + 1j * cy
     sources = 3 * np.arange(c.size) + 1
-    dom = ChampagneDomain(centers=c, radii=radii, pseudo_centers=c, pseudo_radii=radii,
-                          source_index=sources, truncation_R=1.0, profile_spec="explicit")
+    dom = euclidean_domain(c, radii, sources)
     idx = spatial.DiskGridIndex(cx, cy, radii, n_side)
     # random points, points on the bubble surfaces, and points inside
     # bubbles (point-like ones included), where the distance is about 0
@@ -748,8 +767,7 @@ def test_interior_check_measures_with_math_hypot():
     cases = [(z, min(a, b), b <= a) for z, a, b in zip(c, fast, exact) if a != b][:40]
     assert {inside for _, _, inside in cases} == {True, False}
     for z, r, inside in cases:
-        dom = ChampagneDomain(centers=[z], radii=[r], pseudo_centers=[z], pseudo_radii=[r],
-                              source_index=[7], truncation_R=1.0, profile_spec="explicit")
+        dom = euclidean_domain([z], [r], [7])
         want = _cell_scan_verdict(spatial.DiskGridIndex([z.real], [z.imag], [r]), [7], 0j)
         assert (want is not None) == inside
         try:

@@ -1,0 +1,30 @@
+"""The benchmark's span tracer (perfbench/tracer.py) patches package
+callables and methods by name, so a rename in the package breaks traced
+benchmark runs; this runs it on a small pipeline."""
+
+import pathlib
+
+import numpy as np
+
+import champagne as ch
+
+
+def test_tracer_records_the_spans_of_a_small_pipeline(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    original = ch.estimate_measure
+    tracer = Tracer()
+    tracer.install()
+    try:
+        seq = ch.PointSequence(np.array([0.5 + 0j]))
+        dom = ch.build_champagne(seq, ch.const_profile(0.25), 1.0)
+        path = tmp_path / "dom.json"
+        dom.save(path)
+        ch.estimate_measure(ch.ChampagneDomain.load(path), 0j, n_walks=50, seed=1)
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {"domains.build_champagne", "domains.save", "domains.load",
+            "walker.estimate"} <= names
+    assert ch.estimate_measure is original

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import champagne as ch
 from champagne import walker
-from champagne.domains import ChampagneDomain
 from champagne.errors import OverlapError, ValidationError, WalkBudgetError
 from champagne.harmonic_density import McParams, ProbeSpec, harmonic_density_curve
 from champagne.walker import (
@@ -26,7 +25,7 @@ from champagne.walker import (
     wilson_interval,
 )
 
-from conftest import mobius_transported_estimate, rand_disk_points, wos_walk
+from conftest import euclidean_domain, mobius_transported_estimate, rand_disk_points, wos_walk
 from grid_build import nearest_surface
 
 
@@ -505,9 +504,7 @@ def _drop_domain(eps):
     # beyond the start 0.5i and bubble 2 lies 2 eps beyond the start -0.5
     c = np.array([0.5 * np.exp(0.25j * np.pi), 0.6j, -0.6 + 0j])
     r = np.array([0.05, 0.1 - 0.5 * eps, 0.1 - 2.0 * eps])
-    return ChampagneDomain(centers=c, radii=r, pseudo_centers=c, pseudo_radii=r,
-                           source_index=np.arange(3), truncation_R=1.0,
-                           profile_spec="explicit")
+    return euclidean_domain(c, r, np.arange(3))
 
 
 def test_layered_drops_the_starts_within_epsilon_of_a_bubble():
