@@ -11,11 +11,7 @@ __version__ = "0.1.0"
 
 from .barriers import (
     BarrierCertificate,
-    BarrierSpec,
-    BlaschkeProduct,
-    annular_partition,
     barrier_lower_bound,
-    barrier_weights,
     extremal_c,
     extremal_d,
     log_blaschke,

@@ -1,15 +1,18 @@
-/* Shell barrier potential (barriers.barrier_lower_bound): for each point s,
+/* Shell potentials of the barrier (barriers.barrier_lower_bound): for each
+ * point s_p and shell j, the matrix entry
  *
- *     U(s) = -sum_j w_j log|B_j(s)|,   |B_j(s)|^2 = prod_{lambda in shell j} rho(s, lambda)^2,
+ *     out[p * n_shells + j] = -log|B_j(s_p)|,   |B_j(s)|^2 = prod_{lambda in shell j} rho(s, lambda)^2,
  *
- * with one log per shell, not one per zero.  rho^2 comes from the identity
+ * with one log per shell, not one per zero, in one pass over the zeros per
+ * point.  An empty shell gives 0.  rho^2 comes from the identity
  * |1 - conj(lambda) s|^2 = |s - lambda|^2 + (1 - |s|^2)(1 - |lambda|^2), so
  * every factor lies in [0, 1].  A shell's product is kept as m 2^e, m
  * renormalized by frexp whenever a factor would take it below 2^-900, so
  * no product underflows however many zeros a shell holds.  A point on a
- * zero gets U = +inf.  Not bit-identical to the array sum kept in the
- * tests, which evaluates rho elementwise (hyperbolic.pseudo_distance_many)
- * and takes one log per pair; the two agree to about 1e-15 relative.
+ * zero gets +inf in that zero's shell.  Not bit-identical to the array sum
+ * kept in the tests, which evaluates rho elementwise
+ * (hyperbolic.pseudo_distance_many) and takes one log per pair; the two
+ * agree to about 1e-15 relative.
  *
  * Points and zeros are complex128 arrays read as interleaved (re, im)
  * doubles.  Shell j's zeros are zeros[shell_start[j] .. shell_start[j + 1]).
@@ -33,12 +36,11 @@ static void renormalize(double *m, int64_t *e, double x)
 }
 
 void barrier_potential(const double *zeros, const int64_t *shell_start, int64_t n_shells,
-                       const double *weights, const double *pts, int64_t n_pts, double *out)
+                       const double *pts, int64_t n_pts, double *out)
 {
     for (int64_t p = 0; p < n_pts; p++) {
         const double sx = pts[2 * p], sy = pts[2 * p + 1];
         const double gap_s = 1.0 - (sx * sx + sy * sy);
-        double u = 0.0;
         for (int64_t j = 0; j < n_shells; j++) {
             double m = 1.0;
             int64_t e = 0;
@@ -60,9 +62,8 @@ void barrier_potential(const double *zeros, const int64_t *shell_start, int64_t 
                     renormalize(&m, &e, rho);
                 }
             }
-            /* log |B_j|^2 = log m + e log 2; -inf on a zero, and U = +inf */
-            u -= 0.5 * weights[j] * (log(m) + (double)e * LN2);
+            /* log |B_j|^2 = log m + e log 2; -inf on a zero */
+            out[p * n_shells + j] = -0.5 * (log(m) + (double)e * LN2);
         }
-        out[p] = u;
     }
 }

@@ -118,7 +118,7 @@ def library() -> ctypes.CDLL:
     for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others,
                lib.point_balls, lib.point_nearest):
         fn.restype = ctypes.c_int64
-    lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64, f64,
+    lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64,
                                       _array(np.complex128), ctypes.c_int64, f64]
     lib.barrier_potential.restype = None
     return lib

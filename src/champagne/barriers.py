@@ -1,17 +1,23 @@
 """Deterministic harmonic-measure bounds from finite Blaschke products.
 
 The potential -log|B| of a finite Blaschke product is superharmonic,
-positive inside the disk, and vanishes on the unit circle.  A weighted
-sum of such potentials over modulus shells that dominates 1 on every
-bubble boundary therefore dominates the harmonic measure of the bubbles,
-and its value at the start point bounds the exterior measure from below.
-Rather than carrying asymptotic constants, the certificate checks the
-boundary inequality numerically on sampled bubble boundaries and rescales
-the weights by the observed deficit.
+positive inside the disk, and vanishes on the unit circle.  A sum
+U = sum_j w_j (-log|B_j|) over modulus shells, with weights w >= 0, that
+dominates 1 on every bubble boundary therefore dominates the harmonic
+measure of the bubbles, and 1 - U(start) bounds the exterior measure from
+below.  U is linear in w, so the weights that give the best bound on the
+sampled bubble boundaries solve one small linear program,
 
-The potential at the samples and at the start point is evaluated by the
-compiled library (_blaschke.c, through _shell_potential): one log per
-shell and point, no pair-sized temporaries, and no walk grid.
+    min U(start)  subject to  U >= 1 at every sample,  w >= 0,
+
+solved through its dual by a revised simplex (_shell_weights).  The
+certificate does not trust the solver: it recomputes U at every sample
+with the weights and rescales them by the observed minimum, so an
+inexact optimum costs tightness, never validity.
+
+The per-shell potentials at the samples and at the start point are
+evaluated by the compiled library (_blaschke.c, through _shell_potential):
+one log per shell and point, no pair-sized temporaries, and no walk grid.
 """
 
 from __future__ import annotations
@@ -28,25 +34,7 @@ from .hyperbolic import mobius_apply_many, pseudo_distance_many
 from .sequences import PointSequence, probe_lattice
 from .spatial import PointIndex
 
-ILL_CONDITIONED_RATIO = 1e-2   # (a-b)/a below this: weights collapse geometrically
-MAX_RESCALE = 10.0             # deficit factor beyond which the barrier is refused
-
-
-@dataclass(frozen=True)
-class BlaschkeProduct:
-    """Finite Blaschke product given by its zero multiset."""
-
-    zeros: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.zeros, dtype=np.complex128)
-        if z.size and not np.all(np.abs(z) < 1.0):
-            raise ValidationError("Blaschke zeros must lie in the open unit disk")
-        z.setflags(write=False)
-        object.__setattr__(self, "zeros", z)
-
-    def __len__(self) -> int:
-        return int(self.zeros.size)
+_MAX_PIVOTS = 1000   # simplex pivots before the barrier is refused
 
 
 def log_blaschke(zeros, z) -> float:
@@ -67,20 +55,54 @@ def log_blaschke(zeros, z) -> float:
     return float(np.log(rho).sum())
 
 
-def _shell_potential(zeros, shells, weights, pts) -> np.ndarray:
-    """U(s) = -sum_j w_j log|B_j(s)| at each point s: B_j is the Blaschke
-    product over the zeros in shell j (shells[k] is zero k's 1-based shell)
-    and w_j = weights[j - 1].  +inf on a zero."""
+def _shell_potential(zeros, shells, pts) -> np.ndarray:
+    """The (points x shells) matrix of -log|B_j(s)|: B_j is the Blaschke
+    product over the zeros in shell j (shells[k] is zero k's 1-based shell),
+    and column j - 1 belongs to shell j, up to the largest shell index.
+    +inf on a zero of that shell; an empty shell's column is 0."""
     zeros = np.asarray(zeros, dtype=np.complex128)
     shells = np.asarray(shells, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
     pts = np.ascontiguousarray(pts, dtype=np.complex128)
+    n_shells = int(shells.max(initial=0))
     order = np.argsort(shells, kind="stable")
-    shell_start = np.searchsorted(shells[order], np.arange(1, weights.size + 2))
-    out = np.empty(pts.size)
+    shell_start = np.searchsorted(shells[order], np.arange(1, n_shells + 2))
+    out = np.empty((pts.size, n_shells))
     _native.library().barrier_potential(np.ascontiguousarray(zeros[order]), shell_start,
-                                        weights.size, weights, pts, pts.size, out)
+                                        n_shells, pts, pts.size, out)
     return out
+
+
+def _shell_weights(M: np.ndarray) -> np.ndarray:
+    """Weights w >= 0 that minimise c.w subject to A w >= 1, where A is M
+    without its last row and c is that row.
+
+    They are the prices of the dual, max sum(y) s.t. A^T y <= c, y >= 0,
+    solved by a revised simplex from the slack basis with Dantzig pricing.
+    Refuses after _MAX_PIVOTS pivots, or when the dual is unbounded (a
+    sample where every shell potential vanishes)."""
+    A, c = M[:-1], M[-1]
+    n = c.size
+    # the dual's columns, samples then slacks, as one row-major block:
+    # w @ cols then runs at twice the speed of the (points x shells) product
+    cols = np.hstack([A.T, np.eye(n)])
+    gain = np.concatenate([np.ones(len(A)), np.zeros(n)])
+    basis = np.arange(len(A), cols.shape[1])
+    for _ in range(_MAX_PIVOTS):
+        B = cols[:, basis]
+        w = np.linalg.solve(B.T, gain[basis])
+        reduced = gain - w @ cols          # 1 - (A w)_p for samples, -w_j for slacks
+        k = int(np.argmax(reduced))
+        if reduced[k] <= 1e-12:
+            return w
+        x, d = np.linalg.solve(B, np.column_stack([c, cols[:, k]])).T
+        rows = np.flatnonzero(d > 1e-12 * np.abs(d).max())
+        if rows.size == 0:
+            raise NumericalRefusalError(
+                "the shell barrier cannot reach 1 at a boundary sample where every "
+                "shell potential vanishes")
+        basis[rows[np.argmin(x[rows] / d[rows])]] = k
+    raise NumericalRefusalError(f"the shell weights found no optimum in {_MAX_PIVOTS} "
+                                "simplex pivots")
 
 
 def shell_of_modulus(m, eta: float):
@@ -99,90 +121,31 @@ def shell_of_modulus(m, eta: float):
     return j if j.ndim else int(j)
 
 
-def annular_partition(seq: PointSequence, eta: float, n: int) -> list[BlaschkeProduct]:
-    """Split the sequence into n modulus shells; shells may be empty.
-
-    Points beyond modulus 1 - eta^n are not assigned to any shell.
-    """
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta must lie in (0, 1), got {eta!r}")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    shells = shell_of_modulus(np.abs(seq.points), eta)
-    return [BlaschkeProduct(seq.points[shells == j]) for j in range(1, n + 1)]
-
-
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Layer weights for the shell barrier.
-
-    Lower scheme: w_n = 1/a, w_{n-j} = (1/a) ((a-b)/a)^j.
-    Upper scheme: w_n = 1/(a+b), w_{n-1} = a/(a+b)^2, ratio a/(a+b).
-    """
-
-    a: float
-    b: float
-    n: int
-    weights: tuple          # weights[j-1] is the weight of shell j
-    scheme: str
-    ill_conditioned: bool
-
-    def recursion_residuals(self) -> tuple:
-        """a * w_{n-j-1} - (a-b) * w_{n-j} for the lower scheme; all zero
-        when the recursion holds exactly."""
-        w = self.weights
-        return tuple(self.a * w[i] - (self.a - self.b) * w[i + 1]
-                     for i in range(len(w) - 1))
-
-
-def barrier_weights(a: float, b: float, n: int, scheme: str = "lower") -> BarrierSpec:
-    if not (a > b > 0.0):
-        raise ValidationError(
-            f"need a > b > 0 for positive weights (got a={a!r}, b={b!r}); the barrier is vacuous otherwise"
-        )
-    if n < 1:
-        raise ValidationError("layer count n must be >= 1")
-    if scheme == "lower":
-        head = 1.0 / a
-        ratio = (a - b) / a
-    elif scheme == "upper":
-        head = 1.0 / (a + b)
-        ratio = a / (a + b)
-    else:
-        raise ValidationError(f"unknown weight scheme {scheme!r}")
-    w = [head]
-    for _ in range(n - 1):
-        w.append(w[-1] * ratio)
-    w.reverse()  # w[0] belongs to the innermost shell
-    return BarrierSpec(a=float(a), b=float(b), n=int(n), weights=tuple(w),
-                       scheme=scheme, ill_conditioned=bool((a - b) / a < ILL_CONDITIONED_RATIO))
-
-
 @dataclass(frozen=True)
 class BarrierCertificate:
     exterior_lower: float
-    barrier_at_start: float        # U(0) after rescaling
+    barrier_at_start: float        # U(start) after rescaling
     rescale_factor: float
     per_bubble_min: tuple          # min of rescaled U over each bubble boundary
-    spec: BarrierSpec | None
-    a: float
-    b: float
-    b_was_clipped: bool
+    weights: tuple                 # rescaled; weights[j-1] is the weight of shell j
     eta: float
-    n: int
+    n: int                         # shell count
     sample_density: int
     flags: tuple
 
 
-def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5,
-                        n: int | None = None, start=0j, boundary_sample_density: int = 64,
-                        b: float | None = None) -> BarrierCertificate:
+def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
+                        boundary_sample_density: int = 64) -> BarrierCertificate:
     """Certified lower bound on the exterior harmonic measure at `start`.
 
-    Builds U = sum_j w_j * log(1/|B_j|) over modulus shells of the bubble
-    centers, verifies U >= 1 on sampled bubble boundaries (rescaling all
-    weights by the observed extremum), and returns max(0, 1 - U(start)).
-    Refuses when the required deficit rescale exceeds 10x.
+    Builds U = sum_j w_j * log(1/|B_j|) over the modulus shells of
+    shell_of_modulus(|center|, eta), the bubble centers seen from `start`.
+    The weights w >= 0 minimise U(start) subject to U >= 1 at
+    `boundary_sample_density` samples on each bubble boundary
+    (_shell_weights).  The certificate then recomputes U at every sample,
+    rescales w by the least value, and returns max(0, 1 - U(start)).
+    Bubbles may have any pseudo radii.  Refuses when U is not positive at
+    some sample, or when the solver does.
     """
     start = complex(start)
     if not 0.0 < eta < 1.0:
@@ -192,61 +155,24 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5,
     domain.require_interior(start, "start")
     if domain.n_bubbles == 0:
         return BarrierCertificate(
-            exterior_lower=1.0, barrier_at_start=0.0, rescale_factor=1.0,
-            per_bubble_min=(), spec=None, a=math.inf, b=0.0, b_was_clipped=False,
-            eta=eta, n=0, sample_density=boundary_sample_density, flags=("empty domain",))
+            exterior_lower=1.0, barrier_at_start=0.0, rescale_factor=1.0, per_bubble_min=(),
+            weights=(), eta=eta, n=0, sample_density=boundary_sample_density,
+            flags=("empty domain",))
     if start != 0:
         domain = transport_domain(domain, start)
 
-    deltas = domain.pseudo_radii
-    if float(deltas.max() - deltas.min()) > 1e-12:
-        raise ValidationError(
-            "the shell barrier needs a single pseudohyperbolic bubble radius; "
-            "build the domain with a uniform delta"
-        )
-    delta = float(deltas[0])
-    a = math.log(1.0 / delta)
-
+    # the shell potentials on each bubble boundary, then at the start, 0
     zeros = domain.pseudo_centers
-    moduli = np.abs(zeros)
-    shells = shell_of_modulus(moduli, eta)
-    if n is None:
-        n = int(shells.max())
-    if int(shells.max()) > n:
-        raise ValidationError(
-            f"{int(np.count_nonzero(shells > n))} bubble(s) fall beyond shell {n}; increase n"
-        )
-
-    flags = []
-    b_clipped = False
-    if b is None and n > 1:
-        # per-layer potential scale from the observed density of the
-        # annulus points, in the same normalization as the density curves
-        r_sel = float(domain.meta.get("r", min(0.999999, float(moduli.max()) + delta)))
-        dens = float(np.sum(1.0 - moduli)) / math.log(1.0 / (1.0 - r_sel))
-        b_raw = dens * math.log(1.0 / eta)
-        b_val = b_raw
-        if b_val >= 0.9 * a:
-            b_val = 0.9 * a
-            b_clipped = True
-            flags.append(f"derived b={b_raw:.4g} clipped to 0.9*a; the boundary check redeems validity")
-        if b_val <= 0.0:
-            b_val = 0.5 * a
-    elif b is None:
-        b_val = 0.5 * a  # single layer: the weight 1/a does not involve b
-    else:
-        b_val = float(b)
-    spec = barrier_weights(a, b_val, n, scheme="lower")
-    if spec.ill_conditioned:
-        flags.append("weight decay ratio below 1e-2: deep shells contribute negligibly")
-
-    # sample each bubble boundary and take the minimum of U; U(0), the
-    # value at the start, comes last
+    shells = shell_of_modulus(np.abs(zeros), eta)
     m = boundary_sample_density
     theta = 2.0 * math.pi * np.arange(m) / m
     ring = np.exp(1j * theta)
     samples = (domain.centers[:, None] + domain.radii[:, None] * ring[None, :]).ravel()
-    u_vals = _shell_potential(zeros, shells, spec.weights, np.append(samples, 0j))
+    M = _shell_potential(zeros, shells, np.append(samples, 0j))
+    # U is superharmonic for w >= 0 only; the solver's w is clipped and U
+    # recomputed, not trusted
+    w = np.maximum(_shell_weights(M), 0.0)
+    u_vals = M @ w
     per_bubble_min = u_vals[:-1].reshape(domain.n_bubbles, m).min(axis=1)
     m_min = float(per_bubble_min.min())
     if not m_min > 0.0:
@@ -254,19 +180,14 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5,
             "barrier vanished on a bubble boundary; the shell partition is degenerate"
         )
     factor = 1.0 / m_min
-    if factor > MAX_RESCALE:
-        raise NumericalRefusalError(
-            f"barrier needs a {factor:.3g}x rescale to dominate the bubble boundaries; "
-            f"beyond the {MAX_RESCALE:g}x refusal threshold"
-        )
     u0 = float(u_vals[-1]) * factor
     return BarrierCertificate(
         exterior_lower=max(0.0, 1.0 - u0),
         barrier_at_start=u0,
         rescale_factor=factor,
         per_bubble_min=tuple(float(v) * factor for v in per_bubble_min),
-        spec=spec, a=a, b=b_val, b_was_clipped=b_clipped, eta=eta, n=n,
-        sample_density=boundary_sample_density, flags=tuple(flags))
+        weights=tuple(float(v) * factor for v in w), eta=eta, n=M.shape[1],
+        sample_density=boundary_sample_density, flags=())
 
 
 # ---------------------------------------------------------------------------

@@ -334,18 +334,18 @@ def cmd_layered(args) -> int:
 def cmd_barrier(args) -> int:
     dom = ChampagneDomain.load(args.domain)
     z0 = parse_point(args.start)
-    cert = barrier_lower_bound(dom, eta=args.eta, n=args.layers, start=z0,
-                               boundary_sample_density=args.samples, b=args.b)
+    cert = barrier_lower_bound(dom, eta=args.eta, start=z0,
+                               boundary_sample_density=args.samples)
     result = {
         "exterior_lower": cert.exterior_lower,
         "U_at_start": cert.barrier_at_start,
         "per_bubble_min_U": cert.per_bubble_min,
         "rescale_factor": cert.rescale_factor,
-        "a": cert.a, "b": cert.b, "n": cert.n, "eta": cert.eta,
+        "weights": cert.weights, "n": cert.n, "eta": cert.eta,
         "flags": cert.flags,
     }
     config = {"domain": args.domain, "start": [z0.real, z0.imag], "eta": args.eta,
-              "layers": args.layers, "samples": args.samples, "b": args.b}
+              "samples": args.samples}
     emit(args, "barrier", config, result)
     return 0
 
@@ -485,9 +485,7 @@ def build_parser():
     sp.add_argument("--domain", required=True)
     sp.add_argument("--start", default="0,0")
     sp.add_argument("--eta", type=float, default=0.5)
-    sp.add_argument("--layers", type=int, default=None)
     sp.add_argument("--samples", type=int, default=64)
-    sp.add_argument("--b", type=float, default=None)
     sp.set_defaults(func=cmd_barrier)
 
     sp = sub.add_parser("theorem2", parents=[sequence, seeded, io],

@@ -429,7 +429,13 @@ class ChampagneDomain:
         """The text of a domain file (_FILE_KEYS), standard JSON: a
         non-finite meta value is written as the one-key object
         {"float": "inf"} (or "-inf", "nan"), and load decodes that exact
-        shape only.  No indent: json.dumps then runs its C encoder."""
+        shape only.  A meta value that is itself a one-key "float" object
+        is refused, as load could read it back as a float.  No indent:
+        json.dumps then runs its C encoder."""
+        for k, v in self.meta.items():
+            if isinstance(v, dict) and list(v) == ["float"]:
+                raise ValidationError(f"meta[{k!r}] is a one-key 'float' object, which a "
+                                      "domain file reserves for non-finite floats")
         return json.dumps({
             "pseudo_cx": self.pseudo_centers.real.tolist(),
             "pseudo_cy": self.pseudo_centers.imag.tolist(),

@@ -8,12 +8,15 @@ so the full suite takes a few minutes.
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import champagne as ch
-from champagne.barriers import barrier_lower_bound, barrier_weights, log_blaschke
+from champagne import barriers
+from champagne.barriers import barrier_lower_bound, log_blaschke
 from champagne.harmonic_density import McParams, ProbeSpec, harmonic_density_curve
 from champagne.walker import estimate_measure, sandwich_bounds
 
@@ -115,30 +118,40 @@ def test_acceptance_4_barrier_consistency():
     # one layer collapses to the exact one-hole complement
     lam, delta = 0.6 + 0j, 0.1
     dom1 = ch.domain_from_pseudo([(lam, delta)], meta={"r": 0.9})
-    cert1 = barrier_lower_bound(dom1, eta=0.3, n=1)
+    cert1 = barrier_lower_bound(dom1, eta=0.3)
     exact = 1 - ch.one_hole_exact(lam, delta)
     one_layer_ok = abs(cert1.exterior_lower - exact) <= 1e-12
 
-    # multi-layer certificates stay below Monte Carlo
-    mc_ok = True
+    # multi-layer certificates stay below Monte Carlo, and their weights are
+    # the optimum of their linear program (HiGHS at 1e-10 feasibility
+    # tolerances), so no other nonnegative shell weights that reach 1 on
+    # the samples give a better bound
+    solve = barriers._shell_weights
+    seen = []
+
+    def spy(M):
+        seen.append((M, solve(M)))
+        return seen[-1][1]
+
+    mc_ok = lp_ok = True
     for k in range(10):
         q = (0.45, 0.5, 0.55)[k % 3]
         seq = ch.generate_ring_lattice(q, 1.0 + (k % 3) * 0.5, 6 + (k % 2), seed=700 + k)
         domk = ch.build_finitely_connected(seq, 0j, 1 - 2.0 ** -(4 + (k % 2)), "one-minus-r")
-        cert = barrier_lower_bound(domk, eta=0.5)
+        with mock.patch.object(barriers, "_shell_weights", spy):
+            cert = barrier_lower_bound(domk, eta=0.5)
         est = estimate_measure(domk, 0j, n_walks=20_000, seed=900 + k, threads=THREADS)
         mc_ok = mc_ok and (cert.exterior_lower <= est.estimate + 3 * est.sigma)
+        M, w = seen.pop()
+        opt = linprog(M[-1], A_ub=-M[:-1], b_ub=-np.ones(len(M) - 1), bounds=(0, None),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        lp_ok = lp_ok and opt.status == 0 and abs(M[-1] @ w - opt.fun) <= 1e-9 * opt.fun
 
-    # the weight recursion holds exactly on dyadic test values
-    recursion_ok = True
-    for a, b, n in [(2.0, 1.0, 3), (4.0, 1.0, 5), (8.0, 3.0, 6), (16.0, 5.0, 4), (2.0, 0.5, 8)]:
-        recursion_ok = recursion_ok and all(
-            v == 0.0 for v in barrier_weights(a, b, n).recursion_residuals())
-
-    _report("4 barrier consistency", one_layer_ok and mc_ok and recursion_ok,
+    _report("4 barrier consistency", one_layer_ok and mc_ok and lp_ok,
             f"one-layer diff={abs(cert1.exterior_lower - exact):.2e}, "
             f"10 multi-layer certificates below MC+3sigma: {mc_ok}, "
-            f"dyadic recursion exact: {recursion_ok}")
+            f"weights optimal against linprog: {lp_ok}")
 
 
 # -- 5: dichotomy trend -------------------------------------------------------------

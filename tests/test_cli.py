@@ -1,10 +1,13 @@
 import json
 import os
+from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 
 import champagne as ch
+from champagne import barriers
 from champagne.cli import build_parser, main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(ch.__file__), "schema", "artifact.schema.json")
@@ -135,11 +138,24 @@ def test_barrier_cli_and_refusal_exit_code(tmp_path):
     dom.save(dom_path)
     out = tmp_path / "bar.json"
     assert main(["barrier", "--domain", str(dom_path), "-o", str(out)]) == 0
-    data = _validate(out)
-    assert 0.0 <= data["result"]["exterior_lower"] <= 1.0
-    # starving the weights forces a rescale beyond the refusal threshold
-    assert main(["barrier", "--domain", str(dom_path), "--eta", "0.9",
-                 "--layers", "40", "--b", "2.7", "-o", str(out)]) == 3
+    result = _validate(out)["result"]
+    assert 0.0 <= result["exterior_lower"] <= 1.0
+    assert "a" not in result and "b" not in result
+    assert len(result["weights"]) == result["n"] and min(result["weights"]) >= 0.0
+    # weights that leave the barrier at 0 on a bubble are refused
+    with mock.patch.object(barriers, "_shell_weights", lambda M: np.zeros(M.shape[1])):
+        assert main(["barrier", "--domain", str(dom_path), "-o", str(out)]) == 3
+
+
+@pytest.mark.parametrize("key", ["b", "layers"])
+def test_config_naming_a_barrier_knob_exits_2(tmp_path, key):
+    # the shell weights solve a linear program: there is no b, and the
+    # shell count follows from the domain
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)]).save(dom_path)
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"{key} = 3\n")
+    assert main(["barrier", "--domain", str(dom_path), "--config", str(cfg)]) == 2
 
 
 def test_validation_errors_exit_2(tmp_path):
@@ -309,7 +325,7 @@ _FLAGS = {
     "measure": "config domain epsilon out seed start target threads walks",
     "sandwich": "config domain out start",
     "layered": "config domain epsilon grid_points jmax k out seed threads walks",
-    "barrier": "b config domain eta layers out samples start",
+    "barrier": "config domain eta out samples start",
     "theorem2": "config csv epsilon max_probes out r_list ring seed seq threads walks",
     "dichotomy-sweep": "config epsilon out profile ring seed seq start threads truncations walks",
 }

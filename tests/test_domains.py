@@ -418,6 +418,17 @@ def test_meta_strings_and_non_finite_floats_roundtrip(tmp_path):
     assert back.meta == meta and isinstance(back.meta["sequence"], str)
 
 
+@pytest.mark.parametrize("value", [{"float": "inf"}, {"float": "nan"}, {"float": 1.5}])
+def test_a_meta_value_spelled_like_a_float_is_refused(tmp_path, value):
+    # load would read {"float": "inf"} back as the float inf
+    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.2)], meta={"r": 0.9, "x": value})
+    path = tmp_path / "dom.json"
+    for write in (dom.to_json, lambda: dom.save(path)):
+        with pytest.raises(ValidationError, match=r"meta\['x'\]"):
+            write()
+    assert not path.exists()
+
+
 def test_domain_file_keys_are_pinned():
     seq = ch.generate_ring_lattice(0.5, 1, 5, seed=3)
     dom = build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -5)

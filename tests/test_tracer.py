@@ -22,9 +22,14 @@ def test_tracer_records_the_spans_of_a_small_pipeline(tmp_path, monkeypatch):
         path = tmp_path / "dom.json"
         dom.save(path)
         ch.estimate_measure(ch.ChampagneDomain.load(path), 0j, n_walks=50, seed=1)
+        fc = ch.build_finitely_connected(ch.generate_ring_lattice(0.5, 1.5, 4, seed=2), 0j,
+                                         r=1 - 2.0 ** -4)
+        ch.barrier_lower_bound(fc, eta=0.5)
     finally:
         tracer.uninstall()
     names = {span[1] for span in tracer.spans}
     assert {"domains.build_champagne", "domains.save", "domains.load",
-            "walker.estimate"} <= names
+            "walker.estimate", "barriers.barrier_lower_bound"} <= names
+    # the barrier hook reads the certificate's sample density and bubble minima
+    assert tracer.counts["barriers.boundary_samples"] == 64 * fc.n_bubbles > 0
     assert ch.estimate_measure is original
