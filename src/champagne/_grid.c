@@ -282,44 +282,6 @@ int64_t grid_near_others(const double *cx, const double *cy, const double *radii
     return total;
 }
 
-/* Sorts a[0 .. n) ascending: insertion sort, which is linear on the few
- * ascending runs (one per cell) of a small ball, and a heap sort, in place
- * and O(n log n), for a large one. */
-static void sort_ascending(int64_t *a, int64_t n)
-{
-    if (n <= 64) {
-        for (int64_t k = 1; k < n; k++) {
-            const int64_t v = a[k];
-            int64_t m = k;
-            for (; m > 0 && a[m - 1] > v; m--)
-                a[m] = a[m - 1];
-            a[m] = v;
-        }
-        return;
-    }
-    for (int64_t start = n / 2 - 1, end = n; end > 1;) {
-        int64_t root;
-        if (start >= 0) {
-            root = start--;
-        } else {
-            const int64_t t = a[0];
-            a[0] = a[--end];
-            a[end] = t;
-            root = 0;
-        }
-        const int64_t v = a[root];
-        for (int64_t child = 2 * root + 1; child < end; child = 2 * root + 1) {
-            if (child + 1 < end && a[child + 1] > a[child])
-                child++;
-            if (a[child] <= v)
-                break;
-            a[root] = a[child];
-            root = child;
-        }
-        a[root] = v;
-    }
-}
-
 /* The bucket cell of coordinate t along one axis: (t + half_width) inv_h,
  * clamped to the grid and truncated, so that points beyond the grid's
  * square fall in its edge cells.  spatial.PointIndex buckets the points by
@@ -335,31 +297,26 @@ static int64_t axis_cell(double t, int64_t n_side, double half_width, double inv
 /* Ball queries over points bucketed in a uniform grid (spatial.PointIndex):
  * (px[e], py[e]) is bucket entry e, point order[e] of the set, and the
  * entries of cell (i, j) are cell_start[i n_side + j] .. cell_start[i n_side
- * + j + 1), ascending in the point index.  Query q lists, ascending, every
- * point with dx^2 + dy^2 <= qr[q]^2, as the sum is formed here (dx, dy the
- * offset from (qx[q], qy[q])), by scanning the rows of cells of its box; a
- * whole row (whole[q] != 0) lists every point without a scan, and a
- * negative or NaN radius none.
+ * + j + 1).  Query q lists, in no particular order, every point with
+ * dx^2 + dy^2 <= qr[q]^2, as the sum is formed here (dx, dy the offset
+ * from (qx[q], qy[q])), by scanning the rows of cells of its box: a radius
+ * of +inf scans every cell and lists every point, and a negative or NaN
+ * radius lists none.
  * Queries are written in order while their hits fit in `capacity` items:
  * query q's are items[offsets[q] .. offsets[q + 1]), offsets[0] = 0.
  * Returns the number of queries written; the caller asks again from the
- * first one left out.  A capacity of at least n fits every single query. */
-int64_t point_balls(const double *px, const double *py, const int64_t *order, int64_t n,
+ * first one left out.  A capacity of at least the number of points fits
+ * every single query. */
+int64_t point_balls(const double *px, const double *py, const int64_t *order,
                     const int64_t *cell_start, int64_t n_side, double half_width, double inv_h,
-                    const double *qx, const double *qy, const double *qr, const uint8_t *whole,
+                    const double *qx, const double *qy, const double *qr,
                     int64_t n_q, int64_t *offsets, int64_t *items, int64_t capacity)
 {
     int64_t total = 0;
     offsets[0] = 0;
     for (int64_t q = 0; q < n_q; q++) {
         int64_t count = 0;
-        if (whole[q]) {
-            if (total + n > capacity)
-                return q;
-            for (int64_t p = 0; p < n; p++)
-                items[total + p] = p;
-            count = n;
-        } else if (qr[q] >= 0.0) {   /* a negative or NaN radius lists nothing */
+        if (qr[q] >= 0.0) {   /* a negative or NaN radius lists nothing */
             const double x = qx[q], y = qy[q], r = qr[q], r2 = r * r;
             /* every hit lies within r (1 + 1e-12) + 1e-12 of the center on
              * each axis: the margin covers the rounding of the sum and
@@ -382,7 +339,6 @@ int64_t point_balls(const double *px, const double *py, const int64_t *order, in
             }
             if (total + count > capacity)
                 return q;
-            sort_ascending(items + total, count);
         }
         total += count;
         offsets[q + 1] = total;
@@ -422,15 +378,16 @@ static double rho_beyond(double d, double gap, double gap_max, double slack_abs,
  * the search stops when rho_beyond at k h exceeds t.  A query not surely
  * inside the disk lists every point.
  * Queries are written in order as point_balls writes them; a capacity of
- * at least n fits every single query.  Returns the number of queries
- * written, or -1 when out of memory. */
-int64_t point_nearest(const double *px, const double *py, const int64_t *order, int64_t n,
+ * at least the number of points fits every single query.  Returns the
+ * number of queries written, or -1 when out of memory. */
+int64_t point_nearest(const double *px, const double *py, const int64_t *order,
                       const int64_t *cell_start, int64_t n_side, double half_width, double inv_h,
                       const double *qx, const double *qy, int64_t n_q, int64_t others,
                       double gap_max, double slack_abs, double slack_rel,
                       int64_t *offsets, int64_t *items, int64_t capacity)
 {
     const double h = 2.0 * half_width / (double)n_side;
+    const int64_t n = cell_start[n_side * n_side];   /* the number of points */
     int64_t *cells = malloc((size_t)(8 * n_side + 1) * sizeof *cells);
     int64_t *seen = malloc((size_t)(n > 0 ? n : 1) * sizeof *seen);
     double *low = malloc((size_t)(n > 0 ? n : 1) * sizeof *low);

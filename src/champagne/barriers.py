@@ -129,7 +129,7 @@ class BarrierCertificate:
     per_bubble_min: tuple          # min of rescaled U over each bubble boundary
     weights: tuple                 # rescaled; weights[j-1] is the weight of shell j
     eta: float
-    n: int                         # shell count
+    n: int                         # the largest shell index
     sample_density: int
     flags: tuple
 
@@ -142,9 +142,10 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     shell_of_modulus(|center|, eta), the bubble centers seen from `start`.
     The weights w >= 0 minimise U(start) subject to U >= 1 at
     `boundary_sample_density` samples on each bubble boundary
-    (_shell_weights).  The certificate then recomputes U at every sample,
-    rescales w by the least value, and returns max(0, 1 - U(start)).
-    Bubbles may have any pseudo radii.  Refuses when U is not positive at
+    (_shell_weights), whose columns are the shells holding a bubble center:
+    an empty shell gets weight 0.  The certificate then recomputes U at
+    every sample, rescales w by the least value, and returns
+    max(0, 1 - U(start)).  Bubbles may have any pseudo radii.  Refuses when U is not positive at
     some sample, or when the solver does.
     """
     start = complex(start)
@@ -168,7 +169,9 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     theta = 2.0 * math.pi * np.arange(m) / m
     ring = np.exp(1j * theta)
     samples = (domain.centers[:, None] + domain.radii[:, None] * ring[None, :]).ravel()
-    M = _shell_potential(zeros, shells, np.append(samples, 0j))
+    # an empty shell's potential vanishes: it is no column, and its weight is 0
+    occupied, column = np.unique(shells, return_inverse=True)
+    M = _shell_potential(zeros, column + 1, np.append(samples, 0j))
     # U is superharmonic for w >= 0 only; the solver's w is clipped and U
     # recomputed, not trusted
     w = np.maximum(_shell_weights(M), 0.0)
@@ -181,12 +184,14 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
         )
     factor = 1.0 / m_min
     u0 = float(u_vals[-1]) * factor
+    weights = np.zeros(int(occupied[-1]))
+    weights[occupied - 1] = w * factor
     return BarrierCertificate(
         exterior_lower=max(0.0, 1.0 - u0),
         barrier_at_start=u0,
         rescale_factor=factor,
         per_bubble_min=tuple(float(v) * factor for v in per_bubble_min),
-        weights=tuple(float(v) * factor for v in w), eta=eta, n=M.shape[1],
+        weights=tuple(weights.tolist()), eta=eta, n=weights.size,
         sample_density=boundary_sample_density, flags=())
 
 
@@ -199,6 +204,10 @@ def _annulus_log_products(pts: np.ndarray, probes: np.ndarray, r: float) -> np.n
     out = np.zeros(probes.size)
     for q0, offsets, items in PointIndex(pts).pseudo_balls(probes, r):
         lens = np.diff(offsets)
+        # each probe's candidates ascending in the point index: one sort of
+        # the keys row * n + item, whose rows are already in order
+        shift = np.repeat(np.arange(lens.size) * pts.size, lens)
+        items = np.sort(shift + items) - shift
         rho = pseudo_distance_many(np.repeat(probes[q0:q0 + lens.size], lens), pts[items])
         keep = (rho > 0.5) & (rho < r)
         logs = np.log(rho[keep])

@@ -87,11 +87,12 @@ def _jsonify(obj):
 
 
 def emit(args, command: str, config: dict, result) -> None:
+    seed = getattr(args, "seed", None)   # resolve_seed keeps the invocation's seed there
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
-        "config": _jsonify(config),
+        "config": _jsonify(config if seed is None else {**config, "seed": seed}),
         "result": _jsonify(result),
     }
     _write(args, json.dumps(envelope, indent=1, sort_keys=True))
@@ -121,9 +122,12 @@ def parse_float_list(text: str):
 
 def parse_ring_spec(text: str) -> dict:
     out = {}
-    for part in text.split(","):
+    for part in filter(str.strip, text.split(",")):
         key, _, val = part.partition("=")
         out[key.strip()] = val.strip()
+    unknown = sorted(set(out) - {"q", "scale", "depth"})
+    if unknown:
+        raise ValidationError(f"bad ring spec {text!r}: no key named {', '.join(unknown)}")
     try:
         return {
             "q": float(out["q"]),
@@ -135,8 +139,15 @@ def parse_ring_spec(text: str) -> dict:
 
 
 def resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+    """The invocation's seed: --seed, else the default_seed file of
+    $CHAMPAGNE_SEED_DIR, else a random draw, kept in args.seed so that the
+    sequence and the walks share it and emit records it."""
+    if args.seed is None:
+        args.seed = _draw_seed()
+    return args.seed
+
+
+def _draw_seed() -> int:
     seed_dir = os.environ.get(SEED_DIR_ENV)
     if seed_dir:
         path = os.path.join(seed_dir, "default_seed")
@@ -188,19 +199,18 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _load_seq(args) -> PointSequence:
-    if getattr(args, "seq", None):
+    if args.seq:
         return load_sequence(args.seq)
-    if getattr(args, "ring", None):
+    if args.ring:
         spec = parse_ring_spec(args.ring)
         return generate_ring_lattice(seed=resolve_seed(args), **spec)
     raise ValidationError("provide a sequence via --seq <path> or --ring q=..,scale=..,depth=..")
 
 
-def _mc_config(args, seed) -> dict:
+def _mc_config(args) -> dict:
     return {
         "walks": args.walks,
         "epsilon": args.epsilon,
-        "seed": seed,
         "threads": args.threads,
     }
 
@@ -306,7 +316,7 @@ def cmd_measure(args) -> int:
     result["tail_sum_points"] = dom.tail_sum_points
     result["truncation_R"] = dom.truncation_R
     config = {"domain": args.domain, "start": [z0.real, z0.imag],
-              "target": args.target, **_mc_config(args, seed)}
+              "target": args.target, **_mc_config(args)}
     emit(args, "measure", config, result)
     return 0
 
@@ -326,7 +336,7 @@ def cmd_layered(args) -> int:
                            epsilon=args.epsilon, seed=seed, grid_points=args.grid_points,
                            threads=args.threads)
     config = {"domain": args.domain, "k": args.k, "jmax": args.jmax,
-              "grid_points": args.grid_points, **_mc_config(args, seed)}
+              "grid_points": args.grid_points, **_mc_config(args)}
     emit(args, "layered", config, rep)
     return 0
 
@@ -351,14 +361,14 @@ def cmd_barrier(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    seq = _load_seq(args)
     seed = resolve_seed(args)
+    seq = _load_seq(args)
     r_values = parse_float_list(args.r_list)
     mc = McParams(n_walks=args.walks, epsilon=args.epsilon, seed=seed, threads=args.threads)
     probe_spec = ProbeSpec(max_probes=args.max_probes)
     rep = theorem2_report(seq, r_values, probe_spec, mc)
     config = {"seq": args.seq or args.ring, "r_list": r_values,
-              "max_probes": args.max_probes, **_mc_config(args, seed)}
+              "max_probes": args.max_probes, **_mc_config(args)}
     emit(args, "theorem2", config, rep)
     if args.csv:
         rows = ["r,uniform_lower,uniform_upper,harmonic_lower,harmonic_upper"]
@@ -370,8 +380,8 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_dichotomy_sweep(args) -> int:
-    seq = _load_seq(args)
     seed = resolve_seed(args)
+    seq = _load_seq(args)
     profile = parse_profile(args.profile)
     truncations = parse_float_list(args.truncations)
     z0 = parse_point(args.start)
@@ -401,7 +411,7 @@ def cmd_dichotomy_sweep(args) -> int:
     result = {"rows": rows, "decrement_ratios": ratios, "profile": profile.describe()}
     config = {"seq": args.seq or args.ring, "profile": args.profile,
               "truncations": truncations, "start": [z0.real, z0.imag],
-              **_mc_config(args, seed)}
+              **_mc_config(args)}
     emit(args, "dichotomy-sweep", config, result)
     return 0
 

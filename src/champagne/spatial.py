@@ -6,14 +6,14 @@ grid over the points, through two compiled queries (_grid.c).
 Within-radius (ball) queries go to point_balls, which scans the rows of
 cells of each query's box.  A pseudo ball {w : rho(z, w) <= r} is
 exactly a Euclidean disk, so it too is a ball query; a pseudo ball wider
-than _PSEUDO_RADIUS_MAX is the whole disk and lists every point without a
-cell scan.  Pseudo nearest queries go to point_nearest, one ring search
-outwards from each query's cell, which stops once no unscanned point can
-be nearer.  Queries return candidates, a superset of the answer that
-callers measure with pseudo_distance_many or their own distance formula,
-so every value equals that of a brute-force scan.  They come as flat CSR
-blocks (q0, offsets, items), and a block holds a bounded number of
-entries.
+than _PSEUDO_RADIUS_MAX is the whole disk, a ball of radius +inf whose
+box is every cell.  Pseudo nearest queries go to point_nearest, one ring
+search outwards from each query's cell, which stops once no unscanned
+point can be nearer.  Queries return candidates, a superset of the answer
+that callers measure with pseudo_distance_many or their own distance
+formula, so every value equals that of a brute-force scan.  They come as
+flat CSR blocks (q0, offsets, items), each query's candidates in no
+particular order, and a block holds a bounded number of entries.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -146,28 +146,21 @@ class PointIndex:
 
     def balls(self, centers, radii):
         """Points p with |centers[q] - p| <= radii[q] (as dx^2 + dy^2 <= r^2),
-        in CSR blocks (see _blocks), each query's ascending."""
+        in CSR blocks (see _blocks), each query's in no particular order."""
         c = np.asarray(centers, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape)
-        return self._ball_blocks(c, r, np.zeros(c.size, dtype=np.uint8))
+        return self._blocks(_native.library().point_balls,
+                            (np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag),
+                             np.ascontiguousarray(r)))
 
     def pseudo_balls(self, z, r):
         """Candidates covering every point p with rho(z[q], p) <= r[q], in
-        CSR blocks (see _blocks), each query's ascending."""
+        CSR blocks (see _blocks), each query's in no particular order."""
         z = np.asarray(z, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
-        # a whole-disk ball lists every point, without a cell scan
-        whole = r > _PSEUDO_RADIUS_MAX
-        centers = np.zeros(z.size, dtype=np.complex128)
-        radii = np.zeros(z.size)
-        centers[~whole], radii[~whole] = pseudo_to_euclidean_arrays(z[~whole], r[~whole])
-        return self._ball_blocks(centers, radii + _PSEUDO_SLACK, whole.astype(np.uint8))
-
-    def _ball_blocks(self, centers, radii, whole):
-        return self._blocks(_native.library().point_balls,
-                            (np.ascontiguousarray(centers.real),
-                             np.ascontiguousarray(centers.imag), np.ascontiguousarray(radii),
-                             whole))
+        centers, radii = pseudo_to_euclidean_arrays(z, np.minimum(r, _PSEUDO_RADIUS_MAX))
+        # a whole-disk ball is one of radius +inf
+        return self.balls(centers, np.where(r > _PSEUDO_RADIUS_MAX, np.inf, radii + _PSEUDO_SLACK))
 
     def _blocks(self, query, arrays, *extra):
         """Yields (q0, offsets, items) for consecutive runs of queries: the
@@ -177,8 +170,7 @@ class PointIndex:
         block's arrays; it writes the queries that fit.  A block holds at
         most _BALL_BLOCK queries and max(_BALL_BLOCK, n) items, so that
         every query fits in one block."""
-        points = (self.px, self.py, self.order, self.n, self.cell_start,
-                  self.n_side, _L, self.inv_h)
+        points = (self.px, self.py, self.order, self.cell_start, self.n_side, _L, self.inv_h)
         capacity = max(_BALL_BLOCK, self.n)
         q0 = 0
         while q0 < arrays[0].size:
@@ -192,8 +184,8 @@ class PointIndex:
 
 
 def pairs(blocks):
-    """Flatten CSR candidate blocks into index pairs (q, p), sorted by q (and
-    by p where each query's candidates are ascending)."""
+    """Flatten CSR candidate blocks into index pairs (q, p), sorted by q and
+    in each query's candidate order."""
     qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for q0, offsets, items in blocks:
         qs.append(np.repeat(np.arange(q0, q0 + offsets.size - 1), np.diff(offsets)))

@@ -156,6 +156,23 @@ def test_weights_are_the_linear_program_optimum(q, scale, depth, log_gap, eta, s
     assert cert.barrier_at_start == pytest.approx(M[-1] @ w, rel=1e-12)
 
 
+def test_empty_shells_are_no_columns_of_the_program():
+    # the barrier domain of the benchmark: at eta 0.97 the bubble centers
+    # fall in 6 of 160 shells, and a finer partition with no new occupied
+    # shell cannot change the bound
+    seq = ch.generate_ring_lattice(0.5, 2, 12, seed=20)
+    dom = ch.build_finitely_connected(seq, 0j, r=1 - 2.0 ** -8)
+    coarse = barrier_lower_bound(dom, eta=0.5)
+    cert, M, w = _weights_and_matrix(dom, eta=0.97)
+    occupied = np.unique(shell_of_modulus(np.abs(dom.pseudo_centers), 0.97))
+    assert M.shape[1] == occupied.size == 6
+    assert cert.n == len(cert.weights) == occupied[-1] == 160
+    weights = np.asarray(cert.weights)
+    assert np.array_equal(weights[occupied - 1], np.maximum(w, 0.0) * cert.rescale_factor)
+    assert not np.delete(weights, occupied - 1).any()
+    assert cert.exterior_lower == pytest.approx(coarse.exterior_lower, rel=1e-12, abs=0.0)
+
+
 # -- barrier certificates ------------------------------------------------------------
 
 def test_barrier_one_layer_equals_one_hole():

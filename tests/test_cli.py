@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import champagne as ch
-from champagne import barriers
+from champagne import barriers, cli
 from champagne.cli import build_parser, main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(ch.__file__), "schema", "artifact.schema.json")
@@ -275,12 +275,40 @@ def test_config_naming_tail_tol_exits_2(tmp_path):
     ["barrier", "--domain", "{dom}", "--eta", "0"],
     ["barrier", "--domain", "{dom}", "--eta", "1.5"],
     ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "0"],
+    ["gen-seq", "--ring", "q=0.5,scael=2", "--seed", "1"],
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     dom_path = tmp_path / "one.json"
     ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=1.0).save(dom_path)
     assert main([a.format(dom=dom_path) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_an_unknown_ring_key_is_named(capsys):
+    assert main(["diag", "--ring", "q=0.5,depth=2,scael=2,pts=3", "--seed", "1"]) == 2
+    assert "no key named pts, scael" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem2", "--r-list", "0.9", "--walks", "200", "--max-probes", "2"],
+    ["dichotomy-sweep", "--profile", "expinv:1,1", "--truncations", "0.875", "--walks", "300"],
+    ["diag", "--probe-modulus", "0.8"],
+    ["density", "--r-list", "0.8,0.9"],
+], ids=lambda argv: argv[0])
+def test_a_generated_sequence_and_its_walks_share_one_recorded_seed(tmp_path, argv):
+    # without --seed the CLI draws one seed, for the sequence and the walks
+    # alike, and records it: a re-run with the recorded seed reproduces the
+    # result
+    argv = argv + ["--ring", "q=0.5,scale=1,depth=4"]
+    draws = iter([101, 202, 303])
+    with mock.patch.object(cli.secrets, "randbits", side_effect=lambda bits: next(draws)) as draw:
+        assert main(argv + ["-o", str(tmp_path / "drawn.json")]) == 0
+    assert draw.call_count == 1
+    drawn = _validate(tmp_path / "drawn.json")
+    assert drawn["config"]["seed"] == 101
+    assert main(argv + ["--seed", "101", "-o", str(tmp_path / "again.json")]) == 0
+    again = _validate(tmp_path / "again.json")
+    assert again["config"] == drawn["config"] and again["result"] == drawn["result"]
 
 
 def test_build_domain_writes_the_domain_file_text(tmp_path):

@@ -260,22 +260,6 @@ def test_annular_sums_over_several_full_blocks():
     assert probes.size > rows and probes.size % rows
 
 
-def test_whole_disk_pseudo_balls_list_every_point_without_a_cell_scan():
-    pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
-    index = spatial.PointIndex(pts)
-    z = np.array([0.0, 0.3 + 0.2j, 0.9j, -0.5])
-    r = np.array([1.0 - 1e-6, 0.4, 1.0 - 1e-9, 0.7])
-    ((_, offsets, items),) = index.pseudo_balls(z, r)
-    assert np.all(np.diff(offsets)[[1, 3]] > 0)
-    # with every bucket emptied a cell scan finds nothing, and the whole
-    # rows still list every point
-    index.cell_start = np.zeros_like(index.cell_start)
-    ((_, offsets, items),) = index.pseudo_balls(z, r)
-    rows = np.split(items, offsets[1:-1])
-    assert np.array_equal(rows[0], np.arange(pts.size)) and np.array_equal(rows[2], rows[0])
-    assert rows[1].size == 0 and rows[3].size == 0
-
-
 def test_whole_disk_annular_sums_hold_bounded_memory():
     # 6,272 probes whose second cut is the whole disk, so every point is a
     # candidate of every probe: the sums hold bounded blocks of those
@@ -293,8 +277,9 @@ def test_whole_disk_annular_sums_hold_bounded_memory():
 
 
 def _rows(blocks, n_q, n, block):
-    """The rows of CSR ball blocks, each block checked: consecutive queries,
-    consistent offsets, within the block bounds, each row ascending."""
+    """The rows of CSR ball blocks as sorted sets, each block checked:
+    consecutive queries, consistent offsets, within the block bounds, and
+    no row listing a point twice."""
     rows = []
     for q0, offsets, items in blocks:
         assert q0 == len(rows)
@@ -302,6 +287,7 @@ def _rows(blocks, n_q, n, block):
         assert 1 <= offsets.size - 1 <= block and items.size <= max(block, n)
         rows += np.split(items, offsets[1:-1])
     assert len(rows) == n_q
+    rows = [np.sort(row) for row in rows]
     assert all(np.all(np.diff(row) > 0) for row in rows)
     return rows
 
@@ -322,6 +308,32 @@ def _ball_block(block):
         yield
     finally:
         spatial._BALL_BLOCK = default
+
+
+def test_whole_disk_pseudo_balls_list_every_point_once():
+    # a pseudo ball above _PSEUDO_RADIUS_MAX is a ball of radius +inf: its
+    # cell scan lists every point once, while the narrower balls beside it
+    # list only some
+    pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
+    z = np.array([0.0, 0.3 + 0.2j, 0.9j, -0.5])
+    r = np.array([1.0 - 1e-6, 0.4, 1.0 - 1e-9, 0.7])
+    rows = _rows(spatial.PointIndex(pts).pseudo_balls(z, r), z.size, pts.size, spatial._BALL_BLOCK)
+    assert np.array_equal(rows[0], np.arange(pts.size)) and np.array_equal(rows[2], rows[0])
+    assert 0 < rows[1].size < pts.size and 0 < rows[3].size < pts.size
+
+
+@pytest.mark.parametrize("block", [1, 3, spatial._BALL_BLOCK])
+def test_a_ball_of_radius_inf_lists_every_point_once_and_nan_or_negative_none(block):
+    # the points beyond the unit circle fall in the grid's edge cells
+    pts = np.concatenate([ch.generate_ring_lattice(0.5, 2, 5, seed=3).points,
+                          [1.0, -2.5j, 3.0 + 3.0j, 0.0]])
+    centers = np.array([0.0, 0.5 - 0.5j, 2.0, 0.0, 0.3j, 0.1, -0.2])
+    radii = np.array([np.inf, np.inf, np.inf, -1.0, np.nan, -np.inf, -1e-300])
+    with _ball_block(block):
+        rows = _rows(spatial.PointIndex(pts).balls(centers, radii), centers.size, pts.size, block)
+    for row in rows[:3]:
+        assert np.array_equal(row, np.arange(pts.size))
+    assert all(row.size == 0 for row in rows[3:])
 
 
 @given(plane_sets, st.lists(st.tuples(st.integers(0, 40), _polar,
@@ -494,6 +506,14 @@ def test_the_library_is_built_from_every_c_source():
     src = pathlib.Path(ch.__file__).parent
     assert sorted(path.name for path in _native.SOURCES) == sorted(f.name for f in src.glob("*.c"))
     assert all(path.parent == src for path in _native.SOURCES)
+
+
+def test_the_c_sources_compile_without_warnings():
+    # a dead static helper or an unused parameter fails the suite
+    proc = subprocess.run([_native.COMPILER, "-std=c99", "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", *map(str, _native.SOURCES)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # disjoint disks: each radius is a fraction (down to point-like) of the
