@@ -172,6 +172,11 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     # an empty shell's potential vanishes: it is no column, and its weight is 0
     occupied, column = np.unique(shells, return_inverse=True)
     M = _shell_potential(zeros, column + 1, np.append(samples, 0j))
+    # a bubble below coordinate resolution has samples that round onto its
+    # centre, where its own shell's potential reads +inf; on its boundary
+    # that potential is at least log(1/s_k) (|B| <= rho = s_k), a lower bound
+    own = (np.arange(samples.size), np.repeat(column, m))
+    M[own] = np.where(np.isinf(M[own]), np.repeat(-np.log(domain.pseudo_radii), m), M[own])
     # U is superharmonic for w >= 0 only; the solver's w is clipped and U
     # recomputed, not trusted
     w = np.maximum(_shell_weights(M), 0.0)

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Artifacts are JSON envelopes {schema_version, command, config, result}
-written atomically, except build-domain's bare domain file and gen-seq's
-sequence file (with a <path>.meta.json envelope beside it); the resolved
-configuration (seed included) is embedded so runs can be reproduced from
-the artifact alone.  Exit codes: 0 success, 2 validation error,
-3 numerical refusal.
+Artifacts are JSON envelopes {schema_version, package_version, command,
+config, result} written atomically, except build-domain's bare domain file
+and gen-seq's sequence file (with its envelope beside it, at
+<path>.meta.json).  The config is the subcommand's flags as given or
+defaulted, seed included and unset ones left out, so written back as a
+--config file it re-runs the command; the result is the library's report.
+Exit codes: 0 success, 2 validation error, 3 numerical refusal.
 """
 
 from __future__ import annotations
@@ -86,13 +87,17 @@ def _jsonify(obj):
     return obj
 
 
-def emit(args, command: str, config: dict, result) -> None:
-    seed = getattr(args, "seed", None)   # resolve_seed keeps the invocation's seed there
+def emit(args, result) -> None:
+    """Write the envelope of args.command: its config is the flags of args
+    other than --config and -o that are set (resolve_seed keeps a drawn
+    seed in args.seed)."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "config", "out") and v is not None}
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        "command": command,
-        "config": _jsonify(config if seed is None else {**config, "seed": seed}),
+        "command": args.command,
+        "config": _jsonify(config),
         "result": _jsonify(result),
     }
     _write(args, json.dumps(envelope, indent=1, sort_keys=True))
@@ -120,11 +125,21 @@ def parse_float_list(text: str):
         raise ValidationError(f"bad list {text!r}: expected comma-separated reals") from exc
 
 
-def parse_ring_spec(text: str) -> dict:
+def _key_values(entries, where: str, name=str.strip) -> dict:
+    """key=value texts as a dict of name(key) to the stripped value; a
+    repeated key is refused by name."""
     out = {}
-    for part in filter(str.strip, text.split(",")):
-        key, _, val = part.partition("=")
-        out[key.strip()] = val.strip()
+    for entry in entries:
+        key, _, val = entry.partition("=")
+        key = name(key)
+        if key in out:
+            raise ValidationError(f"{where}: key {key} given twice")
+        out[key] = val.strip()
+    return out
+
+
+def parse_ring_spec(text: str) -> dict:
+    out = _key_values(filter(str.strip, text.split(",")), f"bad ring spec {text!r}")
     unknown = sorted(set(out) - {"q", "scale", "depth"})
     if unknown:
         raise ValidationError(f"bad ring spec {text!r}: no key named {', '.join(unknown)}")
@@ -163,15 +178,10 @@ def _draw_seed() -> int:
 
 def load_config_file(path: str) -> dict:
     """key = value lines mirroring the long flag names (dashes or underscores)."""
-    out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+        lines = [line.strip() for line in fh]
+    return _key_values((line for line in lines if line and not line.startswith("#")), path,
+                       lambda key: key.strip().replace("-", "_"))
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -207,14 +217,6 @@ def _load_seq(args) -> PointSequence:
     raise ValidationError("provide a sequence via --seq <path> or --ring q=..,scale=..,depth=..")
 
 
-def _mc_config(args) -> dict:
-    return {
-        "walks": args.walks,
-        "epsilon": args.epsilon,
-        "threads": args.threads,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -224,12 +226,8 @@ def cmd_gen_seq(args) -> int:
     seq = generate_ring_lattice(seed=seed, **spec)
     if args.out:
         save_sequence(seq, args.out)
-        meta_path = args.out + ".meta.json"
-        _atomic_write(meta_path, json.dumps(_jsonify({
-            "schema_version": SCHEMA_VERSION, "command": "gen-seq",
-            "config": {**spec, "seed": seed},
-            "result": {"n_points": len(seq), "label": seq.label},
-        }), indent=1, sort_keys=True))
+        emit(argparse.Namespace(**{**vars(args), "out": args.out + ".meta.json"}),
+             {"n_points": len(seq), "label": seq.label})
     else:
         print(json.dumps([[z.real, z.imag] for z in seq.points]))
     return 0
@@ -237,40 +235,18 @@ def cmd_gen_seq(args) -> int:
 
 def cmd_diag(args) -> int:
     seq = _load_seq(args)
-    diag = diagnose(seq)
-    result = {
-        "n_points": diag.n_points,
-        "max_modulus": diag.max_modulus,
-        "separation": diag.separation,
-        "separation_vacuous": diag.separation_vacuous,
-        "blaschke_sum": diag.blaschke.value,
-        "blaschke_divergent": diag.blaschke.classified_divergent,
-        "blaschke_partial_by_depth": diag.blaschke.partial_by_depth,
-    }
+    result = dataclasses.asdict(diagnose(seq))
     if args.probe_modulus is not None:
         result["covering_radius"] = covering_radius(
             seq, args.probe_modulus, grid_density=args.grid_density)
-        result["covering_probe_modulus"] = args.probe_modulus
-    emit(args, "diag", {"seq": args.seq or args.ring}, result)
+    emit(args, result)
     return 0
 
 
 def cmd_density(args) -> int:
     seq = _load_seq(args)
-    r_values = parse_float_list(args.r_list)
-    est = uniform_density(seq, r_values, grid_density=args.grid_density, mode="both")
-    result = {
-        "r_values": est.r_values,
-        "lower_curve": est.lower_curve,
-        "upper_curve": est.upper_curve,
-        "lower_at_largest_r": est.lower_curve[-1],
-        "upper_at_largest_r": est.upper_curve[-1],
-        "truncation_dominated": est.truncation_dominated,
-        "grid_spec": est.grid_spec,
-        "n_probes": est.n_probes,
-    }
-    emit(args, "density", {"seq": args.seq or args.ring, "r_list": r_values,
-                           "grid_density": args.grid_density}, result)
+    emit(args, uniform_density(seq, parse_float_list(args.r_list),
+                               grid_density=args.grid_density, mode="both"))
     return 0
 
 
@@ -292,7 +268,7 @@ def cmd_criterion(args) -> int:
             "partial_sums_head": rep_s.partial_sums[:64],
         },
     }
-    emit(args, "criterion", {"profile": args.profile, "k": args.k, "jmax": args.jmax}, result)
+    emit(args, result)
     return 0
 
 
@@ -315,17 +291,12 @@ def cmd_measure(args) -> int:
     result["steps_per_second"] = est.steps_total / est.wall_time if est.wall_time > 0 else None
     result["tail_sum_points"] = dom.tail_sum_points
     result["truncation_R"] = dom.truncation_R
-    config = {"domain": args.domain, "start": [z0.real, z0.imag],
-              "target": args.target, **_mc_config(args)}
-    emit(args, "measure", config, result)
+    emit(args, result)
     return 0
 
 
 def cmd_sandwich(args) -> int:
-    dom = ChampagneDomain.load(args.domain)
-    z0 = parse_point(args.start)
-    sb = sandwich_bounds(dom, z0)
-    emit(args, "sandwich", {"domain": args.domain, "start": [z0.real, z0.imag]}, sb)
+    emit(args, sandwich_bounds(ChampagneDomain.load(args.domain), parse_point(args.start)))
     return 0
 
 
@@ -335,41 +306,24 @@ def cmd_layered(args) -> int:
     rep = layered_crossing(dom, K=args.k, j_max=args.jmax, n_walks=args.walks,
                            epsilon=args.epsilon, seed=seed, grid_points=args.grid_points,
                            threads=args.threads)
-    config = {"domain": args.domain, "k": args.k, "jmax": args.jmax,
-              "grid_points": args.grid_points, **_mc_config(args)}
-    emit(args, "layered", config, rep)
+    emit(args, rep)
     return 0
 
 
 def cmd_barrier(args) -> int:
-    dom = ChampagneDomain.load(args.domain)
-    z0 = parse_point(args.start)
-    cert = barrier_lower_bound(dom, eta=args.eta, start=z0,
-                               boundary_sample_density=args.samples)
-    result = {
-        "exterior_lower": cert.exterior_lower,
-        "U_at_start": cert.barrier_at_start,
-        "per_bubble_min_U": cert.per_bubble_min,
-        "rescale_factor": cert.rescale_factor,
-        "weights": cert.weights, "n": cert.n, "eta": cert.eta,
-        "flags": cert.flags,
-    }
-    config = {"domain": args.domain, "start": [z0.real, z0.imag], "eta": args.eta,
-              "samples": args.samples}
-    emit(args, "barrier", config, result)
+    emit(args, barrier_lower_bound(ChampagneDomain.load(args.domain), eta=args.eta,
+                                   start=parse_point(args.start),
+                                   boundary_sample_density=args.samples))
     return 0
 
 
 def cmd_theorem2(args) -> int:
     seed = resolve_seed(args)
     seq = _load_seq(args)
-    r_values = parse_float_list(args.r_list)
     mc = McParams(n_walks=args.walks, epsilon=args.epsilon, seed=seed, threads=args.threads)
-    probe_spec = ProbeSpec(max_probes=args.max_probes)
-    rep = theorem2_report(seq, r_values, probe_spec, mc)
-    config = {"seq": args.seq or args.ring, "r_list": r_values,
-              "max_probes": args.max_probes, **_mc_config(args)}
-    emit(args, "theorem2", config, rep)
+    rep = theorem2_report(seq, parse_float_list(args.r_list),
+                          ProbeSpec(max_probes=args.max_probes), mc)
+    emit(args, rep)
     if args.csv:
         rows = ["r,uniform_lower,uniform_upper,harmonic_lower,harmonic_upper"]
         for i, r in enumerate(rep.r_values):
@@ -408,11 +362,7 @@ def cmd_dichotomy_sweep(args) -> int:
         rows.append(row)
     decs = [r["decrement"] for r in rows if r["decrement"] is not None]
     ratios = [b / a if a else None for a, b in zip(decs, decs[1:])]
-    result = {"rows": rows, "decrement_ratios": ratios, "profile": profile.describe()}
-    config = {"seq": args.seq or args.ring, "profile": args.profile,
-              "truncations": truncations, "start": [z0.real, z0.imag],
-              **_mc_config(args)}
-    emit(args, "dichotomy-sweep", config, result)
+    emit(args, {"rows": rows, "decrement_ratios": ratios, "profile": profile.describe()})
     return 0
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import warnings
 from unittest import mock
 
 import jsonschema
@@ -62,7 +64,6 @@ def test_density_artifact(tmp_path):
     res = data["result"]
     assert len(res["lower_curve"]) == 2
     assert res["lower_curve"][0] <= res["upper_curve"][0]
-    assert res["lower_at_largest_r"] == res["lower_curve"][-1]
 
 
 def test_criterion_artifact(tmp_path):
@@ -145,6 +146,24 @@ def test_barrier_cli_and_refusal_exit_code(tmp_path):
     # weights that leave the barrier at 0 on a bubble are refused
     with mock.patch.object(barriers, "_shell_weights", lambda M: np.zeros(M.shape[1])):
         assert main(["barrier", "--domain", str(dom_path), "-o", str(out)]) == 3
+
+
+def test_barrier_on_bubbles_below_coordinate_resolution(tmp_path):
+    # the README's domain: the ring-6 bubbles (pseudo radius ~1.6e-28) have
+    # samples that round onto their centres, where the own-shell potential
+    # is +inf; the certificate takes log(1/s) there and stays below WoS
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    dom = ch.build_champagne(seq, ch.parse_profile("expinv:1,1"), 0.984375)
+    assert dom.pseudo_radii.min() < 1e-27
+    dom_path = tmp_path / "dom.json"
+    dom.save(dom_path)
+    out = tmp_path / "bar.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["barrier", "--domain", str(dom_path), "-o", str(out)]) == 0
+    lower = _validate(out)["result"]["exterior_lower"]
+    est = ch.estimate_measure(dom, 0j, n_walks=4000, seed=5)
+    assert 0.0 <= lower <= est.ci_high
 
 
 @pytest.mark.parametrize("key", ["b", "layers"])
@@ -276,6 +295,7 @@ def test_config_naming_tail_tol_exits_2(tmp_path):
     ["barrier", "--domain", "{dom}", "--eta", "1.5"],
     ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "0"],
     ["gen-seq", "--ring", "q=0.5,scael=2", "--seed", "1"],
+    ["gen-seq", "--ring", "q=0.5,depth=2,q=0.9", "--seed", "1"],
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     dom_path = tmp_path / "one.json"
@@ -357,6 +377,82 @@ _FLAGS = {
     "theorem2": "config csv epsilon max_probes out r_list ring seed seq threads walks",
     "dichotomy-sweep": "config epsilon out profile ring seed seq start threads truncations walks",
 }
+
+
+def test_a_config_file_key_given_twice_exits_2(tmp_path, capsys):
+    # grid-density and grid_density name one flag
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("grid-density = 3\ngrid_density = 5\n")
+    assert main(["diag", "--ring", "q=0.5,depth=2", "--seed", "1", "--config", str(cfg)]) == 2
+    assert "key grid_density given twice" in capsys.readouterr().err
+
+
+_ROUND_TRIPS = [
+    ["gen-seq", "--ring", "q=0.5,scale=1,depth=3", "--seed", "3"],
+    ["diag", "--ring", "q=0.5,scale=2,depth=4", "--probe-modulus", "0.8",
+     "--grid-density", "3", "--seed", "3"],
+    ["density", "--seq", "{seq}", "--r-list", "0.8,0.9"],
+    ["criterion", "--profile", "expinv:1,1", "--k", "3"],
+    ["measure", "--domain", "{dom}", "--start", "0.1,0", "--walks", "500", "--seed", "4"],
+    ["sandwich", "--domain", "{dom}"],
+    ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "200", "--grid-points", "8",
+     "--seed", "3"],
+    ["barrier", "--domain", "{dom}", "--eta", "0.6"],
+    ["theorem2", "--seq", "{seq}", "--r-list", "0.9", "--walks", "300", "--max-probes", "2",
+     "--seed", "5"],
+    ["dichotomy-sweep", "--seq", "{seq}", "--profile", "expinv:1,1", "--truncations", "0.875",
+     "--walks", "300", "--seed", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROUND_TRIPS, ids=lambda argv: argv[0])
+def test_an_artifact_config_reruns_its_command(tmp_path, argv):
+    # the recorded config, written back as a --config file beside the
+    # required flags, re-runs the command to the same config and result
+    seq_path, dom_path = tmp_path / "seq.json", tmp_path / "dom.json"
+    assert main(["gen-seq", "--ring", "q=0.5,scale=1,depth=4", "--seed", "2",
+                 "-o", str(seq_path)]) == 0
+    assert main(["build-domain", "--seq", str(seq_path), "--profile", "power:0.05,2",
+                 "--truncation", "0.9", "-o", str(dom_path)]) == 0
+    argv = [a.format(seq=seq_path, dom=dom_path) for a in argv]
+    command = argv[0]
+    # gen-seq's -o is the sequence; its envelope sits beside it
+    suffix = ".meta.json" if command == "gen-seq" else ""
+    assert main(argv + ["-o", str(tmp_path / "first.json")]) == 0
+    first = _validate(str(tmp_path / "first.json") + suffix)
+    assert first["command"] == command
+    assert set(first["config"]) <= set(_FLAGS[command].split()) - {"config", "out"}
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in first["config"].items()))
+    _, subcommands = build_parser()
+    required = [arg for a in subcommands[command]._actions if a.required
+                for arg in (a.option_strings[-1], str(first["config"][a.dest]))]
+    assert main([command, *required, "--config", str(cfg),
+                 "-o", str(tmp_path / "again.json")]) == 0
+    again = _validate(str(tmp_path / "again.json") + suffix)
+    assert again["config"] == first["config"]
+    if command == "measure":
+        for key in ("wall_time", "steps_per_second"):
+            del first["result"][key], again["result"][key]
+    assert again["result"] == first["result"]
+
+
+def test_readme_cli_block_parses_and_reads_only_files_it_writes():
+    # each command of the README's CLI block parses, and each --seq or
+    # --domain it reads is the -o of an earlier line
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines and all(line.startswith("champagne ") for line in lines)
+    parser, _ = build_parser()
+    written = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        for source in (getattr(args, "seq", None), getattr(args, "domain", None)):
+            assert source is None or source in written, line
+        written.add(args.out)
 
 
 def test_subcommand_flags_are_pinned():
