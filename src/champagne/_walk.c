@@ -5,6 +5,16 @@
  * without -ffast-math: a fused multiply-add or a vector libm would change
  * the last bits of positions, and with them every later draw.
  *
+ * A jump direction, and the exit angle of a point-like encounter, is
+ * (cos 2 pi u, sin 2 pi u) of one uniform u, computed without libm trig,
+ * whose last bits differ between platforms: u = q/4 + r with q the nearest
+ * quarter turn and r in [-1/8, 1/8] turns (both exact), the Taylor
+ * polynomials of sin 2 pi r and cos 2 pi r through r^15 and r^16, then
+ * a quarter turn q that swaps and negates them.  Its error is below
+ * 3 * 2^-53.  The polynomials are where a contracted multiply-add would
+ * change the most bits, hence -ffp-contract=off.  The encounter's hitting
+ * probability still calls libm log.
+ *
  * Grid index arrays (spatial.DiskGridIndex): disk centers cx, cy and radii;
  * the candidate lists cell_items[cell_start[c] .. cell_start[c + 1]) of each
  * cell c; the clearance of each cell; and, per disk, the point-like flag and
@@ -19,7 +29,6 @@
 #include <math.h>
 #include <stdint.h>
 
-#define TWO_PI 6.283185307179586   /* 2.0 * math.pi */
 #define CODE_EXTERIOR 0
 #define CODE_SHELL (-2)
 #define CODE_FAILED (-1)
@@ -35,6 +44,31 @@ static uint64_t mix64(uint64_t z)
 static double uniform_at(uint64_t key, int64_t t)
 {
     return (double)(mix64(key + ((uint64_t)t + 1) * 0x9E3779B97F4A7C15ULL) >> 11) * 0x1p-53;
+}
+
+/* (cos 2 pi u, sin 2 pi u) for u in [0, 1).  The coefficients are
+ * +-(2 pi)^n / n! rounded to double; the polynomials are summed in Estrin's
+ * order, which halves the chain of dependent operations of Horner's.
+ * u = 1 - 2^-53 rounds to q = 4, a whole turn. */
+static void direction(double u, double *dx, double *dy)
+{
+    /* q = 0: (c, s), 1: (-s, c), 2: (-c, -s), 3: (s, -c), 4: (c, s) */
+    static const int ix[5] = {0, 3, 2, 1, 0}, iy[5] = {1, 0, 3, 2, 1};
+    const int q = (int)(4.0 * u + 0.5);
+    const double r = u - 0.25 * q;
+    const double r2 = r * r, r4 = r2 * r2, r8 = r4 * r4;
+    const double s = 6.283185307179586 * r + (r * r2) * (
+        (-41.34170224039976 + r2 * 81.60524927607506)
+        + r4 * (-76.70585975306139 + r2 * 42.058693944897655)
+        + r8 * ((-15.09464257682299 + r2 * 3.819952584848282) + r4 * -0.7181223017785006));
+    const double c = 1.0 + r2 * (
+        (-19.739208802178716 + r2 * 64.9393940226683)
+        + r4 * (-85.45681720669373 + r2 * 60.24464137187666)
+        + r8 * ((-26.4262567833744 + r2 * 7.903536371318469)
+                + r4 * (-1.714390711088672 + r2 * 0.28200596845579123)));
+    const double v[4] = {c, s, -c, -s};
+    *dx = v[ix[q]];
+    *dy = v[iy[q]];
 }
 
 int64_t walk_range(const double *cx, const double *cy, const double *radii,
@@ -99,14 +133,16 @@ int64_t walk_range(const double *cx, const double *cy, const double *radii,
                         goto failed;
                     break;
                 }
-                const double ang = TWO_PI * uniform_at(key, t++);
-                x = cx[near] + big_d * cos(ang);
-                y = cy[near] + big_d * sin(ang);
+                double dx, dy;
+                direction(uniform_at(key, t++), &dx, &dy);
+                x = cx[near] + big_d * dx;
+                y = cy[near] + big_d * dy;
                 len += big_d;
             } else {
-                const double theta = TWO_PI * uniform_at(key, t++);
-                x += step * cos(theta);
-                y += step * sin(theta);
+                double dx, dy;
+                direction(uniform_at(key, t++), &dx, &dy);
+                x += step * dx;
+                y += step * dy;
                 len += step;
             }
         }

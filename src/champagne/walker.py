@@ -15,6 +15,13 @@ Each step (1) classifies: a walk within the shell exits at the nearest
 component; (2) resolves point-like encounters: a walk within 1e-9 of a
 bubble too small to resolve is absorbed with the exact annulus hitting
 probability or moved to the annulus' outer circle; (3) otherwise jumps.
+A direction, of a jump or of an encounter's exit, is (cos 2 pi u, sin 2 pi u)
+of one uniform u without libm trig: the nearest quarter turn q = round(4u)
+and the remainder r = u - q/4, both exact, fixed Taylor polynomials of
+sin 2 pi r and cos 2 pi r, then q's swap and negation of the pair, within
+3 * 2^-53 of the exact values.  It depends on no platform's sin and cos,
+and it is built with -ffp-contract=off, since a fused multiply-add in the
+polynomials would change its last bits.
 `threads` is a worker count: the walks are split into contiguous ranges,
 one per worker thread (the kernel runs with the GIL released).
 

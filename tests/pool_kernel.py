@@ -6,6 +6,10 @@ exits frees its row for the next unstarted walk, and the pool compacts once
 the supply is exhausted.  The compiled kernel must return equal arrays for
 every range of walks; only a zero coordinate's sign may differ, from the
 +-0 jump this kernel gives rows that do not jump.
+
+`direction` repeats the kernel's angle map, the same floating-point
+operations in the same order, so that the two kernels' positions agree to
+the last bit.
 """
 
 import numpy as np
@@ -18,10 +22,37 @@ from champagne.walker import (
     _CODE_SHELL,
     _ENC_TRIGGER,
     _STEP_FLOOR,
-    _TWO_PI,
 )
 
 from grid_build import cells_of
+
+# the Taylor coefficients +-(2 pi)^n / n! of sin 2 pi r (odd n, from n = 1)
+# and cos 2 pi r (even n, from n = 2), rounded to double, as in _walk.c
+SIN_COEFFS = (6.283185307179586, -41.34170224039976, 81.60524927607506, -76.70585975306139,
+              42.058693944897655, -15.09464257682299, 3.819952584848282, -0.7181223017785006)
+COS_COEFFS = (-19.739208802178716, 64.9393940226683, -85.45681720669373, 60.24464137187666,
+              -26.4262567833744, 7.903536371318469, -1.714390711088672, 0.28200596845579123)
+
+
+def direction(u):
+    """(cos 2 pi u, sin 2 pi u) for uniforms u in [0, 1), as _walk.c's
+    direction: the nearest quarter turn q and the remainder r = u - q/4,
+    both exact, the two polynomials in r summed in the same order, then
+    q's swap and negation."""
+    q = (4.0 * u + 0.5).astype(np.int64)
+    r = u - 0.25 * q
+    r2 = r * r
+    r4 = r2 * r2
+    r8 = r4 * r4
+    s1, s3, s5, s7, s9, s11, s13, s15 = SIN_COEFFS
+    c2, c4, c6, c8, c10, c12, c14, c16 = COS_COEFFS
+    s = s1 * r + (r * r2) * ((s3 + r2 * s5) + r4 * (s7 + r2 * s9)
+                             + r8 * ((s11 + r2 * s13) + r4 * s15))
+    c = 1.0 + r2 * ((c2 + r2 * c4) + r4 * (c6 + r2 * c8)
+                    + r8 * ((c10 + r2 * c12) + r4 * (c14 + r2 * c16)))
+    odd = (q & 1).astype(bool)
+    a, b = np.where(odd, s, c), np.where(odd, c, s)
+    return np.where((q + 1) & 2, -a, a), np.where(q & 2, -b, b)
 
 
 def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
@@ -117,10 +148,10 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
             cnt[enc] += 1
             out[enc[hit]] = True
             enc, b, big_d = enc[~hit], b[~hit], big_d[~hit]
-            ang = _TWO_PI * uniforms_at(keys[enc], cnt[enc])
+            dx, dy = direction(uniforms_at(keys[enc], cnt[enc]))
             cnt[enc] += 1
-            x[enc] = cx[b] + big_d * np.cos(ang)
-            y[enc] = cy[b] + big_d * np.sin(ang)
+            x[enc] = cx[b] + big_d * dx
+            y[enc] = cy[b] + big_d * dy
             path[enc] += big_d
 
         gone = np.nonzero(out)[0]
@@ -134,9 +165,9 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
         # every row moves; the others by +-0, which leaves their values
         # (up to the sign of a zero coordinate) and their counters alone
         s = np.where(jump, step, 0.0)
-        theta = _TWO_PI * uniforms_at(keys, cnt)
-        x += s * np.cos(theta)
-        y += s * np.sin(theta)
+        dx, dy = direction(uniforms_at(keys, cnt))
+        x += s * dx
+        y += s * dy
         path += s
         cnt += jump
 

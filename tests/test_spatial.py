@@ -14,6 +14,7 @@ import contextlib
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -514,6 +515,13 @@ def test_the_c_sources_compile_without_warnings():
                            "-fsyntax-only", *map(str, _native.SOURCES)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_c_sources_call_no_libm_trig():
+    # a jump direction is a quarter turn plus a polynomial: libm's sin and
+    # cos differ in the last bits between platforms
+    trig = re.compile(r"(?<![\w.])(?:__builtin_)?(?:sin|cos|sincos)[fl]?\s*\(")
+    assert [path.name for path in _native.SOURCES if trig.search(path.read_text())] == []
 
 
 # disjoint disks: each radius is a fraction (down to point-like) of the

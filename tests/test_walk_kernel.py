@@ -16,6 +16,7 @@ import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +28,7 @@ from champagne.errors import ChampagneError, WalkBudgetError
 from champagne.walker import estimate_measure
 
 from grid_build import cells_of
-from pool_kernel import pool_walk_chunk
+from pool_kernel import COS_COEFFS, SIN_COEFFS, direction, pool_walk_chunk
 
 _angles = st.floats(0.0, 2.0 * np.pi)
 _pointlike_radii = st.floats(-13.0, -11.0).map(lambda e: 10.0 ** e)
@@ -128,6 +129,30 @@ def test_budget_error_counts_the_walks_that_reach_the_budget(case, max_steps):
         assert exc.sample_position == info.value.sample_position
     else:
         assert steps[0] == max_steps
+
+
+def test_the_angle_map_is_within_three_units_of_the_last_place():
+    # direction is the array kernel's copy of the compiled angle map, which
+    # the kernel equalities above tie to the C code
+    with mpmath.workprec(100):
+        taylor = [(-1) ** (n // 2) * (2 * mpmath.pi) ** n / mpmath.factorial(n)
+                  for n in range(1, 17)]
+        assert list(SIN_COEFFS) == [float(a) for a in taylor[0::2]]
+        assert list(COS_COEFFS) == [float(a) for a in taylor[1::2]]
+
+        c, s = direction(np.array([0.0, 0.25, 0.5, 0.75]))
+        assert c.tolist() == [1.0, 0.0, -1.0, 0.0] and s.tolist() == [0.0, 1.0, 0.0, -1.0]
+
+        # random turns, and each eighth of a turn, where |r| is largest, one
+        # unit either side
+        eighths = [k / 8 + d for k in range(9) for d in (-2.0 ** -53, 2.0 ** -53)]
+        u = np.concatenate([np.random.default_rng(0).random(10_000),
+                            [v for v in eighths if 0.0 <= v < 1.0]])
+        c, s = direction(u)
+        err = max(max(abs(mpmath.cos(2 * mpmath.pi * v) - cv), abs(mpmath.sin(2 * mpmath.pi * v) - sv))
+                  for v, cv, sv in zip(u.tolist(), c.tolist(), s.tolist()))
+    assert err <= 3 * 2.0 ** -53
+    assert np.abs(s * s + c * c - 1.0).max() <= 4 * 2.0 ** -53
 
 
 # -- exact ties -------------------------------------------------------------------

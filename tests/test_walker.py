@@ -299,10 +299,17 @@ def test_pointlike_encounters_are_pinned():
     # are resolved by the annulus formula, a few hundred times here
     dom = ch.domain_from_pseudo([(0.5, 0.3), (0.5 + 0.3j, 1e-12), (-0.6, 1e-13), (0.95j, 1e-11)])
     assert dom.index.pointlike.tolist() == [False, True, True, True]
-    est = estimate_measure(dom, 0j, target="all", n_walks=30_000, seed=0)
+    n = 30_000
+    est = estimate_measure(dom, 0j, target="all", n_walks=n, seed=0)
     assert est.hits_per_bubble == {0: 17260, 1: 39, 2: 355, 3: 28}
     assert (hashlib.sha256(est.canonical_json().encode()).hexdigest()
-            == "bb9633a10148221da8494c79e681314dfc7136f175fbf0901ff97c400acb21bd")
+            == "4dd63a6073cd7ab53f42ce1c7d856da1228117b1b4e48040a58cf5b1e8b66424")
+    # the counts pinned while the jump direction called libm sin and cos:
+    # a re-pin after a change of the last bits keeps each within 4 sigma
+    libm = {0: 17260, 1: 39, 2: 355, 3: 28}
+    for k, hits in est.hits_per_bubble.items():
+        p = libm[k] / n
+        assert abs(hits - libm[k]) <= 4.0 * math.sqrt(n * p * (1.0 - p))
 
 
 def test_cramped_pointlike_encounter_is_a_hit_without_draws():
