@@ -225,21 +225,18 @@ def _annulus_log_products(pts: np.ndarray, probes: np.ndarray, r: float) -> np.n
     return out
 
 
-def extremal_c(seq: PointSequence, r: float, probe_points=None,
-               include_shifts: bool = True, grid_density: float = 2.0,
-               seed: int = 987):
+def extremal_c(seq: PointSequence, r: float, probe_points=None):
     """sup over probes of log|B_z(z)|, the annular Blaschke product with
-    zeros at 1/2 < rho(lambda, z) < r.  Returns (value, maximizer)."""
+    zeros at 1/2 < rho(lambda, z) < r.  Returns (value, maximizer).  The
+    default probes are the density-2 probe lattice, the sequence, and the
+    sequence nudged off-center by pseudo distance 0.05 in four directions,
+    which probe the sup near each lattice site."""
     if not 0.5 < r < 1.0:
         raise ValidationError(f"r must lie in (1/2, 1), got {r!r}")
     if probe_points is None:
-        probes = [probe_lattice(seq.max_modulus, density=grid_density, seed=seed), seq.points]
-        if include_shifts:
-            # points nudged off-center (pseudo distance 0.05) probe the sup
-            # near each lattice site
-            for s in (0.05, -0.05, 0.05j, -0.05j):
-                probes.append(mobius_apply_many(seq.points, s))
-        probes = np.concatenate(probes)
+        probes = np.concatenate([probe_lattice(seq.max_modulus, density=2.0), seq.points]
+                                + [mobius_apply_many(seq.points, s)
+                                   for s in (0.05, -0.05, 0.05j, -0.05j)])
     else:
         probes = np.asarray(probe_points, dtype=np.complex128)
     if probes.size == 0:

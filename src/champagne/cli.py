@@ -252,23 +252,8 @@ def cmd_density(args) -> int:
 
 def cmd_criterion(args) -> int:
     profile = parse_profile(args.profile)
-    rep_i = criterion_integral(profile)
-    rep_s = criterion_sum(profile, K=args.k, J_max=args.jmax)
-    result = {
-        "integral_value": rep_i.value,
-        "classification": rep_i.classification,
-        "integral": {
-            "classification": rep_i.classification, "value": rep_i.value,
-            "blocks": rep_i.blocks, "flags": rep_i.flags,
-        },
-        "sum": {
-            "classification": rep_s.classification, "value": rep_s.value,
-            "K": rep_s.K, "J_max": rep_s.J_max, "blocks": rep_s.blocks,
-            "flags": rep_s.flags,
-            "partial_sums_head": rep_s.partial_sums[:64],
-        },
-    }
-    emit(args, result)
+    emit(args, {"integral": criterion_integral(profile),
+                "sum": criterion_sum(profile, K=args.k, J_max=args.jmax)})
     return 0
 
 
@@ -282,16 +267,9 @@ def cmd_build_domain(args) -> int:
 
 def cmd_measure(args) -> int:
     dom = ChampagneDomain.load(args.domain)
-    seed = resolve_seed(args)
-    z0 = parse_point(args.start)
-    est = estimate_measure(dom, z0, target=args.target, n_walks=args.walks,
-                           epsilon=args.epsilon, seed=seed, threads=args.threads)
-    result = est.canonical_dict()
-    result["wall_time"] = est.wall_time
-    result["steps_per_second"] = est.steps_total / est.wall_time if est.wall_time > 0 else None
-    result["tail_sum_points"] = dom.tail_sum_points
-    result["truncation_R"] = dom.truncation_R
-    emit(args, result)
+    emit(args, estimate_measure(dom, parse_point(args.start), target=args.target,
+                                n_walks=args.walks, epsilon=args.epsilon,
+                                seed=resolve_seed(args), threads=args.threads))
     return 0
 
 
@@ -334,35 +312,36 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_dichotomy_sweep(args) -> int:
+    """A row per truncation: the rung's record, its estimate and its
+    sandwich bounds.  Every rung walks on the default grid of the rung with
+    the most bubbles, so that under the one seed the rungs' walks agree
+    wherever their domains do."""
     seed = resolve_seed(args)
     seq = _load_seq(args)
     profile = parse_profile(args.profile)
-    truncations = parse_float_list(args.truncations)
     z0 = parse_point(args.start)
+    doms = [build_champagne(seq, profile, R, ensure_interior=(z0,))
+            for R in parse_float_list(args.truncations)]
+    # a rung of the most bubbles builds its default grid, whose size the
+    # smaller rungs build; the default grid size depends on the bubble
+    # count alone
+    n_most = max((dom.n_bubbles for dom in doms), default=0)
+    n_side = next((dom.index.n_side for dom in doms if dom.n_bubbles == n_most), None)
     rows = []
-    prev = None
-    for R in truncations:
-        dom = build_champagne(seq, profile, R, ensure_interior=(z0,))
-        est = estimate_measure(dom, z0, target="exterior", n_walks=args.walks,
-                               epsilon=args.epsilon, seed=seed, threads=args.threads)
-        sb = sandwich_bounds(dom, z0)
-        row = {
-            "truncation_R": R,
+    while doms:
+        dom = doms.pop(0)  # a rung and its grid go once its row is made
+        if dom.n_bubbles < n_most:
+            dom.build_index(n_side)
+        rows.append({
+            "truncation_R": dom.truncation_R,
             "n_bubbles": dom.n_bubbles,
-            "estimate": est.estimate,
-            "ci_low": est.ci_low, "ci_high": est.ci_high,
-            "sigma": est.sigma,
-            "lower_union": sb.lower_union,
-            "upper_single": sb.upper_single,
             "tail_sum_points": dom.tail_sum_points,
             "circumference_sum": dom.circumference_sum,
-            "decrement": None if prev is None else prev - est.estimate,
-        }
-        prev = est.estimate
-        rows.append(row)
-    decs = [r["decrement"] for r in rows if r["decrement"] is not None]
-    ratios = [b / a if a else None for a, b in zip(decs, decs[1:])]
-    emit(args, {"rows": rows, "decrement_ratios": ratios, "profile": profile.describe()})
+            "measure": estimate_measure(dom, z0, n_walks=args.walks, epsilon=args.epsilon,
+                                        seed=seed, threads=args.threads),
+            "sandwich": sandwich_bounds(dom, z0),
+        })
+    emit(args, {"rows": rows, "profile": profile.describe()})
     return 0
 
 

@@ -208,14 +208,16 @@ class CriterionReport:
     The classification is exact per profile kind: expinv converges (value
     is the whole integral or sum, in closed form), const and power diverge
     (value None), and a table is inconclusive by construction, since its
-    rows end before the rim.  blocks and partial_sums show the approach.
+    rows end before the rim.  blocks and partial_sums show the approach;
+    the partial sums, J_max of them in the sum form, stay out of the repr
+    and so out of the CLI's artifact.
     """
 
     kind: str                     # "integral" | "sum"
     classification: str           # convergent | divergent | inconclusive
     value: float | None
     blocks: tuple                 # per-decade partial integrals / block sums
-    partial_sums: tuple           # cumulative partial sums (sum form) or running integral
+    partial_sums: tuple = field(repr=False)  # cumulative partial sums, or the running integral
     K: float | None
     J_max: int | None
     flags: tuple

@@ -173,15 +173,22 @@ def diagnose(seq: PointSequence, divergence_threshold: float = 20.0) -> Sequence
     )
 
 
-def probe_lattice(max_modulus: float, density: float = 4.0, seed: int = 987,
-                  q: float = 0.5, rim: bool = True) -> np.ndarray:
+# the probe lattice's ring ratio and the seed of its ring phases: fixed, so
+# a default probe set depends only on the modulus and density asked for
+_PROBE_Q = 0.5
+_PROBE_SEED = 987
+
+
+def probe_lattice(max_modulus: float, density: float = 4.0, rim: bool = True) -> np.ndarray:
     """Pseudohyperbolically equidistributed probe points covering
-    {|z| <= max_modulus}, including the origin and (optionally) the rim."""
+    {|z| <= max_modulus}, including the origin and (optionally) the rim:
+    the ring lattice of q = _PROBE_Q at the given density, with ring
+    phases drawn from _PROBE_SEED."""
     if not 0.0 < max_modulus <= 1.0 - BOUNDARY_MARGIN:
         raise ValidationError("max_modulus must lie in (0, 1)")
-    depth = max(1, math.ceil(math.log(1.0 - max_modulus) / math.log(q)))
-    lattice = generate_ring_lattice(q, points_per_ring_scale=density, depth=depth,
-                                    seed=derive_seed(seed, "probe"))
+    depth = max(1, math.ceil(math.log(1.0 - max_modulus) / math.log(_PROBE_Q)))
+    lattice = generate_ring_lattice(_PROBE_Q, points_per_ring_scale=density, depth=depth,
+                                    seed=derive_seed(_PROBE_SEED, "probe"))
     pts = lattice.points[np.abs(lattice.points) <= max_modulus]
     parts = [np.array([0.0 + 0.0j]), pts]
     if rim:
@@ -193,8 +200,7 @@ def probe_lattice(max_modulus: float, density: float = 4.0, seed: int = 987,
 
 
 def covering_radius(seq: PointSequence, probe_region_modulus: float,
-                    grid_density: float = 4.0, probe_points: np.ndarray | None = None,
-                    seed: int = 987) -> float:
+                    grid_density: float = 4.0, probe_points: np.ndarray | None = None) -> float:
     """Worst distance from the probed region to the sequence:
     max over probes of min over lambda of rho(z, lambda).
 
@@ -202,7 +208,7 @@ def covering_radius(seq: PointSequence, probe_region_modulus: float,
     this stays below 1 with margin.
     """
     if probe_points is None:
-        probe_points = probe_lattice(probe_region_modulus, density=grid_density, seed=seed)
+        probe_points = probe_lattice(probe_region_modulus, density=grid_density)
     probes = np.asarray(probe_points, dtype=np.complex128)
     return float(PointIndex(seq.points).pseudo_nearest(probes).max(initial=0.0))
 
@@ -259,8 +265,7 @@ def _annular_sums(pts: np.ndarray, probes: np.ndarray, r_values: np.ndarray) -> 
 
 
 def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
-                    mode: str = "lower", probe_points: np.ndarray | None = None,
-                    seed: int = 987) -> DensityEstimate:
+                    mode: str = "lower", probe_points: np.ndarray | None = None) -> DensityEstimate:
     """Per-r curve of sum_{rho(lambda,z)<=r}(1-rho(lambda,z)) / log(1/(1-r)),
     minimized (lower) or maximized (upper) over the probe set."""
     if mode not in ("lower", "upper", "both"):
@@ -270,7 +275,7 @@ def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
         raise ValidationError("r_values must be a non-empty list inside (0, 1)")
     if probe_points is None:
         max_mod = seq.max_modulus
-        probes = np.concatenate([probe_lattice(max_mod, density=grid_density, seed=seed),
+        probes = np.concatenate([probe_lattice(max_mod, density=grid_density),
                                  seq.points])
         grid_spec = f"ring probe lattice at density {grid_density:g} over |z|<={max_mod:.6g} plus the sequence itself"
     else:

@@ -70,15 +70,15 @@ _STEP_FLOOR = 2.0 ** -50
 _ENC_TRIGGER = 1e-9
 
 
-def wilson_interval(successes: int, n: int, z: float = _WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         return 0.0, 1.0
     phat = successes / n
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / n
     center = phat + z2 / (2.0 * n)
-    half = z * math.sqrt(max(0.0, phat * (1.0 - phat) / n + z2 / (4.0 * n * n)))
+    half = _WILSON_Z * math.sqrt(max(0.0, phat * (1.0 - phat) / n + z2 / (4.0 * n * n)))
     return max(0.0, (center - half) / denom), min(1.0, (center + half) / denom)
 
 
@@ -235,8 +235,9 @@ def _map_jobs(job, n_jobs: int, threads: int) -> list:
     threads run them in parallel, sharing the domain and its index in
     place.  One worker runs the jobs on the calling thread.  Jobs run at
     once, so none may reach process-global state: the theorem-2 probe
-    jobs only build finitely connected domains and estimate on them.  The
-    first job to raise, in job order, raises here.
+    jobs only build finitely connected domains and estimate on them, and
+    the layered-crossing jobs only walk.  The first job to raise, in job
+    order, raises here.
     """
     workers = min(_worker_count(threads), n_jobs)
     if workers <= 1:
@@ -359,7 +360,7 @@ class SandwichBounds:
 
     lower_union: float
     upper_single: float
-    components: tuple       # per-bubble single-hole measures, domain order
+    components: tuple = field(repr=False)  # per-bubble single-hole measures, domain order
     start: complex
 
 
@@ -418,7 +419,9 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
     The target circle is simulated as an absorbing outer boundary, which
     reproduces the continuous crossing event exactly (inside it the unit
     circle is unreachable, so a walk that would touch the rim first has
-    already crossed).
+    already crossed).  The starts of a layer are spread over `threads`
+    worker threads (0: one per core), one start's walks per job; a layer
+    of one start splits its walks over them instead.
     """
     if not K > 1.0:
         raise ValidationError(f"K must exceed 1, got {K!r}")
@@ -449,20 +452,24 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
         else:
             theta = _TWO_PI * np.arange(grid_points) / grid_points
             starts = m_prev * np.exp(1j * theta)
-        per_start = []
-        dropped = 0
-        for k_s, z_s in enumerate(starts):
-            if domain.n_bubbles:
-                d, _ = nearest_disk(z_s.real, z_s.imag, idx.cx, idx.cy, idx.radii)
-                if d <= eps:
-                    dropped += 1
-                    continue
-            sub_seed = derive_seed(seed, "layered", j, k_s)
-            code, _, _ = _run_walks(domain, complex(z_s), eps, sub_seed,
-                                    n_walks, max_steps, m_to, threads, None)
+
+        # the workers share the starts, or split the walks of a lone start
+        start_threads = threads if starts.size == 1 else 1
+
+        def job(k_s):
+            # None for a start within eps of a bubble
+            z_s = complex(starts[k_s])
+            if domain.n_bubbles and nearest_disk(z_s.real, z_s.imag, idx.cx, idx.cy,
+                                                 idx.radii)[0] <= eps:
+                return None
+            code, _, _ = _run_walks(domain, z_s, eps, derive_seed(seed, "layered", j, k_s),
+                                    n_walks, max_steps, m_to, start_threads, None)
             hits = int(np.count_nonzero(code == _CODE_EXTERIOR))
-            lo, hi = wilson_interval(hits, n_walks)
-            per_start.append((complex(z_s), hits / n_walks, lo, hi))
+            return (z_s, hits / n_walks, *wilson_interval(hits, n_walks))
+
+        done = _map_jobs(job, starts.size, threads)
+        per_start = [p for p in done if p is not None]
+        dropped = len(done) - len(per_start)
         if not per_start:
             raise ValidationError(f"all start points on layer {j} sit inside bubbles")
         q_hat = max(p[1] for p in per_start)

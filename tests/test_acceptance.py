@@ -283,7 +283,7 @@ def test_acceptance_8_performance_floor(tmp_path):
     assert main(["measure", "--domain", str(dom_path), "--walks", "4000",
                  "--seed", "3", "--threads", "1", "-o", str(out)]) == 0
     res = json.loads(out.read_text())["result"]
-    rate = res["steps_per_second"]
+    rate = res["steps_total"] / res["wall_time"]
     floor = 1e5
     status = "PASS" if rate >= floor else ("FLAGGED (within 2x)" if rate >= floor / 2
                                            else "FLAGGED (regression beyond 2x)")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import champagne as ch
-from champagne import barriers, cli
+from champagne import barriers, cli, domains, spatial, walker
 from champagne.cli import build_parser, main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(ch.__file__), "schema", "artifact.schema.json")
@@ -25,6 +26,15 @@ def _validate(path):
         data = json.load(fh)
     jsonschema.validate(data, _load_schema())
     return data
+
+
+def _timeless(result):
+    """result without the wall_time of its estimates, which no re-run repeats."""
+    if isinstance(result, dict):
+        return {k: _timeless(v) for k, v in result.items() if k != "wall_time"}
+    if isinstance(result, list):
+        return [_timeless(v) for v in result]
+    return result
 
 
 def test_gen_seq_counts(tmp_path, capsys):
@@ -69,9 +79,11 @@ def test_density_artifact(tmp_path):
 def test_criterion_artifact(tmp_path):
     out = tmp_path / "crit.json"
     assert main(["criterion", "--profile", "expinv:1,1", "-o", str(out)]) == 0
-    data = _validate(out)
-    assert data["result"]["integral_value"] == pytest.approx(1.0, abs=1e-9)
-    assert data["result"]["classification"] == "convergent"
+    res = _validate(out)["result"]
+    assert res["integral"]["value"] == pytest.approx(1.0, abs=1e-9)
+    assert res["integral"]["classification"] == res["sum"]["classification"] == "convergent"
+    # the 10,000 partial sums of the sum form stay off the artifact
+    assert "partial_sums" not in res["sum"] and "partial_sums" not in res["integral"]
 
 
 def test_measure_pipeline(tmp_path):
@@ -92,9 +104,8 @@ def test_measure_pipeline(tmp_path):
     assert res["n_walks"] == 4000
     assert res["hits_exterior"] + sum(res["hits_per_bubble"].values()) == 4000
     assert res["ci_low"] <= res["estimate"] <= res["ci_high"]
-    assert res["steps_per_second"] > 0
+    assert res["steps_total"] > 0 and res["wall_time"] > 0
     assert data["config"]["seed"] == 4
-    assert "truncation_R" in res
 
 
 def test_one_bubble_measure_value(tmp_path):
@@ -124,6 +135,7 @@ def test_sandwich_and_layered(tmp_path):
     assert main(["sandwich", "--domain", str(dom_path), "-o", str(sw)]) == 0
     data = _validate(sw)
     assert data["result"]["lower_union"] == pytest.approx(0.5, abs=1e-12)
+    assert "components" not in data["result"]  # one value per bubble stays on the report
     lay = tmp_path / "lay.json"
     assert main(["layered", "--domain", str(dom_path), "--jmax", "2",
                  "--walks", "400", "--grid-points", "8", "--seed", "3",
@@ -262,10 +274,9 @@ def test_dichotomy_sweep_cli(tmp_path):
                  "-o", str(out)]) == 0
     data = _validate(out)
     rows = data["result"]["rows"]
-    assert len(rows) == 2
-    assert rows[1]["decrement"] is not None
+    assert [row["truncation_R"] for row in rows] == [0.875, 0.9375]
     for row in rows:
-        assert row["lower_union"] - 1e-12 <= row["estimate"]
+        assert row["sandwich"]["lower_union"] - 1e-12 <= row["measure"]["estimate"]
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -274,7 +285,7 @@ def test_config_file_supplies_defaults(tmp_path):
     out = tmp_path / "crit.json"
     assert main(["criterion", "--profile", "expinv:1,2", "--config", str(cfg),
                  "-o", str(out)]) == 0
-    assert _validate(out)["result"]["integral_value"] == pytest.approx(0.5, abs=1e-9)
+    assert _validate(out)["result"]["integral"]["value"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_config_naming_tail_tol_exits_2(tmp_path):
@@ -328,7 +339,8 @@ def test_a_generated_sequence_and_its_walks_share_one_recorded_seed(tmp_path, ar
     assert drawn["config"]["seed"] == 101
     assert main(argv + ["--seed", "101", "-o", str(tmp_path / "again.json")]) == 0
     again = _validate(tmp_path / "again.json")
-    assert again["config"] == drawn["config"] and again["result"] == drawn["result"]
+    assert again["config"] == drawn["config"]
+    assert _timeless(again["result"]) == _timeless(drawn["result"])
 
 
 def test_build_domain_writes_the_domain_file_text(tmp_path):
@@ -431,10 +443,7 @@ def test_an_artifact_config_reruns_its_command(tmp_path, argv):
                  "-o", str(tmp_path / "again.json")]) == 0
     again = _validate(str(tmp_path / "again.json") + suffix)
     assert again["config"] == first["config"]
-    if command == "measure":
-        for key in ("wall_time", "steps_per_second"):
-            del first["result"][key], again["result"][key]
-    assert again["result"] == first["result"]
+    assert _timeless(again["result"]) == _timeless(first["result"])
 
 
 def test_readme_cli_block_parses_and_reads_only_files_it_writes():
@@ -482,3 +491,82 @@ def test_seed_dir_non_integer_seed_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["gen-seq", "--ring", "q=0.5,scale=1,depth=2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(seed_dir / "default_seed") in err
+
+
+def test_measure_schema_requires_every_estimate_field():
+    # the benchmark rebuilds a MeasureEstimate from a measure artifact
+    measure = next(case["then"]["properties"]["result"] for case in _load_schema()["allOf"]
+                   if case["if"]["properties"]["command"] == {"const": "measure"})
+    assert measure["required"] == [f.name for f in dataclasses.fields(ch.MeasureEstimate)]
+
+
+@pytest.mark.parametrize("command", ["measure", "criterion", "dichotomy-sweep"])
+def test_an_artifact_result_is_the_library_report(tmp_path, command):
+    # re-run in process with the recorded seed, the library calls give the
+    # artifact's result, wall times aside
+    seq_path, dom_path = tmp_path / "seq.json", tmp_path / "dom.json"
+    assert main(["gen-seq", "--ring", "q=0.5,scale=2,depth=6", "--seed", "2",
+                 "-o", str(seq_path)]) == 0
+    assert main(["build-domain", "--seq", str(seq_path), "--profile", "power:0.1,2",
+                 "--truncation", "0.9", "-o", str(dom_path)]) == 0
+    argv = {
+        "measure": ["--domain", str(dom_path), "--start", "0.1,0", "--walks", "500"],
+        "criterion": ["--profile", "power:0.1,2", "--jmax", "300"],
+        "dichotomy-sweep": ["--seq", str(seq_path), "--profile", "power:0.1,2",
+                            "--truncations", "0.75,0.984375", "--walks", "300"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *argv, "-o", str(out)]) == 0
+    data = _validate(out)
+    seed = data["config"].get("seed")
+    profile = ch.parse_profile("power:0.1,2")
+    if command == "measure":
+        report = ch.estimate_measure(ch.ChampagneDomain.load(dom_path), 0.1, n_walks=500,
+                                     seed=seed)
+    elif command == "criterion":
+        report = {"integral": ch.criterion_integral(profile),
+                  "sum": ch.criterion_sum(profile, J_max=300)}
+    else:
+        seq = ch.load_sequence(seq_path)
+        doms = [ch.build_champagne(seq, profile, R) for R in (0.75, 0.984375)]
+        doms[0].build_index(doms[1].index.n_side)   # the deeper rung's default grid
+        report = {"rows": [{"truncation_R": dom.truncation_R, "n_bubbles": dom.n_bubbles,
+                            "tail_sum_points": dom.tail_sum_points,
+                            "circumference_sum": dom.circumference_sum,
+                            "measure": ch.estimate_measure(dom, 0j, n_walks=300, seed=seed),
+                            "sandwich": ch.sandwich_bounds(dom)} for dom in doms],
+                  "profile": "power:0.1,2"}
+    want = json.loads(json.dumps(cli._jsonify(report)))
+    assert _timeless(data["result"]) == _timeless(want)
+
+
+def test_every_sweep_rung_walks_on_one_grid_built_once(tmp_path, monkeypatch):
+    # the rung with the most bubbles lends its default grid to every rung,
+    # so that the common seed couples the rungs; each rung's grid is built
+    # once
+    seq_path = tmp_path / "seq.json"
+    assert main(["gen-seq", "--ring", "q=0.5,scale=2,depth=6", "--seed", "2",
+                 "-o", str(seq_path)]) == 0
+    seq, profile = ch.load_sequence(seq_path), ch.parse_profile("power:0.1,2")
+    n_side = ch.build_champagne(seq, profile, 0.984375).index.n_side
+    assert ch.build_champagne(seq, profile, 0.75).index.n_side < n_side
+    built, walked = [], []
+
+    class Recorded(spatial.DiskGridIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.n_side)
+
+    chunk = walker._walk_chunk
+
+    def recorded_chunk(domain, *args):
+        walked.append((domain.n_bubbles, domain.index.n_side))
+        return chunk(domain, *args)
+
+    monkeypatch.setattr(domains, "DiskGridIndex", Recorded)
+    monkeypatch.setattr(walker, "_walk_chunk", recorded_chunk)
+    assert main(["dichotomy-sweep", "--seq", str(seq_path), "--profile", "power:0.1,2",
+                 "--truncations", "0.75,0.984375,0.875", "--walks", "200", "--seed", "3",
+                 "-o", str(tmp_path / "sweep.json")]) == 0
+    assert built == [n_side] * 3
+    assert walked == [(12, n_side), (252, n_side), (28, n_side)]

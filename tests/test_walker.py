@@ -4,6 +4,8 @@ import inspect
 import math
 import sys
 import textwrap
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -281,10 +283,12 @@ def test_threads_zero_means_one_per_core_for_every_caller(empty_domain, opened, 
     n = 2 * walker._CHUNK + 1  # three ranges, so each of three workers has one
     estimate_measure(empty_domain, 0j, n_walks=n, epsilon=1e-6, seed=1, threads=0)
     layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=n, seed=1, threads=0)
+    # layer 2 has eight starts, so each of three workers has some
+    layered_crossing(empty_domain, K=2.0, j_max=2, n_walks=10, seed=1, grid_points=8, threads=0)
     seq = ch.PointSequence(np.array([0.7 + 0j, -0.7j]))
     harmonic_density_curve(seq, [0.9], "lower", ProbeSpec(points=(0j, 0.1 + 0j, -0.1j)),
                            McParams(n_walks=100, pilot_walks=100, seed=1, threads=0))
-    assert opened == [3, 3, 3]
+    assert opened == [3, 3, 3, 3]
 
 
 def test_negative_threads_are_rejected(empty_domain):
@@ -484,6 +488,25 @@ def test_layered_bubble_between_first_circles():
     assert q[0] < 0.95          # the bubble sits between C_0 and C_1
     assert min(q[1], q[2]) > q[0]
     assert rep.product == pytest.approx(q[0] * q[1] * q[2])
+
+
+def test_layered_spreads_the_starts_of_a_layer_over_the_threads(monkeypatch):
+    # one start's walks are a single kernel range below walker._CHUNK walks,
+    # so the workers share the starts; the report does not depend on them
+    dom = ch.domain_from_pseudo([(0.25 + 0j, 0.02)], truncation_R=1.0)
+    serial = layered_crossing(dom, K=2.0, j_max=2, n_walks=200, seed=6, grid_points=8)
+    seen = set()
+    chunk = walker._walk_chunk
+
+    def recorded(*args):
+        seen.add(threading.get_ident())
+        time.sleep(0.01)   # lets the other worker take a start meanwhile
+        return chunk(*args)
+
+    monkeypatch.setattr(walker, "_walk_chunk", recorded)
+    assert layered_crossing(dom, K=2.0, j_max=2, n_walks=200, seed=6, grid_points=8,
+                            threads=2) == serial
+    assert len(seen) > 1
 
 
 def test_layered_validation(empty_domain, one_bubble_domain):
