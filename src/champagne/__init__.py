@@ -9,13 +9,7 @@ in integral and sum form, and density diagnostics.
 
 __version__ = "0.1.0"
 
-from .barriers import (
-    BarrierCertificate,
-    barrier_lower_bound,
-    extremal_c,
-    extremal_d,
-    log_blaschke,
-)
+from .barriers import BarrierCertificate, barrier_lower_bound
 from .domains import (
     ChampagneDomain,
     CriterionReport,
@@ -67,7 +61,6 @@ from .walker import (
     LayeredCrossingReport,
     MeasureEstimate,
     SandwichBounds,
-    distance_to_boundary,
     estimate_measure,
     layered_crossing,
     one_hole_exact,

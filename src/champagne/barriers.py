@@ -1,12 +1,15 @@
 """Deterministic harmonic-measure bounds from finite Blaschke products.
 
-The potential -log|B| of a finite Blaschke product is superharmonic,
-positive inside the disk, and vanishes on the unit circle.  A sum
-U = sum_j w_j (-log|B_j|) over modulus shells, with weights w >= 0, that
-dominates 1 on every bubble boundary therefore dominates the harmonic
-measure of the bubbles, and 1 - U(start) bounds the exterior measure from
-below.  U is linear in w, so the weights that give the best bound on the
-sampled bubble boundaries solve one small linear program,
+B_j is the finite Blaschke product over the bubble centres of modulus
+shell j.  Its potential -log|B_j| is harmonic in the domain (its zeros lie
+inside bubbles) and vanishes on the unit circle.  A sum
+U = sum_j w_j (-log|B_j|) that is at least 1 on every bubble boundary
+therefore dominates the harmonic measure of the bubbles by the maximum
+principle, whatever the signs of the weights, and 1 - U(start) bounds the
+exterior measure from below.  U is linear in w, so the weights that give
+the best bound on the sampled bubble boundaries solve one small linear
+program, posed with w >= 0 (on five ring-lattice domains the free-sign
+program reached the same optimum, with positive weights),
 
     min U(start)  subject to  U >= 1 at every sample,  w >= 0,
 
@@ -30,29 +33,8 @@ import numpy as np
 from . import _native
 from .domains import ChampagneDomain, transport_domain
 from .errors import NumericalRefusalError, ValidationError
-from .hyperbolic import mobius_apply_many, pseudo_distance_many
-from .sequences import PointSequence, probe_lattice
-from .spatial import PointIndex
 
 _MAX_PIVOTS = 1000   # simplex pivots before the barrier is refused
-
-
-def log_blaschke(zeros, z) -> float:
-    """log|B(z)| as a stable sum of log pseudohyperbolic distances.
-
-    Never exponentiates; returns -inf when z coincides with a zero.
-    Empty products give 0.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValidationError(f"log_blaschke needs |z| < 1, got |z|={abs(z)!r}")
-    zs = np.asarray(zeros, dtype=np.complex128)
-    if zs.size == 0:
-        return 0.0
-    rho = pseudo_distance_many(z, zs)
-    if np.any(rho == 0.0):
-        return -math.inf
-    return float(np.log(rho).sum())
 
 
 def _shell_potential(zeros, shells, pts) -> np.ndarray:
@@ -177,8 +159,8 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     # that potential is at least log(1/s_k) (|B| <= rho = s_k), a lower bound
     own = (np.arange(samples.size), np.repeat(column, m))
     M[own] = np.where(np.isinf(M[own]), np.repeat(-np.log(domain.pseudo_radii), m), M[own])
-    # U is superharmonic for w >= 0 only; the solver's w is clipped and U
-    # recomputed, not trusted
+    # any weights give a valid barrier; the program is posed with w >= 0, so
+    # the clip only removes rounding, and U is recomputed, not trusted
     w = np.maximum(_shell_weights(M), 0.0)
     u_vals = M @ w
     per_bubble_min = u_vals[:-1].reshape(domain.n_bubbles, m).min(axis=1)
@@ -199,58 +181,3 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
         weights=tuple(weights.tolist()), eta=eta, n=weights.size,
         sample_density=boundary_sample_density, flags=())
 
-
-# ---------------------------------------------------------------------------
-# extremal annular potentials
-
-def _annulus_log_products(pts: np.ndarray, probes: np.ndarray, r: float) -> np.ndarray:
-    """log of the Blaschke product over {lambda: 1/2 < rho(lambda, z) < r},
-    evaluated at z, for each probe z."""
-    out = np.zeros(probes.size)
-    for q0, offsets, items in PointIndex(pts).pseudo_balls(probes, r):
-        lens = np.diff(offsets)
-        # each probe's candidates ascending in the point index: one sort of
-        # the keys row * n + item, whose rows are already in order
-        shift = np.repeat(np.arange(lens.size) * pts.size, lens)
-        items = np.sort(shift + items) - shift
-        rho = pseudo_distance_many(np.repeat(probes[q0:q0 + lens.size], lens), pts[items])
-        keep = (rho > 0.5) & (rho < r)
-        logs = np.log(rho[keep])
-        # each probe's logs are contiguous, ascending in the point index, and
-        # summed by their own np.sum: its pairwise order is that of a scan
-        # of the probe alone (np.add.reduceat would add in another order)
-        ends = np.concatenate([[0], np.cumsum(keep)])[offsets]
-        for k in np.flatnonzero(ends[1:] > ends[:-1]):
-            out[q0 + k] = logs[ends[k]:ends[k + 1]].sum()
-    return out
-
-
-def extremal_c(seq: PointSequence, r: float, probe_points=None):
-    """sup over probes of log|B_z(z)|, the annular Blaschke product with
-    zeros at 1/2 < rho(lambda, z) < r.  Returns (value, maximizer).  The
-    default probes are the density-2 probe lattice, the sequence, and the
-    sequence nudged off-center by pseudo distance 0.05 in four directions,
-    which probe the sup near each lattice site."""
-    if not 0.5 < r < 1.0:
-        raise ValidationError(f"r must lie in (1/2, 1), got {r!r}")
-    if probe_points is None:
-        probes = np.concatenate([probe_lattice(seq.max_modulus, density=2.0), seq.points]
-                                + [mobius_apply_many(seq.points, s)
-                                   for s in (0.05, -0.05, 0.05j, -0.05j)])
-    else:
-        probes = np.asarray(probe_points, dtype=np.complex128)
-    if probes.size == 0:
-        return -math.inf, None
-    v = _annulus_log_products(seq.points, probes, r)
-    best = int(np.argmax(v))
-    return float(v[best]), complex(probes[best])
-
-
-def extremal_d(seq: PointSequence, r: float):
-    """inf over lambda of log|B_lambda(lambda)| with the same annular
-    zeros.  Returns (value, minimizer)."""
-    if not 0.5 < r < 1.0:
-        raise ValidationError(f"r must lie in (1/2, 1), got {r!r}")
-    v = _annulus_log_products(seq.points, seq.points, r)
-    worst = int(np.argmin(v))
-    return float(v[worst]), complex(seq.points[worst])

@@ -133,7 +133,11 @@ class BlaschkeReport:
     partial_by_depth: list | None = None  # cumulative sums per ring for generated lattices
 
 
-def blaschke_sum(seq: PointSequence, divergence_threshold: float = 20.0) -> BlaschkeReport:
+# a Blaschke sum at least this large is classified divergent
+_DIVERGENCE_THRESHOLD = 20.0
+
+
+def blaschke_sum(seq: PointSequence) -> BlaschkeReport:
     """Sum of (1 - |lambda|), with per-depth partial sums when the sequence
     carries ring metadata so divergence trends stay visible."""
     gaps = 1.0 - np.abs(seq.points)
@@ -148,8 +152,8 @@ def blaschke_sum(seq: PointSequence, divergence_threshold: float = 20.0) -> Blas
             partial.append((int(d), acc))
     return BlaschkeReport(
         value=total,
-        classified_divergent=bool(total >= divergence_threshold),
-        threshold=float(divergence_threshold),
+        classified_divergent=bool(total >= _DIVERGENCE_THRESHOLD),
+        threshold=_DIVERGENCE_THRESHOLD,
         partial_by_depth=partial,
     )
 
@@ -163,11 +167,11 @@ class SequenceDiagnostics:
     max_modulus: float
 
 
-def diagnose(seq: PointSequence, divergence_threshold: float = 20.0) -> SequenceDiagnostics:
+def diagnose(seq: PointSequence) -> SequenceDiagnostics:
     return SequenceDiagnostics(
         separation=separation(seq),
         separation_vacuous=len(seq) < 2,
-        blaschke=blaschke_sum(seq, divergence_threshold),
+        blaschke=blaschke_sum(seq),
         n_points=len(seq),
         max_modulus=seq.max_modulus,
     )

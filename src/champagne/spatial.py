@@ -1,8 +1,8 @@
 """Exact spatial queries: a bucket grid over points, and a grid over disks.
 
 PointIndex answers every query on a point set (separation, covering,
-annular sums, disjointness, extremal potentials) from one uniform bucket
-grid over the points, through two compiled queries (_grid.c).
+annular sums, disjointness) from one uniform bucket grid over the points,
+through two compiled queries (_grid.c).
 Within-radius (ball) queries go to point_balls, which scans the rows of
 cells of each query's box.  A pseudo ball {w : rho(z, w) <= r} is
 exactly a Euclidean disk, so it too is a ball query; a pseudo ball wider

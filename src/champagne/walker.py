@@ -96,31 +96,6 @@ def one_hole_exact(zeta, s: float) -> float:
     return math.log(m) / math.log(s)
 
 
-def distance_to_boundary(domain: ChampagneDomain, z):
-    """Exact distance from an interior point to the nearest boundary
-    component: (distance, kind, bubble_index).
-
-    Tie-break is exterior first, then lowest bubble index.  Raises when z
-    is not strictly interior.  One scan over every bubble (as
-    require_interior): no walk grid is built.
-    """
-    z = complex(z)
-    d_ext = 1.0 - abs(z)
-    if d_ext <= 0.0:
-        raise ValidationError(f"z={z!r} is not inside the open unit disk")
-    if domain.n_bubbles == 0:
-        return d_ext, "exterior", -1
-    d_bub, idx = nearest_disk(z.real, z.imag, domain.centers.real, domain.centers.imag,
-                              domain.radii)
-    if min(d_ext, d_bub) <= 0.0:
-        raise ValidationError(
-            f"z={z!r} is on or inside bubble {idx}: interior points need positive clearance"
-        )
-    if d_ext <= d_bub:
-        return d_ext, "exterior", -1
-    return d_bub, "bubble", int(idx)
-
-
 @dataclass
 class MeasureEstimate:
     """Monte Carlo estimate of the harmonic measure of a target component set."""

@@ -24,48 +24,11 @@ from champagne.barriers import (
     _shell_potential,
     _shell_weights,
     barrier_lower_bound,
-    extremal_c,
-    extremal_d,
-    log_blaschke,
     shell_of_modulus,
 )
-from champagne.errors import ChampagneError, NumericalRefusalError, ValidationError
+from champagne.errors import ChampagneError, NumericalRefusalError
 
 from blaschke_sum import array_shell_potential
-from conftest import rand_disk_points
-
-
-# -- log|B| ---------------------------------------------------------------------
-
-def test_log_blaschke_examples():
-    assert log_blaschke([0j], 0.5) == pytest.approx(math.log(0.5), abs=1e-15)
-    assert log_blaschke([0.5, -0.5], 0) == pytest.approx(math.log(0.25), abs=1e-15)
-    assert log_blaschke([], 0.3 + 0.1j) == 0.0
-
-
-def test_log_blaschke_vanishes_toward_circle():
-    zeros = [0.2 + 0.1j, -0.4 + 0.3j, 0.5j]
-    val = log_blaschke(zeros, (1 - 1e-9) * np.exp(0.7j))
-    assert -1e-7 < val <= 0.0
-
-
-def test_log_blaschke_at_zero_is_minus_inf():
-    assert log_blaschke([0.3 + 0j, 0.5j], 0.3 + 0j) == -math.inf
-
-
-def test_log_blaschke_rejects_circle_points():
-    with pytest.raises(ValidationError):
-        log_blaschke([0.2], 1.0)
-
-
-def test_log_blaschke_mobius_covariance():
-    rng = np.random.default_rng(4)
-    zeros = rand_disk_points(rng, 12, 0.85)
-    for a, z in zip(rand_disk_points(rng, 20, 0.8), rand_disk_points(rng, 20, 0.8)):
-        v0 = log_blaschke(zeros, z)
-        moved = np.array([ch.mobius_apply(a, w) for w in zeros])
-        v1 = log_blaschke(moved, ch.mobius_apply(a, z))
-        assert v1 == pytest.approx(v0, abs=1e-10)
 
 
 # -- shells -----------------------------------------------------------------------
@@ -303,35 +266,3 @@ def test_potential_1e_200_from_a_zero():
     got = _assert_potentials_match(zeros, [1, 1, 2], pts)
     assert got[0, 0] > 400.0 and np.all(np.isfinite(got))
 
-
-# -- extremal annular potentials ------------------------------------------------------
-
-def test_extremal_empty_annulus():
-    seq = ch.PointSequence(np.array([0.1 + 0j]))
-    c, _ = extremal_c(seq, 0.9, probe_points=[0j])
-    d, _ = extremal_d(seq, 0.9)
-    assert c == 0.0 and d == 0.0
-
-
-def test_extremal_single_factor_pair():
-    seq = ch.PointSequence(np.array([0j, 0.6 + 0j]))
-    c, _ = extremal_c(seq, 0.9, probe_points=[0j])
-    d, _ = extremal_d(seq, 0.9)
-    assert c == pytest.approx(math.log(0.6), abs=1e-12)
-    assert d == pytest.approx(math.log(0.6), abs=1e-12)
-
-
-def test_extremal_c_dominates_d_when_probes_cover_sequence():
-    seq = ch.generate_ring_lattice(0.5, 1, 5, seed=42)
-    r = 0.9
-    c, _ = extremal_c(seq, r, probe_points=seq.points)
-    d, _ = extremal_d(seq, r)
-    assert c >= d
-
-
-def test_extremal_trend_with_r():
-    # wider annuli only add factors < 1: c(r) decreases in r on a fixed grid
-    seq = ch.generate_ring_lattice(0.5, 2, 7, seed=43)
-    vals = [extremal_c(seq, r, probe_points=np.array([0j, 0.2 + 0.1j]))[0]
-            for r in (1 - 2.0 ** -4, 1 - 2.0 ** -6)]
-    assert vals[1] <= vals[0]

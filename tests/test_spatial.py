@@ -29,7 +29,6 @@ from scipy import ndimage
 
 import champagne as ch
 from champagne import _native, sequences, spatial
-from champagne.barriers import extremal_c, extremal_d
 from champagne.domains import ChampagneDomain, _check_disjoint
 from champagne.errors import OverlapError, ValidationError
 from champagne.hyperbolic import pseudo_distance_many
@@ -54,15 +53,6 @@ def _distinct(pts):
 point_sets = st.lists(_polar, min_size=2, max_size=40).map(_to_points).filter(_distinct)
 probe_sets = st.lists(_polar, min_size=1, max_size=20).map(_to_points)
 examples = settings(max_examples=150, deadline=None)
-
-
-def _log_products(pts, probes, r):
-    vals = []
-    for z in probes:
-        rho = pseudo_distance_many(z, pts)
-        sel = rho[(rho > 0.5) & (rho < r)]
-        vals.append(float(np.log(sel).sum()) if sel.size else 0.0)
-    return vals
 
 
 @given(point_sets)
@@ -375,18 +365,6 @@ def test_pseudo_ball_query_holds_every_hit(pts, queries, block):
             assert np.array_equal(row, np.arange(pts.size))
         else:
             assert np.isin(np.flatnonzero(pseudo_distance_many(zq, pts) <= rq), row).all()
-
-
-@given(point_sets, probe_sets, st.floats(0.5001, 1.0 - 1e-6))
-@examples
-def test_extremal_potentials_match_all_pairs(pts, probes, r):
-    seq = PointSequence(pts)
-    c_vals = _log_products(pts, probes, r)
-    k = c_vals.index(max(c_vals))
-    assert extremal_c(seq, r, probe_points=probes) == (c_vals[k], complex(probes[k]))
-    d_vals = _log_products(pts, pts, r)
-    k = d_vals.index(min(d_vals))
-    assert extremal_d(seq, r) == (d_vals[k], complex(pts[k]))
 
 
 @given(point_sets.flatmap(lambda pts: st.tuples(

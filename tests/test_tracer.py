@@ -1,16 +1,20 @@
 """The benchmark's span tracer (perfbench/tracer.py) patches package
 callables and methods by name, so a rename in the package breaks traced
-benchmark runs; this runs it on a small pipeline."""
+benchmark runs; this runs it on a small pipeline, and the benchmark's
+own draw of stream uniforms."""
 
+import importlib.util
 import pathlib
 
 import numpy as np
 
 import champagne as ch
 
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+
 
 def test_tracer_records_the_spans_of_a_small_pipeline(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
     original = ch.estimate_measure
@@ -33,3 +37,12 @@ def test_tracer_records_the_spans_of_a_small_pipeline(tmp_path, monkeypatch):
     # the barrier hook reads the certificate's sample density and bubble minima
     assert tracer.counts["barriers.boundary_samples"] == 64 * fc.n_bubbles > 0
     assert ch.estimate_measure is original
+
+
+def test_the_benchmark_draws_stream_uniforms():
+    # stream_metrics times streams.stream_keys and uniforms_at: renaming
+    # either breaks every traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.stream_metrics(20, 100)["streams.uniforms"] == 100

@@ -280,8 +280,8 @@ def _run_fresh(script, home):
 
 def test_import_and_geometry_compile_nothing(tmp_path):
     # importing compiles nothing; loading a domain checks disjointness with
-    # the compiled ball query, and then its sandwich bounds, interior check
-    # and boundary distance call no compiled code and build no walk grid
+    # the compiled ball query, and then its sandwich bounds and interior
+    # check call no compiled code and build no walk grid
     seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)
     path = tmp_path / "domain.json"
     ch.build_champagne(seq, ch.parse_profile("power:0.1,2"), 1 - 2 ** -6).save(path)
@@ -293,7 +293,6 @@ def test_import_and_geometry_compile_nothing(tmp_path):
                "assert calls.misses == 1\n"
                "ch.sandwich_bounds(dom)\n"
                "dom.require_interior(0.1 + 0.2j)\n"
-               "ch.distance_to_boundary(dom, 0.1 + 0.2j)\n"
                "assert dom._index is None\n"
                "assert _native.library.cache_info() == calls\n", tmp_path)
 

@@ -17,8 +17,8 @@ import champagne as ch
 from champagne import walker
 from champagne.errors import OverlapError, ValidationError, WalkBudgetError
 from champagne.harmonic_density import McParams, ProbeSpec, harmonic_density_curve
+from champagne.spatial import nearest_disk
 from champagne.walker import (
-    distance_to_boundary,
     estimate_measure,
     layered_crossing,
     one_hole_exact,
@@ -48,46 +48,20 @@ def test_one_hole_rejects_covered_origin():
         one_hole_exact(0.2, 0.2)
 
 
-# -- distance queries ----------------------------------------------------------
-
-def test_distance_empty_domain(empty_domain):
-    assert distance_to_boundary(empty_domain, 0j) == (1.0, "exterior", -1)
-
-
-def test_distance_tie_breaks_exterior_first():
-    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.5)])  # Euclidean bubble (0.4, 0.4)
-    d, kind, idx = distance_to_boundary(dom, 0.9 + 0j)
-    assert d == pytest.approx(0.1, abs=1e-15)
-    assert (kind, idx) == ("exterior", -1)  # exact tie resolves to the exterior
-
-
-def test_distance_rejects_boundary_contact():
-    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.5)])
-    with pytest.raises(ValidationError):
-        distance_to_boundary(dom, 0j)       # on the bubble boundary
-    with pytest.raises(ValidationError):
-        distance_to_boundary(dom, 0.4 + 0j)  # inside the bubble
-    with pytest.raises(ValidationError):
-        distance_to_boundary(dom, 1.0 + 0j)
-
+# -- the nearest disk ---------------------------------------------------------
+# layered_crossing drops a start within the shell of a bubble by the distance
+# spatial.nearest_disk returns: one scan over every disk, with no walk grid
 
 def test_distance_matches_brute_force():
     seq = ch.generate_ring_lattice(0.5, 2, 6, seed=12)
     dom = ch.build_champagne(seq, ch.power_profile(0.1, 2), 1 - 2.0 ** -6)
     rng = np.random.default_rng(0)
-    pts = rand_disk_points(rng, 300, 0.98)
     cx, cy, r = dom.centers.real, dom.centers.imag, dom.radii
-    for z in pts:
-        gaps = np.hypot(z.real - cx, z.imag - cy) - r
-        if gaps.min() <= 0:
-            continue
-        d, kind, idx = distance_to_boundary(dom, z)
-        d_ext = 1 - abs(z)
-        want = min(d_ext, gaps.min())
-        assert d == pytest.approx(want, abs=1e-14)
-        if kind == "bubble":
-            assert gaps[idx] == pytest.approx(d, abs=1e-14)
-            assert d < d_ext
+    for z in rand_disk_points(rng, 300, 0.98):
+        gaps = np.array([math.hypot(z.real - x, z.imag - y) - s for x, y, s in zip(cx, cy, r)])
+        # the first minimum: the lowest index wins ties
+        assert nearest_disk(z.real, z.imag, cx, cy, r) == (gaps.min(), int(np.argmin(gaps)))
+    assert dom._index is None
 
 
 @st.composite
@@ -116,22 +90,11 @@ def distance_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_distance_equals_the_ring_search(case):
     dom, pts = case
-    got = []
-    for z in pts:
-        try:
-            got.append(distance_to_boundary(dom, z))
-        except ValidationError:
-            got.append(None)
+    assume(dom.n_bubbles)
+    got = [nearest_disk(z.real, z.imag, dom.centers.real, dom.centers.imag, dom.radii)
+           for z in pts]
     assert dom._index is None       # the query builds no walk grid
-    for z, result in zip(pts, got):
-        d_ext = 1.0 - abs(z)
-        want = nearest_surface(dom.index, z.real, z.imag) if dom.n_bubbles else (math.inf, -1)
-        if min(d_ext, want[0]) <= 0.0:
-            assert result is None
-        elif d_ext <= want[0]:
-            assert result == (d_ext, "exterior", -1)
-        else:
-            assert result == (want[0], "bubble", want[1])
+    assert got == [nearest_surface(dom.index, z.real, z.imag) for z in pts]
 
 
 # -- single walks ---------------------------------------------------------------
