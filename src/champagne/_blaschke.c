@@ -4,15 +4,16 @@
  *     out[p * n_shells + j] = -log|B_j(s_p)|,   |B_j(s)|^2 = prod_{lambda in shell j} rho(s, lambda)^2,
  *
  * with one log per shell, not one per zero, in one pass over the zeros per
- * point.  An empty shell gives 0.  rho^2 comes from the identity
- * |1 - conj(lambda) s|^2 = |s - lambda|^2 + (1 - |s|^2)(1 - |lambda|^2), so
- * every factor lies in [0, 1].  A shell's product is kept as m 2^e, m
- * renormalized by frexp whenever a factor would take it below 2^-900, so
- * no product underflows however many zeros a shell holds.  A point on a
- * zero gets +inf in that zero's shell.  Not bit-identical to the array sum
- * kept in the tests, which evaluates rho elementwise
- * (hyperbolic.pseudo_distance_many) and takes one log per pair; the two
- * agree to about 1e-15 relative.
+ * point.  An empty shell gives 0.  Each factor is the square of rho as
+ * hyperbolic.pseudo_distance_many forms it: d^2 / b^2, with d^2 =
+ * |s - lambda|^2 and b^2 = d^2 + (1 - |s|^2)(1 - |lambda|^2) =
+ * |1 - conj(lambda) s|^2, so every factor lies in [0, 1]; where d^2 <
+ * TINY_SQUARE, rho = hypot(dx, dy) / sqrt(b^2) enters twice.  A shell's
+ * product is kept as m 2^e, m renormalized by frexp whenever a factor
+ * would take it below 2^-900, so no product underflows however many zeros
+ * a shell holds.  A point on a zero gets +inf in that zero's shell.  Not
+ * bit-identical to the array sum kept in the tests, which takes one log of
+ * pseudo_distance_many per pair; the two agree to about 1e-15 relative.
  *
  * Points and zeros are complex128 arrays read as interleaved (re, im)
  * doubles.  Shell j's zeros are zeros[shell_start[j] .. shell_start[j + 1]).
@@ -22,7 +23,7 @@
 
 #define LN2 0.6931471805599453   /* math.log(2.0) */
 #define RENORM 0x1p-900          /* products below this are renormalized */
-#define TINY_SQUARE 1e-300       /* |s - lambda|^2 below this: |s - lambda| < 1e-150 */
+#define TINY_SQUARE 1e-300       /* hyperbolic.TINY_SQUARE: |s - lambda| < 1e-150 */
 
 /* (*m) 2^(*e) times x, for m in {0} u [2^-900, 1] and x in [0, 1], as a
  * product of frexp mantissas and a sum of exponents, which cannot

@@ -16,6 +16,7 @@
 #include <string.h>
 
 #define SQRT2 1.4142135623730951   /* math.sqrt(2.0) */
+#define TINY_SQUARE 1e-300         /* hyperbolic.TINY_SQUARE */
 
 struct box { int64_t i0, i1, j0, j1; };
 
@@ -346,72 +347,77 @@ int64_t point_balls(const double *px, const double *py, const int64_t *order,
     return n_q;
 }
 
-/* A lower bound on the caller's rho(z, p) for every point p at least d
+/* rho(z, p) for z = (x, y) with gap = 1 - |z|^2, as
+ * hyperbolic.pseudo_distance_many evaluates it, operation for operation:
+ * sqrt(d^2 / b^2), with b^2 = d^2 + (1 - |z|^2)(1 - |p|^2), or
+ * hypot(dx, dy) / sqrt(b^2) where d^2 < TINY_SQUARE. */
+static double rho(double x, double y, double gap, double px, double py)
+{
+    const double dx = x - px, dy = y - py;
+    const double d2 = dx * dx + dy * dy;
+    const double b2 = d2 + gap * (1.0 - (px * px + py * py));
+    return d2 < TINY_SQUARE ? hypot(dx, dy) / sqrt(b2) : sqrt(d2 / b2);
+}
+
+/* The least of t and r as a scan that propagates NaN takes it. */
+static double least(double t, double r)
+{
+    return r < t || isnan(r) ? r : t;
+}
+
+/* A lower bound on the computed rho(z, p) for every point p at least d
  * from z, where gap = 1 - |z|^2 and gap_max bounds every 1 - |p|^2: with
  * D = |z - p|, rho^2 = D^2 / (D^2 + (1 - |z|^2)(1 - |p|^2)), where
  * 1 - |p|^2 is at most gap_max and, as |p| >= |z| - D, at most
- * 1 - |z|^2 + 2 D, so rho grows with D; less the slack of point_nearest at
- * b >= D.  The cells of z and p are found by rounded arithmetic, which
- * 2^-40 more than covers. */
-static double rho_beyond(double d, double gap, double gap_max, double slack_abs, double slack_rel)
+ * 1 - |z|^2 + 2 D, so rho grows with D.  rho() is within (3.5 + 1 / b)
+ * 2^-52 of rho, b = |1 - conj(p) z| >= D: d^2 is off by 4u relatively and
+ * each 1 - |.|^2 by 2u absolutely (u = 2^-53), which moves rho by at most
+ * 2u / b (as 2 - |z|^2 - |p|^2 <= 2 (1 - |z||p|) <= 2 b), and the sums,
+ * product, quotient and root by 7u more.  This bound's own rounding adds
+ * 2 to the first term, and the margin subtracted, (8 + 2 / d) 2^-52,
+ * covers the second-order terms and the 2^-6 relative error that
+ * 1 - |z|^2 may reach.  The cells of z and p are found by rounded
+ * arithmetic, which 2^-40 more than covers. */
+static double rho_beyond(double d, double gap, double gap_max)
 {
     d -= 0x1p-40;
     const double g = gap + 0x1p-52;   /* 1 - |z|^2 is within 2^-52 of gap */
     const double w = g + 2.0 * d < gap_max ? g + 2.0 * d : gap_max;
-    return d > 0.0 ? sqrt(d * d / (d * d + g * w)) - (slack_abs + slack_rel / d) : -INFINITY;
+    return d > 0.0 ? sqrt(d * d / (d * d + g * w)) - (0x1p-49 + 0x1p-51 / d) : -INFINITY;
 }
 
 /* Pseudo nearest queries over the bucketed points of point_balls, which
- * must lie in the open disk (1 - |p|^2 > 2^-46): for each query z =
- * (qx[q], qy[q]), the candidates for the point p nearest to z in
- * rho(z, p) = |z - p| / |1 - conj(p) z|, as the caller evaluates it; with
- * `others` set, a point equal to z is passed over.
- * The screen is s = d / b, where d = |z - p| and b^2 = d^2 + (1 - |z|^2)
- * (1 - |p|^2) = |1 - conj(p) z|^2, and slack_abs + slack_rel / b bounds
- * both |s - rho| and the caller's error (spatial._NEAREST_SLACK says
- * why).  Every point whose s - slack is at most t, the least s + slack,
- * is listed, so the list holds a point at which the caller's rho is least.
+ * must lie in the open disk (1 - |p|^2 > 2^-46): out[q] is the least
+ * rho(z, p) over the points p, for z = (qx[q], qy[q]), as rho() evaluates
+ * it; with `others` set, a point equal to z is passed over, and a query
+ * with no point to measure gets +inf.
  * The rings of cells around z's cell are searched outwards, as
- * grid_near_others does.  A cell whose points are too far from z to be
- * listed, by rho_beyond at its distance from z, is passed over, and once
- * rings 0 .. k are scanned, every other point lies at least k h from z:
- * the search stops when rho_beyond at k h exceeds t.  A query not surely
- * inside the disk lists every point.
- * Queries are written in order as point_balls writes them; a capacity of
- * at least the number of points fits every single query.  Returns the
- * number of queries written, or -1 when out of memory. */
-int64_t point_nearest(const double *px, const double *py, const int64_t *order,
-                      const int64_t *cell_start, int64_t n_side, double half_width, double inv_h,
+ * grid_near_others does.  A cell whose points are too far from z to beat
+ * the least rho so far, by rho_beyond at its distance from z, is passed
+ * over, and once rings 0 .. k are scanned, every other point lies at
+ * least k h from z: the search stops when rho_beyond at k h exceeds the
+ * least rho.  A query not surely inside the disk measures every point.
+ * Returns 0, or -1 when out of memory. */
+int64_t point_nearest(const double *px, const double *py, const int64_t *cell_start,
+                      int64_t n_side, double half_width, double inv_h,
                       const double *qx, const double *qy, int64_t n_q, int64_t others,
-                      double gap_max, double slack_abs, double slack_rel,
-                      int64_t *offsets, int64_t *items, int64_t capacity)
+                      double gap_max, double *out)
 {
     const double h = 2.0 * half_width / (double)n_side;
     const int64_t n = cell_start[n_side * n_side];   /* the number of points */
     int64_t *cells = malloc((size_t)(8 * n_side + 1) * sizeof *cells);
-    int64_t *seen = malloc((size_t)(n > 0 ? n : 1) * sizeof *seen);
-    double *low = malloc((size_t)(n > 0 ? n : 1) * sizeof *low);
-    if (!cells || !seen || !low) {
-        free(cells);
-        free(seen);
-        free(low);
+    if (!cells)
         return -1;
-    }
-    int64_t total = 0, q = 0;
-    offsets[0] = 0;
-    for (; q < n_q; q++) {
+    for (int64_t q = 0; q < n_q; q++) {
         const double x = qx[q], y = qy[q];
         /* 1 - |z|^2 is within 2^-52 of its value; from 2^-46 on, its
-         * relative error is below 2^-6, which the slack allows for */
+         * relative error is below 2^-6, which rho_beyond allows for */
         const double gap = 1.0 - (x * x + y * y);
-        int64_t m = 0;
-        double t = INFINITY, reject = INFINITY;
+        double t = INFINITY;
         if (!(gap > 0x1p-46)) {
             for (int64_t e = 0; e < n; e++)
-                if (!(others && px[e] == x && py[e] == y)) {
-                    seen[m] = order[e];
-                    low[m++] = -INFINITY;
-                }
+                if (!(others && px[e] == x && py[e] == y))
+                    t = least(t, rho(x, y, gap, px[e], py[e]));
         } else {
             const int64_t i0 = axis_cell(x, n_side, half_width, inv_h);
             const int64_t j0 = axis_cell(y, n_side, half_width, inv_h);
@@ -429,49 +435,18 @@ int64_t point_nearest(const double *px, const double *py, const int64_t *order,
                     const double lo_y = -half_width + (double)(c % n_side) * h;
                     const double gx = fmax(fmax(lo_x - x, x - (lo_x + h)), 0.0);
                     const double gy = fmax(fmax(lo_y - y, y - (lo_y + h)), 0.0);
-                    if (rho_beyond(sqrt(gx * gx + gy * gy), gap, gap_max, slack_abs, slack_rel) > t)
+                    if (rho_beyond(sqrt(gx * gx + gy * gy), gap, gap_max) > t)
                         continue;
-                    for (int64_t e = cell_start[c]; e < end; e++) {
-                        const double dx = x - px[e], dy = y - py[e];
-                        const double d2 = dx * dx + dy * dy;
-                        const double b2 = d2 + gap * (1.0 - (px[e] * px[e] + py[e] * py[e]));
-                        /* s - slack > t, tested without a root: where
-                         * b^2 >= 2^-40 the slack is below slack_abs + 2^20
-                         * slack_rel, and 2^-48 covers the rounding of s
-                         * and of the test */
-                        if (b2 >= 0x1p-40 && d2 > reject * b2)
-                            continue;
-                        if (others && dx == 0.0 && dy == 0.0)
-                            continue;
-                        const double inv_b = 1.0 / sqrt(b2);
-                        const double s = sqrt(d2) * inv_b, slack = slack_abs + slack_rel * inv_b;
-                        if (s + slack < t) {
-                            t = s + slack;
-                            reject = t + slack_abs + 0x1p20 * slack_rel;
-                            reject *= reject * (1.0 + 0x1p-48);
-                        }
-                        if (s - slack <= t) {   /* t only falls: the others are never listed */
-                            seen[m] = order[e];
-                            low[m++] = s - slack;
-                        }
-                    }
+                    for (int64_t e = cell_start[c]; e < end; e++)
+                        if (!(others && px[e] == x && py[e] == y))
+                            t = least(t, rho(x, y, gap, px[e], py[e]));
                 }
-                if (rho_beyond((double)k * h, gap, gap_max, slack_abs, slack_rel) > t)
+                if (rho_beyond((double)k * h, gap, gap_max) > t)
                     break;
             }
         }
-        int64_t count = 0;
-        for (int64_t a = 0; a < m; a++)
-            count += low[a] <= t;
-        if (total + count > capacity)
-            break;
-        for (int64_t a = 0; a < m; a++)
-            if (low[a] <= t)
-                items[total++] = seen[a];
-        offsets[q + 1] = total;
+        out[q] = t;
     }
     free(cells);
-    free(seen);
-    free(low);
-    return q;
+    return 0;
 }

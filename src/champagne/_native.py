@@ -106,12 +106,12 @@ def library() -> ctypes.CDLL:
     lib.grid_near_others.argtypes = (disks + [i64, i32] + grid
                                      + [i64, ctypes.c_int64, ctypes.c_double, i64, i32,
                                         ctypes.c_int64])
-    points = [f64, f64, i64, i64] + grid[:3]   # bucketed points, n_side, half_width, inv_h
-    outputs = [i64, i64, ctypes.c_int64]        # offsets, items, capacity
-    lib.point_balls.argtypes = points + [f64, f64, f64, ctypes.c_int64] + outputs
-    lib.point_nearest.argtypes = (points + [f64, f64, ctypes.c_int64]
-                                  + [ctypes.c_int64] + [ctypes.c_double] * 3  # others, gap_max, slack
-                                  + outputs)
+    cells = [i64] + grid[:3]   # the point buckets' cell_start, n_side, half_width, inv_h
+    lib.point_balls.argtypes = ([f64, f64, i64] + cells            # px, py, order
+                                + [f64, f64, f64, ctypes.c_int64]  # the balls
+                                + [i64, i64, ctypes.c_int64])      # offsets, items, capacity
+    lib.point_nearest.argtypes = ([f64, f64] + cells + [f64, f64, ctypes.c_int64]
+                                  + [ctypes.c_int64, ctypes.c_double, f64])  # others, gap_max, out
     for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others,
                lib.point_balls, lib.point_nearest):
         fn.restype = ctypes.c_int64

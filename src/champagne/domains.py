@@ -400,9 +400,10 @@ class ChampagneDomain:
     def build_index(self, n_side: int) -> DiskGridIndex:
         """Build the spatial index with an explicit grid size.
 
-        Pinning one size across a truncation sweep couples walk
-        trajectories under common seeds (step radii agree wherever the
-        domains agree), which sharpens decrement estimates.
+        Pinning one size across the rungs of a truncation ladder (as
+        dichotomy-sweep does) couples their walks under a common seed:
+        step radii agree wherever the domains agree, so the rungs'
+        estimates move together.
         """
         self._index = DiskGridIndex(self.centers.real, self.centers.imag,
                                     self.radii, n_side=n_side)

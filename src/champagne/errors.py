@@ -48,5 +48,7 @@ class WalkBudgetError(ChampagneError):
 
 
 class NumericalRefusalError(ChampagneError):
-    """A computation refused to certify a result (e.g. a barrier too weak
-    to be informative)."""
+    """A computation refused to certify a result.  barrier_lower_bound
+    raises it when every shell potential vanishes at a boundary sample,
+    when its shell weights find no optimum within the simplex pivot limit,
+    and when the barrier vanishes on a bubble boundary."""

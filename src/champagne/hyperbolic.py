@@ -2,9 +2,12 @@
 
 Points are plain complex numbers.  The pseudohyperbolic distance is
 rho(z, w) = |(z - w) / (1 - conj(w) z)|, invariant under disk
-automorphisms.  A pseudohyperbolic disk is given by its center and
-radius arrays, never as an object; pseudo_to_euclidean_arrays realizes
-disks as exact Euclidean circles, which the walker works on.
+automorphisms; pseudo_distance_many states the package's one formula
+for it, which the compiled nearest search (_grid.c) and barrier
+potential (_blaschke.c) evaluate too.  A pseudohyperbolic disk is given
+by its center and radius arrays, never as an object;
+pseudo_to_euclidean_arrays realizes disks as exact Euclidean circles,
+which the walker works on.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from .errors import ValidationError
 # Moduli above 1 - BOUNDARY_MARGIN are rejected at construction; the walker
 # has its own epsilon-shell and never needs points this close to the rim.
 BOUNDARY_MARGIN = 1e-12
+# a squared distance d^2 below this is replaced by hypot: |z - w| < 1e-150
+TINY_SQUARE = 1e-300
 
 
 def require_disk_point(z, name: str = "z") -> complex:
@@ -39,14 +44,26 @@ def pseudo_distance(z, w) -> float:
 def pseudo_distance_many(z, w) -> np.ndarray:
     """rho(z, w) elementwise, broadcasting z against w (no per-point checks).
 
-    pseudo_distance wraps it, so scalar and array results agree bit for
-    bit.  The compiled barrier potential (_blaschke.c) is the one other
-    evaluation: it forms rho^2 as |z - w|^2 / (|z - w|^2 + (1 - |z|^2)(1 - |w|^2)),
-    and the tests check it against this function to 1e-12 relative.
+    rho = sqrt(d^2 / b^2) with d^2 = dx^2 + dy^2 for z - w = dx + i dy and
+    b^2 = |1 - conj(w) z|^2 = d^2 + (1 - |z|^2)(1 - |w|^2), so rho(z, w)
+    and rho(w, z) are the same double and rho <= 1 for z and w in the
+    disk.  Where d^2 < 1e-300 (it would lose bits or underflow) rho is
+    hypot(dx, dy) / sqrt(b^2).  pseudo_distance wraps it, and the compiled
+    nearest search (_grid.c) evaluates it operation for operation, so
+    each agrees with it bit for bit.
     """
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    return np.abs((z - w) / (1.0 - np.conj(w) * z))
+    x, y, u, v = z.real, z.imag, w.real, w.imag
+    dx = x - u
+    dy = y - v
+    d2 = dx * dx + dy * dy
+    b2 = d2 + (1.0 - (x * x + y * y)) * (1.0 - (u * u + v * v))
+    rho = np.asarray(np.sqrt(d2 / b2))
+    tiny = np.flatnonzero(d2 < TINY_SQUARE)
+    if tiny.size:
+        rho.flat[tiny] = np.hypot(dx.flat[tiny], dy.flat[tiny]) / np.sqrt(b2.flat[tiny])
+    return rho
 
 
 def mobius_apply(a, z) -> complex:

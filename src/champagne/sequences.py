@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hyperbolic import BOUNDARY_MARGIN, pseudo_distance_many
-from .spatial import PointIndex, pairs
+from .spatial import PointIndex
 from .streams import derive_seed, mix64
 
 @dataclass(frozen=True)
@@ -114,15 +114,9 @@ def separation(seq: PointSequence) -> float:
     pts = seq.points
     if pts.size < 2:
         return 1.0
-    # each point's candidates for its nearest other point hold one at which
-    # rho(pts[min(i, j)], pts[max(i, j)]), the value of an upper-triangle
-    # scan, is least; each block is reduced as it arrives
-    sep = math.inf
-    for block in PointIndex(pts).nearest(pts, others=True):
-        q, p = pairs([block])
-        sep = float(pseudo_distance_many(pts[np.minimum(q, p)], pts[np.maximum(q, p)])
-                    .min(initial=sep))
-    return sep
+    # rho(z, w) and rho(w, z) are one double, so the least over each point's
+    # nearest other point is the value of an upper-triangle scan
+    return float(PointIndex(pts).pseudo_nearest(pts, others=True).min())
 
 
 @dataclass(frozen=True)

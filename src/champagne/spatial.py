@@ -7,13 +7,15 @@ Within-radius (ball) queries go to point_balls, which scans the rows of
 cells of each query's box.  A pseudo ball {w : rho(z, w) <= r} is
 exactly a Euclidean disk, so it too is a ball query; a pseudo ball wider
 than _PSEUDO_RADIUS_MAX is the whole disk, a ball of radius +inf whose
-box is every cell.  Pseudo nearest queries go to point_nearest, one ring
-search outwards from each query's cell, which stops once no unscanned
-point can be nearer.  Queries return candidates, a superset of the answer
-that callers measure with pseudo_distance_many or their own distance
-formula, so every value equals that of a brute-force scan.  They come as
-flat CSR blocks (q0, offsets, items), each query's candidates in no
-particular order, and a block holds a bounded number of entries.
+box is every cell.  Ball queries return candidates, a superset of the
+answer that callers measure with pseudo_distance_many or their own
+distance formula, so every value equals that of a brute-force scan.  They
+come as flat CSR blocks (q0, offsets, items), each query's candidates in
+no particular order, and a block holds a bounded number of entries.
+Pseudo nearest queries go to point_nearest, one ring search outwards from
+each query's cell, which stops once no unscanned point can be nearer.  It
+evaluates rho as pseudo_distance_many does, operation for operation, and
+returns each query's least rho: the value of a brute-force scan.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -52,7 +54,7 @@ import numpy as np
 
 from . import _native
 from .errors import ValidationError
-from .hyperbolic import pseudo_distance_many, pseudo_to_euclidean_arrays
+from .hyperbolic import pseudo_to_euclidean_arrays
 
 # grid covers [-L, L]^2; slightly beyond the closed disk so that points
 # pushed past |z| = 1 by rounding still index into a valid cell
@@ -66,36 +68,20 @@ POINTLIKE_RADIUS = 1e-9
 
 
 # Candidate slack of a pseudo ball.  A point with computed rho(z, w) <= r
-# lies at most 2.7e-11 outside the computed Euclidean realization of
-# {rho(z, .) <= r} (measured for gaps 1 - |z| down to 1e-12 and r up to
+# lies at most 3.2e-11 outside the computed Euclidean realization of
+# {rho(z, .) <= r} (the worst over 12,000 random balls, 256 angles and 61
+# offsets from the circle each, for gaps 1 - |z| down to 1e-12 and r up to
 # _PSEUDO_RADIUS_MAX).  That error grows like 1e-16 / (1 - r), so wider
 # pseudo balls are taken to be the whole disk.
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
-_BALL_BLOCK = 1 << 13  # queries and candidates per block of a point query: bounds its memory
+_BALL_BLOCK = 1 << 13  # queries and candidates per block of a ball query: bounds its memory
 # np.hypot differs from math.hypot by at most an ulp, and the screen of
 # _grid.c, sqrt(dx^2 + dy^2) - r, by under 3e-15 (every distance in the
 # grid's square is below 3, where an ulp is 4.4e-16); a disk whose screened
 # distance is within this slack of the screened minimum may attain the
 # math.hypot minimum and is measured again
 _HYPOT_SLACK = 1e-14
-# Error bounds of a pseudo nearest query, (a, b) for a + b / |1 - conj(w) z|,
-# in units of 2^-52 = 2u, first order in u, for z and w in the disk:
-# * pseudo_distance_many: z - w is off by u relatively; conj(w) z by
-#   sqrt(5) u absolutely (Brent, Percival and Zimmermann 2007), so
-#   1 - conj(w) z by u + sqrt(5) u / |1 - conj(w) z| relatively; Smith's
-#   complex division adds (6 + sqrt 2) u and the modulus (hypot) 2u: in
-#   all 5.7 + 1.12 / |1 - conj(w) z|.
-# * the screen of _grid.c, sqrt(d^2) / sqrt(d^2 + (1 - |z|^2)(1 - |w|^2)):
-#   d^2 is off by 4u relatively and each 1 - |.|^2 by 2u absolutely, which
-#   moves the screen by at most 2u / |1 - conj(w) z| (as 2 - |z|^2 - |w|^2
-#   <= 2 (1 - |z||w|)), and the sum, product, roots and quotient by 7u
-#   more: 3.5 + 1 / |1 - conj(w) z|.
-# The two sum to 9.2 + 2.12 / |1 - conj(w) z|, and the rounding of the
-# search's lower bound for unscanned points adds 2 to the first; both are
-# rounded up for the second-order terms and the 2^-6 relative error that
-# 1 - |z|^2 may reach.
-_NEAREST_SLACK = (10.0 * 2.0 ** -52, 2.5 * 2.0 ** -52)
 
 
 class PointIndex:
@@ -103,9 +89,9 @@ class PointIndex:
     one structure behind ball queries and pseudo nearest queries."""
 
     def __init__(self, points):
-        self.points = np.asarray(points, dtype=np.complex128).ravel()
-        self.n = self.points.size
-        x, y = self.points.real, self.points.imag
+        points = np.asarray(points, dtype=np.complex128).ravel()
+        self.n = points.size
+        x, y = points.real, points.imag
         self.n_side = _point_n_side(self.n)
         self.inv_h = self.n_side / (2.0 * _L)
         # the cell arithmetic of _grid.c's axis_cell: clamped, then truncated
@@ -122,65 +108,51 @@ class PointIndex:
     def _axis_cell(self, t):
         return np.clip((t + _L) * self.inv_h, 0.0, self.n_side - 1).astype(np.int64)
 
-    def pseudo_nearest(self, z) -> np.ndarray:
-        """min over points p of rho(z[q], p) for each query, exactly as a
-        scan over all (at least one) points evaluates it."""
+    def pseudo_nearest(self, z, others=False) -> np.ndarray:
+        """min over points p of rho(z[q], p) for each query, over the points
+        other than z[q] itself if `others`, exactly as a scan of
+        pseudo_distance_many evaluates it (+inf with no point to measure).
+        The points must lie in the open disk with 1 - |p|^2 > 2^-46, as
+        those of a PointSequence do."""
         z = np.asarray(z, dtype=np.complex128).ravel()
-        nearest = np.full(z.size, np.inf)
-        for block in self.nearest(z):
-            q, p = pairs([block])
-            np.minimum.at(nearest, q, pseudo_distance_many(z[q], self.points[p]))
-        return nearest
-
-    def nearest(self, z, others=False):
-        """Candidates for the point nearest to each query in rho, in CSR
-        blocks (see _blocks): a superset of the points p at which
-        pseudo_distance_many, of (z[q], p) or of (p, z[q]), is least, over
-        the points other than z[q] itself if `others`.  The points must lie
-        in the open disk with 1 - |p|^2 > 2^-46, as those of a
-        PointSequence do."""
-        z = np.asarray(z, dtype=np.complex128).ravel()
-        return self._blocks(_native.library().point_nearest,
-                            (np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)),
-                            others, self.gap_max, *_NEAREST_SLACK)
+        out = np.empty(z.size)
+        _checked(_native.library().point_nearest(
+            self.px, self.py, self.cell_start, self.n_side, _L, self.inv_h,
+            np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag), z.size, others,
+            self.gap_max, out))
+        return out
 
     def balls(self, centers, radii):
         """Points p with |centers[q] - p| <= radii[q] (as dx^2 + dy^2 <= r^2),
-        in CSR blocks (see _blocks), each query's in no particular order."""
+        each query's in no particular order, as CSR blocks (q0, offsets,
+        items) over consecutive runs of queries: the points of query q0 + k
+        are items[offsets[k]:offsets[k + 1]].  A block holds at most
+        _BALL_BLOCK queries and max(_BALL_BLOCK, n) items, so that every
+        query fits in one block."""
         c = np.asarray(centers, dtype=np.complex128).ravel()
-        r = np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape)
-        return self._blocks(_native.library().point_balls,
-                            (np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag),
-                             np.ascontiguousarray(r)))
+        r = np.ascontiguousarray(np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape))
+        x, y = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        capacity = max(_BALL_BLOCK, self.n)
+        q0 = 0
+        while q0 < c.size:
+            n_q = min(c.size - q0, _BALL_BLOCK)
+            offsets = np.empty(n_q + 1, dtype=np.int64)
+            items = np.empty(capacity, dtype=np.int64)
+            # point_balls writes the queries whose points fit
+            m = _native.library().point_balls(
+                self.px, self.py, self.order, self.cell_start, self.n_side, _L, self.inv_h,
+                x[q0:], y[q0:], r[q0:], n_q, offsets, items, capacity)
+            yield q0, offsets[:m + 1], items[:offsets[m]]
+            q0 += m
 
     def pseudo_balls(self, z, r):
         """Candidates covering every point p with rho(z[q], p) <= r[q], in
-        CSR blocks (see _blocks), each query's in no particular order."""
+        CSR blocks (see balls), each query's in no particular order."""
         z = np.asarray(z, dtype=np.complex128).ravel()
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
         centers, radii = pseudo_to_euclidean_arrays(z, np.minimum(r, _PSEUDO_RADIUS_MAX))
         # a whole-disk ball is one of radius +inf
         return self.balls(centers, np.where(r > _PSEUDO_RADIUS_MAX, np.inf, radii + _PSEUDO_SLACK))
-
-    def _blocks(self, query, arrays, *extra):
-        """Yields (q0, offsets, items) for consecutive runs of queries: the
-        candidates of query q0 + k are items[offsets[k]:offsets[k + 1]].
-        query, point_balls or point_nearest, is called with the bucketed
-        points, the query arrays from q0 on, their count, `extra` and the
-        block's arrays; it writes the queries that fit.  A block holds at
-        most _BALL_BLOCK queries and max(_BALL_BLOCK, n) items, so that
-        every query fits in one block."""
-        points = (self.px, self.py, self.order, self.cell_start, self.n_side, _L, self.inv_h)
-        capacity = max(_BALL_BLOCK, self.n)
-        q0 = 0
-        while q0 < arrays[0].size:
-            n_q = min(arrays[0].size - q0, _BALL_BLOCK)
-            offsets = np.empty(n_q + 1, dtype=np.int64)
-            items = np.empty(capacity, dtype=np.int64)
-            m = _checked(query(*points, *(a[q0:] for a in arrays), n_q, *extra,
-                               offsets, items, capacity))
-            yield q0, offsets[:m + 1], items[:offsets[m]]
-            q0 += m
 
 
 def pairs(blocks):

@@ -1,5 +1,7 @@
 import cmath
 import pathlib
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +151,55 @@ def test_broadcast_forms_match_scalar_exactly():
         for j in range(9):
             assert block[i, j] == pseudo_distance(z[i], w[j])
             assert moved[i, j] == mobius_apply(z[i], w[j])
+
+
+def _exact_rho(z, w):
+    """(rho, |1 - conj(w) z|) of the doubles z and w, to 60 digits."""
+    a, b, c, e = map(Fraction, (z.real, z.imag, w.real, w.imag))
+    d2 = (a - c) ** 2 + (b - e) ** 2
+    b2 = d2 + (1 - a * a - b * b) * (1 - c * c - e * e)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d2, b2 = (Decimal(v.numerator) / Decimal(v.denominator) for v in (d2, b2))
+        return (d2 / b2).sqrt(), b2.sqrt()
+
+
+def test_rho_rounding_is_bounded_on_rim_pairs():
+    # pairs by the rim, down to 1e-12 from it, and near each other, down to
+    # 1e-24 apart: rho(z, w) and rho(w, z) are one double, never above 1,
+    # within (3.5 + 1 / b) 2^-52 of the exact rho of the doubles (the error
+    # bound the nearest search of _grid.c allows for, b = |1 - conj(w) z|),
+    # and its error times b stays under 3 units of 2^-53 (1.79 measured)
+    rng = np.random.default_rng(17)
+    n = 3000
+    gap = 10.0 ** rng.uniform(-12.0, -0.05, n)
+    z = (1.0 - gap) * np.exp(2j * np.pi * rng.random(n))
+    step = 10.0 ** rng.uniform(-12.0, 0.3, n) * np.exp(2j * np.pi * rng.random(n))
+    far = (1.0 - 10.0 ** rng.uniform(-12.0, -0.05, n)) * np.exp(2j * np.pi * rng.random(n))
+    kind = np.arange(n) % 3
+    w = np.where(kind == 0, z + step * gap, np.where(kind == 1, z + step, far))
+    keep = (np.abs(w) <= 1.0 - 1e-12) & (w != z)
+    z, w = z[keep], w[keep]
+    forward, backward = pseudo_distance_many(z, w), pseudo_distance_many(w, z)
+    assert np.array_equal(forward, backward)
+    assert forward.max() <= 1.0
+    worst_bound = worst_scaled = 0.0
+    for k in range(z.size):
+        rho, b = _exact_rho(z[k], w[k])
+        err = abs(Decimal(float(forward[k])) - rho)
+        worst_bound = max(worst_bound, float(err / ((Decimal(3.5) + 1 / b) * Decimal(2) ** -52)))
+        worst_scaled = max(worst_scaled, float(err * b * 2 ** 53))
+    assert worst_bound <= 1.0
+    assert worst_bound > 0.1      # a bound many times too wide would search more than it needs
+    assert worst_scaled <= 3.0
+    # pairs 1e-160 and 1e-200 apart, whose |z - w|^2 underflows below 1e-300
+    # (hypot(dx, dy) does not), are within 2^-52 of the exact rho relatively
+    for apart in (1e-160, 1e-200):
+        for z, w in [(0.4j, 0.4j + apart), (-0.5, complex(-0.5, apart)), (apart * (1 + 1j), 0.0)]:
+            rho, _ = _exact_rho(complex(z), complex(w))
+            got = float(pseudo_distance_many(z, w))
+            assert got == pseudo_distance(w, z) > 0.0
+            assert abs(Decimal(got) - rho) <= Decimal(2) ** -52 * rho
 
 
 def test_mobius_formula_lives_in_hyperbolic_only():

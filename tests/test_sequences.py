@@ -59,8 +59,8 @@ def test_separation_matches_brute_force_scan():
 
 def test_twelve_ring_lattice_geometry_is_pinned():
     seq = generate_ring_lattice(0.5, 2, 12, seed=20)   # 16,380 points
-    assert separation(seq) == 0.3334431374079788
-    assert covering_radius(seq, 0.9) == 0.49999999999999994
+    assert separation(seq) == 0.3334431374080002
+    assert covering_radius(seq, 0.9) == 0.5
 
 
 # -- Blaschke sums ----------------------------------------------------------
