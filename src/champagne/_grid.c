@@ -1,10 +1,11 @@
 /* Grid index over disjoint disks (spatial.DiskGridIndex): the candidate
- * lists and the clearance raster of the cells, and the screening of the
- * point-like disks' encounter data.  Every value must equal that of the
- * array build kept in the tests bit for bit, so the cell tests call libm
- * hypot, as np.hypot does, and the file is built with the walk kernel's
- * flags (no contraction, no fast-math).  At the end, the ball and pseudo
- * nearest queries over points bucketed in a grid (spatial.PointIndex).
+ * lists and the clearance raster of the cells, and the encounter data of
+ * the point-like disks (their clearance to the rest of the boundary).
+ * Every value must equal that of the array build kept in the tests bit
+ * for bit, so the cell tests and every surface distance call libm hypot,
+ * as np.hypot does, and the file is built with the walk kernel's flags
+ * (no contraction, no fast-math).  At the end, the ball and pseudo nearest
+ * queries over points bucketed in a grid (spatial.PointIndex).
  *
  * The grid has n_side x n_side cells of side h over [-half_width,
  * half_width]^2; cell (i, j) is i * n_side + j, its center
@@ -17,6 +18,7 @@
 
 #define SQRT2 1.4142135623730951   /* math.sqrt(2.0) */
 #define TINY_SQUARE 1e-300         /* hyperbolic.TINY_SQUARE */
+#define ROUNDING_MARGIN 1e-14      /* of a surface distance: see grid_encounters */
 
 struct box { int64_t i0, i1, j0, j1; };
 
@@ -208,32 +210,23 @@ static int64_t ring(int64_t n_side, int64_t i0, int64_t j0, int64_t k, int64_t *
     return m;
 }
 
-/* Screens the nearest other surface of each point-like disk p = pl[q]:
- * the reference ring search from p's center, excluding p.  The screened
- * distance sqrt(dx^2 + dy^2) - r lies within a few ulps (under 3e-15 in
- * the grid's square) of the distance math.hypot gives, so the search
- * goes on until the screened minimum plus `slack` is within the scanned
- * rings, and every distinct disk within `slack` of that minimum is listed:
- * the caller measures those with math.hypot.
- * near[near_start[q] .. near_start[q + 1]) lists p's disks; only the first
- * `capacity` entries of `near` are written.  Returns the number of
- * entries, or -1 when out of memory. */
-int64_t grid_near_others(const double *cx, const double *cy, const double *radii, int64_t n_disks,
-                         const int64_t *cell_start, const int32_t *cell_items,
-                         int64_t n_side, double half_width, double inv_h, double h,
-                         const int64_t *pl, int64_t n_pl, double slack,
-                         int64_t *near_start, int32_t *near, int64_t capacity)
+/* The encounter data of each point-like disk p = pl[q]: enc_modulus[p] =
+ * hypot(x, y) for its center (x, y), and enc_clearance[p] the least of
+ * 1 - enc_modulus[p] and hypot(dx, dy) - r over the other disks, as
+ * np.hypot evaluates it.  The reference ring search of the tests, from
+ * p's cell outwards: once rings 0 .. k are scanned, every unlisted disk
+ * lies beyond (k + 1) h, up to the rounding of the cell tests and of the
+ * distances, which ROUNDING_MARGIN covers (every distance in the grid's
+ * square is below 3, where an ulp is 4.4e-16).  Returns 0, or -1 when out
+ * of memory. */
+int64_t grid_encounters(const double *cx, const double *cy, const double *radii,
+                        const int64_t *cell_start, const int32_t *cell_items,
+                        int64_t n_side, double half_width, double inv_h, double h,
+                        const int64_t *pl, int64_t n_pl, double *enc_modulus, double *enc_clearance)
 {
     int64_t *cells = malloc((size_t)(8 * n_side + 1) * sizeof *cells);
-    int64_t *listed = malloc((size_t)(n_disks > 0 ? n_disks : 1) * sizeof *listed);
-    if (!cells || !listed) {
-        free(cells);
-        free(listed);
+    if (!cells)
         return -1;
-    }
-    for (int64_t k = 0; k < n_disks; k++)
-        listed[k] = -1;   /* the last q that listed disk k */
-    int64_t total = 0;
     for (int64_t q = 0; q < n_pl; q++) {
         const int64_t p = pl[q];
         const double x = cx[p], y = cy[p];
@@ -244,43 +237,25 @@ int64_t grid_near_others(const double *cx, const double *cy, const double *radii
         int64_t edge = i0 > n_side - 1 - i0 ? i0 : n_side - 1 - i0;
         edge = j0 > edge ? j0 : edge;
         edge = n_side - 1 - j0 > edge ? n_side - 1 - j0 : edge;
-        int64_t last = edge;
         double best = INFINITY;
         for (int64_t k = 0; k <= edge; k++) {
             const int64_t m = ring(n_side, i0, j0, k, cells);
             for (int64_t a = 0; a < m; a++)
                 for (int64_t e = cell_start[cells[a]]; e < cell_start[cells[a] + 1]; e++) {
                     const int64_t i = cell_items[e];
-                    const double dx = x - cx[i], dy = y - cy[i];
-                    const double d = sqrt(dx * dx + dy * dy) - radii[i];
+                    const double d = hypot(x - cx[i], y - cy[i]) - radii[i];
                     if (i != p && d < best)
                         best = d;
                 }
-            if (best + slack <= (double)(k + 1) * h) {
-                last = k;
+            if (best + ROUNDING_MARGIN <= (double)(k + 1) * h)
                 break;
-            }
         }
-        near_start[q] = total;
-        for (int64_t k = 0; k <= last; k++) {
-            const int64_t m = ring(n_side, i0, j0, k, cells);
-            for (int64_t a = 0; a < m; a++)
-                for (int64_t e = cell_start[cells[a]]; e < cell_start[cells[a] + 1]; e++) {
-                    const int64_t i = cell_items[e];
-                    const double dx = x - cx[i], dy = y - cy[i];
-                    if (i == p || listed[i] == q || !(sqrt(dx * dx + dy * dy) - radii[i] <= best + slack))
-                        continue;
-                    listed[i] = q;
-                    if (total < capacity)
-                        near[total] = (int32_t)i;
-                    total++;
-                }
-        }
+        const double modulus = hypot(x, y);
+        enc_modulus[p] = modulus;
+        enc_clearance[p] = best < 1.0 - modulus ? best : 1.0 - modulus;
     }
-    near_start[n_pl] = total;
     free(cells);
-    free(listed);
-    return total;
+    return 0;
 }
 
 /* The bucket cell of coordinate t along one axis: (t + half_width) inv_h,
@@ -392,7 +367,7 @@ static double rho_beyond(double d, double gap, double gap_max)
  * it; with `others` set, a point equal to z is passed over, and a query
  * with no point to measure gets +inf.
  * The rings of cells around z's cell are searched outwards, as
- * grid_near_others does.  A cell whose points are too far from z to beat
+ * grid_encounters does.  A cell whose points are too far from z to beat
  * the least rho so far, by rho_beyond at its distance from z, is passed
  * over, and once rings 0 .. k are scanned, every other point lies at
  * least k h from z: the search stops when rho_beyond at k h exceeds the

@@ -103,16 +103,15 @@ def library() -> ctypes.CDLL:
         + [i64, i64, f64, f64, f64, f64])                                    # outputs
     lib.grid_cells.argtypes = disks + grid + [i64, f64]
     lib.grid_items.argtypes = disks + grid + [i64, i32]
-    lib.grid_near_others.argtypes = (disks + [i64, i32] + grid
-                                     + [i64, ctypes.c_int64, ctypes.c_double, i64, i32,
-                                        ctypes.c_int64])
+    lib.grid_encounters.argtypes = (disks[:3] + [i64, i32] + grid
+                                    + [i64, ctypes.c_int64, f64, f64])   # pl, its count, outputs
     cells = [i64] + grid[:3]   # the point buckets' cell_start, n_side, half_width, inv_h
     lib.point_balls.argtypes = ([f64, f64, i64] + cells            # px, py, order
                                 + [f64, f64, f64, ctypes.c_int64]  # the balls
                                 + [i64, i64, ctypes.c_int64])      # offsets, items, capacity
     lib.point_nearest.argtypes = ([f64, f64] + cells + [f64, f64, ctypes.c_int64]
                                   + [ctypes.c_int64, ctypes.c_double, f64])  # others, gap_max, out
-    for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_near_others,
+    for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_encounters,
                lib.point_balls, lib.point_nearest):
         fn.restype = ctypes.c_int64
     lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64,

@@ -413,12 +413,12 @@ class ChampagneDomain:
         """z as a complex, or a ValidationError naming the bubble (the
         nearest, lowest index on ties) that z lies inside or on.
 
-        Exact: one scan over every bubble with the walker's distance
-        formula.  It builds no walk grid, so checking a start point costs
-        O(bubbles) and not a grid build.
+        Exact: one np.hypot scan over every bubble (spatial.nearest_disk).
+        It builds no walk grid, so checking a start point costs O(bubbles)
+        and not a grid build.  A non-finite z lies outside.
         """
         z = complex(z)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise ValidationError(f"{name}={z!r} lies outside the open unit disk")
         if self.n_bubbles:
             d, i = nearest_disk(z.real, z.imag, self.centers.real, self.centers.imag, self.radii)

@@ -35,15 +35,13 @@ kernel (_walk.c) reads:
 
 The compiled library (_grid.c, built by _native on first use) builds
 the disk grid's candidate lists and clearance, with the arithmetic of the
-array build the tests keep as the reference.  It also screens the
+array build the tests keep as the reference.  It also builds the
 encounter data of point-like disks (their clearance to the rest of the
-boundary): a ring search over the grid from each such disk lists the
-other disks that may attain its nearest surface, and Python measures
-those.
+boundary) by a ring search over the grid from each such disk.
 
-Every surface distance is math.hypot(dx, dy) - r; np.hypot and the
-square root of the sum of squares, which differ from math.hypot in the
-last bits on some inputs, only screen which disks can attain the minimum.
+Every surface distance outside the walk kernel is hypot(dx, dy) - r:
+np.hypot here and libm hypot in _grid.c, which np.hypot calls.  The walk
+kernel keeps its own sqrt(dx^2 + dy^2) - r per step.
 """
 
 from __future__ import annotations
@@ -76,12 +74,6 @@ POINTLIKE_RADIUS = 1e-9
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
 _BALL_BLOCK = 1 << 13  # queries and candidates per block of a ball query: bounds its memory
-# np.hypot differs from math.hypot by at most an ulp, and the screen of
-# _grid.c, sqrt(dx^2 + dy^2) - r, by under 3e-15 (every distance in the
-# grid's square is below 3, where an ulp is 4.4e-16); a disk whose screened
-# distance is within this slack of the screened minimum may attain the
-# math.hypot minimum and is measured again
-_HYPOT_SLACK = 1e-14
 
 
 class PointIndex:
@@ -165,22 +157,12 @@ def pairs(blocks):
     return np.concatenate(qs), np.concatenate(ps)
 
 
-def _surface_distances(dx, dy, radii) -> np.ndarray:
-    """math.hypot(dx, dy) - radii elementwise: the exact surface distance."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64,
-                       count=dx.size) - radii
-
-
 def nearest_disk(x: float, y: float, cx, cy, radii):
     """Exact (distance, index) of the nearest disk surface to (x, y) by one
     scan over all (at least one) disks, the lowest index winning ties."""
-    dx = x - cx
-    dy = y - cy
-    screen = np.hypot(dx, dy) - radii
-    near = np.flatnonzero(screen <= screen.min() + _HYPOT_SLACK)
-    d = _surface_distances(dx[near], dy[near], radii[near])
-    k = int(np.argmin(d))     # the first minimum: near is ascending
-    return float(d[k]), int(near[k])
+    d = np.hypot(x - cx, y - cy) - radii
+    k = int(np.argmin(d))
+    return float(d[k]), k
 
 
 def _checked(result: int) -> int:
@@ -217,7 +199,9 @@ class DiskGridIndex:
         if not (self.cy.size == n and self.radii.size == n):
             raise ValidationError("center/radius arrays must align")
         self.n_disks = n
-        self.n_side = int(n_side) if n_side else _auto_n_side(n)
+        if n_side is not None and not n_side >= 1:
+            raise ValidationError(f"n_side must be at least 1, got {n_side!r}")
+        self.n_side = _auto_n_side(n) if n_side is None else int(n_side)
         self.h = 2.0 * _L / self.n_side
         self.inv_h = 1.0 / self.h
         self.r_min = float(self.radii.min()) if n else math.inf
@@ -232,9 +216,9 @@ class DiskGridIndex:
         total = _checked(lib.grid_cells(*disks, *geometry, self.cell_start, self.clearance))
         self.cell_items = np.empty(total, dtype=np.int32)
         _checked(lib.grid_items(*disks, *geometry, self.cell_start, self.cell_items))
-        self._build_encounter_data(lib, disks, geometry)
+        self._build_encounter_data(lib, geometry)
 
-    def _build_encounter_data(self, lib, disks, geometry):
+    def _build_encounter_data(self, lib, geometry):
         """For point-like disks, the clearance radius of the concentric
         annulus that stays inside the domain: distance from the center to
         the unit circle and to every other disk.  The center's modulus is
@@ -243,27 +227,9 @@ class DiskGridIndex:
         self.enc_clearance = np.zeros(self.n_disks)
         self.enc_modulus = np.zeros(self.n_disks)
         pl = np.flatnonzero(self.pointlike)
-        # the other disks that may attain each one's nearest surface, as
-        # the ring search finds them; listed again if they overflow `near`
-        near_start = np.empty(pl.size + 1, dtype=np.int64)
-        need = pl.size
-        while True:
-            near = np.empty(need, dtype=np.int32)
-            need = _checked(lib.grid_near_others(*disks, self.cell_start, self.cell_items,
-                                                 *geometry, pl, pl.size, _HYPOT_SLACK,
-                                                 near_start, near, near.size))
-            if need <= near.size:
-                break
-        near = near[:need]
-        rep = np.repeat(np.arange(pl.size), np.diff(near_start))
-        x = self.cx[pl]
-        y = self.cy[pl]
-        d_other = np.full(pl.size, np.inf)
-        np.minimum.at(d_other, rep, _surface_distances(x[rep] - self.cx[near],
-                                                       y[rep] - self.cy[near], self.radii[near]))
-        modulus = _surface_distances(x, y, 0.0)   # from the origin, by math.hypot
-        self.enc_modulus[pl] = modulus
-        self.enc_clearance[pl] = np.minimum(1.0 - modulus, d_other)
+        _checked(lib.grid_encounters(self.cx, self.cy, self.radii, self.cell_start,
+                                     self.cell_items, *geometry, pl, pl.size,
+                                     self.enc_modulus, self.enc_clearance))
 
     def gather_candidates(self, cells: np.ndarray):
         """CSR gather of candidate lists for an array of cells (the array

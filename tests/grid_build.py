@@ -7,7 +7,8 @@ boxes of all disks enumerated in blocks, np.hypot cell tests, a lexsort
 into (cell, disk) order, scipy's Euclidean distance transform for the
 clearance, and the encounter data from one candidate gather over the
 point-like disks' own cells with the ring search as the fallback.  The
-compiled build must give equal (==) arrays.
+compiled build must give equal (==) arrays.  Every surface distance is
+np.hypot(dx, dy) - r, as in the package.
 
 cells_of addresses cells as the walk kernel does; nearest_surface is the
 exact nearest-surface ring search over the grid, and nearest_in_cell its
@@ -19,7 +20,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from champagne.spatial import _HYPOT_SLACK, _L, POINTLIKE_RADIUS, DiskGridIndex, _surface_distances
+from champagne.spatial import _L, POINTLIKE_RADIUS, DiskGridIndex
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -52,7 +53,7 @@ def nearest_in_cell(index, x: float, y: float):
     best, best_i = math.inf, -1
     for kk in range(index.cell_start[c], index.cell_start[c + 1]):
         i = index.cell_items[kk]
-        d = math.hypot(x - index.cx[i], y - index.cy[i]) - index.radii[i]
+        d = np.hypot(x - index.cx[i], y - index.cy[i]) - index.radii[i]
         if d < best or (d == best and i < best_i):
             best, best_i = d, int(i)
     return best, best_i
@@ -76,7 +77,7 @@ def nearest_surface(index, x: float, y: float, exclude: int = -1):
 
     Expanding ring search: after scanning all cells within Chebyshev
     radius k, every unseen disk is farther than (k+1) h away.  Each ring's
-    candidates are gathered at once and measured with math.hypot; the
+    candidates are gathered at once and measured with np.hypot; the
     lowest index wins ties."""
     if index.n_disks == 0:
         return math.inf, -1
@@ -88,7 +89,7 @@ def nearest_surface(index, x: float, y: float, exclude: int = -1):
         _, items, _, _ = index.gather_candidates(_ring_cells(ns, ix0, iy0, k))
         items = items[items != exclude]
         if items.size:
-            d = _surface_distances(x - index.cx[items], y - index.cy[items], index.radii[items])
+            d = np.hypot(x - index.cx[items], y - index.cy[items]) - index.radii[items]
             m = float(d.min())
             i = int(items[d == m].min())
             if m < best or (m == best and i < best_i):
@@ -168,22 +169,16 @@ class ArrayGridIndex(DiskGridIndex):
         pl = np.flatnonzero(self.pointlike)
         x = self.cx[pl]
         y = self.cy[pl]
-        modulus = _surface_distances(x, y, 0.0)   # from the origin, by math.hypot
+        modulus = np.hypot(x, y)   # from the origin
         # nearest other surface among the candidates of each disk's own
         # cell: the first step of nearest_surface, final when it is <= h
         rep, items, _, _ = self.gather_candidates(cells_of(self, x, y))
         other = items != pl[rep]
         rep = rep[other]
         items = items[other]
-        dx = x[rep] - self.cx[items]
-        dy = y[rep] - self.cy[items]
-        screen = np.hypot(dx, dy) - self.radii[items]
-        low = np.full(pl.size, np.inf)
-        np.minimum.at(low, rep, screen)
-        near = screen <= low[rep] + _HYPOT_SLACK
         d_other = np.full(pl.size, np.inf)
-        np.minimum.at(d_other, rep[near],
-                      _surface_distances(dx[near], dy[near], self.radii[items[near]]))
+        np.minimum.at(d_other, rep,
+                      np.hypot(x[rep] - self.cx[items], y[rep] - self.cy[items]) - self.radii[items])
         # no other surface within h: the ring search goes on outwards
         for k in np.flatnonzero(~(d_other <= self.h)):
             d_other[k] = nearest_surface(self, x[k], y[k], exclude=int(pl[k]))[0]

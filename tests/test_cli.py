@@ -315,6 +315,16 @@ def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["measure", "sandwich", "barrier"])
+@pytest.mark.parametrize("start", ["nan,0", "0,inf"])
+def test_a_non_finite_start_exits_2(tmp_path, capsys, command, start):
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=1.0).save(dom_path)
+    argv = [command, "--domain", str(dom_path), "--start", start]
+    assert main(argv + (["--walks", "10"] if command == "measure" else [])) == 2
+    assert "lies outside the open unit disk" in capsys.readouterr().err
+
+
 def test_an_unknown_ring_key_is_named(capsys):
     assert main(["diag", "--ring", "q=0.5,depth=2,scael=2,pts=3", "--seed", "1"]) == 2
     assert "no key named pts, scael" in capsys.readouterr().err

@@ -11,6 +11,7 @@ replaced.
 
 import ast
 import contextlib
+import ctypes
 import math
 import os
 import pathlib
@@ -470,6 +471,36 @@ def test_the_c_sources_call_no_libm_trig():
     assert [path.name for path in _native.SOURCES if trig.search(path.read_text())] == []
 
 
+# a function defined at file scope, not static: its return type, name and
+# parameter list (no C source here takes a function pointer)
+_C_FUNCTION = re.compile(r"^(?!static\b)([A-Za-z_][\w ]*?)\s*\b(\w+)\(([^)]*)\)\s*\{",
+                         re.MULTILINE)
+
+
+def test_every_exported_c_function_has_its_ctypes_declaration():
+    # a stale argtypes list would pass wrong arguments and corrupt memory
+    # instead of failing, so each function's parameters and return type
+    # are checked against its C definition
+    lib = _native.library()
+    scalars = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
+    results = {"void": None, **scalars}
+    seen = []
+    for path in _native.SOURCES:
+        for ret, name, params in _C_FUNCTION.findall(path.read_text()):
+            seen.append(name)
+            fn = getattr(lib, name)
+            assert fn.restype is results[ret.strip()], name
+            params = [] if params.strip() in ("", "void") else params.split(",")
+            assert fn.argtypes is not None and len(fn.argtypes) == len(params), name
+            for param, declared in zip(params, fn.argtypes):
+                if "*" in param:     # an array: numpy checks its dtype and layout
+                    assert hasattr(declared, "_dtype_"), (name, param)
+                else:
+                    assert declared is scalars[param.split()[0]], (name, param)
+    assert sorted(seen) == ["barrier_potential", "grid_cells", "grid_encounters", "grid_items",
+                            "point_balls", "point_nearest", "walk_range"]
+
+
 # disjoint disks: each radius is a fraction (down to point-like) of the
 # largest radius that keeps it inside the unit disk and clear of every
 # other disk of at most the same share
@@ -643,7 +674,7 @@ def _ring_search_encounters(idx):
     modulus = np.zeros(idx.n_disks)
     for i in np.nonzero(idx.radii < spatial.POINTLIKE_RADIUS)[0]:
         d_other, _ = nearest_surface(idx, idx.cx[i], idx.cy[i], exclude=int(i))
-        modulus[i] = math.hypot(idx.cx[i], idx.cy[i])
+        modulus[i] = np.hypot(idx.cx[i], idx.cy[i])
         clearance[i] = min(1.0 - modulus[i], d_other)
     return clearance, modulus
 
@@ -680,24 +711,17 @@ def test_encounter_data_matches_ring_search_on_a_truncation_rung():
     assert np.any(d_other <= idx.h) and np.any(d_other > idx.h)
 
 
-def test_encounter_data_measures_near_ties_with_math_hypot():
-    # a point-like disk at the origin and two more, about 0.01 away, that
-    # the screen sqrt(dx^2 + dy^2) orders one way and math.hypot the other:
-    # the nearer by math.hypot sets the clearance, found within h of the
-    # disk's own cell (n_side 64) or by the ring search (n_side 1024)
-    rng = np.random.default_rng(3)
-    t = 2.0 * np.pi * rng.random(20_000)
-    x, y = 0.01 * np.cos(t), 0.01 * np.sin(t)
-    screen = np.sqrt(x * x + y * y)
-    exact = np.array([math.hypot(u, v) for u, v in zip(x, y)])
-    order = np.lexsort((exact, screen))
-    k = np.flatnonzero((np.diff(screen[order]) > 0) & (np.diff(exact[order]) < 0))[0]
-    a, b = order[k], order[k + 1]        # screen[a] < screen[b], exact[a] > exact[b]
-    for n_side in (64, 1024):
-        idx = spatial.DiskGridIndex([0.0, x[a], x[b]], [0.0, y[a], y[b]], [1e-19] * 3, n_side)
-        assert idx.enc_clearance[0] == exact[b]
-        _assert_encounters_match_ring_search(idx)
-        _assert_same_grid(idx, ArrayGridIndex(idx.cx, idx.cy, idx.radii, n_side))
+def test_the_encounter_search_goes_on_past_a_ring_with_a_farther_disk():
+    # point-like disks at a cell center and 1.4 h off on both axes, which
+    # its own cell lists, and one 1.6 h off on one axis, which only the
+    # next ring lists: that one is nearer and sets the clearance
+    n_side = 64
+    h = 2.0 * spatial._L / n_side
+    c = -spatial._L + 40.5 * h
+    idx = spatial.DiskGridIndex([c, c + 1.4 * h, c + 1.6 * h], [c, c + 1.4 * h, c],
+                                [1e-12] * 3, n_side)
+    assert idx.enc_clearance[0] == np.hypot(c - idx.cx[2], 0.0) - 1e-12
+    _assert_encounters_match_ring_search(idx)
 
 
 def _cell_scan_verdict(idx, sources, z):
@@ -731,14 +755,15 @@ def test_interior_check_matches_the_cell_scan(case, probes):
     assert dom._index is None
 
 
-def test_interior_check_measures_with_math_hypot():
+def test_interior_check_measures_with_np_hypot():
     # one-bubble domains whose radius is the smaller of the np.hypot and
-    # math.hypot distances from 0 to the center, where the two differ
+    # math.hypot distances from 0 to the center, where the two differ: 0
+    # lies on the bubble exactly where np.hypot gives the smaller distance
     rng = np.random.default_rng(6)
     c = 0.5 * rng.random(20_000) * np.exp(2j * np.pi * rng.random(20_000))
-    fast = np.hypot(-c.real, -c.imag)
-    exact = np.array([math.hypot(-z.real, -z.imag) for z in c])
-    cases = [(z, min(a, b), b <= a) for z, a, b in zip(c, fast, exact) if a != b][:40]
+    libm = np.hypot(-c.real, -c.imag)
+    python = np.array([math.hypot(-z.real, -z.imag) for z in c])
+    cases = [(z, min(a, b), a < b) for z, a, b in zip(c, libm, python) if a != b][:40]
     assert {inside for _, _, inside in cases} == {True, False}
     for z, r, inside in cases:
         dom = euclidean_domain([z], [r], [7])
@@ -749,3 +774,24 @@ def test_interior_check_measures_with_math_hypot():
             assert want is None
         except ValidationError as exc:
             assert str(exc) == want
+
+
+def test_no_surface_distance_but_hypot_is_left_in_src():
+    # one surface distance outside the walk kernel: np.hypot and libm hypot
+    src = pathlib.Path(ch.__file__).parent
+    words = ("math.hypot", "_surface_distances", "_HYPOT_SLACK", "grid_near_others")
+    found = {(f.name, w) for f in sorted(src.rglob("*")) if f.suffix in (".py", ".c")
+             for w in words if w in f.read_text()}
+    assert found == set()
+
+
+def test_a_grid_side_below_1_is_refused():
+    for n_side in (0, -4):
+        with pytest.raises(ValidationError, match="n_side must be at least 1"):
+            spatial.DiskGridIndex([0.5], [0.0], [0.25], n_side)
+    dom = euclidean_domain([0.5], [0.25], [0])
+    with pytest.raises(ValidationError, match="n_side must be at least 1"):
+        dom.build_index(0)
+    # None alone means the automatic size
+    assert spatial.DiskGridIndex([0.5], [0.0], [0.25]).n_side == spatial._auto_n_side(1)
+    assert spatial.DiskGridIndex([0.5], [0.0], [0.25], 1).n_side == 1

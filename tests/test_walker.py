@@ -58,7 +58,7 @@ def test_distance_matches_brute_force():
     rng = np.random.default_rng(0)
     cx, cy, r = dom.centers.real, dom.centers.imag, dom.radii
     for z in rand_disk_points(rng, 300, 0.98):
-        gaps = np.array([math.hypot(z.real - x, z.imag - y) - s for x, y, s in zip(cx, cy, r)])
+        gaps = np.array([np.hypot(z.real - x, z.imag - y) - s for x, y, s in zip(cx, cy, r)])
         # the first minimum: the lowest index wins ties
         assert nearest_disk(z.real, z.imag, cx, cy, r) == (gaps.min(), int(np.argmin(gaps)))
     assert dom._index is None
@@ -508,7 +508,7 @@ def test_layered_drops_the_starts_within_epsilon_of_a_bubble():
     for layer in rep.layers:
         theta = 2.0 * np.pi * np.arange(8) / 8
         starts = [0j] if layer.j == 1 else layer.modulus_from * np.exp(1j * theta)
-        gaps = [min(math.hypot(z.real - c.real, z.imag - c.imag) - r
+        gaps = [min(np.hypot(z.real - c.real, z.imag - c.imag) - r
                     for c, r in zip(dom.centers, dom.radii)) for z in starts]
         assert layer.dropped_starts == sum(g <= eps for g in gaps)
         assert [p[0] for p in layer.per_start] == [complex(z) for z, g in zip(starts, gaps)
