@@ -4,8 +4,9 @@
  * Every value must equal that of the array build kept in the tests bit
  * for bit, so the cell tests and every surface distance call libm hypot,
  * as np.hypot does, and the file is built with the walk kernel's flags
- * (no contraction, no fast-math).  At the end, the ball and pseudo nearest
- * queries over points bucketed in a grid (spatial.PointIndex).
+ * (no contraction, no fast-math).  At the end, the queries over points
+ * bucketed in a grid (spatial.PointIndex), which return their answers, not
+ * candidates: annular sums per cut, a least-gap pair, or least rho.
  *
  * The grid has n_side x n_side cells of side h over [-half_width,
  * half_width]^2; cell (i, j) is i * n_side + j, its center
@@ -270,58 +271,6 @@ static int64_t axis_cell(double t, int64_t n_side, double half_width, double inv
     return !(c > 0.0) ? 0 : c > (double)(n_side - 1) ? n_side - 1 : (int64_t)c;   /* NaN: 0 */
 }
 
-/* Ball queries over points bucketed in a uniform grid (spatial.PointIndex):
- * (px[e], py[e]) is bucket entry e, point order[e] of the set, and the
- * entries of cell (i, j) are cell_start[i n_side + j] .. cell_start[i n_side
- * + j + 1).  Query q lists, in no particular order, every point with
- * dx^2 + dy^2 <= qr[q]^2, as the sum is formed here (dx, dy the offset
- * from (qx[q], qy[q])), by scanning the rows of cells of its box: a radius
- * of +inf scans every cell and lists every point, and a negative or NaN
- * radius lists none.
- * Queries are written in order while their hits fit in `capacity` items:
- * query q's are items[offsets[q] .. offsets[q + 1]), offsets[0] = 0.
- * Returns the number of queries written; the caller asks again from the
- * first one left out.  A capacity of at least the number of points fits
- * every single query. */
-int64_t point_balls(const double *px, const double *py, const int64_t *order,
-                    const int64_t *cell_start, int64_t n_side, double half_width, double inv_h,
-                    const double *qx, const double *qy, const double *qr,
-                    int64_t n_q, int64_t *offsets, int64_t *items, int64_t capacity)
-{
-    int64_t total = 0;
-    offsets[0] = 0;
-    for (int64_t q = 0; q < n_q; q++) {
-        int64_t count = 0;
-        if (qr[q] >= 0.0) {   /* a negative or NaN radius lists nothing */
-            const double x = qx[q], y = qy[q], r = qr[q], r2 = r * r;
-            /* every hit lies within r (1 + 1e-12) + 1e-12 of the center on
-             * each axis: the margin covers the rounding of the sum and
-             * squares that underflow to 0 */
-            const double reach = r * (1.0 + 1e-12) + 1e-12;
-            const int64_t i0 = axis_cell(x - reach, n_side, half_width, inv_h);
-            const int64_t i1 = axis_cell(x + reach, n_side, half_width, inv_h);
-            const int64_t j0 = axis_cell(y - reach, n_side, half_width, inv_h);
-            const int64_t j1 = axis_cell(y + reach, n_side, half_width, inv_h);
-            for (int64_t i = i0; i <= i1; i++) {
-                const int64_t end = cell_start[i * n_side + j1 + 1];
-                for (int64_t e = cell_start[i * n_side + j0]; e < end; e++) {
-                    const double dx = px[e] - x, dy = py[e] - y;
-                    if (dx * dx + dy * dy <= r2) {
-                        if (total + count < capacity)
-                            items[total + count] = order[e];
-                        count++;
-                    }
-                }
-            }
-            if (total + count > capacity)
-                return q;
-        }
-        total += count;
-        offsets[q + 1] = total;
-    }
-    return n_q;
-}
-
 /* rho(z, p) for z = (x, y) with gap = 1 - |z|^2, as
  * hyperbolic.pseudo_distance_many evaluates it, operation for operation:
  * sqrt(d^2 / b^2), with b^2 = d^2 + (1 - |z|^2)(1 - |p|^2), or
@@ -332,6 +281,108 @@ static double rho(double x, double y, double gap, double px, double py)
     const double d2 = dx * dx + dy * dy;
     const double b2 = d2 + gap * (1.0 - (px * px + py * py));
     return d2 < TINY_SQUARE ? hypot(dx, dy) / sqrt(b2) : sqrt(d2 / b2);
+}
+
+/* Points bucketed in a uniform grid (spatial.PointIndex): (px[e], py[e]) is
+ * bucket entry e, point order[e] of the set, and the entries of cell (i, j)
+ * are cell_start[i n_side + j] .. cell_start[i n_side + j + 1).  A ball
+ * query screens the rows of cells of this box by dx^2 + dy^2 <= r^2: a hit
+ * lies within r (1 + 1e-12) + 1e-12 of (x, y) on each axis, the margin
+ * covering the rounding of the sum and squares that underflow to 0. */
+static struct box ball_box(double x, double y, double r,
+                           int64_t n_side, double half_width, double inv_h)
+{
+    const double reach = r * (1.0 + 1e-12) + 1e-12;
+    return (struct box){axis_cell(x - reach, n_side, half_width, inv_h),
+                        axis_cell(x + reach, n_side, half_width, inv_h),
+                        axis_cell(y - reach, n_side, half_width, inv_h),
+                        axis_cell(y + reach, n_side, half_width, inv_h)};
+}
+
+static int ascending(const void *a, const void *b)
+{
+    const double s = *(const double *)a, t = *(const double *)b;
+    return (s > t) - (s < t);
+}
+
+/* Annular sums for queries z = (zx[q], zy[q]) and points in the open disk:
+ * out[q n_cuts + k] is the count of points with rho(z, p) <= cuts[k] less
+ * the sum of their rho() added in ascending order, as a sorted scan of
+ * pseudo_distance_many adds them.  Every point within the largest cut must
+ * be a hit of the ball (bx[q], by[q], br[q]); a radius of +inf hits every
+ * point.  Returns 0, or -1 when out of memory. */
+int64_t point_ball_sums(const double *px, const double *py, const int64_t *cell_start,
+                        int64_t n_side, double half_width, double inv_h,
+                        const double *zx, const double *zy,
+                        const double *bx, const double *by, const double *br, int64_t n_q,
+                        const double *cuts, int64_t n_cuts, double *out)
+{
+    double *hits = malloc((size_t)(cell_start[n_side * n_side] + 1) * sizeof *hits);   /* n + 1 > 0 */
+    if (!hits)
+        return -1;
+    for (int64_t q = 0; q < n_q; q++) {
+        const double x = zx[q], y = zy[q], gap = 1.0 - (x * x + y * y), r = br[q];
+        const struct box b = ball_box(bx[q], by[q], r, n_side, half_width, inv_h);
+        int64_t m = 0;
+        for (int64_t i = b.i0; i <= b.i1; i++)
+            for (int64_t e = cell_start[i * n_side + b.j0]; e < cell_start[i * n_side + b.j1 + 1]; e++) {
+                const double dx = px[e] - bx[q], dy = py[e] - by[q];
+                if (dx * dx + dy * dy <= r * r)
+                    hits[m++] = rho(x, y, gap, px[e], py[e]);
+            }
+        if (m >= 64)
+            qsort(hits, (size_t)m, sizeof *hits, ascending);
+        else   /* by insertion, which beats qsort's calls to `ascending` */
+            for (int64_t a = 1, c; a < m; a++) {
+                const double t = hits[a];
+                for (c = a; c > 0 && hits[c - 1] > t; c--)
+                    hits[c] = hits[c - 1];
+                hits[c] = t;
+            }
+        for (int64_t k = 0, c; k < n_cuts; k++) {
+            double sum = 0.0;
+            for (c = 0; c < m && hits[c] <= cuts[k]; c++)
+                sum += hits[c];
+            out[q * n_cuts + k] = (double)c - sum;
+        }
+    }
+    free(hits);
+    return 0;
+}
+
+/* The least gap hypot(dx, dy) - radii[a] - radii[b] (hypot is even: the
+ * sign of dx and dy is moot) between disks centred at points a < b, least
+ * by (gap, a, b), over the hits of each disk's ball of twice its radius,
+ * 1e-9 relative wider so that rounding drops no pair: closed disks meet
+ * only that close, so it is the least of all gaps when that is <= 0.
+ * Returns the gap, its pair in pair[0..1]; +inf, (-1, -1) with no hit. */
+double point_least_gap(const double *px, const double *py, const int64_t *order,
+                       const int64_t *cell_start, int64_t n_side, double half_width,
+                       double inv_h, const double *radii, int64_t *pair)
+{
+    double best = INFINITY;
+    pair[0] = pair[1] = -1;
+    for (int64_t e = 0; e < cell_start[n_side * n_side]; e++) {
+        const int64_t q = order[e];
+        const double r = 2.0 * radii[q] * (1.0 + 1e-9);
+        if (!(r >= 0.0))
+            continue;
+        const struct box b = ball_box(px[e], py[e], r, n_side, half_width, inv_h);
+        for (int64_t i = b.i0; i <= b.i1; i++)
+            for (int64_t f = cell_start[i * n_side + b.j0]; f < cell_start[i * n_side + b.j1 + 1]; f++) {
+                const double dx = px[f] - px[e], dy = py[f] - py[e];
+                const int64_t a = q < order[f] ? q : order[f], c = q < order[f] ? order[f] : q;
+                if (a == c || !(dx * dx + dy * dy <= r * r))
+                    continue;
+                const double g = hypot(dx, dy) - radii[a] - radii[c];
+                if (g < best || (g == best && (a < pair[0] || (a == pair[0] && c < pair[1])))) {
+                    best = g;
+                    pair[0] = a;
+                    pair[1] = c;
+                }
+            }
+    }
+    return best;
 }
 
 /* The least of t and r as a scan that propagates NaN takes it. */
@@ -361,8 +412,8 @@ static double rho_beyond(double d, double gap, double gap_max)
     return d > 0.0 ? sqrt(d * d / (d * d + g * w)) - (0x1p-49 + 0x1p-51 / d) : -INFINITY;
 }
 
-/* Pseudo nearest queries over the bucketed points of point_balls, which
- * must lie in the open disk (1 - |p|^2 > 2^-46): out[q] is the least
+/* Pseudo nearest queries over the bucketed points, which must lie in the
+ * open disk (1 - |p|^2 > 2^-46): out[q] is the least
  * rho(z, p) over the points p, for z = (qx[q], qy[q]), as rho() evaluates
  * it; with `others` set, a point equal to z is passed over, and a query
  * with no point to measure gets +inf.

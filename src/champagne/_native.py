@@ -1,6 +1,6 @@
 """Build and load the compiled library: the walk kernel (_walk.c), the
-grid index build and the point ball and nearest queries (_grid.c) and the
-barrier potential (_blaschke.c).
+grid index build and the point queries (annular sums, a least-gap pair,
+least rho: _grid.c) and the barrier potential (_blaschke.c).
 
 The library is compiled with the system C compiler the first time one of
 its functions is needed, never at import: a walk's grid index, a barrier,
@@ -106,13 +106,14 @@ def library() -> ctypes.CDLL:
     lib.grid_encounters.argtypes = (disks[:3] + [i64, i32] + grid
                                     + [i64, ctypes.c_int64, f64, f64])   # pl, its count, outputs
     cells = [i64] + grid[:3]   # the point buckets' cell_start, n_side, half_width, inv_h
-    lib.point_balls.argtypes = ([f64, f64, i64] + cells            # px, py, order
-                                + [f64, f64, f64, ctypes.c_int64]  # the balls
-                                + [i64, i64, ctypes.c_int64])      # offsets, items, capacity
+    lib.point_ball_sums.argtypes = ([f64, f64] + cells + [f64] * 5 + [ctypes.c_int64]  # z, balls
+                                    + [f64, ctypes.c_int64, f64])                       # cuts, out
+    lib.point_least_gap.argtypes = [f64, f64, i64] + cells + [f64, i64]  # px, py, order, radii, pair
+    lib.point_least_gap.restype = ctypes.c_double
     lib.point_nearest.argtypes = ([f64, f64] + cells + [f64, f64, ctypes.c_int64]
                                   + [ctypes.c_int64, ctypes.c_double, f64])  # others, gap_max, out
     for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_encounters,
-               lib.point_balls, lib.point_nearest):
+               lib.point_ball_sums, lib.point_nearest):
         fn.restype = ctypes.c_int64
     lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64,
                                       _array(np.complex128), ctypes.c_int64, f64]

@@ -27,7 +27,7 @@ from .hyperbolic import (
     require_disk_point,
 )
 from .sequences import PointSequence, separation
-from .spatial import DiskGridIndex, PointIndex, nearest_disk, pairs
+from .spatial import DiskGridIndex, PointIndex, nearest_disk
 
 _EXP_GUARD = 700.0  # exponents beyond this under/overflow float64
 
@@ -533,18 +533,9 @@ def domain_from_pseudo(pseudo_disks, truncation_R: float = 1.0,
 def _check_disjoint(dom: ChampagneDomain) -> None:
     """Exact pairwise gap check; raises OverlapError naming the sources of
     the most overlapping pair (ties go to the lowest index pair)."""
-    cx = dom.centers.real
-    cy = dom.centers.imag
-    r = dom.radii
-    # two closed disks meet only within twice the larger radius (widened by
-    # 1e-9 relative so that rounding of the distance cannot drop a pair)
-    q, p = pairs(PointIndex(dom.centers).balls(dom.centers, 2.0 * r * (1.0 + 1e-9)))
-    a = np.minimum(q, p)[q != p]
-    b = np.maximum(q, p)[q != p]
-    gap = np.hypot(cx[a] - cx[b], cy[a] - cy[b]) - r[a] - r[b]
-    if gap.min(initial=np.inf) <= 0.0:
-        k = np.lexsort((b, a, gap))[0]
-        raise OverlapError(dom.source_index[a[k]], dom.source_index[b[k]], gap[k])
+    gap, a, b = PointIndex(dom.centers).least_gap(dom.radii)
+    if gap <= 0.0:
+        raise OverlapError(dom.source_index[a], dom.source_index[b], gap)
 
 
 def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .hyperbolic import BOUNDARY_MARGIN, pseudo_distance_many
+from .hyperbolic import BOUNDARY_MARGIN, require_disk_point
 from .spatial import PointIndex
 from .streams import derive_seed, mix64
 
@@ -76,16 +76,15 @@ def generate_ring_lattice(q: float, points_per_ring_scale: float = 1.0,
         raise ValidationError(f"q must lie in (0, 1), got {q!r}")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth!r}")
-    if not points_per_ring_scale > 0.0:
-        raise ValidationError("points_per_ring_scale must be positive")
+    if not 0.0 < points_per_ring_scale < math.inf:
+        raise ValidationError(f"scale must be positive and finite, got {points_per_ring_scale!r}")
+    # the outermost ring is the one nearest the circle
+    if 1.0 - q ** depth > 1.0 - BOUNDARY_MARGIN:
+        raise ValidationError(f"ring {depth} is too close to the unit circle; lower the depth")
     points = []
     rings = []
     for j in range(1, depth + 1):
         m = 1.0 - q ** j
-        if m <= 0.0:
-            raise ValidationError(f"ring {j} has non-positive modulus; lower the depth or q")
-        if m > 1.0 - BOUNDARY_MARGIN:
-            raise ValidationError(f"ring {j} is too close to the unit circle; lower the depth")
         # snap guards against float slop in q**-j just below an integer
         n_j = math.ceil(points_per_ring_scale * q ** (-j) - 1e-9)
         n_j = max(n_j, 1)
@@ -228,38 +227,11 @@ class DensityEstimate:
     n_probes: int
 
 
-_SUM_BLOCK = 1 << 13  # padded candidate entries per block of probes: bounds the memory of the sums
-
-
 def _annular_sums(pts: np.ndarray, probes: np.ndarray, r_values: np.ndarray) -> np.ndarray:
     """sum_{rho(lambda, z) <= r} (1 - rho) for each probe and radius."""
     # ties at rho == r are included (<=); snapped by 1e-12 so whole
     # lattice rings land inside despite ulp noise on their moduli
-    cut = r_values + 1e-12
-    out = np.empty((probes.size, r_values.size))
-    for q0, offsets, items in PointIndex(pts).pseudo_balls(probes, cut.max()):
-        lens = np.diff(offsets)
-        flat = pseudo_distance_many(np.repeat(probes[q0:q0 + lens.size], lens), pts[items])
-        a = 0
-        while a < lens.size:
-            # the most rows from a whose candidates, padded to the longest,
-            # fill at most _SUM_BLOCK entries (at least one row)
-            width = np.maximum.accumulate(lens[a:a + _SUM_BLOCK])
-            b = a + max(1, np.count_nonzero(np.arange(1, width.size + 1) * width <= _SUM_BLOCK))
-            w = width[b - a - 1]
-            # the candidates hold every point within the largest cut, so each
-            # row's sorted prefix up to each cut is that of the full scan, and
-            # the cumulative sum along a row adds in the order of a 1-D scan
-            rho = np.full((b - a, w), np.inf)
-            rho[np.arange(w) < lens[a:b, None]] = flat[offsets[a]:offsets[b]]
-            rho.sort(axis=1)
-            csum = np.zeros((b - a, w + 1))
-            np.cumsum(rho, axis=1, out=csum[:, 1:])
-            for k, c in enumerate(cut):
-                idx = np.count_nonzero(rho <= c, axis=1)
-                out[q0 + a:q0 + b, k] = idx - np.take_along_axis(csum, idx[:, None], 1)[:, 0]
-            a = b
-    return out
+    return PointIndex(pts).pseudo_ball_sums(probes, r_values + 1e-12)
 
 
 def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
@@ -277,7 +249,9 @@ def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
                                  seq.points])
         grid_spec = f"ring probe lattice at density {grid_density:g} over |z|<={max_mod:.6g} plus the sequence itself"
     else:
-        probes = np.asarray(probe_points, dtype=np.complex128)
+        probes = np.asarray(probe_points, dtype=np.complex128).ravel()
+        for z in probes:
+            require_disk_point(z, "probe")
         grid_spec = f"user probe set ({probes.size} points)"
     sums = _annular_sums(seq.points, probes, r)
     norm = np.log(1.0 / (1.0 - r))

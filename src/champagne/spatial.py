@@ -2,20 +2,15 @@
 
 PointIndex answers every query on a point set (separation, covering,
 annular sums, disjointness) from one uniform bucket grid over the points,
-through two compiled queries (_grid.c).
-Within-radius (ball) queries go to point_balls, which scans the rows of
-cells of each query's box.  A pseudo ball {w : rho(z, w) <= r} is
-exactly a Euclidean disk, so it too is a ball query; a pseudo ball wider
-than _PSEUDO_RADIUS_MAX is the whole disk, a ball of radius +inf whose
-box is every cell.  Ball queries return candidates, a superset of the
-answer that callers measure with pseudo_distance_many or their own
-distance formula, so every value equals that of a brute-force scan.  They
-come as flat CSR blocks (q0, offsets, items), each query's candidates in
-no particular order, and a block holds a bounded number of entries.
-Pseudo nearest queries go to point_nearest, one ring search outwards from
-each query's cell, which stops once no unscanned point can be nearer.  It
-evaluates rho as pseudo_distance_many does, operation for operation, and
-returns each query's least rho: the value of a brute-force scan.
+through three compiled queries (_grid.c) that return the value of a
+brute-force scan, not candidates.  Ball queries scan the cells of each
+ball's box: point_ball_sums returns each query's annular sums per cut and
+point_least_gap the least-gap pair of disks centred at the points.  A
+pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean disk; one wider
+than _PSEUDO_RADIUS_MAX is the whole disk, a ball of radius +inf.
+point_nearest returns each query's least rho by one ring search outwards
+from its cell, which stops once no unscanned point can be nearer.  Both
+pseudo queries evaluate rho as pseudo_distance_many does.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -73,7 +68,6 @@ POINTLIKE_RADIUS = 1e-9
 # pseudo balls are taken to be the whole disk.
 _PSEUDO_SLACK = 1e-9
 _PSEUDO_RADIUS_MAX = 1.0 - 1e-5
-_BALL_BLOCK = 1 << 13  # queries and candidates per block of a ball query: bounds its memory
 
 
 class PointIndex:
@@ -114,47 +108,35 @@ class PointIndex:
             self.gap_max, out))
         return out
 
-    def balls(self, centers, radii):
-        """Points p with |centers[q] - p| <= radii[q] (as dx^2 + dy^2 <= r^2),
-        each query's in no particular order, as CSR blocks (q0, offsets,
-        items) over consecutive runs of queries: the points of query q0 + k
-        are items[offsets[k]:offsets[k + 1]].  A block holds at most
-        _BALL_BLOCK queries and max(_BALL_BLOCK, n) items, so that every
-        query fits in one block."""
-        c = np.asarray(centers, dtype=np.complex128).ravel()
-        r = np.ascontiguousarray(np.broadcast_to(np.asarray(radii, dtype=np.float64), c.shape))
-        x, y = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
-        capacity = max(_BALL_BLOCK, self.n)
-        q0 = 0
-        while q0 < c.size:
-            n_q = min(c.size - q0, _BALL_BLOCK)
-            offsets = np.empty(n_q + 1, dtype=np.int64)
-            items = np.empty(capacity, dtype=np.int64)
-            # point_balls writes the queries whose points fit
-            m = _native.library().point_balls(
-                self.px, self.py, self.order, self.cell_start, self.n_side, _L, self.inv_h,
-                x[q0:], y[q0:], r[q0:], n_q, offsets, items, capacity)
-            yield q0, offsets[:m + 1], items[:offsets[m]]
-            q0 += m
-
-    def pseudo_balls(self, z, r):
-        """Candidates covering every point p with rho(z[q], p) <= r[q], in
-        CSR blocks (see balls), each query's in no particular order."""
+    def pseudo_ball_sums(self, z, cuts) -> np.ndarray:
+        """out[q, k] = the count of points p with rho(z[q], p) <= cuts[k] less
+        the sum of those rho, as a sorted scan of pseudo_distance_many adds
+        them.  The points and queries must lie in the open disk."""
         z = np.asarray(z, dtype=np.complex128).ravel()
-        r = np.broadcast_to(np.asarray(r, dtype=np.float64), z.shape)
-        centers, radii = pseudo_to_euclidean_arrays(z, np.minimum(r, _PSEUDO_RADIUS_MAX))
+        cuts = np.ascontiguousarray(cuts, dtype=np.float64).ravel()
+        r = float(cuts.max())
+        centers, radii = pseudo_to_euclidean_arrays(z, min(r, _PSEUDO_RADIUS_MAX))
         # a whole-disk ball is one of radius +inf
-        return self.balls(centers, np.where(r > _PSEUDO_RADIUS_MAX, np.inf, radii + _PSEUDO_SLACK))
+        radii = np.full(z.size, np.inf) if r > _PSEUDO_RADIUS_MAX else radii + _PSEUDO_SLACK
+        out = np.empty((z.size, cuts.size))
+        _checked(_native.library().point_ball_sums(
+            self.px, self.py, self.cell_start, self.n_side, _L, self.inv_h,
+            np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag),
+            np.ascontiguousarray(centers.real), np.ascontiguousarray(centers.imag), radii,
+            z.size, cuts, cuts.size, out))
+        return out
 
-
-def pairs(blocks):
-    """Flatten CSR candidate blocks into index pairs (q, p), sorted by q and
-    in each query's candidate order."""
-    qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for q0, offsets, items in blocks:
-        qs.append(np.repeat(np.arange(q0, q0 + offsets.size - 1), np.diff(offsets)))
-        ps.append(items)
-    return np.concatenate(qs), np.concatenate(ps)
+    def least_gap(self, radii):
+        """(gap, a, b), least, of np.hypot(dx, dy) - radii[a] - radii[b] over
+        disks centred at points a < b within twice the larger radius: the
+        least of all gaps when <= 0; (inf, -1, -1) with no such pair."""
+        radii = np.ascontiguousarray(radii, dtype=np.float64)
+        if radii.shape != (self.n,):
+            raise ValidationError(f"need {self.n} radii, got shape {radii.shape}")
+        pair = np.empty(2, dtype=np.int64)
+        gap = _native.library().point_least_gap(
+            self.px, self.py, self.order, self.cell_start, self.n_side, _L, self.inv_h, radii, pair)
+        return gap, int(pair[0]), int(pair[1])
 
 
 def nearest_disk(x: float, y: float, cx, cy, radii):

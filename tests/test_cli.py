@@ -307,6 +307,8 @@ def test_config_naming_tail_tol_exits_2(tmp_path):
     ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "0"],
     ["gen-seq", "--ring", "q=0.5,scael=2", "--seed", "1"],
     ["gen-seq", "--ring", "q=0.5,depth=2,q=0.9", "--seed", "1"],
+    ["gen-seq", "--ring", "q=0.5,scale=inf,depth=3", "--seed", "1"],
+    ["density", "--ring", "q=0.5,scale=1,depth=3", "--r-list", "0.9", "--grid-density", "inf"],
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     dom_path = tmp_path / "one.json"

@@ -35,6 +35,21 @@ def test_ring_lattice_moduli():
         assert np.allclose(mods, 1 - 0.5 ** j, atol=1e-14)
 
 
+def test_a_ring_lattice_refuses_a_deep_ring_before_it_builds_any(monkeypatch):
+    # ring 40 of q = 0.5 lies within BOUNDARY_MARGIN of the circle, so depth
+    # 45 is refused before any ring's phase is drawn
+    calls = []
+    real = ch.sequences.derive_seed
+    monkeypatch.setattr(ch.sequences, "derive_seed", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(ValidationError, match="ring 45 is too close to the unit circle"):
+        generate_ring_lattice(0.5, 1e-12, 45)
+    assert calls == []
+    for scale in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="scale must be positive and finite"):
+            generate_ring_lattice(0.5, scale, 3)
+    assert calls == []
+
+
 def test_sequence_validation():
     with pytest.raises(ValidationError):
         PointSequence(np.array([0.2 + 0j, 0.2 + 0j]))   # duplicates rejected
@@ -120,6 +135,15 @@ def test_density_trivial_cases():
     assert est.lower_curve[0] == 0.0  # empty annulus
     est2 = uniform_density(seq, [0.99, 0.999999], mode="both", probe_points=np.array([0j]))
     assert est2.upper_curve[1] < est2.upper_curve[0]  # bounded numerator, log blowup
+
+
+def test_density_refuses_probes_outside_the_open_disk():
+    seq = generate_ring_lattice(0.5, 2, 3, seed=1)
+    for probes in ([0.0, 1.5], [math.nan], [0.5, complex(0.0, math.inf)], [1.0], [-1.0 + 1e-13]):
+        with pytest.raises(ValidationError, match="probe=.* is not inside the open unit disk"):
+            uniform_density(seq, [0.9], probe_points=np.array(probes))
+    est = uniform_density(seq, [0.9], probe_points=np.array([0.0, 1.0 - 1e-12]))
+    assert est.n_probes == 2
 
 
 def test_density_against_naive_double_loop():

@@ -10,7 +10,6 @@ replaced.
 """
 
 import ast
-import contextlib
 import ctypes
 import math
 import os
@@ -187,20 +186,15 @@ def _annular_sums_by_scan(pts, probes, r):
 
 
 @given(point_sets, st.lists(_polar, min_size=1, max_size=120).map(_to_points),
-       st.lists(st.floats(1e-3, 1.0 - 1e-6), min_size=1, max_size=4),
-       st.booleans(), st.sampled_from([1, 50, 400]))
+       st.lists(st.floats(1e-3, 1.0 - 1e-6) | st.just(1.0 - 1e-9), min_size=1, max_size=4),
+       st.booleans())
 @examples
-def test_uniform_density_matches_all_pairs(pts, probes, r_values, whole, block):
-    # annular sums in blocks of one probe, a few and many, with ragged
-    # widths and last blocks; small radii leave probes without candidates,
-    # and a radius above _PSEUDO_RADIUS_MAX makes every point a candidate
+def test_uniform_density_matches_all_pairs(pts, probes, r_values, whole):
+    # cuts in any order; small radii leave probes without hits, and a
+    # radius above _PSEUDO_RADIUS_MAX scans every point
     r = np.array(r_values + [1.0 - 1e-6] * whole)
-    default, sequences._SUM_BLOCK = sequences._SUM_BLOCK, block
-    try:
-        got = sequences._annular_sums(pts, probes, r)
-        est = uniform_density(PointSequence(pts), r, mode="both", probe_points=probes)
-    finally:
-        sequences._SUM_BLOCK = default
+    got = sequences._annular_sums(pts, probes, r)
+    est = uniform_density(PointSequence(pts), r, mode="both", probe_points=probes)
     sums = _annular_sums_by_scan(pts, probes, r)
     assert np.array_equal(got, sums)
     curves = sums / np.log(1.0 / (1.0 - r))[None, :]
@@ -215,15 +209,26 @@ def test_annular_sums_over_several_full_blocks():
         r = np.array(r)
         assert np.array_equal(sequences._annular_sums(seq.points, probes, r),
                               _annular_sums_by_scan(seq.points, probes, r))
-    # the whole-disk rows span more than one block, the last one ragged
-    rows = sequences._SUM_BLOCK // len(seq)
-    assert probes.size > rows and probes.size % rows
+
+
+def test_an_annular_sum_scans_every_cell_its_ball_reaches():
+    # five points make a 4 x 4 bucket grid with a cell edge at x = L / 2;
+    # the pseudo ball about 0 is the disk of radius r, and the point just
+    # inside it on the x axis lies past that edge
+    r = 0.5157
+    assert spatial._L / 2 < r * (1.0 - 1e-6) and r * (1.0 - 1e-3) < spatial._L / 2
+    pts = np.array([r * (1.0 - 1e-6), -0.5, 0.5j, -0.5j, 0.1])
+    probes = np.array([0j])
+    assert spatial.PointIndex(pts).n_side == 4
+    got = sequences._annular_sums(pts, probes, np.array([r]))
+    assert np.array_equal(got, _annular_sums_by_scan(pts, probes, np.array([r])))
+    assert got[0, 0] == pytest.approx(5 - np.abs(pts).sum())   # every point is a hit
 
 
 def test_whole_disk_annular_sums_hold_bounded_memory():
     # 6,272 probes whose second cut is the whole disk, so every point is a
-    # candidate of every probe: the sums hold bounded blocks of those
-    # 6.4 million pairs, never all of them (51 MB of int64 indices alone)
+    # hit of every probe: the sums never hold all 6.4 million pairs (51 MB
+    # of int64 indices alone)
     seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
     r = [0.9, 1.0 - 1e-6]
     uniform_density(seq, r, mode="both")    # the library is loaded outside the window
@@ -234,106 +239,6 @@ def test_whole_disk_annular_sums_hold_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
-
-
-def _rows(blocks, n_q, n, block):
-    """The rows of CSR ball blocks as sorted sets, each block checked:
-    consecutive queries, consistent offsets, within the block bounds, and
-    no row listing a point twice."""
-    rows = []
-    for q0, offsets, items in blocks:
-        assert q0 == len(rows)
-        assert offsets[0] == 0 and offsets[-1] == items.size and np.all(np.diff(offsets) >= 0)
-        assert 1 <= offsets.size - 1 <= block and items.size <= max(block, n)
-        rows += np.split(items, offsets[1:-1])
-    assert len(rows) == n_q
-    rows = [np.sort(row) for row in rows]
-    assert all(np.all(np.diff(row) > 0) for row in rows)
-    return rows
-
-
-# points in the disk (down to 1e-12 from the rim) and on or beyond the unit
-# circle, out to where the bucket grid clamps them into its edge cells
-_outer = st.tuples(st.floats(1.0, 3.0), st.floats(0.0, 2.0 * np.pi))
-plane_sets = st.tuples(st.lists(_polar, max_size=30), st.lists(_outer, max_size=6)).map(
-    lambda parts: np.concatenate([_to_points(parts[0]),
-                                  [m * np.exp(1j * t) for m, t in parts[1]]]).astype(complex))
-blocks = st.sampled_from([1, 2, 3, 7, spatial._BALL_BLOCK])
-
-
-@contextlib.contextmanager
-def _ball_block(block):
-    default, spatial._BALL_BLOCK = spatial._BALL_BLOCK, block
-    try:
-        yield
-    finally:
-        spatial._BALL_BLOCK = default
-
-
-def test_whole_disk_pseudo_balls_list_every_point_once():
-    # a pseudo ball above _PSEUDO_RADIUS_MAX is a ball of radius +inf: its
-    # cell scan lists every point once, while the narrower balls beside it
-    # list only some
-    pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
-    z = np.array([0.0, 0.3 + 0.2j, 0.9j, -0.5])
-    r = np.array([1.0 - 1e-6, 0.4, 1.0 - 1e-9, 0.7])
-    rows = _rows(spatial.PointIndex(pts).pseudo_balls(z, r), z.size, pts.size, spatial._BALL_BLOCK)
-    assert np.array_equal(rows[0], np.arange(pts.size)) and np.array_equal(rows[2], rows[0])
-    assert 0 < rows[1].size < pts.size and 0 < rows[3].size < pts.size
-
-
-@pytest.mark.parametrize("block", [1, 3, spatial._BALL_BLOCK])
-def test_a_ball_of_radius_inf_lists_every_point_once_and_nan_or_negative_none(block):
-    # the points beyond the unit circle fall in the grid's edge cells
-    pts = np.concatenate([ch.generate_ring_lattice(0.5, 2, 5, seed=3).points,
-                          [1.0, -2.5j, 3.0 + 3.0j, 0.0]])
-    centers = np.array([0.0, 0.5 - 0.5j, 2.0, 0.0, 0.3j, 0.1, -0.2])
-    radii = np.array([np.inf, np.inf, np.inf, -1.0, np.nan, -np.inf, -1e-300])
-    with _ball_block(block):
-        rows = _rows(spatial.PointIndex(pts).balls(centers, radii), centers.size, pts.size, block)
-    for row in rows[:3]:
-        assert np.array_equal(row, np.arange(pts.size))
-    assert all(row.size == 0 for row in rows[3:])
-
-
-@given(plane_sets, st.lists(st.tuples(st.integers(0, 40), _polar,
-                                      st.one_of(st.just(0.0), st.floats(0.0, 2.5))), max_size=25),
-       blocks)
-@examples
-def test_ball_query_matches_a_scan(pts, queries, block):
-    # query centers are points of the set (so a zero radius hits them) or
-    # new points; each row equals the brute-force dx^2 + dy^2 <= r^2
-    centers = np.array([pts[k] if k < pts.size else _to_points(p)[0] for k, p, _ in queries],
-                       dtype=complex)
-    radii = np.array([r for _, _, r in queries])
-    with _ball_block(block):
-        rows = _rows(spatial.PointIndex(pts).balls(centers, radii), centers.size, pts.size, block)
-    dx = pts.real[None, :] - centers.real[:, None]
-    dy = pts.imag[None, :] - centers.imag[:, None]
-    hit = dx * dx + dy * dy <= (radii * radii)[:, None]
-    for row, want in zip(rows, hit):
-        assert np.array_equal(row, np.flatnonzero(want))
-
-
-@given(st.lists(_polar, max_size=30).map(_to_points),
-       st.lists(st.tuples(st.integers(0, 40), _polar,
-                          st.one_of(st.sampled_from([0.0, 1.0 - 1e-6, 1.0 - 1e-9]),
-                                    st.floats(0.0, 0.99999))), max_size=25),
-       blocks)
-@examples
-def test_pseudo_ball_query_holds_every_hit(pts, queries, block):
-    # every point with rho(z, p) <= r is a candidate, and a whole-disk row
-    # (r above _PSEUDO_RADIUS_MAX) lists every point
-    z = np.array([pts[k] if k < pts.size else _to_points(p)[0] for k, p, _ in queries],
-                 dtype=complex)
-    r = np.array([r for _, _, r in queries])
-    with _ball_block(block):
-        rows = _rows(spatial.PointIndex(pts).pseudo_balls(z, r), z.size, pts.size, block)
-    for zq, rq, row in zip(z, r, rows):
-        if rq > spatial._PSEUDO_RADIUS_MAX:
-            assert np.array_equal(row, np.arange(pts.size))
-        else:
-            assert np.isin(np.flatnonzero(pseudo_distance_many(zq, pts) <= rq), row).all()
 
 
 @given(point_sets.flatmap(lambda pts: st.tuples(
@@ -355,6 +260,23 @@ def test_disjointness_check_matches_all_pairs(case):
         assert (exc.index_a, exc.index_b, exc.gap) == (i[k], j[k], gap[k])
     else:
         assert gap.min() > 0.0
+
+
+def test_an_exact_overlap_tie_names_the_pair_of_lower_domain_indices():
+    # four mirror images of one overlapping pair have equal gaps.  Pair
+    # (0, 1) is neither the first nor the last that the grid's cell order
+    # meets, and the source indices run the other way, so the error must
+    # name domain indices (0, 1), the rule the all-pairs scan keeps
+    c = np.array([0.3 + 0.3j, 0.4 + 0.3j])
+    dom = ChampagneDomain(np.concatenate([-c.conj(), -c, c, c.conj()]), np.full(8, 0.1),
+                          np.arange(8)[::-1], truncation_R=1.0, profile_spec="explicit")
+    x, y, r = dom.centers.real, dom.centers.imag, dom.radii
+    i, j = np.triu_indices(8, k=1)
+    gaps = np.hypot(x[i] - x[j], y[i] - y[j]) - r[i] - r[j]
+    assert np.count_nonzero(gaps == gaps.min()) == 4 and gaps.min() < 0.0
+    with pytest.raises(OverlapError) as exc:
+        _check_disjoint(dom)
+    assert (exc.value.index_a, exc.value.index_b, exc.value.gap) == (7, 6, gaps[0])
 
 
 def test_no_module_loads_scipy_spatial():
@@ -498,7 +420,7 @@ def test_every_exported_c_function_has_its_ctypes_declaration():
                 else:
                     assert declared is scalars[param.split()[0]], (name, param)
     assert sorted(seen) == ["barrier_potential", "grid_cells", "grid_encounters", "grid_items",
-                            "point_balls", "point_nearest", "walk_range"]
+                            "point_ball_sums", "point_least_gap", "point_nearest", "walk_range"]
 
 
 # disjoint disks: each radius is a fraction (down to point-like) of the
@@ -780,6 +702,15 @@ def test_no_surface_distance_but_hypot_is_left_in_src():
     # one surface distance outside the walk kernel: np.hypot and libm hypot
     src = pathlib.Path(ch.__file__).parent
     words = ("math.hypot", "_surface_distances", "_HYPOT_SLACK", "grid_near_others")
+    found = {(f.name, w) for f in sorted(src.rglob("*")) if f.suffix in (".py", ".c")
+             for w in words if w in f.read_text()}
+    assert found == set()
+
+
+def test_no_point_query_returns_candidates():
+    # each query over a point set returns its answer, not candidate lists
+    src = pathlib.Path(ch.__file__).parent
+    words = ("point_balls", "pseudo_balls", "def balls", "_BALL_BLOCK", "_SUM_BLOCK", "def pairs")
     found = {(f.name, w) for f in sorted(src.rglob("*")) if f.suffix in (".py", ".c")
              for w in words if w in f.read_text()}
     assert found == set()
