@@ -365,8 +365,6 @@ double point_least_gap(const double *px, const double *py, const int64_t *order,
     for (int64_t e = 0; e < cell_start[n_side * n_side]; e++) {
         const int64_t q = order[e];
         const double r = 2.0 * radii[q] * (1.0 + 1e-9);
-        if (!(r >= 0.0))
-            continue;
         const struct box b = ball_box(px[e], py[e], r, n_side, half_width, inv_h);
         for (int64_t i = b.i0; i <= b.i1; i++)
             for (int64_t f = cell_start[i * n_side + b.j0]; f < cell_start[i * n_side + b.j1 + 1]; f++) {
@@ -385,14 +383,9 @@ double point_least_gap(const double *px, const double *py, const int64_t *order,
     return best;
 }
 
-/* The least of t and r as a scan that propagates NaN takes it. */
-static double least(double t, double r)
-{
-    return r < t || isnan(r) ? r : t;
-}
-
 /* A lower bound on the computed rho(z, p) for every point p at least d
- * from z, where gap = 1 - |z|^2 and gap_max bounds every 1 - |p|^2: with
+ * from z, for z and p points of the open disk with 1 - |z|^2 > 2^-46,
+ * where gap = 1 - |z|^2 and gap_max bounds every 1 - |p|^2: with
  * D = |z - p|, rho^2 = D^2 / (D^2 + (1 - |z|^2)(1 - |p|^2)), where
  * 1 - |p|^2 is at most gap_max and, as |p| >= |z| - D, at most
  * 1 - |z|^2 + 2 D, so rho grows with D.  rho() is within (3.5 + 1 / b)
@@ -412,25 +405,24 @@ static double rho_beyond(double d, double gap, double gap_max)
     return d > 0.0 ? sqrt(d * d / (d * d + g * w)) - (0x1p-49 + 0x1p-51 / d) : -INFINITY;
 }
 
-/* Pseudo nearest queries over the bucketed points, which must lie in the
- * open disk (1 - |p|^2 > 2^-46): out[q] is the least
+/* Pseudo nearest queries over the bucketed points: out[q] is the least
  * rho(z, p) over the points p, for z = (qx[q], qy[q]), as rho() evaluates
  * it; with `others` set, a point equal to z is passed over, and a query
- * with no point to measure gets +inf.
+ * with no point to measure gets +inf.  Queries and points are points of
+ * the open disk with 1 - |.|^2 > 2^-46, as the callers' checks of
+ * |z| <= 1 - 1e-12 ensure, so no rho is NaN.
  * The rings of cells around z's cell are searched outwards, as
  * grid_encounters does.  A cell whose points are too far from z to beat
  * the least rho so far, by rho_beyond at its distance from z, is passed
  * over, and once rings 0 .. k are scanned, every other point lies at
  * least k h from z: the search stops when rho_beyond at k h exceeds the
- * least rho.  A query not surely inside the disk measures every point.
- * Returns 0, or -1 when out of memory. */
+ * least rho.  Returns 0, or -1 when out of memory. */
 int64_t point_nearest(const double *px, const double *py, const int64_t *cell_start,
                       int64_t n_side, double half_width, double inv_h,
                       const double *qx, const double *qy, int64_t n_q, int64_t others,
                       double gap_max, double *out)
 {
     const double h = 2.0 * half_width / (double)n_side;
-    const int64_t n = cell_start[n_side * n_side];   /* the number of points */
     int64_t *cells = malloc((size_t)(8 * n_side + 1) * sizeof *cells);
     if (!cells)
         return -1;
@@ -439,37 +431,31 @@ int64_t point_nearest(const double *px, const double *py, const int64_t *cell_st
         /* 1 - |z|^2 is within 2^-52 of its value; from 2^-46 on, its
          * relative error is below 2^-6, which rho_beyond allows for */
         const double gap = 1.0 - (x * x + y * y);
+        const int64_t i0 = axis_cell(x, n_side, half_width, inv_h);
+        const int64_t j0 = axis_cell(y, n_side, half_width, inv_h);
+        int64_t edge = i0 > n_side - 1 - i0 ? i0 : n_side - 1 - i0;
+        edge = j0 > edge ? j0 : edge;
+        edge = n_side - 1 - j0 > edge ? n_side - 1 - j0 : edge;
         double t = INFINITY;
-        if (!(gap > 0x1p-46)) {
-            for (int64_t e = 0; e < n; e++)
-                if (!(others && px[e] == x && py[e] == y))
-                    t = least(t, rho(x, y, gap, px[e], py[e]));
-        } else {
-            const int64_t i0 = axis_cell(x, n_side, half_width, inv_h);
-            const int64_t j0 = axis_cell(y, n_side, half_width, inv_h);
-            int64_t edge = i0 > n_side - 1 - i0 ? i0 : n_side - 1 - i0;
-            edge = j0 > edge ? j0 : edge;
-            edge = n_side - 1 - j0 > edge ? n_side - 1 - j0 : edge;
-            for (int64_t k = 0; k <= edge; k++) {
-                const int64_t n_cells = ring(n_side, i0, j0, k, cells);
-                for (int64_t a = 0; a < n_cells; a++) {
-                    const int64_t c = cells[a], end = cell_start[c + 1];
-                    if (cell_start[c] == end)
-                        continue;
-                    /* the distance from z to the cell */
-                    const double lo_x = -half_width + (double)(c / n_side) * h;
-                    const double lo_y = -half_width + (double)(c % n_side) * h;
-                    const double gx = fmax(fmax(lo_x - x, x - (lo_x + h)), 0.0);
-                    const double gy = fmax(fmax(lo_y - y, y - (lo_y + h)), 0.0);
-                    if (rho_beyond(sqrt(gx * gx + gy * gy), gap, gap_max) > t)
-                        continue;
-                    for (int64_t e = cell_start[c]; e < end; e++)
-                        if (!(others && px[e] == x && py[e] == y))
-                            t = least(t, rho(x, y, gap, px[e], py[e]));
-                }
-                if (rho_beyond((double)k * h, gap, gap_max) > t)
-                    break;
+        for (int64_t k = 0; k <= edge; k++) {
+            const int64_t n_cells = ring(n_side, i0, j0, k, cells);
+            for (int64_t a = 0; a < n_cells; a++) {
+                const int64_t c = cells[a], end = cell_start[c + 1];
+                if (cell_start[c] == end)
+                    continue;
+                /* the distance from z to the cell */
+                const double lo_x = -half_width + (double)(c / n_side) * h;
+                const double lo_y = -half_width + (double)(c % n_side) * h;
+                const double gx = fmax(fmax(lo_x - x, x - (lo_x + h)), 0.0);
+                const double gy = fmax(fmax(lo_y - y, y - (lo_y + h)), 0.0);
+                if (rho_beyond(sqrt(gx * gx + gy * gy), gap, gap_max) > t)
+                    continue;
+                for (int64_t e = cell_start[c]; e < end; e++)
+                    if (!(others && px[e] == x && py[e] == y))
+                        t = fmin(t, rho(x, y, gap, px[e], py[e]));
             }
+            if (rho_beyond((double)k * h, gap, gap_max) > t)
+                break;
         }
         out[q] = t;
     }

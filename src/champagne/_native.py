@@ -99,7 +99,7 @@ def library() -> ctypes.CDLL:
     lib.walk_range.argtypes = (
         [f64, f64, f64, i64, i32, f64, _array(np.uint8), f64, f64]          # grid index
         + grid
-        + [ctypes.c_double] * 6 + [ctypes.c_uint64] + [ctypes.c_int64] * 3  # the walks
+        + [ctypes.c_double] * 5 + [ctypes.c_uint64] + [ctypes.c_int64] * 3  # the walks
         + [i64, i64, f64, f64, f64, f64])                                    # outputs
     lib.grid_cells.argtypes = disks + grid + [i64, f64]
     lib.grid_items.argtypes = disks + grid + [i64, i32]

@@ -20,8 +20,8 @@
  * cell c; the clearance of each cell; and, per disk, the point-like flag and
  * the encounter annulus data.
  *
- * Outputs per walk: exit code (0 exterior, k + 1 bubble k, -2 shell, -1 for
- * a walk over budget), uniforms drawn, path length and exit position.
+ * Outputs per walk: exit code (0 exterior, k + 1 bubble k, -1 for a walk
+ * over budget), uniforms drawn, path length and exit position.
  * A walk fails once it has drawn max_steps uniforms, even when it would
  * exit at once.  Returns the number of failed walks; stuck[] gets where the
  * lowest-index one stopped.
@@ -30,7 +30,6 @@
 #include <stdint.h>
 
 #define CODE_EXTERIOR 0
-#define CODE_SHELL (-2)
 #define CODE_FAILED (-1)
 
 /* SplitMix64, as champagne.streams: the uniform at counter t of stream key */
@@ -77,7 +76,7 @@ int64_t walk_range(const double *cx, const double *cy, const double *radii,
                    const double *enc_clearance, const double *enc_modulus,
                    int64_t n_side, double half_width, double inv_h, double h,
                    double x0, double y0, double eps, double enc_trigger,
-                   double r_out, double shell, uint64_t seed,
+                   double r_out, uint64_t seed,
                    int64_t w0, int64_t w1, int64_t max_steps,
                    int64_t *code, int64_t *steps, double *path,
                    double *ex, double *ey, double *stuck)
@@ -114,9 +113,7 @@ int64_t walk_range(const double *cx, const double *cy, const double *radii,
             const double step = d_ext < d_bub ? d_ext : d_bub;
 
             c = d_ext <= cand ? CODE_EXTERIOR : near + 1;
-            if (mod >= shell)
-                c = CODE_SHELL;
-            if (step < eps || c == CODE_SHELL)
+            if (step < eps)
                 break;
 
             if (cand < enc_trigger && pointlike[near]) {

@@ -109,9 +109,9 @@ class BarrierCertificate:
     barrier_at_start: float        # U(start) after rescaling
     rescale_factor: float
     per_bubble_min: tuple          # min of rescaled U over each bubble boundary
-    weights: tuple                 # rescaled; weights[j-1] is the weight of shell j
+    shells: tuple                  # the occupied shell indices, ascending
+    weights: tuple                 # rescaled; weights[k] is the weight of shells[k]
     eta: float
-    n: int                         # the largest shell index
     sample_density: int
     flags: tuple
 
@@ -124,9 +124,10 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     shell_of_modulus(|center|, eta), the bubble centers seen from `start`.
     The weights w >= 0 minimise U(start) subject to U >= 1 at
     `boundary_sample_density` samples on each bubble boundary
-    (_shell_weights), whose columns are the shells holding a bubble center:
-    an empty shell gets weight 0.  The certificate then recomputes U at
-    every sample, rescales w by the least value, and returns
+    (_shell_weights), whose columns are the shells holding a bubble center;
+    an empty shell's potential vanishes, so it has no weight, and the
+    certificate reports only these `shells`.  The certificate then
+    recomputes U at every sample, rescales w by the least value, and returns
     max(0, 1 - U(start)).  Bubbles may have any pseudo radii.  Refuses when U is not positive at
     some sample, or when the solver does.
     """
@@ -139,7 +140,7 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     if domain.n_bubbles == 0:
         return BarrierCertificate(
             exterior_lower=1.0, barrier_at_start=0.0, rescale_factor=1.0, per_bubble_min=(),
-            weights=(), eta=eta, n=0, sample_density=boundary_sample_density,
+            shells=(), weights=(), eta=eta, sample_density=boundary_sample_density,
             flags=("empty domain",))
     if start != 0:
         domain = transport_domain(domain, start)
@@ -151,7 +152,7 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     theta = 2.0 * math.pi * np.arange(m) / m
     ring = np.exp(1j * theta)
     samples = (domain.centers[:, None] + domain.radii[:, None] * ring[None, :]).ravel()
-    # an empty shell's potential vanishes: it is no column, and its weight is 0
+    # an empty shell's potential vanishes: it is no column and no weight
     occupied, column = np.unique(shells, return_inverse=True)
     M = _shell_potential(zeros, column + 1, np.append(samples, 0j))
     # a bubble below coordinate resolution has samples that round onto its
@@ -171,13 +172,11 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
         )
     factor = 1.0 / m_min
     u0 = float(u_vals[-1]) * factor
-    weights = np.zeros(int(occupied[-1]))
-    weights[occupied - 1] = w * factor
     return BarrierCertificate(
         exterior_lower=max(0.0, 1.0 - u0),
         barrier_at_start=u0,
         rescale_factor=factor,
         per_bubble_min=tuple(float(v) * factor for v in per_bubble_min),
-        weights=tuple(weights.tolist()), eta=eta, n=weights.size,
+        shells=tuple(occupied.tolist()), weights=tuple((w * factor).tolist()), eta=eta,
         sample_density=boundary_sample_density, flags=())
 

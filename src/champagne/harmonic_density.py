@@ -46,8 +46,7 @@ import numpy as np
 
 from .domains import build_finitely_connected, transport_domain
 from .errors import ValidationError
-from .hyperbolic import require_disk_point
-from .sequences import PointSequence, probe_lattice, uniform_density
+from .sequences import PointSequence, probe_lattice, require_probe_points, uniform_density
 from .streams import derive_seed
 from .walker import MeasureEstimate, _map_jobs, estimate_measure
 
@@ -195,9 +194,7 @@ def harmonic_density_curve(seq: PointSequence, r_values, mode: str,
     r = np.asarray(r_values, dtype=np.float64)
     if r.ndim != 1 or r.size == 0 or not np.all((r > 0.5) & (r < 1.0)):
         raise ValidationError("r_values must lie in (1/2, 1)")
-    probes = probe_spec.resolve(seq)
-    for z in probes:
-        require_disk_point(z, "probe")
+    probes = require_probe_points(probe_spec.resolve(seq))
     # one job per (ri, pi), each estimating on its own worker thread alone;
     # the derive_seed tags keep every estimate as it is serially
     one = replace(mc, threads=1)

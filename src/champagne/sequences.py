@@ -81,6 +81,13 @@ def generate_ring_lattice(q: float, points_per_ring_scale: float = 1.0,
     # the outermost ring is the one nearest the circle
     if 1.0 - q ** depth > 1.0 - BOUNDARY_MARGIN:
         raise ValidationError(f"ring {depth} is too close to the unit circle; lower the depth")
+    # at most scale q^-j + 1 points on ring j, summed before any ring is built
+    # and in floating point (math.ceil(inf) raises); 2^31 - 1 disks are the
+    # most that DiskGridIndex's int32 candidate lists can index
+    bound = points_per_ring_scale * (q ** -depth - 1.0) / (1.0 - q) + depth
+    if not bound <= 2 ** 31 - 1:
+        raise ValidationError(f"the lattice would have up to {bound:.3g} points, more than "
+                              "the 2147483647 a grid index can list; lower the scale or depth")
     points = []
     rings = []
     for j in range(1, depth + 1):
@@ -196,6 +203,17 @@ def probe_lattice(max_modulus: float, density: float = 4.0, rim: bool = True) ->
     return np.concatenate(parts)
 
 
+def require_probe_points(points) -> np.ndarray:
+    """A given probe set as a one-dimensional complex array: refused when
+    it is empty or has a point outside the open disk (require_disk_point)."""
+    probes = np.asarray(points, dtype=np.complex128).ravel()
+    if probes.size == 0:
+        raise ValidationError("the probe set is empty")
+    for z in probes:
+        require_disk_point(z, "probe")
+    return probes
+
+
 def covering_radius(seq: PointSequence, probe_region_modulus: float,
                     grid_density: float = 4.0, probe_points: np.ndarray | None = None) -> float:
     """Worst distance from the probed region to the sequence:
@@ -205,9 +223,10 @@ def covering_radius(seq: PointSequence, probe_region_modulus: float,
     this stays below 1 with margin.
     """
     if probe_points is None:
-        probe_points = probe_lattice(probe_region_modulus, density=grid_density)
-    probes = np.asarray(probe_points, dtype=np.complex128)
-    return float(PointIndex(seq.points).pseudo_nearest(probes).max(initial=0.0))
+        probes = probe_lattice(probe_region_modulus, density=grid_density)
+    else:
+        probes = require_probe_points(probe_points)
+    return float(PointIndex(seq.points).pseudo_nearest(probes).max())
 
 
 @dataclass(frozen=True)
@@ -249,9 +268,7 @@ def uniform_density(seq: PointSequence, r_values, grid_density: float = 4.0,
                                  seq.points])
         grid_spec = f"ring probe lattice at density {grid_density:g} over |z|<={max_mod:.6g} plus the sequence itself"
     else:
-        probes = np.asarray(probe_points, dtype=np.complex128).ravel()
-        for z in probes:
-            require_disk_point(z, "probe")
+        probes = require_probe_points(probe_points)
         grid_spec = f"user probe set ({probes.size} points)"
     sums = _annular_sums(seq.points, probes, r)
     norm = np.log(1.0 / (1.0 - r))

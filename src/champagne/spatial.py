@@ -10,7 +10,9 @@ pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean disk; one wider
 than _PSEUDO_RADIUS_MAX is the whole disk, a ball of radius +inf.
 point_nearest returns each query's least rho by one ring search outwards
 from its cell, which stops once no unscanned point can be nearer.  Both
-pseudo queries evaluate rho as pseudo_distance_many does.
+pseudo queries evaluate rho as pseudo_distance_many does, and both take
+queries and points of the open disk only: a PointSequence's points, the
+probe lattice, and probe sets that sequences.require_probe_points admits.
 
 nearest_disk is the exact nearest disk surface to one point by a single
 vectorised scan over all disks; it needs no grid, which is what a
@@ -98,8 +100,8 @@ class PointIndex:
         """min over points p of rho(z[q], p) for each query, over the points
         other than z[q] itself if `others`, exactly as a scan of
         pseudo_distance_many evaluates it (+inf with no point to measure).
-        The points must lie in the open disk with 1 - |p|^2 > 2^-46, as
-        those of a PointSequence do."""
+        The queries and the points must lie in the open disk with
+        1 - |.|^2 > 2^-46, as those with |.| <= 1 - 1e-12 do."""
         z = np.asarray(z, dtype=np.complex128).ravel()
         out = np.empty(z.size)
         _checked(_native.library().point_nearest(

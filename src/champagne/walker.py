@@ -58,7 +58,6 @@ _TWO_PI = 2.0 * math.pi
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile, for 95% intervals
 
 _CODE_EXTERIOR = 0
-_CODE_SHELL = -2
 
 # Termination floor: below this step size the jump may no longer move the
 # coordinates of an O(1) position (the float lattice quantum is ~2.2e-16),
@@ -98,7 +97,10 @@ def one_hole_exact(zeta, s: float) -> float:
 
 @dataclass
 class MeasureEstimate:
-    """Monte Carlo estimate of the harmonic measure of a target component set."""
+    """Monte Carlo estimate of the harmonic measure of a target component set.
+
+    Every walk ends on the unit circle or a bubble, so `hits_truncation` is
+    always 0; it stays for the canonical JSON, the schema and the tracer."""
 
     n_walks: int
     hits_exterior: int
@@ -164,9 +166,9 @@ def _resolve_epsilon(domain: ChampagneDomain, epsilon):
 
 
 def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
-                w0: int, w1: int, max_steps: int, r_out: float,
-                absorbing_shell):
-    """Run walks [w0, w1); returns (exit_code, steps, path_length, exit_x, exit_y).
+                w0: int, w1: int, max_steps: int, r_out: float):
+    """Run walks [w0, w1) inside the absorbing circle |z| = r_out <= 1;
+    returns (exit_code, steps, path_length, exit_x, exit_y).
 
     `steps` counts uniform draws: one per jump, two per analytically
     resolved point-like encounter (survival Bernoulli plus exit angle).
@@ -187,7 +189,6 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
         idx.pointlike.view(np.uint8), idx.enc_clearance, idx.enc_modulus,
         idx.n_side, _L, idx.inv_h, idx.h,
         z0.real, z0.imag, max(eps, _STEP_FLOOR), _ENC_TRIGGER, r_out,
-        math.inf if absorbing_shell is None else absorbing_shell,
         int(seed) & _U64, w0, w1, max_steps,
         exit_code, exit_steps, exit_path, exit_x, exit_y, stuck)
     if n_failed:
@@ -221,15 +222,13 @@ def _map_jobs(job, n_jobs: int, threads: int) -> list:
         return list(pool.map(job, range(n_jobs)))
 
 
-def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads,
-               absorbing_shell):
+def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads):
     # one kernel call per contiguous range of walks (see _CHUNK)
     k = min(_worker_count(threads), -(-n_walks // _CHUNK))
     cuts = [n_walks * i // k for i in range(k + 1)]
 
     def job(i):
-        return _walk_chunk(domain, z0, eps, seed, cuts[i], cuts[i + 1],
-                           max_steps, r_out, absorbing_shell)
+        return _walk_chunk(domain, z0, eps, seed, cuts[i], cuts[i + 1], max_steps, r_out)
 
     parts = _map_jobs(job, k, k)
     # each walk's draws depend only on its index, so concatenating the
@@ -258,21 +257,16 @@ def parse_target(target, n_bubbles: int):
 
 
 def _steps_histogram(steps: np.ndarray) -> tuple:
-    if steps.size == 0:
-        return ()
     out = [int(np.count_nonzero(steps == 0))]
     nz = steps[steps > 0]
-    if nz.size:
-        bins = np.floor(np.log2(nz.astype(np.float64))).astype(np.int64) + 1
-        counts = np.bincount(bins)
-        out.extend(int(c) for c in counts[1:])
+    bins = np.floor(np.log2(nz.astype(np.float64))).astype(np.int64) + 1
+    out.extend(int(c) for c in np.bincount(bins)[1:])
     return tuple(out)
 
 
 def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
                      n_walks: int = 10_000, epsilon=None, seed: int = 0,
-                     threads: int = 1, max_steps: int = 1_000_000,
-                     absorbing_shell=None) -> MeasureEstimate:
+                     threads: int = 1, max_steps: int = 1_000_000) -> MeasureEstimate:
     """Estimate the harmonic measure of a boundary component set at z0.
 
     Walk w draws from the counter-based stream (seed, w); the result is
@@ -285,14 +279,12 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
     kind, k = parse_target(target, domain.n_bubbles)
     eps = _resolve_epsilon(domain, epsilon)
     t0 = time.perf_counter()
-    code, steps, path = _run_walks(domain, z0, eps, seed, n_walks,
-                                   max_steps, 1.0, threads, absorbing_shell)
+    code, steps, path = _run_walks(domain, z0, eps, seed, n_walks, max_steps, 1.0, threads)
     wall = time.perf_counter() - t0
 
-    counts = np.bincount(code[code >= 0], minlength=domain.n_bubbles + 1)
+    counts = np.bincount(code, minlength=domain.n_bubbles + 1)
     hits_ext = int(counts[0])
     per_bubble = {int(k - 1): int(counts[k]) for k in range(1, counts.size) if counts[k]}
-    hits_shell = int(np.count_nonzero(code == _CODE_SHELL))
 
     if kind == "exterior":
         successes = hits_ext
@@ -305,7 +297,7 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
         n_walks=n_walks,
         hits_exterior=hits_ext,
         hits_per_bubble=per_bubble,
-        hits_truncation=hits_shell,
+        hits_truncation=0,
         estimate=successes / n_walks,
         ci_low=lo,
         ci_high=hi,
@@ -395,8 +387,10 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
     reproduces the continuous crossing event exactly (inside it the unit
     circle is unreachable, so a walk that would touch the rim first has
     already crossed).  The starts of a layer are spread over `threads`
-    worker threads (0: one per core), one start's walks per job; a layer
-    of one start splits its walks over them instead.
+    worker threads (0: one per core), one start's walks per job.  A layer
+    of one start (j = 1, from the origin) splits its walks over them
+    instead, one range per _CHUNK = 8,192 walks, so only beyond 8,192
+    walks; the default 2,000 run on the calling thread.
     """
     if not K > 1.0:
         raise ValidationError(f"K must exceed 1, got {K!r}")
@@ -438,7 +432,7 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
                                                  idx.radii)[0] <= eps:
                 return None
             code, _, _ = _run_walks(domain, z_s, eps, derive_seed(seed, "layered", j, k_s),
-                                    n_walks, max_steps, m_to, start_threads, None)
+                                    n_walks, max_steps, m_to, start_threads)
             hits = int(np.count_nonzero(code == _CODE_EXTERIOR))
             return (z_s, hits / n_walks, *wilson_interval(hits, n_walks))
 

@@ -52,7 +52,7 @@ def rand_disk_points(rng: np.random.Generator, n: int, max_mod: float = 0.95) ->
 
 @dataclass(frozen=True)
 class ExitEvent:
-    component: str          # "exterior" | "bubble" | "truncation_shell"
+    component: str          # "exterior" | "bubble"
     bubble_index: int       # -1 unless component == "bubble"
     position: complex
     steps: int
@@ -67,12 +67,10 @@ def wos_walk(domain, z0, epsilon, seed: int, walk_index: int = 0,
     domain.require_interior(z0, "z0")
     eps = walker._resolve_epsilon(domain, epsilon)
     code, steps, path, ex, ey = walker._walk_chunk(
-        domain, z0, eps, seed, walk_index, walk_index + 1, max_steps, r_out, None)
+        domain, z0, eps, seed, walk_index, walk_index + 1, max_steps, r_out)
     c = int(code[0])
     if c == walker._CODE_EXTERIOR:
         component, b_idx = "exterior", -1
-    elif c == walker._CODE_SHELL:
-        component, b_idx = "truncation_shell", -1
     else:
         component, b_idx = "bubble", c - 1
     return ExitEvent(component=component, bubble_index=b_idx,

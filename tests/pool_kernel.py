@@ -19,7 +19,6 @@ from champagne.streams import stream_keys, uniforms_at
 from champagne.walker import (
     _CHUNK,
     _CODE_EXTERIOR,
-    _CODE_SHELL,
     _ENC_TRIGGER,
     _STEP_FLOOR,
 )
@@ -57,8 +56,9 @@ def direction(u):
 
 def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
                     w0: int, w1: int, max_steps: int, r_out: float,
-                    absorbing_shell, chunk: int = _CHUNK):
-    """Run walks [w0, w1); returns (exit_code, steps, path_length, exit_pos).
+                    chunk: int = _CHUNK):
+    """Run walks [w0, w1) inside the absorbing circle |z| = r_out; returns
+    (exit_code, steps, path_length, exit_pos).
 
     The walks share a pool of at most `chunk` rows: a row whose walk exits
     takes the next unstarted walk of the range, so the slow tail of the
@@ -122,10 +122,6 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
                 np.where(dist[pos] == np.repeat(cand_min[sel], seg), items[pos], idx.n_disks),
                 np.cumsum(seg) - seg)
         code = np.where(d_ext <= cand_min, _CODE_EXTERIOR, near + 1)
-        if absorbing_shell is not None:
-            shell_hit = mod >= absorbing_shell
-            out |= shell_hit
-            code[shell_hit] = _CODE_SHELL
 
         # point-like encounters: resolve by the exact annulus formula in
         # the concentric bubble-free annulus of radius big_d around the

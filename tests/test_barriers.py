@@ -128,11 +128,10 @@ def test_empty_shells_are_no_columns_of_the_program():
     coarse = barrier_lower_bound(dom, eta=0.5)
     cert, M, w = _weights_and_matrix(dom, eta=0.97)
     occupied = np.unique(shell_of_modulus(np.abs(dom.pseudo_centers), 0.97))
-    assert M.shape[1] == occupied.size == 6
-    assert cert.n == len(cert.weights) == occupied[-1] == 160
-    weights = np.asarray(cert.weights)
-    assert np.array_equal(weights[occupied - 1], np.maximum(w, 0.0) * cert.rescale_factor)
-    assert not np.delete(weights, occupied - 1).any()
+    assert M.shape[1] == occupied.size == 6 and occupied[-1] == 160
+    # the certificate reports the occupied shells alone, with their weights
+    assert cert.shells == tuple(occupied.tolist())
+    assert np.array_equal(cert.weights, np.maximum(w, 0.0) * cert.rescale_factor)
     assert cert.exterior_lower == pytest.approx(coarse.exterior_lower, rel=1e-12, abs=0.0)
 
 
@@ -143,7 +142,7 @@ def test_barrier_one_layer_equals_one_hole():
     dom = ch.domain_from_pseudo([(lam, delta)], meta={"r": 0.9})
     cert = barrier_lower_bound(dom, eta=0.3)
     exact = 1 - ch.one_hole_exact(lam, delta)
-    assert cert.n == 1
+    assert cert.shells == (1,) and len(cert.weights) == 1
     assert cert.exterior_lower == pytest.approx(exact, abs=1e-12)
     assert cert.rescale_factor == pytest.approx(1.0, abs=1e-12)
 
@@ -238,7 +237,7 @@ def test_barrier_matches_the_array_sum(case):
                   "per_bubble_min", "weights"):
         np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=0.0,
                                    atol=1e-9, err_msg=field)
-    assert (got.n, got.flags) == (want.n, want.flags)
+    assert (got.shells, got.flags) == (want.shells, want.flags)
 
 
 def test_potential_on_a_zero_is_infinite():

@@ -154,7 +154,8 @@ def test_barrier_cli_and_refusal_exit_code(tmp_path):
     result = _validate(out)["result"]
     assert 0.0 <= result["exterior_lower"] <= 1.0
     assert "a" not in result and "b" not in result
-    assert len(result["weights"]) == result["n"] and min(result["weights"]) >= 0.0
+    assert len(result["weights"]) == len(result["shells"]) and min(result["weights"]) >= 0.0
+    assert result["shells"] == sorted(set(result["shells"])) and "n" not in result
     # weights that leave the barrier at 0 on a bubble are refused
     with mock.patch.object(barriers, "_shell_weights", lambda M: np.zeros(M.shape[1])):
         assert main(["barrier", "--domain", str(dom_path), "-o", str(out)]) == 3
@@ -309,6 +310,10 @@ def test_config_naming_tail_tol_exits_2(tmp_path):
     ["gen-seq", "--ring", "q=0.5,depth=2,q=0.9", "--seed", "1"],
     ["gen-seq", "--ring", "q=0.5,scale=inf,depth=3", "--seed", "1"],
     ["density", "--ring", "q=0.5,scale=1,depth=3", "--r-list", "0.9", "--grid-density", "inf"],
+    ["gen-seq", "--ring", "q=0.5,scale=1e300,depth=3", "--seed", "1"],
+    ["density", "--ring", "q=0.5,scale=1,depth=3", "--r-list", "0.9", "--grid-density", "1e300"],
+    ["diag", "--ring", "q=0.5,scale=1,depth=3", "--probe-modulus", "0.8",
+     "--grid-density", "1e300"],
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     dom_path = tmp_path / "one.json"

@@ -21,6 +21,15 @@ def _mc(n=4000, seed=0, cap=100_000):
     return McParams(n_walks=n, seed=seed, pilot_walks=500, walk_cap=cap)
 
 
+def test_an_empty_probe_set_is_refused():
+    seq = ch.generate_ring_lattice(0.5, 2, 3, seed=1)
+    for mode in ("lower", "upper"):
+        with pytest.raises(ValidationError, match="the probe set is empty"):
+            harmonic_density_curve(seq, [0.9], mode, ProbeSpec(points=()), _mc())
+    with pytest.raises(ValidationError, match="the probe set is empty"):
+        theorem2_report(seq, [0.9], ProbeSpec(points=()), _mc())
+
+
 def test_empty_annuli_give_zero_curve():
     seq = ch.PointSequence(np.array([0.2 + 0j]))  # never in any (1/2, r) annulus around 0
     curve = harmonic_density_curve(seq, [0.9], "lower", ProbeSpec(points=(0j,)), _mc())

@@ -47,6 +47,11 @@ def test_a_ring_lattice_refuses_a_deep_ring_before_it_builds_any(monkeypatch):
     for scale in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValidationError, match="scale must be positive and finite"):
             generate_ring_lattice(0.5, scale, 3)
+    # more points than a grid index lists; 1e308 makes the count inf in
+    # floating point
+    for scale, depth in ((1e300, 3), (1e308, 3), (2.0 ** 30, 1), (1.0, 31)):
+        with pytest.raises(ValidationError, match="more than the 2147483647 a grid index"):
+            generate_ring_lattice(0.5, scale, depth)
     assert calls == []
 
 
@@ -144,6 +149,15 @@ def test_density_refuses_probes_outside_the_open_disk():
             uniform_density(seq, [0.9], probe_points=np.array(probes))
     est = uniform_density(seq, [0.9], probe_points=np.array([0.0, 1.0 - 1e-12]))
     assert est.n_probes == 2
+
+
+def test_an_empty_probe_set_is_refused():
+    seq = generate_ring_lattice(0.5, 2, 3, seed=1)
+    for probes in ([], np.zeros(0, dtype=complex), ()):
+        with pytest.raises(ValidationError, match="the probe set is empty"):
+            uniform_density(seq, [0.9], probe_points=probes)
+        with pytest.raises(ValidationError, match="the probe set is empty"):
+            covering_radius(seq, 0.5, probe_points=probes)
 
 
 def test_density_against_naive_double_loop():

@@ -153,15 +153,20 @@ def test_the_nearest_search_stays_local_on_a_circle_near_the_rim():
                           pseudo_distance_many(arc_probes[:, None], pts[None, :]).min(axis=1))
 
 
-def test_a_query_outside_the_disk_measures_every_point():
-    # a query not surely inside the disk lists every point; a query on a
+def test_covering_radius_refuses_a_probe_outside_the_disk():
+    # the nearest search serves points of the open disk, so a probe on or
+    # beyond the circle, or NaN, is refused before the search; a query on a
     # point finds it at rho 0
-    pts = ch.generate_ring_lattice(0.5, 2, 4, seed=5).points
-    z = np.concatenate([[1.0, -1j, 1.0 - 2.0 ** -52, 0.6 + 0.8j, 2.0 + 1j], pts[::7]])
+    seq = ch.generate_ring_lattice(0.5, 2, 4, seed=5)
+    for probe in (1.5, 2.0 + 1j, complex(math.nan, 0.0), 1.0 - 1e-15):
+        with pytest.raises(ValidationError, match="probe=.* is not inside the open unit disk"):
+            covering_radius(seq, 0.5, probe_points=[0.1j, probe])
+    pts = seq.points
+    z = pts[::7]
     want = pseudo_distance_many(z[:, None], pts[None, :]).min(axis=1)
     got = spatial.PointIndex(pts).pseudo_nearest(z)
     assert np.array_equal(got, want)
-    assert np.all(got[5:] == 0.0)
+    assert np.all(got == 0.0)
 
 
 def test_separation_and_covering_match_all_pairs_on_a_shuffled_lattice():
@@ -713,6 +718,18 @@ def test_no_point_query_returns_candidates():
     words = ("point_balls", "pseudo_balls", "def balls", "_BALL_BLOCK", "_SUM_BLOCK", "def pairs")
     found = {(f.name, w) for f in sorted(src.rglob("*")) if f.suffix in (".py", ".c")
              for w in words if w in f.read_text()}
+    assert found == set()
+
+
+def test_no_compiled_path_serves_inputs_that_cannot_reach_it():
+    # walks have one absorbing circle, r_out, and point queries take points
+    # of the open disk, so no NaN reaches the compiled code (the CLI's JSON
+    # writer still spells out a NaN result, in Python)
+    src = pathlib.Path(ch.__file__).parent
+    words = {".py": ("absorbing_shell", "CODE_SHELL"),
+             ".c": ("absorbing_shell", "CODE_SHELL", "least(", "isnan(")}
+    found = {(f.name, w) for f in sorted(src.rglob("*")) if f.suffix in words
+             for w in words[f.suffix] if w in f.read_text()}
     assert found == set()
 
 

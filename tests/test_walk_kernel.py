@@ -36,8 +36,7 @@ _pointlike_radii = st.floats(-13.0, -11.0).map(lambda e: 10.0 ** e)
 
 @st.composite
 def walk_cases(draw):
-    """(domain, z0, eps, seed, w0, w1, r_out, absorbing_shell) on random
-    disjoint disks.
+    """(domain, z0, eps, seed, w0, w1, r_out) on random disjoint disks.
 
     A disk is point-like (radius 1e-13 to 1e-11) or takes a share of the
     room that keeps it clear of the rim and of every other disk.  One more
@@ -81,16 +80,15 @@ def walk_cases(draw):
     assume(abs(z0) < 1.0 and np.all(np.abs(pts - z0) - radii > 0.0))
     beyond = st.floats(0.05, 0.99).map(lambda f: abs(z0) + f * (1.0 - abs(z0)))
     r_out = draw(st.one_of(st.just(1.0), beyond))
-    shell = draw(st.one_of(st.none(), beyond))
     eps = min(1e-3 * index.r_min, 0.5 * index.h)
     seed = draw(st.integers(-2 ** 63, 2 ** 64 - 1))
     w0 = draw(st.integers(0, 10 ** 6))
-    return domain, z0, eps, seed, w0, w0 + draw(st.integers(1, 40)), r_out, shell
+    return domain, z0, eps, seed, w0, w0 + draw(st.integers(1, 40)), r_out
 
 
 def _run(kernel, case, max_steps, **kwargs):
-    domain, z0, eps, seed, w0, w1, r_out, shell = case
-    return kernel(domain, z0, eps, seed, w0, w1, max_steps, r_out, shell, **kwargs)
+    domain, z0, eps, seed, w0, w1, r_out = case
+    return kernel(domain, z0, eps, seed, w0, w1, max_steps, r_out, **kwargs)
 
 
 def _assert_equal(got, want):
@@ -161,8 +159,8 @@ def test_the_angle_map_is_within_three_units_of_the_last_place():
 # one comparison of the kernel on an exact tie at the start point; the
 # walks then exit at once, and both kernels must take the same side.
 
-def _tie_case(index, z0, eps, r_out=1.0, shell=None):
-    return types.SimpleNamespace(index=index), z0, eps, 5, 0, 3, r_out, shell
+def _tie_case(index, z0, eps, r_out=1.0):
+    return types.SimpleNamespace(index=index), z0, eps, 5, 0, 3, r_out
 
 
 def _assert_tie(case, code):
@@ -188,11 +186,6 @@ def test_a_candidate_exactly_h_away_sets_the_step():
     # clearance (2 h > eps) would jump
     index.clearance[cells_of(index, np.array([z0.real]), np.array([z0.imag]))] = 2.0 * index.h
     _assert_tie(_tie_case(index, z0, 1.5 * index.h), 1)
-
-
-def test_a_walk_on_the_absorbing_shell_is_absorbed():
-    index = spatial.DiskGridIndex([0.0], [0.0], [2.0 ** -4], 64)
-    _assert_tie(_tie_case(index, 0.75 + 0j, 1e-6, shell=0.75), walker._CODE_SHELL)
 
 
 # -- the loader ------------------------------------------------------------------

@@ -298,10 +298,10 @@ def _pool_runs():
     dom = _pointlike_domain()
     # a start 0.01 from the 1e-13 bubble: about one walk in eight ends there
     near = estimate_measure(dom, -0.59 + 0j, target="bubble:2", n_walks=60, seed=3)
-    shell = estimate_measure(dom, 0j, target="all", n_walks=100, seed=4, absorbing_shell=0.7)
+    whole = estimate_measure(dom, 0j, target="all", n_walks=100, seed=4)
     tiny = ch.domain_from_pseudo([(0.25 + 0j, 0.02), (0.6 + 0.3j, 1e-12)], truncation_R=1.0)
     layered = layered_crossing(tiny, K=2.0, j_max=2, n_walks=20, seed=6, grid_points=8)
-    return near.canonical_json(), shell.canonical_json(), repr(layered), near
+    return near.canonical_json(), whole.canonical_json(), repr(layered), near
 
 
 @pytest.mark.parametrize("width", [1, 7, 64])
@@ -314,6 +314,8 @@ def test_results_do_not_depend_on_the_pool_width(width, monkeypatch):
 
 def test_walks_that_fit_one_pool_are_not_split(empty_domain, opened):
     estimate_measure(empty_domain, 0j, n_walks=walker._CHUNK, epsilon=1e-6, seed=1, threads=4)
+    # layered's first layer is one start, the origin, whose walks split as an estimate's do
+    layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=walker._CHUNK, seed=1, threads=4)
     assert opened == []
 
 
@@ -330,8 +332,7 @@ def test_budget_error_in_a_worker_reaches_the_caller(one_bubble_domain, opened):
     assert opened == [2]
     # the error of the first range, as that range raises it in-process
     with pytest.raises(WalkBudgetError) as first:
-        walker._walk_chunk(one_bubble_domain, 0.1 + 0j, 1e-9, 1, 0, walker._CHUNK // 2,
-                           3, 1.0, None)
+        walker._walk_chunk(one_bubble_domain, 0.1 + 0j, 1e-9, 1, 0, walker._CHUNK // 2, 3, 1.0)
     got, want = info.value, first.value
     assert (got.n_failed, got.max_steps, got.sample_position) == (
         want.n_failed, want.max_steps, want.sample_position)
