@@ -6,7 +6,7 @@
  * as np.hypot does, and the file is built with the walk kernel's flags
  * (no contraction, no fast-math).  At the end, the queries over points
  * bucketed in a grid (spatial.PointIndex), which return their answers, not
- * candidates: annular sums per cut, a least-gap pair, or least rho.
+ * candidates: sums of 1 - rho per cut, a least-gap pair, or least rho.
  *
  * The grid has n_side x n_side cells of side h over [-half_width,
  * half_width]^2; cell (i, j) is i * n_side + j, its center
@@ -159,8 +159,8 @@ int64_t grid_cells(const double *cx, const double *cy, const double *radii, int6
 }
 
 /* Fills the candidate lists counted by grid_cells: the disks meeting the
- * 3x3 block around each cell, ascending.  Returns 0, or -1 when out of
- * memory. */
+ * 3x3 block around each cell, by increasing index.  Returns 0, or -1 when
+ * out of memory. */
 int64_t grid_items(const double *cx, const double *cy, const double *radii, int64_t n_disks,
                    int64_t n_side, double half_width, double inv_h, double h,
                    const int64_t *cell_start, int32_t *cell_items)
@@ -299,54 +299,51 @@ static struct box ball_box(double x, double y, double r,
                         axis_cell(y + reach, n_side, half_width, inv_h)};
 }
 
-static int ascending(const void *a, const void *b)
-{
-    const double s = *(const double *)a, t = *(const double *)b;
-    return (s > t) - (s < t);
-}
-
 /* Annular sums for queries z = (zx[q], zy[q]) and points in the open disk:
- * out[q n_cuts + k] is the count of points with rho(z, p) <= cuts[k] less
- * the sum of their rho() added in ascending order, as a sorted scan of
- * pseudo_distance_many adds them.  Every point within the largest cut must
- * be a hit of the ball (bx[q], by[q], br[q]); a radius of +inf hits every
- * point.  Returns 0, or -1 when out of memory. */
+ * out[q n_cuts + k] is the sum of 1 - rho(z, p) over the points p with
+ * rho(z, p) <= cuts[k].  Each hit adds its 1 - rho, in bucket-entry order,
+ * to the bin of the least cut it lies within (the lowest index among equal
+ * cuts), and cut k adds the bins of the cuts up to cuts[k] in index order:
+ * no sort, and m terms >= 0 through c bins are within gamma(m + c) =
+ * (m + c) u / (1 - (m + c) u), u = 2^-53, relative to their exact sum.
+ * Every point within the largest cut must be a hit of the ball (bx[q],
+ * by[q], br[q]); a radius of +inf hits every point.  Returns 0, or -1 when
+ * out of memory. */
 int64_t point_ball_sums(const double *px, const double *py, const int64_t *cell_start,
                         int64_t n_side, double half_width, double inv_h,
                         const double *zx, const double *zy,
                         const double *bx, const double *by, const double *br, int64_t n_q,
                         const double *cuts, int64_t n_cuts, double *out)
 {
-    double *hits = malloc((size_t)(cell_start[n_side * n_side] + 1) * sizeof *hits);   /* n + 1 > 0 */
-    if (!hits)
+    double *bins = malloc((size_t)n_cuts * sizeof *bins);
+    if (!bins)
         return -1;
     for (int64_t q = 0; q < n_q; q++) {
         const double x = zx[q], y = zy[q], gap = 1.0 - (x * x + y * y), r = br[q];
         const struct box b = ball_box(bx[q], by[q], r, n_side, half_width, inv_h);
-        int64_t m = 0;
+        memset(bins, 0, (size_t)n_cuts * sizeof *bins);
         for (int64_t i = b.i0; i <= b.i1; i++)
             for (int64_t e = cell_start[i * n_side + b.j0]; e < cell_start[i * n_side + b.j1 + 1]; e++) {
                 const double dx = px[e] - bx[q], dy = py[e] - by[q];
-                if (dx * dx + dy * dy <= r * r)
-                    hits[m++] = rho(x, y, gap, px[e], py[e]);
+                if (!(dx * dx + dy * dy <= r * r))
+                    continue;
+                const double t = rho(x, y, gap, px[e], py[e]);
+                int64_t least = -1;
+                for (int64_t k = 0; k < n_cuts; k++)
+                    if (t <= cuts[k] && (least < 0 || cuts[k] < cuts[least]))
+                        least = k;
+                if (least >= 0)
+                    bins[least] += 1.0 - t;
             }
-        if (m >= 64)
-            qsort(hits, (size_t)m, sizeof *hits, ascending);
-        else   /* by insertion, which beats qsort's calls to `ascending` */
-            for (int64_t a = 1, c; a < m; a++) {
-                const double t = hits[a];
-                for (c = a; c > 0 && hits[c - 1] > t; c--)
-                    hits[c] = hits[c - 1];
-                hits[c] = t;
-            }
-        for (int64_t k = 0, c; k < n_cuts; k++) {
+        for (int64_t k = 0; k < n_cuts; k++) {
             double sum = 0.0;
-            for (c = 0; c < m && hits[c] <= cuts[k]; c++)
-                sum += hits[c];
-            out[q * n_cuts + k] = (double)c - sum;
+            for (int64_t c = 0; c < n_cuts; c++)
+                if (cuts[c] <= cuts[k])
+                    sum += bins[c];
+            out[q * n_cuts + k] = sum;
         }
     }
-    free(hits);
+    free(bins);
     return 0;
 }
 

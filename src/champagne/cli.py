@@ -320,13 +320,15 @@ def cmd_dichotomy_sweep(args) -> int:
     seq = _load_seq(args)
     profile = parse_profile(args.profile)
     z0 = parse_point(args.start)
-    doms = [build_champagne(seq, profile, R, ensure_interior=(z0,))
-            for R in parse_float_list(args.truncations)]
+    truncations = parse_float_list(args.truncations)
+    if not truncations:
+        raise ValidationError(f"bad list {args.truncations!r}: no truncation given")
+    doms = [build_champagne(seq, profile, R, ensure_interior=(z0,)) for R in truncations]
     # a rung of the most bubbles builds its default grid, whose size the
     # smaller rungs build; the default grid size depends on the bubble
     # count alone
-    n_most = max((dom.n_bubbles for dom in doms), default=0)
-    n_side = next((dom.index.n_side for dom in doms if dom.n_bubbles == n_most), None)
+    n_most = max(dom.n_bubbles for dom in doms)
+    n_side = next(dom.index.n_side for dom in doms if dom.n_bubbles == n_most)
     rows = []
     while doms:
         dom = doms.pop(0)  # a rung and its grid go once its row is made

@@ -205,11 +205,11 @@ def probe_lattice(max_modulus: float, density: float = 4.0, rim: bool = True) ->
 
 def require_probe_points(points) -> np.ndarray:
     """A given probe set as a one-dimensional complex array: refused when
-    it is empty or has a point outside the open disk (require_disk_point)."""
+    empty, or naming its first point outside the open disk (NaN too)."""
     probes = np.asarray(points, dtype=np.complex128).ravel()
     if probes.size == 0:
         raise ValidationError("the probe set is empty")
-    for z in probes:
+    for z in probes[~(np.abs(probes) <= 1.0 - BOUNDARY_MARGIN)][:1]:
         require_disk_point(z, "probe")
     return probes
 

@@ -4,8 +4,8 @@ PointIndex answers every query on a point set (separation, covering,
 annular sums, disjointness) from one uniform bucket grid over the points,
 through three compiled queries (_grid.c) that return the value of a
 brute-force scan, not candidates.  Ball queries scan the cells of each
-ball's box: point_ball_sums returns each query's annular sums per cut and
-point_least_gap the least-gap pair of disks centred at the points.  A
+ball's box: point_ball_sums returns each query's sums of 1 - rho per cut
+and point_least_gap the least-gap pair of disks centred at the points.  A
 pseudo ball {w : rho(z, w) <= r} is exactly a Euclidean disk; one wider
 than _PSEUDO_RADIUS_MAX is the whole disk, a ball of radius +inf.
 point_nearest returns each query's least rho by one ring search outwards
@@ -111,9 +111,9 @@ class PointIndex:
         return out
 
     def pseudo_ball_sums(self, z, cuts) -> np.ndarray:
-        """out[q, k] = the count of points p with rho(z[q], p) <= cuts[k] less
-        the sum of those rho, as a sorted scan of pseudo_distance_many adds
-        them.  The points and queries must lie in the open disk."""
+        """out[q, k] = the sum of 1 - rho(z[q], p) over the points p with
+        rho <= cuts[k], rho as pseudo_distance_many evaluates it, in one
+        unsorted pass.  The points and queries must lie in the open disk."""
         z = np.asarray(z, dtype=np.complex128).ravel()
         cuts = np.ascontiguousarray(cuts, dtype=np.float64).ravel()
         r = float(cuts.max())

@@ -314,6 +314,8 @@ def test_config_naming_tail_tol_exits_2(tmp_path):
     ["density", "--ring", "q=0.5,scale=1,depth=3", "--r-list", "0.9", "--grid-density", "1e300"],
     ["diag", "--ring", "q=0.5,scale=1,depth=3", "--probe-modulus", "0.8",
      "--grid-density", "1e300"],
+    ["dichotomy-sweep", "--ring", "q=0.5,scale=1,depth=3", "--profile", "expinv:1,1",
+     "--truncations", ",", "--walks", "10"],
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     dom_path = tmp_path / "one.json"

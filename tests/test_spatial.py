@@ -1,7 +1,8 @@
 """Proximity queries against brute-force all-pairs scans.
 
 Every caller of spatial.PointIndex must report exactly (==) what a scan
-over all pairs reports, including for points within 1e-12 of the rim.
+over all pairs reports, including for points within 1e-12 of the rim;
+annular sums, what that scan adds in the index's bucket order.
 The compiled disk grid index must equal a per-disk construction and the
 array build it replaced (grid_build.py); over its candidate lists the
 one-cell query must equal the ring search within h, and its encounter
@@ -180,14 +181,25 @@ def test_separation_and_covering_match_all_pairs_on_a_shuffled_lattice():
     assert covering_radius(PointSequence(pts), 0.99) == float(nearest.max())
 
 
-def _annular_sums_by_scan(pts, probes, r):
-    sums = []
-    for z in probes:
-        rho = np.sort(pseudo_distance_many(z, pts))
-        csum = np.concatenate([[0.0], np.cumsum(rho)])
-        idx = np.searchsorted(rho, r + 1e-12, side="right")
-        sums.append(idx - csum[idx])
-    return np.array(sums)
+def _annular_sums_in_bucket_order(pts, probes, r):
+    """The annular sums as point_ball_sums adds them: each 1 - rho, taken
+    over the points in PointIndex bucket order, goes into the bin of the
+    least cut it lies within (the lowest index among equal cuts), and each
+    cut adds the bins of the cuts up to it in index order (np.cumsum adds
+    left to right)."""
+    cuts = r + 1e-12
+    ordered = pts[spatial.PointIndex(pts).order]
+    sums = np.zeros((probes.size, cuts.size))
+    for q, z in enumerate(probes):
+        rho = pseudo_distance_many(z, ordered)
+        least = np.full(rho.size, -1)
+        for k, cut in enumerate(cuts):
+            least[(rho <= cut) & ((least < 0) | (cut < cuts[least]))] = k
+        bins = np.array([np.cumsum(1.0 - rho[least == k])[-1] if np.any(least == k) else 0.0
+                         for k in range(cuts.size)])
+        for k, cut in enumerate(cuts):
+            sums[q, k] = np.cumsum(bins[cuts <= cut])[-1]
+    return sums
 
 
 @given(point_sets, st.lists(_polar, min_size=1, max_size=120).map(_to_points),
@@ -200,7 +212,7 @@ def test_uniform_density_matches_all_pairs(pts, probes, r_values, whole):
     r = np.array(r_values + [1.0 - 1e-6] * whole)
     got = sequences._annular_sums(pts, probes, r)
     est = uniform_density(PointSequence(pts), r, mode="both", probe_points=probes)
-    sums = _annular_sums_by_scan(pts, probes, r)
+    sums = _annular_sums_in_bucket_order(pts, probes, r)
     assert np.array_equal(got, sums)
     curves = sums / np.log(1.0 / (1.0 - r))[None, :]
     assert est.lower_curve == tuple(float(v) for v in curves.min(axis=0))
@@ -213,7 +225,7 @@ def test_annular_sums_over_several_full_blocks():
     for r in ([1e-3, 0.2], [0.5, 0.9, 1.0 - 1e-6]):
         r = np.array(r)
         assert np.array_equal(sequences._annular_sums(seq.points, probes, r),
-                              _annular_sums_by_scan(seq.points, probes, r))
+                              _annular_sums_in_bucket_order(seq.points, probes, r))
 
 
 def test_an_annular_sum_scans_every_cell_its_ball_reaches():
@@ -226,8 +238,30 @@ def test_an_annular_sum_scans_every_cell_its_ball_reaches():
     probes = np.array([0j])
     assert spatial.PointIndex(pts).n_side == 4
     got = sequences._annular_sums(pts, probes, np.array([r]))
-    assert np.array_equal(got, _annular_sums_by_scan(pts, probes, np.array([r])))
+    assert np.array_equal(got, _annular_sums_in_bucket_order(pts, probes, np.array([r])))
     assert got[0, 0] == pytest.approx(5 - np.abs(pts).sum())   # every point is a hit
+
+
+def test_annular_sums_are_within_gamma_of_the_exact_sum():
+    # m terms 1 - rho >= 0 added through c bins lie within gamma(m + c + 1)
+    # = n u / (1 - n u), n = m + c + 1, u = 2^-53, of their exactly rounded
+    # sum, on every default probe of the whole-disk cut of the depth-8
+    # lattice and the floor cuts of the depth-10 one; count - sum(rho),
+    # which cancels, missed the whole-disk sums by up to 1.0e-12 against a
+    # bound of 1.1e-13
+    u = 2.0 ** -53
+    for depth, r in ((8, [0.9, 1.0 - 1e-6]), (10, [0.9, 0.99])):
+        seq = ch.generate_ring_lattice(0.5, 2, depth, seed=20)
+        probes = np.concatenate([sequences.probe_lattice(seq.max_modulus), seq.points])
+        got = sequences._annular_sums(seq.points, probes, np.array(r))
+        cuts = np.array(r) + 1e-12
+        for q, z in enumerate(probes):
+            rho = pseudo_distance_many(z, seq.points)
+            for k, cut in enumerate(cuts):
+                terms = 1.0 - rho[rho <= cut]
+                n = terms.size + cuts.size + 1
+                exact = math.fsum(terms)
+                assert abs(got[q, k] - exact) <= n * u / (1.0 - n * u) * exact, (depth, q, k)
 
 
 def test_whole_disk_annular_sums_hold_bounded_memory():
@@ -718,6 +752,15 @@ def test_no_point_query_returns_candidates():
     words = ("point_balls", "pseudo_balls", "def balls", "_BALL_BLOCK", "_SUM_BLOCK", "def pairs")
     found = {(f.name, w) for f in sorted(src.rglob("*")) if f.suffix in (".py", ".c")
              for w in words if w in f.read_text()}
+    assert found == set()
+
+
+def test_no_compiled_query_sorts():
+    # an annular sum needs no order, so no C source sorts: no qsort and no
+    # comparison function for one
+    src = pathlib.Path(ch.__file__).parent
+    found = {(f.name, w) for f in sorted(src.glob("*.c"))
+             for w in ("qsort", "ascending") if w in f.read_text()}
     assert found == set()
 
 
