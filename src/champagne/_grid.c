@@ -60,8 +60,10 @@ static int meets(double dx, double dy, double half, double r)
 /* Exact squared Euclidean distance transform of the occupancy raster
  * (Meijster, Roerdink and Hesselink 2000), in integer arithmetic: g[c]
  * becomes the squared distance in cells from c to the nearest occupied
- * cell.  At least one cell must be occupied.  g has n^2 entries, work 3 n. */
-static void squared_edt(const uint8_t *occupied, int64_t n, int64_t *g, int64_t *work)
+ * cell.  At least one cell must be occupied.  g has n^2 entries, work 3 n.
+ * g only holds integers below 3 n^2, exact in a double, so it can be the
+ * clearance raster itself; each row is worked on as int64 in work. */
+static void squared_edt(const uint8_t *occupied, int64_t n, double *g, int64_t *work)
 {
     int64_t *s = work, *t = work + n, *gi = work + 2 * n;
     const int64_t far = 2 * n;  /* beats no distance in the grid: far^2 > 2 (n - 1)^2 */
@@ -77,7 +79,8 @@ static void squared_edt(const uint8_t *occupied, int64_t n, int64_t *g, int64_t 
                 g[i * n + j] = g[(i + 1) * n + j] + 1;
     /* along j: the lower envelope of the parabolas (j - u)^2 + g(u)^2 */
     for (int64_t i = 0; i < n; i++) {
-        memcpy(gi, g + i * n, (size_t)n * sizeof *gi);
+        for (int64_t u = 0; u < n; u++)
+            gi[u] = (int64_t)g[i * n + u];
 #define F(x, u) (((x) - (u)) * ((x) - (u)) + gi[u] * gi[u])
         int64_t q = 0;
         s[0] = 0;
@@ -100,7 +103,7 @@ static void squared_edt(const uint8_t *occupied, int64_t n, int64_t *g, int64_t 
             }
         }
         for (int64_t u = n - 1; u >= 0; u--) {
-            g[i * n + u] = F(u, s[q]);
+            g[i * n + u] = (double)F(u, s[q]);
             if (u == t[q])
                 q--;
         }
@@ -111,19 +114,18 @@ static void squared_edt(const uint8_t *occupied, int64_t n, int64_t *g, int64_t 
 /* Counts the candidates of every cell into cell_start (n_side^2 + 1
  * offsets) and fills the clearance of every cell: (sqrt(d2) - sqrt 2) h,
  * at least 0, where d2 is the squared distance in cells to the nearest
- * cell that a disk meets; 2 half_width when no disk is given.  Returns the
- * number of candidates, or -1 when out of memory. */
+ * cell that a disk meets, which squared_edt computes in clearance first;
+ * 2 half_width when no disk is given.  Returns the number of candidates,
+ * or -1 when out of memory. */
 int64_t grid_cells(const double *cx, const double *cy, const double *radii, int64_t n_disks,
                    int64_t n_side, double half_width, double inv_h, double h,
                    int64_t *cell_start, double *clearance)
 {
     const int64_t n_cells = n_side * n_side;
     uint8_t *occupied = calloc((size_t)n_cells, 1);
-    int64_t *g = malloc((size_t)n_cells * sizeof *g);
     int64_t *work = malloc((size_t)(3 * n_side) * sizeof *work);
-    if (!occupied || !g || !work) {
+    if (!occupied || !work) {
         free(occupied);
-        free(g);
         free(work);
         return -1;
     }
@@ -146,30 +148,26 @@ int64_t grid_cells(const double *cx, const double *cy, const double *radii, int6
         for (int64_t c = 0; c < n_cells; c++)
             clearance[c] = 2.0 * half_width;
     } else {
-        squared_edt(occupied, n_side, g, work);
+        squared_edt(occupied, n_side, clearance, work);
         for (int64_t c = 0; c < n_cells; c++) {
-            const double v = (sqrt((double)g[c]) - SQRT2) * h;
+            const double v = (sqrt(clearance[c]) - SQRT2) * h;
             clearance[c] = v > 0.0 ? v : 0.0;
         }
     }
     free(occupied);
-    free(g);
     free(work);
     return cell_start[n_cells];
 }
 
 /* Fills the candidate lists counted by grid_cells: the disks meeting the
- * 3x3 block around each cell, by increasing index.  Returns 0, or -1 when
- * out of memory. */
-int64_t grid_items(const double *cx, const double *cy, const double *radii, int64_t n_disks,
-                   int64_t n_side, double half_width, double inv_h, double h,
-                   const int64_t *cell_start, int32_t *cell_items)
+ * 3x3 block around each cell, by increasing index.  cell_start is the fill
+ * cursor of each cell, which ends at the start of the next cell; one shift
+ * restores it. */
+void grid_items(const double *cx, const double *cy, const double *radii, int64_t n_disks,
+                int64_t n_side, double half_width, double inv_h, double h,
+                int64_t *cell_start, int32_t *cell_items)
 {
     const int64_t n_cells = n_side * n_side;
-    int64_t *next = malloc((size_t)n_cells * sizeof *next);
-    if (!next)
-        return -1;
-    memcpy(next, cell_start, (size_t)n_cells * sizeof *next);
     for (int64_t k = 0; k < n_disks; k++) {
         const struct box b = disk_box(cx[k], cy[k], radii[k], n_side, half_width, h, inv_h);
         for (int64_t i = b.i0; i <= b.i1; i++) {
@@ -177,12 +175,12 @@ int64_t grid_items(const double *cx, const double *cy, const double *radii, int6
             for (int64_t j = b.j0; j <= b.j1; j++) {
                 const double dy = fabs(cy[k] - (-half_width + ((double)j + 0.5) * h));
                 if (meets(dx, dy, 1.5 * h, radii[k]))
-                    cell_items[next[i * n_side + j]++] = (int32_t)k;
+                    cell_items[cell_start[i * n_side + j]++] = (int32_t)k;
             }
         }
     }
-    free(next);
-    return 0;
+    memmove(cell_start + 1, cell_start, (size_t)n_cells * sizeof *cell_start);
+    cell_start[0] = 0;
 }
 
 /* The cells at Chebyshev distance k from (i0, j0), in the order the

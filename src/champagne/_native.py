@@ -112,9 +112,10 @@ def library() -> ctypes.CDLL:
     lib.point_least_gap.restype = ctypes.c_double
     lib.point_nearest.argtypes = ([f64, f64] + cells + [f64, f64, ctypes.c_int64]
                                   + [ctypes.c_int64, ctypes.c_double, f64])  # others, gap_max, out
-    for fn in (lib.walk_range, lib.grid_cells, lib.grid_items, lib.grid_encounters,
+    for fn in (lib.walk_range, lib.grid_cells, lib.grid_encounters,
                lib.point_ball_sums, lib.point_nearest):
         fn.restype = ctypes.c_int64
+    lib.grid_items.restype = None
     lib.barrier_potential.argtypes = [_array(np.complex128), i64, ctypes.c_int64,
                                       _array(np.complex128), ctypes.c_int64, f64]
     lib.barrier_potential.restype = None

@@ -199,7 +199,7 @@ class DiskGridIndex:
         self.clearance = np.empty(self.n_side ** 2)
         total = _checked(lib.grid_cells(*disks, *geometry, self.cell_start, self.clearance))
         self.cell_items = np.empty(total, dtype=np.int32)
-        _checked(lib.grid_items(*disks, *geometry, self.cell_start, self.cell_items))
+        lib.grid_items(*disks, *geometry, self.cell_start, self.cell_items)
         self._build_encounter_data(lib, geometry)
 
     def _build_encounter_data(self, lib, geometry):

@@ -9,8 +9,10 @@ the true boundary distance keeps the exit law exact, by the strong
 Markov property).
 
 The kernel is compiled C (_walk.c, which _native builds into one library
-with the grid build the first time a grid index is built):
-one loop runs each walk of a range to its exit before starting the next.
+with the grid build the first time a grid index is built): it keeps a few
+walks of a range in flight and advances them in turn, one step each, so
+that the core overlaps their chains of dependent loads; a walk that exits
+hands its place to the next unstarted walk of the range.
 Each step (1) classifies: a walk within the shell exits at the nearest
 component; (2) resolves point-like encounters: a walk within 1e-9 of a
 bubble too small to resolve is absorbed with the exact annulus hitting

@@ -764,6 +764,16 @@ def test_no_compiled_query_sorts():
     assert found == set()
 
 
+def test_the_grid_build_allocates_no_scratch_per_cell_but_the_occupancy_raster():
+    # the distance transform runs in the clearance raster and the candidate
+    # lists fill through cell_start: an n_side^2 int64 array is 8 MB at
+    # n_side = 1024
+    text = (pathlib.Path(ch.__file__).parent / "_grid.c").read_text()
+    sized = [name for name, size in re.findall(r"(\w+) = [mc]alloc\(([^;]*)\);", text)
+             if "n_cells" in size or "n_side * n_side" in size]
+    assert sized == ["occupied"]
+
+
 def test_no_compiled_path_serves_inputs_that_cannot_reach_it():
     # walks have one absorbing circle, r_out, and point queries take points
     # of the open disk, so no NaN reaches the compiled code (the CLI's JSON

@@ -176,6 +176,12 @@ def test_the_exterior_wins_a_tie_with_the_nearest_bubble():
     _assert_tie(_tie_case(index, complex(x0), 2.0 ** -19), walker._CODE_EXTERIOR)
 
 
+def test_the_lower_index_wins_a_tie_between_two_bubbles():
+    # 2^-8 from the surfaces of disk 0 above the origin and disk 1 to its left
+    index = spatial.DiskGridIndex([0.0, -2.0 ** -7], [2.0 ** -6, 0.0], [3 * 2.0 ** -8, 2.0 ** -8])
+    _assert_tie(_tie_case(index, 0j, 2.0 ** -7), 1)
+
+
 def test_a_candidate_exactly_h_away_sets_the_step():
     # a disk of radius 2^-4 at the origin, h = 33/1024 beyond its surface
     index = spatial.DiskGridIndex([0.0], [0.0], [2.0 ** -4], 64)

@@ -29,6 +29,7 @@ from champagne.walker import (
 
 from conftest import euclidean_domain, mobius_transported_estimate, rand_disk_points, wos_walk
 from grid_build import nearest_surface
+from pool_kernel import pool_walk_chunk
 
 
 # -- exact one-hole oracle ----------------------------------------------------
@@ -336,6 +337,26 @@ def test_budget_error_in_a_worker_reaches_the_caller(one_bubble_domain, opened):
     got, want = info.value, first.value
     assert (got.n_failed, got.max_steps, got.sample_position) == (
         want.n_failed, want.max_steps, want.sample_position)
+
+
+def test_budget_error_gives_the_lowest_index_failed_walk_not_the_first_in_time():
+    # 1e-8 from the 1e-13 bubble, walk 1 meets it and survives (two draws
+    # in one step), so it reaches the budget of 4 a round before walk 0
+    dom = _pointlike_domain()
+    case = (dom, complex(dom.centers[2]) + 1e-8, 1e-12, 0)
+
+    def stop(w0, w1):
+        with pytest.raises(WalkBudgetError) as info:
+            pool_walk_chunk(*case, w0, w1, 4, 1.0)
+        return info.value.sample_position
+
+    # the array kernel runs both walks in step and raises at walk 1's stop
+    assert stop(0, 2) == stop(1, 2) != stop(0, 1)
+    steps = pool_walk_chunk(*case, 0, 2, 10 ** 6, 1.0)[1]
+    assert steps.min() >= 4
+    with pytest.raises(WalkBudgetError) as info:
+        walker._walk_chunk(*case, 0, 2, 4, 1.0)
+    assert (info.value.n_failed, info.value.sample_position) == (2, stop(0, 1))
 
 
 def test_walk_kernel_has_no_per_walk_python():
