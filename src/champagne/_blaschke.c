@@ -1,22 +1,22 @@
-/* Shell potentials of the barrier (barriers.barrier_lower_bound): for each
- * point s_p and shell j, the matrix entry
+/* Charge matrix of the harmonic-measure bounds (barriers._charge_matrix):
+ * for each point s_p and group j of zeros, the matrix entry
  *
- *     out[p * n_shells + j] = -log|B_j(s_p)|,   |B_j(s)|^2 = prod_{lambda in shell j} rho(s, lambda)^2,
+ *     out[p * n_groups + j] = -log|B_j(s_p)|,   |B_j(s)|^2 = prod_{lambda in group j} rho(s, lambda)^2,
  *
- * with one log per shell, not one per zero, in one pass over the zeros per
- * point.  An empty shell gives 0.  Each factor is the square of rho as
+ * with one log per group, not one per zero, in one pass over the zeros per
+ * point.  An empty group gives 0.  Each factor is the square of rho as
  * hyperbolic.pseudo_distance_many forms it: d^2 / b^2, with d^2 =
  * |s - lambda|^2 and b^2 = d^2 + (1 - |s|^2)(1 - |lambda|^2) =
  * |1 - conj(lambda) s|^2, so every factor lies in [0, 1]; where d^2 <
- * TINY_SQUARE, rho = hypot(dx, dy) / sqrt(b^2) enters twice.  A shell's
+ * TINY_SQUARE, rho = hypot(dx, dy) / sqrt(b^2) enters twice.  A group's
  * product is kept as m 2^e, m renormalized by frexp whenever a factor
  * would take it below 2^-900, so no product underflows however many zeros
- * a shell holds.  A point on a zero gets +inf in that zero's shell.  Not
+ * a group holds.  A point on a zero gets +inf in that zero's group.  Not
  * bit-identical to the array sum kept in the tests, which takes one log of
- * pseudo_distance_many per pair; the two agree to about 1e-15 relative.
+ * pseudo_distance_many per pair; they differ by about a rounding per log.
  *
  * Points and zeros are complex128 arrays read as interleaved (re, im)
- * doubles.  Shell j's zeros are zeros[shell_start[j] .. shell_start[j + 1]).
+ * doubles.  Group j's zeros are zeros[group_start[j] .. group_start[j + 1]).
  */
 #include <math.h>
 #include <stdint.h>
@@ -36,16 +36,16 @@ static void renormalize(double *m, int64_t *e, double x)
     *e += (int64_t)k1 + k2;
 }
 
-void barrier_potential(const double *zeros, const int64_t *shell_start, int64_t n_shells,
+void barrier_potential(const double *zeros, const int64_t *group_start, int64_t n_groups,
                        const double *pts, int64_t n_pts, double *out)
 {
     for (int64_t p = 0; p < n_pts; p++) {
         const double sx = pts[2 * p], sy = pts[2 * p + 1];
         const double gap_s = 1.0 - (sx * sx + sy * sy);
-        for (int64_t j = 0; j < n_shells; j++) {
+        for (int64_t j = 0; j < n_groups; j++) {
             double m = 1.0;
             int64_t e = 0;
-            for (int64_t k = shell_start[j]; k < shell_start[j + 1]; k++) {
+            for (int64_t k = group_start[j]; k < group_start[j + 1]; k++) {
                 const double lx = zeros[2 * k], ly = zeros[2 * k + 1];
                 const double dx = sx - lx, dy = sy - ly;
                 const double d2 = dx * dx + dy * dy;
@@ -64,7 +64,7 @@ void barrier_potential(const double *zeros, const int64_t *shell_start, int64_t 
                 }
             }
             /* log |B_j|^2 = log m + e log 2; -inf on a zero */
-            out[p * n_shells + j] = -0.5 * (log(m) + (double)e * LN2);
+            out[p * n_groups + j] = -0.5 * (log(m) + (double)e * LN2);
         }
     }
 }

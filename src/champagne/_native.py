@@ -1,12 +1,12 @@
 """Build and load the compiled library: the walk kernel (_walk.c), the
 grid index build and the point queries (annular sums, a least-gap pair,
-least rho: _grid.c) and the barrier potential (_blaschke.c).
+least rho: _grid.c) and the charge matrix of the bounds (_blaschke.c).
 
 The library is compiled with the system C compiler the first time one of
-its functions is needed, never at import: a walk's grid index, a barrier,
-and every ball or nearest query over a point set, so building a domain
-(its disjointness check) and the sequence diagnostics (separation,
-covering, annular sums) compile it too.  It is cached per user in
+its functions is needed, never at import: a walk's grid index, a barrier
+or sandwich bound, and every ball or nearest query over a point set, so
+building a domain (its disjointness check) and the sequence diagnostics
+(separation, covering, annular sums) compile it too.  It is cached per user in
 ~/.cache/champagne under the sha256 of its sources, the flags and the
 compiler's version, so each machine builds it once.  The library is
 written to a temporary file and renamed into place: a concurrent process
@@ -34,7 +34,7 @@ COMPILER = "cc"
 # No -ffast-math, -Ofast or -march=native: contracted multiply-adds or
 # reassociated sums change the last bits of walk positions and grid
 # arrays, and both must stay byte-identical to the array code the tests keep.
-# The barrier potential is checked against its array code to 1e-12 relative.
+# The charge matrix is checked against its array code to 1e-12 relative.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 LIBS = ("-lm",)
 # worker threads that need the library at once compile it once: the check

@@ -1,26 +1,26 @@
-"""Deterministic harmonic-measure bounds from finite Blaschke products.
+"""Deterministic harmonic-measure bounds from Blaschke potentials.
 
-B_j is the finite Blaschke product over the bubble centres of modulus
-shell j.  Its potential -log|B_j| is harmonic in the domain (its zeros lie
-inside bubbles) and vanishes on the unit circle.  A sum
-U = sum_j w_j (-log|B_j|) that is at least 1 on every bubble boundary
-therefore dominates the harmonic measure of the bubbles by the maximum
-principle, whatever the signs of the weights, and 1 - U(start) bounds the
-exterior measure from below.  U is linear in w, so the weights that give
-the best bound on the sampled bubble boundaries solve one small linear
-program, posed with w >= 0 (on five ring-lattice domains the free-sign
-program reached the same optimum, with positive weights),
+Each bound is 1 - U(start), U = sum_k w_k G_k, G_k = log(1/rho(., lambda_k))
+for bubble centre lambda_k: G_k is harmonic off bubble k and 0 on the unit
+circle, so a U >= 1 on every bubble boundary dominates the bubbles' harmonic
+measure (maximum principle), whatever the signs of the weights.  The bounds
+differ only in their weights over one matrix of G_k summed by group
+(_charge_matrix, compiled in _blaschke.c: one log per group and point):
+- walker.sandwich_bounds, one group per bubble, w_k = 1/log(1/s_k) for
+  pseudo radius s_k, so w_k G_k is the measure of bubble k alone: lower_union
+  takes every w_k, upper_single one bubble's (an upper bound, as removing
+  bubbles raises the exterior measure);
+- barrier_lower_bound, one group and weight per modulus shell j, so that
+  U = sum_j w_j (-log|B_j|) with B_j the Blaschke product over shell j.  The
+  weights that give the best bound on the sampled bubble boundaries solve one
+  small linear program, posed with w >= 0 (on five ring-lattice domains the
+  free-sign program reached the same optimum, with positive weights),
 
     min U(start)  subject to  U >= 1 at every sample,  w >= 0,
 
-solved through its dual by a revised simplex (_shell_weights).  The
-certificate does not trust the solver: it recomputes U at every sample
-with the weights and rescales them by the observed minimum, so an
-inexact optimum costs tightness, never validity.
-
-The per-shell potentials at the samples and at the start point are
-evaluated by the compiled library (_blaschke.c, through _shell_potential):
-one log per shell and point, no pair-sized temporaries, and no walk grid.
+  solved through its dual by a revised simplex (_shell_weights).  The
+  certificate recomputes U at every sample and rescales the weights by the
+  observed minimum, so an inexact optimum costs tightness, never validity.
 """
 
 from __future__ import annotations
@@ -33,24 +33,24 @@ import numpy as np
 from . import _native
 from .domains import ChampagneDomain, transport_domain
 from .errors import NumericalRefusalError, ValidationError
+from .hyperbolic import require_disk_point
 
 _MAX_PIVOTS = 1000   # simplex pivots before the barrier is refused
 
 
-def _shell_potential(zeros, shells, pts) -> np.ndarray:
-    """The (points x shells) matrix of -log|B_j(s)|: B_j is the Blaschke
-    product over the zeros in shell j (shells[k] is zero k's 1-based shell),
-    and column j - 1 belongs to shell j, up to the largest shell index.
-    +inf on a zero of that shell; an empty shell's column is 0."""
+def _charge_matrix(zeros, groups, pts) -> np.ndarray:
+    """The (points x groups) matrix of -log|B_g(pt)|, B_g the Blaschke product
+    over the zeros of group g: groups[k] is the 0-based column of zero k, up
+    to the largest.  +inf on a zero of that group; an empty group gives 0."""
     zeros = np.asarray(zeros, dtype=np.complex128)
-    shells = np.asarray(shells, dtype=np.int64)
+    groups = np.asarray(groups, dtype=np.int64)
     pts = np.ascontiguousarray(pts, dtype=np.complex128)
-    n_shells = int(shells.max(initial=0))
-    order = np.argsort(shells, kind="stable")
-    shell_start = np.searchsorted(shells[order], np.arange(1, n_shells + 2))
-    out = np.empty((pts.size, n_shells))
-    _native.library().barrier_potential(np.ascontiguousarray(zeros[order]), shell_start,
-                                        n_shells, pts, pts.size, out)
+    n_groups = int(groups.max(initial=-1)) + 1
+    order = np.argsort(groups, kind="stable")
+    group_start = np.searchsorted(groups[order], np.arange(n_groups + 1))
+    out = np.empty((pts.size, n_groups))
+    _native.library().barrier_potential(np.ascontiguousarray(zeros[order]), group_start,
+                                        n_groups, pts, pts.size, out)
     return out
 
 
@@ -137,6 +137,7 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     if boundary_sample_density < 4:
         raise ValidationError("need at least 4 samples per bubble boundary")
     domain.require_interior(start, "start")
+    require_disk_point(start, "start")   # transport_domain needs the rim margin
     if domain.n_bubbles == 0:
         return BarrierCertificate(
             exterior_lower=1.0, barrier_at_start=0.0, rescale_factor=1.0, per_bubble_min=(),
@@ -154,7 +155,7 @@ def barrier_lower_bound(domain: ChampagneDomain, eta: float = 0.5, start=0j,
     samples = (domain.centers[:, None] + domain.radii[:, None] * ring[None, :]).ravel()
     # an empty shell's potential vanishes: it is no column and no weight
     occupied, column = np.unique(shells, return_inverse=True)
-    M = _shell_potential(zeros, column + 1, np.append(samples, 0j))
+    M = _charge_matrix(zeros, column, np.append(samples, 0j))
     # a bubble below coordinate resolution has samples that round onto its
     # centre, where its own shell's potential reads +inf; on its boundary
     # that potential is at least log(1/s_k) (|B| <= rho = s_k), a lower bound

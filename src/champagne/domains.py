@@ -66,12 +66,12 @@ class RadiusProfile:
             c, gamma = self.params
             if not 0.0 < c < 1.0:
                 raise ValidationError(f"power profile needs c in (0,1), got {c!r}")
-            if not gamma > 0.0:
-                raise ValidationError(f"power profile needs gamma > 0, got {gamma!r}")
+            if not 0.0 < gamma < math.inf:
+                raise ValidationError(f"power profile needs a finite gamma > 0, got {gamma!r}")
         elif k == "expinv":
             c, beta = self.params
-            if not (c > 0.0 and beta > 0.0):
-                raise ValidationError(f"expinv profile needs c, beta > 0, got {self.params!r}")
+            if not (0.0 < c < math.inf and 0.0 < beta < math.inf):
+                raise ValidationError(f"expinv profile needs finite c, beta > 0, got {self.params!r}")
         elif k == "table":
             t = np.asarray(self.table_t, dtype=np.float64)
             p = np.asarray(self.table_phi, dtype=np.float64)
@@ -110,9 +110,6 @@ class RadiusProfile:
             t = np.clip(1.0 - s, self.table_t[0], self.table_t[-1])
             out = np.interp(t, self.table_t, self.table_phi)
         return out if out.ndim else float(out)
-
-    def __call__(self, t):
-        return self.value_at_gap(1.0 - np.asarray(t, dtype=np.float64))
 
     def log_inv_at_loggap(self, log_s):
         """log(1/phi) evaluated at gap exp(log_s), computed in log space."""
@@ -243,7 +240,7 @@ def _block_integrals(profile: RadiusProfile, knots) -> np.ndarray:
         return (b - a) / math.log(1.0 / profile.params[0])
     if profile.kind == "power":
         c, gamma = profile.params
-        return np.log1p(gamma * (b - a) / (math.log(1.0 / c) + gamma * a)) / gamma
+        return np.log1p((b - a) / (math.log(1.0 / c) / gamma + a)) / gamma
     if profile.kind == "expinv":
         # a difference of the integrals from 0 would cancel on far decades
         c, beta = profile.params
@@ -313,8 +310,8 @@ def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000) -
     partial_sums are the first J_max partial sums, and blocks sum the
     terms j in [10, 100), [100, 1000), ... up to J_max.
     """
-    if not K > 1.0:
-        raise ValidationError(f"K must exceed 1, got {K!r}")
+    if not 1.0 < K < math.inf:
+        raise ValidationError(f"K must be finite and exceed 1, got {K!r}")
     if J_max < 0:
         raise ValidationError("J_max must be >= 0")
     if J_max == 0:

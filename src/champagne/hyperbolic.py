@@ -3,11 +3,11 @@
 Points are plain complex numbers.  The pseudohyperbolic distance is
 rho(z, w) = |(z - w) / (1 - conj(w) z)|, invariant under disk
 automorphisms; pseudo_distance_many states the package's one formula
-for it, which the compiled nearest search (_grid.c) and barrier
-potential (_blaschke.c) evaluate too.  A pseudohyperbolic disk is given
-by its center and radius arrays, never as an object;
-pseudo_to_euclidean_arrays realizes disks as exact Euclidean circles,
-which the walker works on.
+for it, which the compiled nearest search (_grid.c) and the charge
+matrix of the barrier and the sandwich bounds (_blaschke.c) evaluate
+too.  A pseudohyperbolic disk is given by its center and radius arrays,
+never as an object; pseudo_to_euclidean_arrays realizes disks as exact
+Euclidean circles, which the walker works on.
 """
 
 from __future__ import annotations

@@ -46,9 +46,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _native
+from .barriers import _charge_matrix
 from .domains import ChampagneDomain
 from .errors import ValidationError, WalkBudgetError
-from .hyperbolic import pseudo_distance_many, require_disk_point
+from .hyperbolic import require_disk_point
 from .spatial import _L, nearest_disk
 from .streams import _U64, derive_seed
 
@@ -322,9 +323,12 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
 class SandwichBounds:
     """Deterministic bracket for the exterior measure at the start point.
 
-    lower_union comes from summing single-bubble measures (a union bound);
-    upper_single from dropping all bubbles but the most absorbing one
-    (removing bubbles can only increase the exterior measure).
+    components[k] = w_k G_k(start), with G_k = log(1/rho(., lambda_k)) and
+    w_k = 1/log(1/s_k) for bubble k's centre lambda_k and pseudo radius s_k:
+    the harmonic measure of bubble k alone.  lower_union = max(0, 1 - sum_k)
+    takes every weight (a union bound); upper_single = 1 - max_k takes the
+    weight of the most absorbing bubble alone and 0 for the rest (removing
+    bubbles can only increase the exterior measure).
     """
 
     lower_union: float
@@ -334,16 +338,17 @@ class SandwichBounds:
 
 
 def sandwich_bounds(domain: ChampagneDomain, z0=0j) -> SandwichBounds:
+    """The sandwich bounds at z0: the weights of SandwichBounds over one row
+    of barriers._charge_matrix, at z0 with one group per bubble."""
     z0 = complex(z0)
     domain.require_interior(z0, "z0")
     if domain.n_bubbles == 0:
         return SandwichBounds(1.0, 1.0, (), z0)
-    m = pseudo_distance_many(z0, domain.pseudo_centers)
-    s = domain.pseudo_radii
-    if np.any(m <= s):
-        bad = int(np.argmax(s - m))
-        raise ValidationError(f"start point sits inside transported bubble {bad}")
-    terms = np.log(m) / np.log(s)
+    g = _charge_matrix(domain.pseudo_centers, np.arange(domain.n_bubbles), [z0])[0]
+    terms = g / -np.log(domain.pseudo_radii)
+    if np.any(terms >= 1.0):
+        bad = int(np.argmax(terms))
+        raise ValidationError(f"z0={z0!r} is within the pseudo radius of bubble {bad}")
     return SandwichBounds(
         lower_union=max(0.0, 1.0 - float(terms.sum())),
         upper_single=1.0 - float(terms.max()),
@@ -394,8 +399,8 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
     instead, one range per _CHUNK = 8,192 walks, so only beyond 8,192
     walks; the default 2,000 run on the calling thread.
     """
-    if not K > 1.0:
-        raise ValidationError(f"K must exceed 1, got {K!r}")
+    if not 1.0 < K < math.inf:
+        raise ValidationError(f"K must be finite and exceed 1, got {K!r}")
     if j_max < 1:
         raise ValidationError("j_max must be >= 1")
     if n_walks < 1:

@@ -1,11 +1,11 @@
-"""The array evaluation of the shell barrier potentials that the compiled
-one (champagne/_blaschke.c) replaced, kept as its reference.
+"""The array evaluation of the charge matrix that the compiled one
+(champagne/_blaschke.c) replaced, kept as its reference.
 
 log_blaschke_many takes one log of hyperbolic.pseudo_distance_many per
 (point, zero) pair and sums them, in chunks of about 2e6 pairs.
-array_shell_potential has the signature of barriers._shell_potential;
-the two agree to 1e-12 relative, not bit for bit: the compiled kernel
-takes one log per shell of a product of rho^2.
+array_charge_matrix has the signature of barriers._charge_matrix; the
+two agree to 1e-12 relative, not bit for bit: the compiled kernel takes
+one log per group of a product of rho^2.
 """
 
 import numpy as np
@@ -26,11 +26,11 @@ def log_blaschke_many(zeros: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def array_shell_potential(zeros, shells, pts) -> np.ndarray:
-    """The (points x shells) matrix of -sum_(k in shell j) log rho(s, zero_k)."""
+def array_charge_matrix(zeros, groups, pts) -> np.ndarray:
+    """The (points x groups) matrix of -sum_(k in group j) log rho(s, zero_k)."""
     zeros = np.asarray(zeros, dtype=np.complex128)
-    shells = np.asarray(shells, dtype=np.int64)
+    groups = np.asarray(groups, dtype=np.int64)
     pts = np.asarray(pts, dtype=np.complex128)
-    cols = [-log_blaschke_many(zeros[shells == j], pts)
-            for j in range(1, shells.max(initial=0) + 1)]
+    cols = [-log_blaschke_many(zeros[groups == j], pts)
+            for j in range(groups.max(initial=-1) + 1)]
     return np.column_stack(cols) if cols else np.empty((pts.size, 0))

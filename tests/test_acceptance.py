@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 import champagne as ch
 from champagne import barriers
-from champagne.barriers import _shell_potential, barrier_lower_bound
+from champagne.barriers import _charge_matrix, barrier_lower_bound
 from champagne.harmonic_density import McParams, ProbeSpec, harmonic_density_curve
 from champagne.walker import estimate_measure, sandwich_bounds
 
@@ -237,12 +237,12 @@ def test_acceptance_7_invariance_suite():
     # log|B| under transported zeros, 1e4 evaluations of the barrier's
     # compiled kernel with one shell
     zeros = rand_disk_points(rng, 10, 0.85)
-    one_shell = np.ones(zeros.size, dtype=np.int64)
+    one_shell = np.zeros(zeros.size, dtype=np.int64)
     worst_lb = 0.0
     for aa, zz in zip(rand_disk_points(rng, 10_000, 0.8), rand_disk_points(rng, 10_000, 0.8)):
-        v0 = _shell_potential(zeros, one_shell, [zz])[0, 0]
+        v0 = _charge_matrix(zeros, one_shell, [zz])[0, 0]
         moved = (aa - zeros) / (1 - np.conj(aa) * zeros)
-        v1 = _shell_potential(moved, one_shell, [(aa - zz) / (1 - np.conj(aa) * zz)])[0, 0]
+        v1 = _charge_matrix(moved, one_shell, [(aa - zz) / (1 - np.conj(aa) * zz)])[0, 0]
         worst_lb = max(worst_lb, abs(v1 - v0))
         if worst_lb > 1e-10:
             break

@@ -1,10 +1,10 @@
 """Blaschke products, shell weights and the barrier certificates.
 
-The compiled shell potentials (barriers._shell_potential) are checked
-against the array sum they replaced (blaschke_sum.py): on the boundary
+The compiled charge matrix (barriers._charge_matrix) is checked
+against the array sum it replaced (blaschke_sum.py): on the boundary
 samples of random ring-lattice domains to 1e-12 of each row's largest
 entry, with certificates that agree to 1e-9, and to 1e-12 relative on a
-sample on a zero, a shell whose product underflows a double and a sample
+sample on a zero, a group whose product underflows a double and a sample
 1e-200 from a zero.  The shell weights (barriers._shell_weights) are
 checked against scipy.optimize.linprog.
 """
@@ -19,16 +19,17 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import champagne as ch
-from champagne import barriers
+from champagne import barriers, walker
 from champagne.barriers import (
-    _shell_potential,
+    _charge_matrix,
     _shell_weights,
     barrier_lower_bound,
     shell_of_modulus,
 )
-from champagne.errors import ChampagneError, NumericalRefusalError
+from champagne.errors import ChampagneError, NumericalRefusalError, ValidationError
+from champagne.hyperbolic import pseudo_distance_many
 
-from blaschke_sum import array_shell_potential
+from blaschke_sum import array_charge_matrix
 
 
 # -- shells -----------------------------------------------------------------------
@@ -147,6 +148,14 @@ def test_barrier_one_layer_equals_one_hole():
     assert cert.rescale_factor == pytest.approx(1.0, abs=1e-12)
 
 
+def test_barrier_names_a_start_too_close_to_the_rim():
+    # |start| < 1 passes the interior check, but not the margin that
+    # transporting the domain to the start needs
+    dom = ch.domain_from_pseudo([(0.5 + 0j, 0.25)])
+    with pytest.raises(ValidationError, match="start="):
+        barrier_lower_bound(dom, start=1 - 5e-13)
+
+
 def test_barrier_empty_domain(empty_domain):
     cert = barrier_lower_bound(empty_domain)
     assert cert.exterior_lower == 1.0
@@ -182,12 +191,12 @@ def test_barrier_of_mixed_radii_stays_below_monte_carlo():
     assert all(v >= 1.0 - 1e-9 for v in cert.per_bubble_min)
 
 
-# -- the compiled shell potential against the array sum ------------------------------
+# -- the compiled charge matrix against the array sum --------------------------------
 
-def _assert_potentials_match(zeros, shells, pts):
-    got = _shell_potential(zeros, shells, pts)
-    want = array_shell_potential(zeros, shells, pts)
-    assert got.shape == want.shape == (len(pts), max(shells))
+def _assert_potentials_match(zeros, groups, pts):
+    got = _charge_matrix(zeros, groups, pts)
+    want = array_charge_matrix(zeros, groups, pts)
+    assert got.shape == want.shape == (len(pts), max(groups) + 1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     return got
 
@@ -197,10 +206,10 @@ def _certificate(dom, **kwargs):
     calls = []
 
     def spy(*args):
-        calls.append((args, _shell_potential(*args)))
+        calls.append((args, _charge_matrix(*args)))
         return calls[-1][1]
 
-    with mock.patch.object(barriers, "_shell_potential", spy):
+    with mock.patch.object(barriers, "_charge_matrix", spy):
         return barrier_lower_bound(dom, **kwargs), calls
 
 
@@ -228,10 +237,10 @@ def test_barrier_matches_the_array_sum(case):
     # each entry sums rounding errors of about 1e-16 per zero of its shell,
     # so a far shell's small entry (6e-4) can be 2e-12 off relative to
     # itself: the entries are compared relative to their row's largest
-    want = array_shell_potential(*args)
+    want = array_charge_matrix(*args)
     assert values.shape == want.shape
     assert np.all(np.abs(values - want) <= 1e-12 * want.max(axis=1, keepdims=True))
-    with mock.patch.object(barriers, "_shell_potential", array_shell_potential):
+    with mock.patch.object(barriers, "_charge_matrix", array_charge_matrix):
         want = barrier_lower_bound(dom, **kwargs)
     for field in ("exterior_lower", "barrier_at_start", "rescale_factor",
                   "per_bubble_min", "weights"):
@@ -243,7 +252,7 @@ def test_barrier_matches_the_array_sum(case):
 def test_potential_on_a_zero_is_infinite():
     zeros = np.array([0.3 + 0.2j, -0.5j, 0.6 + 0j])
     pts = np.array([0.6 + 0j, 0.1j, -0.4 + 0.2j])
-    got = _assert_potentials_match(zeros, [1, 2, 2], pts)
+    got = _assert_potentials_match(zeros, [0, 1, 1], pts)
     assert got[0, 1] == math.inf and np.isfinite(got[0, 0]) and np.all(np.isfinite(got[1:]))
 
 
@@ -254,7 +263,7 @@ def test_potential_of_a_shell_whose_product_underflows():
     zeros = rng.uniform(0.05, 0.5, 600) * np.exp(2j * np.pi * rng.uniform(size=600))
     assert np.prod(np.abs(zeros) ** 2) == 0.0
     pts = np.array([0j, 0.02 + 0.01j, 0.7 - 0.3j])
-    got = _assert_potentials_match(zeros, np.ones(600, dtype=np.int64), pts)
+    got = _assert_potentials_match(zeros, np.zeros(600, dtype=np.int64), pts)
     assert got[0, 0] == pytest.approx(-np.log(np.abs(zeros)).sum(), rel=1e-13)
 
 
@@ -262,6 +271,60 @@ def test_potential_1e_200_from_a_zero():
     # |s - lambda|^2 = 1e-400 underflows; rho itself, about 1.2e-200, does not
     zeros = np.array([0.4j, -0.3 + 0.1j, 0.5 + 0.5j])
     pts = np.array([1e-200 + 0.4j, 0.4j + 1e-140, 0.2 + 0j])
-    got = _assert_potentials_match(zeros, [1, 1, 2], pts)
+    got = _assert_potentials_match(zeros, [0, 0, 1], pts)
     assert got[0, 0] > 400.0 and np.all(np.isfinite(got))
 
+
+
+# -- the bounds as weights over the charge matrix ------------------------------------
+
+@pytest.mark.parametrize("lam, s", [(0.5 + 0j, 0.25), (0.3 + 0.4j, 0.05), (-0.9j, 0.5),
+                                    (0.99 + 0j, 0.08), (0.1 + 0j, 0.05)])
+def test_every_bound_of_one_bubble_is_its_one_hole_measure(lam, s):
+    dom = ch.domain_from_pseudo([(lam, s)])
+    exact = 1 - ch.one_hole_exact(lam, s)
+    sb = ch.sandwich_bounds(dom, 0j)
+    cert = barrier_lower_bound(dom, start=0j)
+    for bound in (sb.lower_union, sb.upper_single, cert.exterior_lower):
+        assert bound == pytest.approx(exact, rel=0.0, abs=1e-15)
+
+
+def _sandwich_cases():
+    """The six ladder rungs, the 12-ring finitely connected domain and the
+    10,230-bubble floor domain of the benchmark, at seed 20."""
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    doms = [ch.build_champagne(seq, ch.parse_profile(spec), 1 - 2.0 ** -k)
+            for spec in ("expinv:1,1", "power:0.1,2") for k in (4, 6, 8)]
+    doms.append(ch.build_finitely_connected(ch.generate_ring_lattice(0.5, 2, 12, seed=20), 0j,
+                                            r=1 - 2.0 ** -8))
+    doms.append(ch.build_champagne(ch.generate_ring_lattice(0.5, 5, 10, seed=20),
+                                   ch.power_profile(0.05, 2), 1 - 2.0 ** -10))
+    return [(dom, z0) for dom in doms for z0 in (0j, 0.2 + 0.1j)]
+
+
+def test_sandwich_bounds_match_the_array_potential_they_replaced():
+    # the sandwich once took log rho from pseudo_distance_many; the charge
+    # matrix rounds once fewer, so a component moves by a fraction of an ulp
+    # and the bounds are the same doubles
+    for dom, z0 in _sandwich_cases():
+        terms = np.log(pseudo_distance_many(z0, dom.pseudo_centers)) / np.log(dom.pseudo_radii)
+        sb = ch.sandwich_bounds(dom, z0)
+        assert np.abs(np.array(sb.components) - terms).max() <= 2.0 ** -52
+        assert sb.lower_union == max(0.0, 1.0 - float(terms.sum()))
+        assert sb.upper_single == 1.0 - float(terms.max())
+
+
+def test_both_bounds_read_the_charge_matrix_once():
+    seq = ch.generate_ring_lattice(0.5, 2, 6, seed=3)
+    dom = ch.build_finitely_connected(seq, 0j, 1 - 2.0 ** -5)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _charge_matrix(*args)
+
+    for module, bound in ((walker, ch.sandwich_bounds), (barriers, barrier_lower_bound)):
+        calls.clear()
+        with mock.patch.object(module, "_charge_matrix", spy):
+            bound(dom)
+        assert len(calls) == 1, bound.__name__

@@ -316,12 +316,28 @@ def test_config_naming_tail_tol_exits_2(tmp_path):
      "--grid-density", "1e300"],
     ["dichotomy-sweep", "--ring", "q=0.5,scale=1,depth=3", "--profile", "expinv:1,1",
      "--truncations", ",", "--walks", "10"],
+    ["criterion", "--profile", "power:0.1,inf"],
+    ["criterion", "--profile", "expinv:inf,1"],
+    ["criterion", "--profile", "expinv:1,inf"],
+    ["criterion", "--profile", "expinv:1,1", "--k", "inf"],
+    ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "10", "--k", "inf"],
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv):
     dom_path = tmp_path / "one.json"
     ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=1.0).save(dom_path)
     assert main([a.format(dom=dom_path) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--profile", "expinv:1,1", "--k", "inf"],
+    ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "10", "--k", "inf"],
+], ids=lambda argv: argv[0])
+def test_an_infinite_k_is_named(tmp_path, capsys, argv):
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=1.0).save(dom_path)
+    assert main([a.format(dom=dom_path) for a in argv]) == 2
+    assert "K must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["measure", "sandwich", "barrier"])

@@ -40,17 +40,17 @@ def test_profile_parsing_roundtrip():
 def test_profile_monotone_and_bounded():
     t = np.linspace(0.01, 0.99, 200)
     for prof in (ch.const_profile(0.3), ch.power_profile(0.2, 1.5), ch.expinv_profile(1, 1)):
-        v = prof(t)
+        v = prof.value_at_gap(1 - t)
         assert np.all(v > 0) and np.all(v < 1)
         assert np.all(np.diff(v) <= 1e-15)
 
 
 def test_table_profile_interpolation():
     prof = ch.table_profile([0.1, 0.5, 0.9], [0.3, 0.2, 0.05])
-    assert prof(0.5) == pytest.approx(0.2)
-    assert prof(0.3) == pytest.approx(0.25)
-    assert prof(0.05) == pytest.approx(0.3)   # clamped left
-    assert prof(0.99) == pytest.approx(0.05)  # clamped right
+    assert prof.value_at_gap(1 - 0.5) == pytest.approx(0.2)
+    assert prof.value_at_gap(1 - 0.3) == pytest.approx(0.25)
+    assert prof.value_at_gap(1 - 0.05) == pytest.approx(0.3)   # clamped left
+    assert prof.value_at_gap(1 - 0.99) == pytest.approx(0.05)  # clamped right
     with pytest.raises(ValidationError):
         ch.table_profile([0.1, 0.5], [0.2, 0.3])  # increasing phi
 
@@ -148,6 +148,13 @@ def test_criterion_table_blocks_match_quad():
         np.testing.assert_allclose(r.partial_sums, np.cumsum(oracle), rtol=1e-6, atol=0.0)
 
 
+def test_power_blocks_of_a_huge_gamma_are_finite():
+    # each block is 1/gamma log1p(...) of about log(10) / 1e308
+    r = criterion_integral(ch.power_profile(0.1, 1e308))
+    assert np.all(np.isfinite(r.blocks)) and np.all(np.array(r.blocks) > 0.0)
+    assert r.blocks[0] == pytest.approx(math.log(10.0) / 1e308, rel=1e-12)
+
+
 def test_criterion_partial_sums_nondecreasing():
     r = criterion_sum(ch.power_profile(0.1, 2), J_max=500)
     ps = np.asarray(r.partial_sums)
@@ -188,7 +195,7 @@ def test_criterion_monotonicity_in_profile():
     small = ch.expinv_profile(2, 1)
     big = ch.expinv_profile(1, 1)
     t = np.linspace(0.01, 0.99, 50)
-    assert np.all(small(t) <= big(t))
+    assert np.all(small.value_at_gap(1 - t) <= big.value_at_gap(1 - t))
     assert criterion_integral(big).classification == "convergent"
     assert criterion_integral(small).classification == "convergent"
     assert criterion_integral(small).value <= criterion_integral(big).value

@@ -279,8 +279,9 @@ def _run_fresh(script, home):
 
 def test_import_and_geometry_compile_nothing(tmp_path):
     # importing compiles nothing; loading a domain checks disjointness with
-    # the compiled ball query, and then its sandwich bounds and interior
-    # check call no compiled code and build no walk grid
+    # the compiled ball query; then its interior check calls no compiled
+    # code, and its sandwich bounds read the compiled charge matrix of the
+    # library already loaded: nothing new is compiled and no walk grid built
     seq = ch.generate_ring_lattice(0.5, 2, 6, seed=1)
     path = tmp_path / "domain.json"
     ch.build_champagne(seq, ch.parse_profile("power:0.1,2"), 1 - 2 ** -6).save(path)
@@ -290,10 +291,11 @@ def test_import_and_geometry_compile_nothing(tmp_path):
                f"dom = ch.ChampagneDomain.load({str(path)!r})\n"
                "calls = _native.library.cache_info()\n"
                "assert calls.misses == 1\n"
-               "ch.sandwich_bounds(dom)\n"
                "dom.require_interior(0.1 + 0.2j)\n"
-               "assert dom._index is None\n"
-               "assert _native.library.cache_info() == calls\n", tmp_path)
+               "assert _native.library.cache_info() == calls\n"
+               "ch.sandwich_bounds(dom)\n"
+               "assert _native.library.cache_info().misses == 1\n"
+               "assert dom._index is None\n", tmp_path)
 
 
 def test_ball_queries_compile_the_library_but_build_no_walk_grid(tmp_path):
