@@ -23,22 +23,29 @@
 
 struct box { int64_t i0, i1, j0, j1; };
 
-/* The cells a disk can be a candidate of: those within its radius plus
- * the half-diagonal of a 3x3 block (and 1e-12) of its center. */
-static struct box disk_box(double x, double y, double r, int64_t n_side,
-                           double half_width, double h, double inv_h)
+/* The cell of coordinate t along one axis: (t + half_width) inv_h,
+ * clamped to the grid and truncated, so that points beyond the grid's
+ * square fall in its edge cells (for finite t, truncating first and then
+ * clamping gives the same cell).  spatial.PointIndex buckets its points by
+ * the same arithmetic, and it is nondecreasing in t: a box of cells from
+ * the cells of x - reach to those of x + reach holds every point within
+ * reach of x along the axis. */
+static int64_t axis_cell(double t, int64_t n_side, double half_width, double inv_h)
 {
-    const double reach = r + 1.5 * h * SQRT2 + 1e-12;
-    struct box b;
-    b.i0 = (int64_t)((x - reach + half_width) * inv_h);
-    b.i1 = (int64_t)((x + reach + half_width) * inv_h);
-    b.j0 = (int64_t)((y - reach + half_width) * inv_h);
-    b.j1 = (int64_t)((y + reach + half_width) * inv_h);
-    b.i0 = b.i0 < 0 ? 0 : b.i0;
-    b.j0 = b.j0 < 0 ? 0 : b.j0;
-    b.i1 = b.i1 > n_side - 1 ? n_side - 1 : b.i1;
-    b.j1 = b.j1 > n_side - 1 ? n_side - 1 : b.j1;
-    return b;
+    const double c = (t + half_width) * inv_h;
+    return !(c > 0.0) ? 0 : c > (double)(n_side - 1) ? n_side - 1 : (int64_t)c;   /* NaN: 0 */
+}
+
+/* The box of cells within reach of (x, y) along both axes.  A disk of
+ * radius r is a candidate of cells within r + 1.5 h sqrt 2 + 1e-12 of its
+ * center: the half-diagonal of a 3x3 block, and a margin. */
+static struct box cell_box(double x, double y, double reach,
+                           int64_t n_side, double half_width, double inv_h)
+{
+    return (struct box){axis_cell(x - reach, n_side, half_width, inv_h),
+                        axis_cell(x + reach, n_side, half_width, inv_h),
+                        axis_cell(y - reach, n_side, half_width, inv_h),
+                        axis_cell(y + reach, n_side, half_width, inv_h)};
 }
 
 /* hypot(max(dx - half, 0), max(dy - half, 0)) <= r: the disk of radius r
@@ -131,7 +138,8 @@ int64_t grid_cells(const double *cx, const double *cy, const double *radii, int6
     }
     memset(cell_start, 0, (size_t)(n_cells + 1) * sizeof *cell_start);
     for (int64_t k = 0; k < n_disks; k++) {
-        const struct box b = disk_box(cx[k], cy[k], radii[k], n_side, half_width, h, inv_h);
+        const struct box b = cell_box(cx[k], cy[k], radii[k] + 1.5 * h * SQRT2 + 1e-12,
+                                      n_side, half_width, inv_h);
         for (int64_t i = b.i0; i <= b.i1; i++) {
             const double dx = fabs(cx[k] - (-half_width + ((double)i + 0.5) * h));
             for (int64_t j = b.j0; j <= b.j1; j++) {
@@ -169,7 +177,8 @@ void grid_items(const double *cx, const double *cy, const double *radii, int64_t
 {
     const int64_t n_cells = n_side * n_side;
     for (int64_t k = 0; k < n_disks; k++) {
-        const struct box b = disk_box(cx[k], cy[k], radii[k], n_side, half_width, h, inv_h);
+        const struct box b = cell_box(cx[k], cy[k], radii[k] + 1.5 * h * SQRT2 + 1e-12,
+                                      n_side, half_width, inv_h);
         for (int64_t i = b.i0; i <= b.i1; i++) {
             const double dx = fabs(cx[k] - (-half_width + ((double)i + 0.5) * h));
             for (int64_t j = b.j0; j <= b.j1; j++) {
@@ -183,9 +192,10 @@ void grid_items(const double *cx, const double *cy, const double *radii, int64_t
     cell_start[0] = 0;
 }
 
-/* The cells at Chebyshev distance k from (i0, j0), in the order the
- * reference ring search of the tests enumerates its rings; at most
- * 8 k + 1. */
+/* The cells at Chebyshev distance k from (i0, j0) inside the grid, in the
+ * order the reference ring search of the tests enumerates its rings; at
+ * most 8 k + 1, and none once the ring lies wholly outside the grid, where
+ * the ring searches end. */
 static int64_t ring(int64_t n_side, int64_t i0, int64_t j0, int64_t k, int64_t *cells)
 {
     if (k == 0) {
@@ -209,19 +219,18 @@ static int64_t ring(int64_t n_side, int64_t i0, int64_t j0, int64_t k, int64_t *
     return m;
 }
 
-/* The encounter data of each point-like disk p = pl[q]: enc_modulus[p] =
- * hypot(x, y) for its center (x, y), and enc_clearance[p] the least of
- * 1 - enc_modulus[p] and hypot(dx, dy) - r over the other disks, as
- * np.hypot evaluates it.  The reference ring search of the tests, from
- * p's cell outwards: once rings 0 .. k are scanned, every unlisted disk
- * lies beyond (k + 1) h, up to the rounding of the cell tests and of the
- * distances, which ROUNDING_MARGIN covers (every distance in the grid's
- * square is below 3, where an ulp is 4.4e-16).  Returns 0, or -1 when out
- * of memory. */
+/* The encounter data of each point-like disk p = pl[q] with center (x, y):
+ * enc_clearance[p], the least of 1 - hypot(x, y) and hypot(dx, dy) - r
+ * over the other disks, as np.hypot evaluates it.  The reference ring
+ * search of the tests, from p's cell outwards: once rings 0 .. k are
+ * scanned, every unlisted disk lies beyond (k + 1) h, up to the rounding
+ * of the cell tests and of the distances, which ROUNDING_MARGIN covers
+ * (every distance in the grid's square is below 3, where an ulp is
+ * 4.4e-16).  Returns 0, or -1 when out of memory. */
 int64_t grid_encounters(const double *cx, const double *cy, const double *radii,
                         const int64_t *cell_start, const int32_t *cell_items,
                         int64_t n_side, double half_width, double inv_h, double h,
-                        const int64_t *pl, int64_t n_pl, double *enc_modulus, double *enc_clearance)
+                        const int64_t *pl, int64_t n_pl, double *enc_clearance)
 {
     int64_t *cells = malloc((size_t)(8 * n_side + 1) * sizeof *cells);
     if (!cells)
@@ -229,16 +238,10 @@ int64_t grid_encounters(const double *cx, const double *cy, const double *radii,
     for (int64_t q = 0; q < n_pl; q++) {
         const int64_t p = pl[q];
         const double x = cx[p], y = cy[p];
-        int64_t i0 = (int64_t)((x + half_width) * inv_h), j0 = (int64_t)((y + half_width) * inv_h);
-        i0 = i0 < 0 ? 0 : i0 > n_side - 1 ? n_side - 1 : i0;
-        j0 = j0 < 0 ? 0 : j0 > n_side - 1 ? n_side - 1 : j0;
-        /* rings beyond the farthest edge of the grid are empty */
-        int64_t edge = i0 > n_side - 1 - i0 ? i0 : n_side - 1 - i0;
-        edge = j0 > edge ? j0 : edge;
-        edge = n_side - 1 - j0 > edge ? n_side - 1 - j0 : edge;
+        const int64_t i0 = axis_cell(x, n_side, half_width, inv_h);
+        const int64_t j0 = axis_cell(y, n_side, half_width, inv_h);
         double best = INFINITY;
-        for (int64_t k = 0; k <= edge; k++) {
-            const int64_t m = ring(n_side, i0, j0, k, cells);
+        for (int64_t k = 0, m; (m = ring(n_side, i0, j0, k, cells)) > 0; k++) {
             for (int64_t a = 0; a < m; a++)
                 for (int64_t e = cell_start[cells[a]]; e < cell_start[cells[a] + 1]; e++) {
                     const int64_t i = cell_items[e];
@@ -249,24 +252,11 @@ int64_t grid_encounters(const double *cx, const double *cy, const double *radii,
             if (best + ROUNDING_MARGIN <= (double)(k + 1) * h)
                 break;
         }
-        const double modulus = hypot(x, y);
-        enc_modulus[p] = modulus;
-        enc_clearance[p] = best < 1.0 - modulus ? best : 1.0 - modulus;
+        const double rim = 1.0 - hypot(x, y);
+        enc_clearance[p] = best < rim ? best : rim;
     }
     free(cells);
     return 0;
-}
-
-/* The bucket cell of coordinate t along one axis: (t + half_width) inv_h,
- * clamped to the grid and truncated, so that points beyond the grid's
- * square fall in its edge cells.  spatial.PointIndex buckets the points by
- * the same arithmetic, and it is nondecreasing in t: a box of cells from
- * the cells of x - reach to those of x + reach holds every point within
- * reach of x along the axis. */
-static int64_t axis_cell(double t, int64_t n_side, double half_width, double inv_h)
-{
-    const double c = (t + half_width) * inv_h;
-    return !(c > 0.0) ? 0 : c > (double)(n_side - 1) ? n_side - 1 : (int64_t)c;   /* NaN: 0 */
 }
 
 /* rho(z, p) for z = (x, y) with gap = 1 - |z|^2, as
@@ -284,18 +274,10 @@ static double rho(double x, double y, double gap, double px, double py)
 /* Points bucketed in a uniform grid (spatial.PointIndex): (px[e], py[e]) is
  * bucket entry e, point order[e] of the set, and the entries of cell (i, j)
  * are cell_start[i n_side + j] .. cell_start[i n_side + j + 1).  A ball
- * query screens the rows of cells of this box by dx^2 + dy^2 <= r^2: a hit
- * lies within r (1 + 1e-12) + 1e-12 of (x, y) on each axis, the margin
- * covering the rounding of the sum and squares that underflow to 0. */
-static struct box ball_box(double x, double y, double r,
-                           int64_t n_side, double half_width, double inv_h)
-{
-    const double reach = r * (1.0 + 1e-12) + 1e-12;
-    return (struct box){axis_cell(x - reach, n_side, half_width, inv_h),
-                        axis_cell(x + reach, n_side, half_width, inv_h),
-                        axis_cell(y - reach, n_side, half_width, inv_h),
-                        axis_cell(y + reach, n_side, half_width, inv_h)};
-}
+ * query of radius r screens the rows of cells of its cell_box by
+ * dx^2 + dy^2 <= r^2: a hit lies within reach r (1 + 1e-12) + 1e-12 of
+ * (x, y) on each axis, the margin covering the rounding of the sum and
+ * squares that underflow to 0. */
 
 /* Annular sums for queries z = (zx[q], zy[q]) and points in the open disk:
  * out[q n_cuts + k] is the sum of 1 - rho(z, p) over the points p with
@@ -318,7 +300,8 @@ int64_t point_ball_sums(const double *px, const double *py, const int64_t *cell_
         return -1;
     for (int64_t q = 0; q < n_q; q++) {
         const double x = zx[q], y = zy[q], gap = 1.0 - (x * x + y * y), r = br[q];
-        const struct box b = ball_box(bx[q], by[q], r, n_side, half_width, inv_h);
+        const struct box b = cell_box(bx[q], by[q], r * (1.0 + 1e-12) + 1e-12,
+                                      n_side, half_width, inv_h);
         memset(bins, 0, (size_t)n_cuts * sizeof *bins);
         for (int64_t i = b.i0; i <= b.i1; i++)
             for (int64_t e = cell_start[i * n_side + b.j0]; e < cell_start[i * n_side + b.j1 + 1]; e++) {
@@ -360,7 +343,8 @@ double point_least_gap(const double *px, const double *py, const int64_t *order,
     for (int64_t e = 0; e < cell_start[n_side * n_side]; e++) {
         const int64_t q = order[e];
         const double r = 2.0 * radii[q] * (1.0 + 1e-9);
-        const struct box b = ball_box(px[e], py[e], r, n_side, half_width, inv_h);
+        const struct box b = cell_box(px[e], py[e], r * (1.0 + 1e-12) + 1e-12,
+                                      n_side, half_width, inv_h);
         for (int64_t i = b.i0; i <= b.i1; i++)
             for (int64_t f = cell_start[i * n_side + b.j0]; f < cell_start[i * n_side + b.j1 + 1]; f++) {
                 const double dx = px[f] - px[e], dy = py[f] - py[e];
@@ -428,12 +412,8 @@ int64_t point_nearest(const double *px, const double *py, const int64_t *cell_st
         const double gap = 1.0 - (x * x + y * y);
         const int64_t i0 = axis_cell(x, n_side, half_width, inv_h);
         const int64_t j0 = axis_cell(y, n_side, half_width, inv_h);
-        int64_t edge = i0 > n_side - 1 - i0 ? i0 : n_side - 1 - i0;
-        edge = j0 > edge ? j0 : edge;
-        edge = n_side - 1 - j0 > edge ? n_side - 1 - j0 : edge;
         double t = INFINITY;
-        for (int64_t k = 0; k <= edge; k++) {
-            const int64_t n_cells = ring(n_side, i0, j0, k, cells);
+        for (int64_t k = 0, n_cells; (n_cells = ring(n_side, i0, j0, k, cells)) > 0; k++) {
             for (int64_t a = 0; a < n_cells; a++) {
                 const int64_t c = cells[a], end = cell_start[c + 1];
                 if (cell_start[c] == end)

@@ -97,14 +97,14 @@ def library() -> ctypes.CDLL:
     disks = [f64, f64, f64, ctypes.c_int64]              # cx, cy, radii, their count
     grid = [ctypes.c_int64] + [ctypes.c_double] * 3      # n_side, half_width, inv_h, h
     lib.walk_range.argtypes = (
-        [f64, f64, f64, i64, i32, f64, _array(np.uint8), f64, f64]          # grid index
+        [f64, f64, f64, i64, i32, f64, f64]                                 # grid index
         + grid
         + [ctypes.c_double] * 5 + [ctypes.c_uint64] + [ctypes.c_int64] * 3  # the walks
         + [i64, i64, f64, f64, f64, f64])                                    # outputs
     lib.grid_cells.argtypes = disks + grid + [i64, f64]
     lib.grid_items.argtypes = disks + grid + [i64, i32]
     lib.grid_encounters.argtypes = (disks[:3] + [i64, i32] + grid
-                                    + [i64, ctypes.c_int64, f64, f64])   # pl, its count, outputs
+                                    + [i64, ctypes.c_int64, f64])   # pl, its count, output
     cells = [i64] + grid[:3]   # the point buckets' cell_start, n_side, half_width, inv_h
     lib.point_ball_sums.argtypes = ([f64, f64] + cells + [f64] * 5 + [ctypes.c_int64]  # z, balls
                                     + [f64, ctypes.c_int64, f64])                       # cuts, out

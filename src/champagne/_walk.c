@@ -16,12 +16,15 @@
  * a quarter turn q that swaps and negates them.  Its error is below
  * 3 * 2^-53.  The polynomials are where a contracted multiply-add would
  * change the most bits, hence -ffp-contract=off.  The encounter's hitting
- * probability still calls libm log.
+ * probability still calls libm log, and its annulus libm hypot for the
+ * modulus of the disk's center, as _grid.c does.
  *
  * Grid index arrays (spatial.DiskGridIndex): disk centers cx, cy and radii;
  * the candidate lists cell_items[cell_start[c] .. cell_start[c + 1]) of each
- * cell c; the clearance of each cell; and, per disk, the point-like flag and
- * the encounter annulus data.
+ * cell c; the clearance of each cell; and, per disk, the clearance D of its
+ * encounter annulus, positive exactly for the point-like disks (a disk's
+ * clearance is at least its positive gap to the rest of the boundary) and
+ * 0 for the others.
  *
  * Outputs per walk: exit code (0 exterior, k + 1 bubble k, -1 for a walk
  * over budget), uniforms drawn, path length and exit position.
@@ -95,8 +98,7 @@ static void direction(double u, double *dx, double *dy)
 
 int64_t walk_range(const double *cx, const double *cy, const double *radii,
                    const int64_t *cell_start, const int32_t *cell_items,
-                   const double *clearance, const uint8_t *pointlike,
-                   const double *enc_clearance, const double *enc_modulus,
+                   const double *clearance, const double *enc_clearance,
                    int64_t n_side, double half_width, double inv_h, double h,
                    double x0, double y0, double eps, double enc_trigger,
                    double r_out, uint64_t seed,
@@ -157,11 +159,11 @@ int64_t walk_range(const double *cx, const double *cy, const double *radii,
             if (step < eps)
                 goto record;
 
-            if (cand < enc_trigger && pointlike[near]) {
+            if (cand < enc_trigger && enc_clearance[near] > 0.0) {
                 /* point-like encounter: the exact annulus hitting law */
                 c = near + 1;
                 const double rho0 = cand + radii[near];
-                const double ann = r_out - enc_modulus[near];
+                const double ann = r_out - hypot(cx[near], cy[near]);
                 const double big_d = enc_clearance[near] < ann ? enc_clearance[near] : ann;
                 if (big_d <= (rho0 > enc_trigger ? 4.0 * rho0 : 4.0 * enc_trigger))
                     goto record;  /* cramped: a hit, with no draw */

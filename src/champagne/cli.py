@@ -6,7 +6,8 @@ and gen-seq's sequence file (with its envelope beside it, at
 <path>.meta.json).  The config is the subcommand's flags as given or
 defaulted, seed included and unset ones left out, so written back as a
 --config file it re-runs the command; the result is the library's report.
-Exit codes: 0 success, 2 validation error, 3 numerical refusal.
+Exit codes: 0 success, 2 validation error, 3 numerical refusal or not
+enough memory.
 """
 
 from __future__ import annotations
@@ -457,6 +458,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalRefusalError, WalkBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"refused: not enough memory: {exc}", file=sys.stderr)
         return 3
     except ChampagneError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,6 +190,8 @@ def probe_lattice(max_modulus: float, density: float = 4.0, rim: bool = True) ->
     phases drawn from _PROBE_SEED."""
     if not 0.0 < max_modulus <= 1.0 - BOUNDARY_MARGIN:
         raise ValidationError("max_modulus must lie in (0, 1)")
+    if not 0.0 < density < math.inf:
+        raise ValidationError(f"grid density must be positive and finite, got {density!r}")
     depth = max(1, math.ceil(math.log(1.0 - max_modulus) / math.log(_PROBE_Q)))
     lattice = generate_ring_lattice(_PROBE_Q, points_per_ring_scale=density, depth=depth,
                                     seed=derive_seed(_PROBE_SEED, "probe"))

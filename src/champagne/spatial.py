@@ -205,15 +205,15 @@ class DiskGridIndex:
     def _build_encounter_data(self, lib, geometry):
         """For point-like disks, the clearance radius of the concentric
         annulus that stays inside the domain: distance from the center to
-        the unit circle and to every other disk.  The center's modulus is
-        kept too, for annuli bounded by a smaller outer circle."""
+        the unit circle and to every other disk, positive on a domain of
+        disjoint disks.  Other disks get 0: the walk kernel meets a disk by
+        the annulus law exactly when its clearance is positive."""
         self.pointlike = self.radii < POINTLIKE_RADIUS
         self.enc_clearance = np.zeros(self.n_disks)
-        self.enc_modulus = np.zeros(self.n_disks)
         pl = np.flatnonzero(self.pointlike)
         _checked(lib.grid_encounters(self.cx, self.cy, self.radii, self.cell_start,
                                      self.cell_items, *geometry, pl, pl.size,
-                                     self.enc_modulus, self.enc_clearance))
+                                     self.enc_clearance))
 
     def gather_candidates(self, cells: np.ndarray):
         """CSR gather of candidate lists for an array of cells (the array

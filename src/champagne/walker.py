@@ -17,6 +17,10 @@ Each step (1) classifies: a walk within the shell exits at the nearest
 component; (2) resolves point-like encounters: a walk within 1e-9 of a
 bubble too small to resolve is absorbed with the exact annulus hitting
 probability or moved to the annulus' outer circle; (3) otherwise jumps.
+The kernel's one encounter array is each bubble's clearance D to the
+rest of the boundary, positive exactly for the point-like bubbles; the
+annulus reaches the lesser of D and the absorbing circle's distance from
+the centre, whose modulus libm hypot measures.
 A direction, of a jump or of an encounter's exit, is (cos 2 pi u, sin 2 pi u)
 of one uniform u without libm trig: the nearest quarter turn q = round(4u)
 and the remainder r = u - q/4, both exact, fixed Taylor polynomials of
@@ -189,8 +193,7 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
     stuck = np.zeros(2)
     n_failed = _native.library().walk_range(
         idx.cx, idx.cy, idx.radii, idx.cell_start, idx.cell_items, idx.clearance,
-        idx.pointlike.view(np.uint8), idx.enc_clearance, idx.enc_modulus,
-        idx.n_side, _L, idx.inv_h, idx.h,
+        idx.enc_clearance, idx.n_side, _L, idx.inv_h, idx.h,
         z0.real, z0.imag, max(eps, _STEP_FLOOR), _ENC_TRIGGER, r_out,
         int(seed) & _U64, w0, w1, max_steps,
         exit_code, exit_steps, exit_path, exit_x, exit_y, stuck)
@@ -408,6 +411,10 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
     if grid_points < 8:
         raise ValidationError("need at least 8 grid points per circle")
     outermost = 1.0 - K ** (-j_max)
+    if outermost == 1.0:
+        raise ValidationError(
+            f"the outer circle 1 - K^-jmax rounds to 1 for K={K:g} and jmax={j_max}; "
+            "lower K or jmax")
     if domain.truncation_R < outermost:
         raise ValidationError(
             f"domain truncation {domain.truncation_R:g} does not cover the outer circle {outermost:g}"

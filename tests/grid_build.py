@@ -161,15 +161,12 @@ class ArrayGridIndex(DiskGridIndex):
     def _build_encounter_data(self):
         """For point-like disks, the clearance radius of the concentric
         annulus that stays inside the domain: distance from the center to
-        the unit circle and to every other disk.  The center's modulus is
-        kept too, for annuli bounded by a smaller outer circle."""
+        the unit circle and to every other disk."""
         self.pointlike = self.radii < POINTLIKE_RADIUS
         self.enc_clearance = np.zeros(self.n_disks)
-        self.enc_modulus = np.zeros(self.n_disks)
         pl = np.flatnonzero(self.pointlike)
         x = self.cx[pl]
         y = self.cy[pl]
-        modulus = np.hypot(x, y)   # from the origin
         # nearest other surface among the candidates of each disk's own
         # cell: the first step of nearest_surface, final when it is <= h
         rep, items, _, _ = self.gather_candidates(cells_of(self, x, y))
@@ -182,5 +179,4 @@ class ArrayGridIndex(DiskGridIndex):
         # no other surface within h: the ring search goes on outwards
         for k in np.flatnonzero(~(d_other <= self.h)):
             d_other[k] = nearest_surface(self, x[k], y[k], exclude=int(pl[k]))[0]
-        self.enc_modulus[pl] = modulus
-        self.enc_clearance[pl] = np.minimum(1.0 - modulus, d_other)
+        self.enc_clearance[pl] = np.minimum(1.0 - np.hypot(x, y), d_other)

@@ -127,14 +127,14 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
         # the concentric bubble-free annulus of radius big_d around the
         # tiny bubble (a resolvable bubble this close is the walker's job)
         enc = np.nonzero(~out & (cand_min < _ENC_TRIGGER))[0]
-        enc = enc[idx.pointlike[near[enc]]]
+        enc = enc[idx.enc_clearance[near[enc]] > 0.0]
         jump = ~out
         if enc.size:
             jump[enc] = False
             b = near[enc]
             code[enc] = b + 1  # even where the rim is nearer than the tiny bubble
             rho0 = cand_min[enc] + rad[b]
-            big_d = np.minimum(idx.enc_clearance[b], r_out - idx.enc_modulus[b])
+            big_d = np.minimum(idx.enc_clearance[b], r_out - np.hypot(cx[b], cy[b]))
             # cramped clearance: a hit at the shell floor, with no draw
             cramped = big_d <= np.maximum(4.0 * rho0, 4.0 * _ENC_TRIGGER)
             out[enc[cramped]] = True

@@ -340,6 +340,44 @@ def test_an_infinite_k_is_named(tmp_path, capsys, argv):
     assert "K must be finite" in capsys.readouterr().err
 
 
+# each first array needs more than 2^50 bytes, which no machine can map,
+# so numpy refuses it without allocating
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--profile", "power:0.1,2", "--jmax", str(10 ** 17)],
+    ["barrier", "--domain", "{dom}", "--samples", str(10 ** 15)],
+    ["measure", "--domain", "{dom}", "--walks", str(10 ** 15)],
+    ["layered", "--domain", "{dom}", "--jmax", "2", "--walks", "10",
+     "--grid-points", str(10 ** 15)],
+], ids=lambda argv: argv[0])
+def test_memory_the_program_cannot_get_is_refused(tmp_path, capsys, argv):
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=1.0).save(dom_path)
+    assert main([a.format(dom=dom_path) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: not enough memory") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["density", "diag"])
+@pytest.mark.parametrize("density", ["0", "nan", "inf"])
+def test_a_bad_grid_density_is_named(capsys, command, density):
+    flags = ["--r-list", "0.9"] if command == "density" else ["--probe-modulus", "0.8"]
+    argv = [command, "--ring", "q=0.5,scale=1,depth=3", *flags, "--grid-density", density]
+    assert main(argv) == 2
+    assert "grid density must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["layered", "--domain", "{dom}", "--jmax", "60"],
+    ["layered", "--domain", "{dom}", "--k", "1e300", "--jmax", "3"],
+], ids=["jmax", "k"])
+def test_an_outer_circle_that_rounds_to_1_names_k_and_jmax(tmp_path, capsys, argv):
+    dom_path = tmp_path / "one.json"
+    ch.domain_from_pseudo([(0.5 + 0j, 0.25)], truncation_R=0.999).save(dom_path)
+    assert main([a.format(dom=dom_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "1 - K^-jmax rounds to 1" in err and f"jmax={argv[-1]}" in err
+
+
 @pytest.mark.parametrize("command", ["measure", "sandwich", "barrier"])
 @pytest.mark.parametrize("start", ["nan,0", "0,inf"])
 def test_a_non_finite_start_exits_2(tmp_path, capsys, command, start):

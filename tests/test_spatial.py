@@ -509,8 +509,7 @@ def _per_disk_index(cx, cy, radii, ns):
             clearance.ravel())
 
 
-_GRID_ARRAYS = ("cell_start", "cell_items", "clearance", "pointlike", "enc_clearance",
-                "enc_modulus")
+_GRID_ARRAYS = ("cell_start", "cell_items", "clearance", "pointlike", "enc_clearance")
 
 
 def _assert_same_grid(got, want):
@@ -612,6 +611,7 @@ def test_grid_index_matches_the_array_build_on_the_benchmark_domains(name):
         c = dom.centers
         got = spatial.DiskGridIndex(c.real, c.imag, dom.radii, n_side)
         _assert_same_grid(got, ArrayGridIndex(c.real, c.imag, dom.radii, n_side))
+        assert np.array_equal(got.enc_clearance > 0.0, got.pointlike)
 
 
 @given(disk_sets, probe_sets)
@@ -630,21 +630,17 @@ def test_one_cell_query_matches_ring_search_within_h(case, probes):
 
 
 def _ring_search_encounters(idx):
-    """enc_clearance and enc_modulus one point-like disk at a time."""
+    """enc_clearance one point-like disk at a time."""
     clearance = np.zeros(idx.n_disks)
-    modulus = np.zeros(idx.n_disks)
     for i in np.nonzero(idx.radii < spatial.POINTLIKE_RADIUS)[0]:
         d_other, _ = nearest_surface(idx, idx.cx[i], idx.cy[i], exclude=int(i))
-        modulus[i] = np.hypot(idx.cx[i], idx.cy[i])
-        clearance[i] = min(1.0 - modulus[i], d_other)
-    return clearance, modulus
+        clearance[i] = min(1.0 - np.hypot(idx.cx[i], idx.cy[i]), d_other)
+    return clearance
 
 
 def _assert_encounters_match_ring_search(idx):
-    clearance, modulus = _ring_search_encounters(idx)
     assert np.array_equal(idx.pointlike, idx.radii < spatial.POINTLIKE_RADIUS)
-    assert np.array_equal(idx.enc_clearance, clearance)
-    assert np.array_equal(idx.enc_modulus, modulus)
+    assert np.array_equal(idx.enc_clearance, _ring_search_encounters(idx))
 
 
 # as disk_sets, with about half of the disks point-like (radius < 1e-9)
@@ -659,6 +655,16 @@ pointlike_disk_sets = point_sets.flatmap(lambda pts: st.tuples(
 @examples
 def test_encounter_data_matches_ring_search(case):
     _assert_encounters_match_ring_search(spatial.DiskGridIndex(*_disks(case)))
+
+
+@given(pointlike_disk_sets)
+@examples
+def test_the_point_like_disks_are_those_with_positive_encounter_clearance(case):
+    # the walk kernel meets a disk by the annulus law exactly when its
+    # encounter clearance is positive, as a disjoint disk's gap to the rest
+    # of the boundary is
+    idx = spatial.DiskGridIndex(*_disks(case))
+    assert np.array_equal(idx.enc_clearance > 0.0, idx.pointlike)
 
 
 def test_encounter_data_matches_ring_search_on_a_truncation_rung():
