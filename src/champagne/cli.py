@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .barriers import barrier_lower_bound
 from .domains import (
+    PROFILE_GRAMMAR,
     ChampagneDomain,
     build_champagne,
     criterion_integral,
@@ -390,15 +391,14 @@ def build_parser():
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("criterion", parents=[io], help="decay criterion, integral and sum form")
-    sp.add_argument("--profile", required=True,
-                    help="const:c | power:c,gamma | expinv:c,beta | table:<path>")
+    sp.add_argument("--profile", required=True, help=PROFILE_GRAMMAR)
     sp.add_argument("--k", type=float, default=2.0)
     sp.add_argument("--jmax", type=int, default=10000)
     sp.set_defaults(func=cmd_criterion)
 
     sp = sub.add_parser("build-domain", parents=[sequence, seeded, io],
                         help="build a champagne domain JSON")
-    sp.add_argument("--profile", required=True)
+    sp.add_argument("--profile", required=True, help=PROFILE_GRAMMAR)
     sp.add_argument("--truncation", type=float, required=True)
     sp.set_defaults(func=cmd_build_domain)
 
@@ -440,7 +440,7 @@ def build_parser():
 
     sp = sub.add_parser("dichotomy-sweep", parents=[sequence, seeded, io],
                         help="measure over a truncation ladder")
-    sp.add_argument("--profile", required=True)
+    sp.add_argument("--profile", required=True, help=PROFILE_GRAMMAR)
     sp.add_argument("--truncations", required=True, help="comma-separated R values")
     sp.add_argument("--start", default="0,0")
     common(sp, walks_default=100000)

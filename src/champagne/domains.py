@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OverlapError, ValidationError
+from .errors import NumericalRefusalError, OverlapError, ValidationError
 from .hyperbolic import (
     BOUNDARY_MARGIN,
     mobius_apply_many,
@@ -40,6 +40,22 @@ _TIE_SNAP = 1e-12
 # ---------------------------------------------------------------------------
 # radius profiles
 
+# The closed-form kinds: each parameter's name, in order, and the open
+# interval (0, hi) it must lie in.  Each kind's formulas are in the
+# evaluation methods and the criterion below.
+_CLOSED_FORMS = {
+    "const": (("c", 1.0),),
+    "power": (("c", 1.0), ("gamma", math.inf)),
+    "expinv": (("c", math.inf), ("beta", math.inf)),
+}
+
+# the profile specs parse_profile reads, and RadiusProfile.describe writes
+# for the closed forms
+PROFILE_GRAMMAR = " | ".join(
+    [*(f"{k}:{','.join(name for name, _ in row)}" for k, row in _CLOSED_FORMS.items()),
+     "table:<path>"])
+
+
 @dataclass(frozen=True)
 class RadiusProfile:
     """Nonincreasing bubble-radius profile phi on (0, 1), bounded below 1.
@@ -58,20 +74,14 @@ class RadiusProfile:
 
     def __post_init__(self):
         k = self.kind
-        if k == "const":
-            (c,) = self.params
-            if not 0.0 < c < 1.0:
-                raise ValidationError(f"const profile needs c in (0,1), got {c!r}")
-        elif k == "power":
-            c, gamma = self.params
-            if not 0.0 < c < 1.0:
-                raise ValidationError(f"power profile needs c in (0,1), got {c!r}")
-            if not 0.0 < gamma < math.inf:
-                raise ValidationError(f"power profile needs a finite gamma > 0, got {gamma!r}")
-        elif k == "expinv":
-            c, beta = self.params
-            if not (0.0 < c < math.inf and 0.0 < beta < math.inf):
-                raise ValidationError(f"expinv profile needs finite c, beta > 0, got {self.params!r}")
+        if k in _CLOSED_FORMS:
+            row = _CLOSED_FORMS[k]
+            if len(self.params) != len(row):
+                raise ValidationError(f"{k} profile needs the parameters "
+                                      f"{','.join(name for name, _ in row)}, got {self.params!r}")
+            for (name, hi), x in zip(row, self.params):
+                if not 0.0 < x < hi:
+                    raise ValidationError(f"{k} profile needs {name} in (0,{hi:g}), got {x!r}")
         elif k == "table":
             t = np.asarray(self.table_t, dtype=np.float64)
             p = np.asarray(self.table_phi, dtype=np.float64)
@@ -121,8 +131,9 @@ class RadiusProfile:
             out = math.log(1.0 / c) - gamma * log_s
         elif self.kind == "expinv":
             c, beta = self.params
-            e = -beta * log_s
-            out = np.where(e > _EXP_GUARD, np.inf, c * np.exp(np.minimum(e, _EXP_GUARD)))
+            with np.errstate(over="ignore"):
+                e = -beta * log_s
+                out = np.where(e > _EXP_GUARD, np.inf, c * np.exp(np.minimum(e, _EXP_GUARD)))
         else:
             with np.errstate(over="ignore"):
                 gap = np.exp(log_s)
@@ -132,24 +143,17 @@ class RadiusProfile:
     def criterion_term_at_loggap(self, log_s):
         """1 / log(1/phi) at gap exp(log_s); 0 where log(1/phi) overflows."""
         li = np.asarray(self.log_inv_at_loggap(log_s), dtype=np.float64)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(np.isinf(li), 0.0, 1.0 / li)
         return out if out.ndim else float(out)
 
-    @property
-    def table_coverage_loggap(self) -> float | None:
-        """log(1 - t_max) for table profiles; None otherwise."""
-        if self.kind != "table":
-            return None
-        return math.log(1.0 - float(self.table_t[-1]))
-
     def describe(self) -> str:
-        if self.kind == "const":
-            return f"const:{self.params[0]:g}"
-        if self.kind == "power":
-            return f"power:{self.params[0]:g},{self.params[1]:g}"
-        if self.kind == "expinv":
-            return f"expinv:{self.params[0]:g},{self.params[1]:g}"
+        """The spec parse_profile reads back to this profile, for a closed
+        form: each parameter in the fewest digits that read back to the
+        same double, and an integral value without its ".0"."""
+        if self.kind in _CLOSED_FORMS:
+            digits = (repr(float(x)).removesuffix(".0") for x in self.params)
+            return f"{self.kind}:{','.join(digits)}"
         return f"table:{self.table_t.size} rows, t in [{self.table_t[0]:g}, {self.table_t[-1]:g}]"
 
 
@@ -171,17 +175,11 @@ def table_profile(t, phi) -> RadiusProfile:
 
 
 def parse_profile(spec: str) -> RadiusProfile:
-    """Parse CLI profile specs: const:c | power:c,gamma | expinv:c,beta | table:<path>."""
+    """Parse a CLI profile spec (PROFILE_GRAMMAR)."""
+    kind, _, rest = spec.partition(":")
     try:
-        kind, _, rest = spec.partition(":")
-        if kind == "const":
-            return const_profile(float(rest))
-        if kind == "power":
-            c, gamma = (float(x) for x in rest.split(","))
-            return power_profile(c, gamma)
-        if kind == "expinv":
-            c, beta = (float(x) for x in rest.split(","))
-            return expinv_profile(c, beta)
+        if kind in _CLOSED_FORMS:
+            return RadiusProfile(kind, tuple(float(x) for x in rest.split(",")))
         if kind == "table":
             with open(rest, "r", encoding="utf-8") as fh:
                 rows = [line.split(",") for line in fh.readlines()[1:] if line.strip()]
@@ -243,8 +241,9 @@ def _block_integrals(profile: RadiusProfile, knots) -> np.ndarray:
         return np.log1p((b - a) / (math.log(1.0 / c) / gamma + a)) / gamma
     if profile.kind == "expinv":
         # a difference of the integrals from 0 would cancel on far decades
-        c, beta = profile.params
-        return np.exp(-beta * a) * -np.expm1(-beta * (b - a)) / (c * beta)
+        return _expinv_closed_form(profile, lambda c, beta: (
+            np.exp(-beta * a) * -np.expm1(-beta * (b - a)) / (c * beta),
+            -beta * a + np.log(-np.expm1(-beta * (b - a))) - np.log(beta) - np.log(c)))
     # table: the Gauss rule on pieces split at the table's knots, where the
     # interpolant kinks
     cuts = -np.log1p(-profile.table_t)
@@ -255,11 +254,27 @@ def _block_integrals(profile: RadiusProfile, knots) -> np.ndarray:
     return np.add.reduceat(pieces, np.searchsorted(edges, knots[:-1]))
 
 
+def _expinv_closed_form(profile: RadiusProfile, formula) -> np.ndarray:
+    """An expinv closed form as finite doubles.  formula(c, beta) gives it
+    twice: in double arithmetic, which is used where it is positive and
+    finite, and as its log, whose exp is used elsewhere, and so 0.0 below
+    the least double.  A value beyond the largest double is refused."""
+    c, beta = np.float64(profile.params)
+    with np.errstate(all="ignore"):
+        direct, log_value = formula(c, beta)
+        out = np.where((direct > 0.0) & (direct < math.inf), direct, np.exp(log_value))
+    if not np.all(np.isfinite(out)):
+        raise NumericalRefusalError(f"profile {profile.describe()}: the criterion's closed "
+                                    "form exceeds the largest double")
+    return out
+
+
 def _verdict(profile: RadiusProfile, expinv_value) -> tuple:
     """(classification, value, flags): expinv converges to
-    expinv_value(c, beta), const and power diverge, a table cannot decide."""
+    expinv_value(c, beta), a (value, log value) pair for
+    _expinv_closed_form; const and power diverge, a table cannot decide."""
     if profile.kind == "expinv":
-        return "convergent", float(expinv_value(*profile.params)), ()
+        return "convergent", float(_expinv_closed_form(profile, expinv_value)), ()
     if profile.kind == "table":
         return "inconclusive", None, _TABLE_FLAGS
     return "divergent", None, ()
@@ -275,11 +290,13 @@ def criterion_integral(profile: RadiusProfile) -> CriterionReport:
     """
     knots = _KNOTS
     if profile.kind == "table":
+        u_last = -math.log(1.0 - float(profile.table_t[-1]))
         knots = [0.0, 1.0]
-        while knots[-1] < -profile.table_coverage_loggap:
+        while knots[-1] < u_last:
             knots.append(knots[-1] * 10.0)
     pieces = _block_integrals(profile, knots)
-    classification, value, flags = _verdict(profile, lambda c, beta: 1.0 / (c * beta))
+    classification, value, flags = _verdict(
+        profile, lambda c, beta: (1.0 / (c * beta), -np.log(c) - np.log(beta)))
     return CriterionReport("integral", classification, value, tuple(pieces[1:].tolist()),
                            tuple(np.cumsum(pieces).tolist()), None, None, flags)
 
@@ -298,8 +315,9 @@ def criterion_tail_integral(profile: RadiusProfile, R: float) -> float:
     if not 0.0 < R < 1.0:
         raise ValidationError(f"R must lie in (0, 1), got {R!r}")
     if profile.kind == "expinv":
-        c, beta = profile.params
-        return (1.0 - R) ** beta / (c * beta)
+        return float(_expinv_closed_form(profile, lambda c, beta: (
+            (1.0 - R) ** beta / (c * beta),
+            beta * np.log(1.0 - R) - np.log(c) - np.log(beta))))
     return math.inf
 
 
@@ -323,8 +341,13 @@ def criterion_sum(profile: RadiusProfile, K: float = 2.0, J_max: int = 10_000) -
     while edges[-1] < J_max:
         edges.append(min(edges[-1] * 10, J_max))
     blocks = tuple(float(terms[lo:hi].sum()) for lo, hi in zip(edges, edges[1:]))
-    classification, value, flags = _verdict(
-        profile, lambda c, beta: 1.0 / (c * math.expm1(beta * math.log(K))))
+
+    def expinv_value(c, beta):
+        x = beta * math.log(K)
+        k_beta = math.expm1(x) if x < _EXP_GUARD else math.inf   # K^beta - 1
+        return 1.0 / (c * k_beta), -np.log(c) - x - np.log(-np.expm1(-x))
+
+    classification, value, flags = _verdict(profile, expinv_value)
     return CriterionReport("sum", classification, value, blocks, tuple(np.cumsum(terms)),
                            float(K), int(J_max), flags)
 
@@ -555,12 +578,13 @@ def build_champagne(seq: PointSequence, profile: RadiusProfile, truncation_R: fl
     lam = seq.points[keep]
     gaps = 1.0 - moduli[keep]
     p_radii = np.asarray(profile.value_at_gap(gaps), dtype=np.float64)
-    if lam.size and not np.all((p_radii > 0.0) & (p_radii < 1.0)):
-        bad = int(np.argmin(p_radii))
-        raise ValidationError(
-            f"profile {profile.describe()} gives radius {p_radii[bad]!r} at modulus "
-            f"{np.abs(lam[bad]):.6g} (underflow below double precision); lower the truncation"
-        )
+    bad = np.flatnonzero(~((p_radii > 0.0) & (p_radii < 1.0)))
+    if bad.size:
+        r = float(p_radii[bad[0]])
+        advice = ("it underflows below double precision: lower the truncation" if r <= 0.0
+                  else "phi rounds to 1 there: change the profile")
+        raise ValidationError(f"profile {profile.describe()} gives radius {r!r} at modulus "
+                              f"{abs(lam[bad[0]]):.6g}; {advice}")
 
     # union-bound mass of the discarded tail, in two readings: the exact
     # sum over the materialized points beyond R, and the scale-free

@@ -54,7 +54,7 @@ from .barriers import _charge_matrix
 from .domains import ChampagneDomain
 from .errors import ValidationError, WalkBudgetError
 from .hyperbolic import require_disk_point
-from .spatial import _L, nearest_disk
+from .spatial import POINTLIKE_RADIUS, _L, nearest_disk
 from .streams import _U64, derive_seed
 
 # the walks that justify one more range: n walks are split into at most
@@ -150,6 +150,15 @@ class MeasureEstimate:
 
 
 def _resolve_epsilon(domain: ChampagneDomain, epsilon):
+    """The width of the walks' epsilon shell: epsilon, or by default
+    min(1e-3 r_min, h / 2) over the domain's index (1e-6 without bubbles).
+
+    An epsilon must be positive, at most the index cell size h, and below
+    the least radius the shell resolves, that of the disks of radius at
+    least POINTLIKE_RADIUS.  With point-like disks it must also stay
+    below _ENC_TRIGGER, so that a walk near one meets it by the annulus
+    law before the shell absorbs the walk there.
+    """
     idx = domain.index
     if epsilon is None:
         if domain.n_bubbles:
@@ -160,10 +169,17 @@ def _resolve_epsilon(domain: ChampagneDomain, epsilon):
     if not epsilon > 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     if domain.n_bubbles:
-        if epsilon >= idx.r_min:
+        resolved = idx.radii[~idx.pointlike]
+        r_least = float(resolved.min()) if resolved.size else math.inf
+        if epsilon >= r_least:
             raise ValidationError(
-                f"epsilon={epsilon:g} must stay below the smallest bubble radius {idx.r_min:g}"
-            )
+                f"epsilon={epsilon:g} must stay below the smallest resolved bubble radius "
+                f"{r_least:g}")
+        if epsilon >= _ENC_TRIGGER and resolved.size < idx.n_disks:
+            raise ValidationError(
+                f"epsilon={epsilon:g} must stay below the point-like encounter trigger "
+                f"{_ENC_TRIGGER:g}: {idx.n_disks - resolved.size} bubbles have radii below "
+                f"{POINTLIKE_RADIUS:g}")
         if epsilon > idx.h:
             raise ValidationError(
                 f"epsilon={epsilon:g} exceeds the index cell size {idx.h:g}; "

@@ -357,6 +357,31 @@ def test_memory_the_program_cannot_get_is_refused(tmp_path, capsys, argv):
     assert err.startswith("refused: not enough memory") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("profile, code", [
+    ("expinv:1e300,1e300", 0),     # every closed form lies below the least double
+    ("expinv:1e-170,1e-170", 3),   # c beta underflows to 0
+    ("expinv:1e-300,1e-10", 3),    # 1/(c beta) = 1e310
+])
+def test_the_criterion_ends_in_doubles_or_a_refusal(tmp_path, capsys, profile, code):
+    out = tmp_path / "crit.json"
+    assert main(["criterion", "--profile", profile, "-o", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        res = _validate(out)["result"]
+        assert res["integral"]["value"] == res["sum"]["value"] == 0.0
+    else:
+        assert err.startswith(f"refused: profile {profile}:")
+
+
+@pytest.mark.parametrize("command", ["criterion", "build-domain", "dichotomy-sweep"])
+def test_every_profile_flag_states_the_grammar(command):
+    text = " ".join(build_parser()[1][command].format_help().split())
+    assert domains.PROFILE_GRAMMAR in text
+    for kind in [*domains._CLOSED_FORMS, "table"]:
+        assert f"{kind}:" in text
+
+
 @pytest.mark.parametrize("command", ["density", "diag"])
 @pytest.mark.parametrize("density", ["0", "nan", "inf"])
 def test_a_bad_grid_density_is_named(capsys, command, density):

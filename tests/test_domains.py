@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from champagne.domains import (
     parse_profile,
     transport_domain,
 )
-from champagne.errors import OverlapError, ValidationError
+from champagne.errors import NumericalRefusalError, OverlapError, ValidationError
 from champagne.hyperbolic import pseudo_to_euclidean_arrays
 
 from conftest import euclidean_domain
@@ -29,12 +30,36 @@ from conftest import euclidean_domain
 # -- profiles ----------------------------------------------------------------
 
 def test_profile_parsing_roundtrip():
-    for spec in ("const:0.3", "power:0.1,2", "expinv:1,1"):
+    for spec in ("const:0.3", "power:0.1,2", "power:0.05,2", "expinv:1,1",
+                 # six significant digits once read these back as other doubles
+                 "power:0.1234567,2", "expinv:1e-07,1234567", "const:0.999999999"):
         assert parse_profile(spec).describe() == spec
     with pytest.raises(ValidationError):
         parse_profile("power:2,1")      # c >= 1
     with pytest.raises(ValidationError):
         parse_profile("nosuch:1")
+
+
+# a closed-form kind with parameters drawn from the open intervals of its row
+_closed_forms = st.sampled_from(sorted(domains._CLOSED_FORMS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.tuples(*(
+        st.floats(0.0, hi, exclude_min=True, exclude_max=True)
+        for _, hi in domains._CLOSED_FORMS[kind]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_forms)
+def test_a_described_profile_parses_back_to_itself(kind_params):
+    prof = domains.RadiusProfile(*kind_params)
+    assert parse_profile(prof.describe()) == prof
+
+
+@pytest.mark.parametrize("spec", ["power:0.1", "const:0.3,2", "expinv:1,1,1"])
+def test_a_wrong_parameter_count_names_the_parameters(spec):
+    kind = spec.partition(":")[0]
+    names = ",".join(name for name, _ in domains._CLOSED_FORMS[kind])
+    with pytest.raises(ValidationError, match=f"{kind} profile needs the parameters {names}"):
+        parse_profile(spec)
 
 
 def test_profile_monotone_and_bounded():
@@ -155,6 +180,26 @@ def test_power_blocks_of_a_huge_gamma_are_finite():
     assert r.blocks[0] == pytest.approx(math.log(10.0) / 1e308, rel=1e-12)
 
 
+def test_expinv_closed_forms_beyond_the_double_range():
+    # c beta underflows to 0: 1/(c beta) = 1e340 is refused, naming the
+    # profile, while each block, about (b - a) / c, is a double
+    tiny = ch.expinv_profile(1e-170, 1e-170)
+    for form in (criterion_integral, criterion_sum, lambda p: criterion_tail_integral(p, 0.5)):
+        with pytest.raises(NumericalRefusalError, match="expinv:1e-170,1e-170"):
+            form(tiny)
+    np.testing.assert_allclose(domains._block_integrals(tiny, domains._KNOTS),
+                               [1e170, 9e170, 9e171, 9e172], rtol=1e-12, atol=0.0)
+    # c beta overflows: every closed form lies below the least double
+    huge = ch.expinv_profile(1e300, 1e300)
+    assert criterion_integral(huge).value == criterion_sum(huge).value == 0.0
+    assert criterion_integral(huge).blocks == (0.0, 0.0, 0.0)
+    assert criterion_tail_integral(huge, 0.5) == 0.0
+    # K^beta - 1 overflows, while 1/(c (K^beta - 1)) is about 7e-32
+    want = 1 / (mpmath.mpf(1e-300) * mpmath.expm1(1100 * mpmath.log(2)))
+    assert criterion_sum(ch.expinv_profile(1e-300, 1100)).value == pytest.approx(
+        float(want), rel=1e-12)
+
+
 def test_criterion_partial_sums_nondecreasing():
     r = criterion_sum(ch.power_profile(0.1, 2), J_max=500)
     ps = np.asarray(r.partial_sums)
@@ -253,6 +298,19 @@ def test_build_rejects_covered_start():
     seq = ch.PointSequence(np.array([0.1 + 0j]))
     with pytest.raises(ValidationError):
         build_champagne(seq, ch.const_profile(0.3), 1.0)  # bubble swallows 0
+
+
+@pytest.mark.parametrize("spec, radius, modulus, advice", [
+    ("expinv:1e-17,1", "1.0", "0.5", "change the profile"),    # phi rounds to 1 inside
+    ("expinv:1,2", "0.0", "0.96875", "lower the truncation"),  # phi underflows near the rim
+])
+def test_a_radius_outside_0_1_is_named_with_the_advice_for_its_end(spec, radius, modulus, advice):
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    with pytest.raises(ValidationError) as exc:
+        build_champagne(seq, parse_profile(spec), 0.999)
+    msg = str(exc.value)
+    assert f"{spec} gives radius {radius} at modulus {modulus};" in msg
+    assert msg.endswith(advice)
 
 
 def test_one_point_checks_build_no_walk_grid():

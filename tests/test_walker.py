@@ -160,6 +160,18 @@ def test_epsilon_validation(one_bubble_domain):
         estimate_measure(one_bubble_domain, 0j, n_walks=10, epsilon=-1.0)
 
 
+def test_epsilon_is_checked_against_the_radii_the_walk_resolves():
+    # 192 of these 252 bubbles are point-like, the least of radius 5e-30;
+    # the least radius the shell resolves is 1.36e-8
+    seq = ch.generate_ring_lattice(0.5, 2, 8, seed=20)
+    dom = ch.build_champagne(seq, ch.expinv_profile(1, 1), 1 - 2.0 ** -6)
+    assert estimate_measure(dom, 0j, n_walks=200, epsilon=1e-12, seed=5).epsilon == 1e-12
+    with pytest.raises(ValidationError, match="point-like encounter trigger 1e-09"):
+        estimate_measure(dom, 0j, n_walks=200, epsilon=5e-9, seed=5)
+    with pytest.raises(ValidationError, match="smallest resolved bubble radius 1.36273e-08"):
+        estimate_measure(dom, 0j, n_walks=200, epsilon=2e-8, seed=5)
+
+
 # -- measure estimates ------------------------------------------------------------
 
 def test_estimate_one_bubble_matches_exact(one_bubble_domain):
