@@ -93,13 +93,13 @@ def library() -> ctypes.CDLL:
     """The compiled library, its functions' argument types declared: ctypes
     checks each array's dtype and contiguity on every call."""
     lib = ctypes.CDLL(str(build()))
-    f64, i64, i32 = _array(np.float64), _array(np.int64), _array(np.int32)
+    f64, i64, i32, u64 = (_array(t) for t in (np.float64, np.int64, np.int32, np.uint64))
     disks = [f64, f64, f64, ctypes.c_int64]              # cx, cy, radii, their count
     grid = [ctypes.c_int64] + [ctypes.c_double] * 3      # n_side, half_width, inv_h, h
     lib.walk_range.argtypes = (
         [f64, f64, f64, i64, i32, f64, f64]                                 # grid index
         + grid
-        + [ctypes.c_double] * 5 + [ctypes.c_uint64] + [ctypes.c_int64] * 3  # the walks
+        + [f64, f64, u64] + [ctypes.c_int64] + [ctypes.c_double] * 3 + [ctypes.c_int64] * 3  # walks
         + [i64, i64, f64, f64, f64, f64])                                    # outputs
     lib.grid_cells.argtypes = disks + grid + [i64, f64]
     lib.grid_items.argtypes = disks + grid + [i64, i32]

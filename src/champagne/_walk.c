@@ -1,12 +1,15 @@
-/* Walk-on-spheres kernel: walks [w0, w1) of one estimate, LANES of them in
+/* Walk-on-spheres kernel: walks [w0, w1) of one call, LANES of them in
  * flight at a time, advanced in turn one step each; a walk that exits
- * gives its lane to the next unstarted walk.  Each walk reads only its own
- * stream, so no output depends on the lanes.  The sampler is the one
- * walker.py documents; this file fixes only its arithmetic, which must
- * match the array kernel kept in the tests bit for bit.  So it is built
- * with -ffp-contract=off and without -ffast-math: a fused multiply-add or
- * a vector libm would change the last bits of positions, and with them
- * every later draw.
+ * gives its lane to the next unstarted walk.  The walks leave from a table
+ * of starts (sx, sy), each with its seed and per_start >= 1 walks: walk w
+ * begins at start s = w / per_start and reads the stream
+ * (seeds[s], w - s per_start), so a lone start reads (seed, w).  Each walk
+ * reads only its own stream, so no output depends on the lanes.  The
+ * sampler is the one walker.py documents; this file fixes only its
+ * arithmetic, which must match the array kernel kept in the tests bit for
+ * bit.  So it is built with -ffp-contract=off and without -ffast-math: a
+ * fused multiply-add or a vector libm would change the last bits of
+ * positions, and with them every later draw.
  *
  * A jump direction, and the exit angle of a point-like encounter, is
  * (cos 2 pi u, sin 2 pi u) of one uniform u, computed without libm trig,
@@ -100,32 +103,35 @@ int64_t walk_range(const double *cx, const double *cy, const double *radii,
                    const int64_t *cell_start, const int32_t *cell_items,
                    const double *clearance, const double *enc_clearance,
                    int64_t n_side, double half_width, double inv_h, double h,
-                   double x0, double y0, double eps, double enc_trigger,
-                   double r_out, uint64_t seed,
+                   const double *sx, const double *sy, const uint64_t *seeds,
+                   int64_t per_start, double eps, double enc_trigger, double r_out,
                    int64_t w0, int64_t w1, int64_t max_steps,
                    int64_t *code, int64_t *steps, double *path,
                    double *ex, double *ey, double *stuck)
 {
     /* the walk, stream key, position, path length and draws of each lane;
-     * a lane whose walk is w1 is idle */
+     * a lane whose walk is -1 is free */
     int64_t lane_w[LANES], lane_t[LANES];
     uint64_t lane_key[LANES];
     double lane_x[LANES], lane_y[LANES], lane_len[LANES];
-    int64_t next = w0, live = 0, n_failed = 0, least_failed = w1;
-    for (int l = 0; l < LANES; l++) {
-        lane_w[l] = next < w1 ? next++ : w1;
-        lane_key[l] = walk_key(seed, lane_w[l]);
-        lane_x[l] = x0;
-        lane_y[l] = y0;
-        lane_len[l] = 0.0;
-        lane_t[l] = 0;
-        live += lane_w[l] < w1;
-    }
-    while (live > 0) {
+    int64_t next = w0, left = w1 - w0, n_failed = 0, least_failed = w1;
+    for (int l = 0; l < LANES; l++)
+        lane_w[l] = -1;
+    while (left > 0) {
         for (int l = 0; l < LANES; l++) {
+            if (lane_w[l] < 0) {
+                /* a free lane begins the next unstarted walk */
+                if (next == w1)
+                    continue;
+                const int64_t s = next / per_start;
+                lane_key[l] = walk_key(seeds[s], next - s * per_start);
+                lane_x[l] = sx[s];
+                lane_y[l] = sy[s];
+                lane_len[l] = 0.0;
+                lane_t[l] = 0;
+                lane_w[l] = next++;
+            }
             const int64_t w = lane_w[l];
-            if (w == w1)
-                continue;
             const uint64_t key = lane_key[l];
             double x = lane_x[l], y = lane_y[l], len = lane_len[l];
             int64_t t = lane_t[l], c;
@@ -205,18 +211,8 @@ int64_t walk_range(const double *cx, const double *cy, const double *radii,
             path[w - w0] = len;
             ex[w - w0] = x;
             ey[w - w0] = y;
-            /* the lane takes the next unstarted walk */
-            if (next < w1) {
-                lane_w[l] = next++;
-                lane_key[l] = walk_key(seed, lane_w[l]);
-                lane_x[l] = x0;
-                lane_y[l] = y0;
-                lane_len[l] = 0.0;
-                lane_t[l] = 0;
-            } else {
-                lane_w[l] = w1;
-                live--;
-            }
+            lane_w[l] = -1;
+            left--;
         }
     }
     return n_failed;

@@ -33,7 +33,13 @@ from .domains import (
     criterion_sum,
     parse_profile,
 )
-from .errors import ChampagneError, NumericalRefusalError, ValidationError, WalkBudgetError
+from .errors import (
+    ChampagneError,
+    NumericalRefusalError,
+    ValidationError,
+    WalkBudgetError,
+    read_text,
+)
 from .harmonic_density import McParams, ProbeSpec, theorem2_report
 from .sequences import (
     PointSequence,
@@ -55,15 +61,17 @@ SEED_DIR_ENV = "CHAMPAGNE_SEED_DIR"
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-artifact-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-artifact-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _jsonify(obj):
@@ -169,8 +177,7 @@ def _draw_seed() -> int:
     if seed_dir:
         path = os.path.join(seed_dir, "default_seed")
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read().strip()
+            text = read_text(path).strip()
             try:
                 return int(text)
             except ValueError:
@@ -180,8 +187,7 @@ def _draw_seed() -> int:
 
 def load_config_file(path: str) -> dict:
     """key = value lines mirroring the long flag names (dashes or underscores)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
+    lines = [line.strip() for line in read_text(path).split("\n")]
     return _key_values((line for line in lines if line and not line.startswith("#")), path,
                        lambda key: key.strip().replace("-", "_"))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalRefusalError, OverlapError, ValidationError
+from .errors import NumericalRefusalError, OverlapError, ValidationError, read_text
 from .hyperbolic import (
     BOUNDARY_MARGIN,
     mobius_apply_many,
@@ -133,7 +133,9 @@ class RadiusProfile:
             c, beta = self.params
             with np.errstate(over="ignore"):
                 e = -beta * log_s
-                out = np.where(e > _EXP_GUARD, np.inf, c * np.exp(np.minimum(e, _EXP_GUARD)))
+                # exp(log c + e) where exp(e) alone overflows: inf only where the value is
+                out = np.where(e > _EXP_GUARD, np.exp(math.log(c) + e),
+                               c * np.exp(np.minimum(e, _EXP_GUARD)))
         else:
             with np.errstate(over="ignore"):
                 gap = np.exp(log_s)
@@ -181,8 +183,7 @@ def parse_profile(spec: str) -> RadiusProfile:
         if kind in _CLOSED_FORMS:
             return RadiusProfile(kind, tuple(float(x) for x in rest.split(",")))
         if kind == "table":
-            with open(rest, "r", encoding="utf-8") as fh:
-                rows = [line.split(",") for line in fh.readlines()[1:] if line.strip()]
+            rows = [line.split(",") for line in read_text(rest).split("\n")[1:] if line.strip()]
             if not rows or any(len(row) != 2 for row in rows):
                 raise ValidationError(f"{rest}: rows after the header must hold exactly "
                                       "two columns t,phi")
@@ -481,8 +482,7 @@ class ChampagneDomain:
         """The domain of a file that save wrote, built as domain_from_pseudo
         builds one.  A fault of the file raises a ValidationError (an
         OverlapError for bubbles that meet) naming it."""
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
         try:
             data = json.loads(text)
             if not (isinstance(data, dict) and sorted(data) == sorted(_FILE_KEYS)):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of the
+text files it loads, which refuses a file that is not UTF-8."""
 
 
 class ChampagneError(Exception):
@@ -45,6 +46,16 @@ class WalkBudgetError(ChampagneError):
             f"{self.n_failed} walk(s) exceeded the step budget of {self.max_steps}"
             + (f"; example stuck near {self.sample_position}" if sample_position is not None else "")
         )
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`; a ValidationError naming the
+    file if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 class NumericalRefusalError(ChampagneError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 from .hyperbolic import BOUNDARY_MARGIN, require_disk_point
 from .spatial import PointIndex
 from .streams import derive_seed, mix64
@@ -37,14 +37,15 @@ class PointSequence:
         if not np.all(moduli <= 1.0 - BOUNDARY_MARGIN):
             bad = int(np.argmax(moduli))
             raise ValidationError(
-                f"point {bad} ({pts[bad]!r}) is not inside the open unit disk"
+                f"point {bad} ({complex(pts[bad])!r}) is not inside the open unit disk"
             )
         order = np.lexsort((pts.imag, pts.real))
         sorted_pts = pts[order]
         dup = np.nonzero(sorted_pts[1:] == sorted_pts[:-1])[0]
         if dup.size:
             raise ValidationError(
-                f"duplicate point {sorted_pts[dup[0]]!r}: sequences must consist of distinct points"
+                f"duplicate point {complex(sorted_pts[dup[0]])!r}: "
+                "sequences must consist of distinct points"
             )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -325,15 +326,16 @@ def _point(path, where: str, entry) -> complex:
 def load_sequence(path, label: str | None = None) -> PointSequence:
     path = str(path)
     if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header.replace(" ", "") != "re,im":
-                raise ValidationError(f"{path}: expected header 're,im', got {header!r}")
-            vals = [_point(path, f"line {n}", line.strip().split(","))
-                    for n, line in enumerate(fh, start=2) if line.strip()]
+        header, *lines = read_text(path).split("\n")
+        if header.strip().replace(" ", "") != "re,im":
+            raise ValidationError(f"{path}: expected header 're,im', got {header.strip()!r}")
+        vals = [_point(path, f"line {n}", line.strip().split(","))
+                for n, line in enumerate(lines, start=2) if line.strip()]
     elif path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         if not isinstance(data, list):
             raise ValidationError(f"{path}: expected a JSON array of [re, im] pairs")
         vals = [_point(path, f"entry {k}", entry) for k, entry in enumerate(data)]

@@ -28,12 +28,15 @@ sin 2 pi r and cos 2 pi r, then q's swap and negation of the pair, within
 3 * 2^-53 of the exact values.  It depends on no platform's sin and cos,
 and it is built with -ffp-contract=off, since a fused multiply-add in the
 polynomials would change its last bits.
-`threads` is a worker count: the walks are split into contiguous ranges,
-one per worker thread (the kernel runs with the GIL released).
+`threads` is a worker count: the walks of a call, from the start of an
+estimate or from each start of a layer of layered_crossing, are split
+into contiguous ranges, one per worker thread (the kernel runs with the
+GIL released).
 
 Determinism contract: walk w consumes uniforms u(seed, w, t), t = 0, 1,
 ..., from counter-based streams: one per jump, and two per encounter
-(counters t and t+1: the survival draw, then the exit angle).  Estimates
+(counters t and t+1: the survival draw, then the exit angle).  A layered
+walk reads its start's seed and its index within that start.  Estimates
 are therefore bit-identical for fixed (seed, n_walks, epsilon, domain)
 regardless of batching or worker count.
 """
@@ -188,10 +191,13 @@ def _resolve_epsilon(domain: ChampagneDomain, epsilon):
     return epsilon
 
 
-def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
+def _walk_chunk(domain: ChampagneDomain, starts, seeds, per_start: int, eps: float,
                 w0: int, w1: int, max_steps: int, r_out: float):
     """Run walks [w0, w1) inside the absorbing circle |z| = r_out <= 1;
-    returns (exit_code, steps, path_length, exit_x, exit_y).
+    returns (exit_code, steps, path_length, exit_x, exit_y).  Walk w
+    begins at starts[s], s = w // per_start, and reads the stream
+    (seeds[s], w - s * per_start); the seeds are Python ints, taken
+    modulo 2^64.
 
     `steps` counts uniform draws: one per jump, two per analytically
     resolved point-like encounter (survival Bernoulli plus exit angle).
@@ -200,6 +206,10 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
     the lowest-index one stopped.
     """
     idx = domain.index
+    z = np.asarray(starts, dtype=np.complex128)
+    if not (per_start >= 1 and len(seeds) == z.size and 0 <= w0 <= w1 <= z.size * per_start):
+        raise ValueError(f"walks [{w0}, {w1}) are not walks of {z.size} starts with "
+                         f"{len(seeds)} seeds and {per_start} walks each")
     n = w1 - w0
     exit_code = np.empty(n, dtype=np.int64)
     exit_steps = np.empty(n, dtype=np.int64)
@@ -210,8 +220,9 @@ def _walk_chunk(domain: ChampagneDomain, z0: complex, eps: float, seed: int,
     n_failed = _native.library().walk_range(
         idx.cx, idx.cy, idx.radii, idx.cell_start, idx.cell_items, idx.clearance,
         idx.enc_clearance, idx.n_side, _L, idx.inv_h, idx.h,
-        z0.real, z0.imag, max(eps, _STEP_FLOOR), _ENC_TRIGGER, r_out,
-        int(seed) & _U64, w0, w1, max_steps,
+        np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag),
+        (np.asarray(seeds, dtype=object) & _U64).astype(np.uint64), per_start,
+        max(eps, _STEP_FLOOR), _ENC_TRIGGER, r_out, w0, w1, max_steps,
         exit_code, exit_steps, exit_path, exit_x, exit_y, stuck)
     if n_failed:
         raise WalkBudgetError(n_failed, max_steps, complex(stuck[0], stuck[1]))
@@ -234,8 +245,8 @@ def _map_jobs(job, n_jobs: int, threads: int) -> list:
     place.  One worker runs the jobs on the calling thread.  Jobs run at
     once, so none may reach process-global state: the theorem-2 probe
     jobs only build finitely connected domains and estimate on them, and
-    the layered-crossing jobs only walk.  The first job to raise, in job
-    order, raises here.
+    the walk ranges only walk.  The first job to raise, in job order,
+    raises here.
     """
     workers = min(_worker_count(threads), n_jobs)
     if workers <= 1:
@@ -244,13 +255,15 @@ def _map_jobs(job, n_jobs: int, threads: int) -> list:
         return list(pool.map(job, range(n_jobs)))
 
 
-def _run_walks(domain, z0, eps, seed, n_walks, max_steps, r_out, threads):
-    # one kernel call per contiguous range of walks (see _CHUNK)
+def _run_walks(domain, starts, seeds, per_start, eps, max_steps, r_out, threads):
+    # per_start walks from each start; one kernel call per contiguous range (see _CHUNK)
+    n_walks = len(starts) * per_start
     k = min(_worker_count(threads), -(-n_walks // _CHUNK))
     cuts = [n_walks * i // k for i in range(k + 1)]
 
     def job(i):
-        return _walk_chunk(domain, z0, eps, seed, cuts[i], cuts[i + 1], max_steps, r_out)
+        return _walk_chunk(domain, starts, seeds, per_start, eps, cuts[i], cuts[i + 1],
+                           max_steps, r_out)
 
     parts = _map_jobs(job, k, k)
     # each walk's draws depend only on its index, so concatenating the
@@ -301,7 +314,7 @@ def estimate_measure(domain: ChampagneDomain, z0, target="exterior",
     kind, k = parse_target(target, domain.n_bubbles)
     eps = _resolve_epsilon(domain, epsilon)
     t0 = time.perf_counter()
-    code, steps, path = _run_walks(domain, z0, eps, seed, n_walks, max_steps, 1.0, threads)
+    code, steps, path = _run_walks(domain, [z0], [int(seed)], n_walks, eps, max_steps, 1.0, threads)
     wall = time.perf_counter() - t0
 
     counts = np.bincount(code, minlength=domain.n_bubbles + 1)
@@ -412,11 +425,10 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
     The target circle is simulated as an absorbing outer boundary, which
     reproduces the continuous crossing event exactly (inside it the unit
     circle is unreachable, so a walk that would touch the rim first has
-    already crossed).  The starts of a layer are spread over `threads`
-    worker threads (0: one per core), one start's walks per job.  A layer
-    of one start (j = 1, from the origin) splits its walks over them
-    instead, one range per _CHUNK = 8,192 walks, so only beyond 8,192
-    walks; the default 2,000 run on the calling thread.
+    already crossed).  A layer's walks, n_walks from each start that is
+    not within epsilon of a bubble, are one call of the kernel, split over
+    `threads` worker threads (0: one per core) as an estimate's are.
+    Start k of layer j reads the seed derive_seed(seed, "layered", j, k).
     """
     if not 1.0 < K < math.inf:
         raise ValidationError(f"K must be finite and exceed 1, got {K!r}")
@@ -452,29 +464,20 @@ def layered_crossing(domain: ChampagneDomain, K: float, j_max: int,
             theta = _TWO_PI * np.arange(grid_points) / grid_points
             starts = m_prev * np.exp(1j * theta)
 
-        # the workers share the starts, or split the walks of a lone start
-        start_threads = threads if starts.size == 1 else 1
-
-        def job(k_s):
-            # None for a start within eps of a bubble
-            z_s = complex(starts[k_s])
-            if domain.n_bubbles and nearest_disk(z_s.real, z_s.imag, idx.cx, idx.cy,
-                                                 idx.radii)[0] <= eps:
-                return None
-            code, _, _ = _run_walks(domain, z_s, eps, derive_seed(seed, "layered", j, k_s),
-                                    n_walks, max_steps, m_to, start_threads)
-            hits = int(np.count_nonzero(code == _CODE_EXTERIOR))
-            return (z_s, hits / n_walks, *wilson_interval(hits, n_walks))
-
-        done = _map_jobs(job, starts.size, threads)
-        per_start = [p for p in done if p is not None]
-        dropped = len(done) - len(per_start)
-        if not per_start:
+        kept = [k_s for k_s, z_s in enumerate(starts) if not domain.n_bubbles
+                or nearest_disk(z_s.real, z_s.imag, idx.cx, idx.cy, idx.radii)[0] > eps]
+        if not kept:
             raise ValidationError(f"all start points on layer {j} sit inside bubbles")
+        code, _, _ = _run_walks(domain, starts[kept],
+                                [derive_seed(seed, "layered", j, k_s) for k_s in kept],
+                                n_walks, eps, max_steps, m_to, threads)
+        hits = np.count_nonzero(code.reshape(len(kept), n_walks) == _CODE_EXTERIOR, axis=1)
+        per_start = [(complex(starts[k_s]), int(h) / n_walks, *wilson_interval(int(h), n_walks))
+                     for k_s, h in zip(kept, hits)]
         q_hat = max(p[1] for p in per_start)
         layers.append(LayerCrossing(j=j, modulus_from=m_prev, modulus_to=m_to,
                                     q_hat=q_hat, per_start=tuple(per_start),
-                                    dropped_starts=dropped))
+                                    dropped_starts=starts.size - len(kept)))
     product = 1.0
     comp = 0.0
     for lay in layers:

@@ -67,7 +67,7 @@ def wos_walk(domain, z0, epsilon, seed: int, walk_index: int = 0,
     domain.require_interior(z0, "z0")
     eps = walker._resolve_epsilon(domain, epsilon)
     code, steps, path, ex, ey = walker._walk_chunk(
-        domain, z0, eps, seed, walk_index, walk_index + 1, max_steps, r_out)
+        domain, [z0], [seed], walk_index + 1, eps, walk_index, walk_index + 1, max_steps, r_out)
     c = int(code[0])
     if c == walker._CODE_EXTERIOR:
         component, b_idx = "exterior", -1

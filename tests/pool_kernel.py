@@ -4,8 +4,8 @@ kept as its reference.
 It advances a pool of up to `chunk` walks as numpy arrays: a walk that
 exits frees its row for the next unstarted walk, and the pool compacts once
 the supply is exhausted.  The compiled kernel must return equal arrays for
-every range of walks; only a zero coordinate's sign may differ, from the
-+-0 jump this kernel gives rows that do not jump.
+every range of walks of every start table; only a zero coordinate's sign
+may differ, from the +-0 jump this kernel gives rows that do not jump.
 
 `direction` repeats the kernel's angle map, the same floating-point
 operations in the same order, so that the two kernels' positions agree to
@@ -54,11 +54,13 @@ def direction(u):
     return np.where((q + 1) & 2, -a, a), np.where(q & 2, -b, b)
 
 
-def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
+def pool_walk_chunk(domain, starts, seeds, per_start: int, eps: float,
                     w0: int, w1: int, max_steps: int, r_out: float,
                     chunk: int = _CHUNK):
     """Run walks [w0, w1) inside the absorbing circle |z| = r_out; returns
-    (exit_code, steps, path_length, exit_pos).
+    (exit_code, steps, path_length, exit_pos).  Walk w begins at
+    starts[s], s = w // per_start, and reads the stream
+    (seeds[s], w - s * per_start).
 
     The walks share a pool of at most `chunk` rows: a row whose walk exits
     takes the next unstarted walk of the range, so the slow tail of the
@@ -70,11 +72,15 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
     idx = domain.index
     n = w1 - w0
     width = min(n, chunk)
-    supply = stream_keys(seed, np.arange(w0, w1, dtype=np.uint64))
+    walks = np.arange(w0, w1)
+    start = walks // per_start
+    supply = np.concatenate([stream_keys(seeds[s], walks[start == s] - s * per_start)
+                             for s in np.unique(start)])
+    z0 = np.asarray(starts, dtype=np.complex128)[start]   # each walk's start point
     started = width                     # walks of the range handed to a row so far
     keys = supply[:width].copy()
-    x = np.full(width, z0.real)
-    y = np.full(width, z0.imag)
+    x = z0.real[:width].copy()
+    y = z0.imag[:width].copy()
     path = np.zeros(width)
     cnt = np.zeros(width, dtype=np.int64)   # per-walk stream counter
     walk_row = np.arange(width)             # walk of each row, relative to w0
@@ -174,8 +180,8 @@ def pool_walk_chunk(domain, z0: complex, eps: float, seed: int,
             walk_row[fresh] = np.arange(started, started + fresh.size)
             started += fresh.size
             keys[fresh] = supply[walk_row[fresh]]
-            x[fresh] = z0.real
-            y[fresh] = z0.imag
+            x[fresh] = z0.real[walk_row[fresh]]
+            y[fresh] = z0.imag[walk_row[fresh]]
             path[fresh] = 0.0
             cnt[fresh] = 0
             out[fresh] = False

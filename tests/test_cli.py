@@ -357,6 +357,29 @@ def test_memory_the_program_cannot_get_is_refused(tmp_path, capsys, argv):
     assert err.startswith("refused: not enough memory") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["measure", "--domain", "{bin}.json"], "{bin}.json"),
+    (["diag", "--seq", "{bin}.csv"], "{bin}.csv"),
+    (["diag", "--seq", "{bin}.json"], "{bin}.json"),
+    (["measure", "--domain", "x.json", "--config", "{bin}.cfg"], "{bin}.cfg"),
+    (["diag", "--seq", "{tmp}/text.json"], "{tmp}/text.json"),
+    (["criterion", "--profile", "power:0.1,2", "-o", "{tmp}/nodir/crit.json"],
+     "{tmp}/nodir/crit.json"),
+    (["criterion", "--profile", "power:0.1,2", "-o", "{tmp}"], "{tmp}"),
+], ids=["domain", "csv", "json", "config", "not-json", "no-dir", "a-dir"])
+def test_a_file_that_cannot_be_read_or_written_is_named(tmp_path, capsys, argv, named):
+    # a binary file is not UTF-8 text, nor text.json JSON; the refusal
+    # names the path given, never a temporary file
+    for suffix in (".json", ".csv", ".cfg"):
+        (tmp_path / f"bin{suffix}").write_bytes(b"\xff\xfe\x00\x89PNG")
+    (tmp_path / "text.json").write_text("not json")
+    names = {"bin": tmp_path / "bin", "tmp": tmp_path}
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert named.format(**names) in err and "Traceback" not in err
+    assert ".tmp-artifact" not in err and not list(tmp_path.glob(".tmp-artifact-*"))
+
+
 @pytest.mark.parametrize("profile, code", [
     ("expinv:1e300,1e300", 0),     # every closed form lies below the least double
     ("expinv:1e-170,1e-170", 3),   # c beta underflows to 0
@@ -584,11 +607,12 @@ def test_seed_dir_env(tmp_path, monkeypatch):
 def test_seed_dir_non_integer_seed_exits_2(tmp_path, monkeypatch, capsys):
     seed_dir = tmp_path / "seeds"
     seed_dir.mkdir()
-    (seed_dir / "default_seed").write_text("twelve\n")
     monkeypatch.setenv("CHAMPAGNE_SEED_DIR", str(seed_dir))
-    assert main(["gen-seq", "--ring", "q=0.5,scale=1,depth=2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(seed_dir / "default_seed") in err
+    for content in (b"twelve\n", b"\xff\xfe12\n"):   # the second is not UTF-8
+        (seed_dir / "default_seed").write_bytes(content)
+        assert main(["gen-seq", "--ring", "q=0.5,scale=1,depth=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(seed_dir / "default_seed") in err
 
 
 def test_measure_schema_requires_every_estimate_field():

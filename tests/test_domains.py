@@ -200,6 +200,17 @@ def test_expinv_closed_forms_beyond_the_double_range():
         float(want), rel=1e-12)
 
 
+def test_expinv_terms_where_k_to_the_j_beta_overflows():
+    # log(1/phi) = c K^(j beta) is 1e-300 2^(101.2 j): the exponent
+    # 101.2 j log 2 passes 700 from j = 10 and the double range from j = 11,
+    # so blocks[0] (j = 11 .. 100) once read 0, though each term is a double
+    r = criterion_sum(ch.expinv_profile(1e-300, 101.2), K=2.0, J_max=100)
+    with mpmath.workprec(200):
+        want = mpmath.fsum(1 / (mpmath.mpf(1e-300) * mpmath.mpf(2) ** (mpmath.mpf(101.2) * j))
+                           for j in range(11, 101))
+    assert r.blocks[0] == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
 def test_criterion_partial_sums_nondecreasing():
     r = criterion_sum(ch.power_profile(0.1, 2), J_max=500)
     ps = np.asarray(r.partial_sums)

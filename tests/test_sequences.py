@@ -64,6 +64,16 @@ def test_sequence_validation():
 
 # -- separation -------------------------------------------------------------
 
+def test_sequence_refusals_write_plain_numbers():
+    with pytest.raises(ValidationError) as dup:
+        PointSequence(np.array([0.5 + 0j, 0.5 + 0j]))
+    with pytest.raises(ValidationError) as outside:
+        PointSequence(np.array([0.5 + 0j, 1.0 + 0j]))
+    assert str(dup.value).startswith("duplicate point (0.5+0j): ")
+    assert str(outside.value) == "point 1 ((1+0j)) is not inside the open unit disk"
+    assert "np." not in str(dup.value) + str(outside.value)
+
+
 def test_separation_examples():
     assert separation(PointSequence(np.array([0j, 0.5 + 0j]))) == pytest.approx(0.5)
     assert separation(PointSequence(np.array([0.5 + 0j, -0.5 + 0j]))) == pytest.approx(0.8)

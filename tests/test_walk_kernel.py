@@ -2,9 +2,9 @@
 loader that builds it.
 
 pool_kernel.py keeps the array kernel as the reference: for every range
-of walks the compiled kernel must return equal (==) exit codes, step
-counts, path lengths and exit positions, whatever the pool width, on
-random domains and on exact ties built from dyadic coordinates.
+of walks of a start table the compiled kernel must return equal (==) exit
+codes, step counts, path lengths and exit positions, whatever the pool
+width, on random domains and on exact ties built from dyadic coordinates.
 """
 
 import os
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import champagne as ch
 from champagne import _native, spatial, walker
 from champagne.errors import ChampagneError, WalkBudgetError
+from champagne.streams import _U64
 from champagne.walker import estimate_measure
 
 from grid_build import cells_of
@@ -36,14 +37,18 @@ _pointlike_radii = st.floats(-13.0, -11.0).map(lambda e: 10.0 ** e)
 
 @st.composite
 def walk_cases(draw):
-    """(domain, z0, eps, seed, w0, w1, r_out) on random disjoint disks.
+    """(domain, starts, seeds, per_start, eps, w0, w1, r_out) on random
+    disjoint disks.
 
     A disk is point-like (radius 1e-13 to 1e-11) or takes a share of the
     room that keeps it clear of the rim and of every other disk.  One more
     point-like disk may sit 3e-10 to 2e-9 from the rim, where its
-    encounters are cramped.  The walks may start close to a point-like
-    disk, so that they meet it, or within 1e-9 of the cramped one.  r_out < 1
-    is an absorbing circle inside the rim, as layered_crossing sets it.
+    encounters are cramped.  The table holds 1 to 4 starts with distinct
+    seeds, and 1 to 9 walks per start or up to 2 * 10^6, so that a range
+    reaches far into a start's stream.  A start may lie close to a
+    point-like disk, so that its walks meet it, or within 1e-9 of the
+    cramped one.  r_out < 1 is an absorbing circle inside the rim, as
+    layered_crossing sets it.
     """
     n = draw(st.integers(1, 10))
     gaps = np.array(draw(st.lists(st.floats(-5.0, -0.05), min_size=n, max_size=n)))
@@ -66,29 +71,37 @@ def walk_cases(draw):
     domain = types.SimpleNamespace(index=index)  # all the kernels read
 
     small = np.flatnonzero(index.pointlike)
-    start = draw(st.sampled_from(["anywhere"] + ["near"] * bool(small.size)
-                                 + ["cramped"] * (radii.size > n)))
-    if start == "cramped":   # within 1e-9 of the disk by the rim
-        inwards = np.exp(1j * (np.angle(pts[-1]) + draw(st.floats(-1.2, 1.2))))
-        z0 = pts[-1] - 10.0 ** draw(st.floats(-10.0, -9.1)) * inwards
-    elif start == "near":
-        k = draw(st.sampled_from(small.tolist()))
-        z0 = pts[k] + 10.0 ** draw(st.floats(-10.0, -2.0)) * np.exp(1j * draw(_angles))
-    else:
-        z0 = (1.0 - 10.0 ** draw(st.floats(-3.0, -0.05))) * np.exp(1j * draw(_angles))
-    z0 = complex(z0)
-    assume(abs(z0) < 1.0 and np.all(np.abs(pts - z0) - radii > 0.0))
-    beyond = st.floats(0.05, 0.99).map(lambda f: abs(z0) + f * (1.0 - abs(z0)))
+    starts = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.sampled_from(["anywhere"] + ["near"] * bool(small.size)
+                                     + ["cramped"] * (radii.size > n)))
+        if start == "cramped":   # within 1e-9 of the disk by the rim
+            inwards = np.exp(1j * (np.angle(pts[-1]) + draw(st.floats(-1.2, 1.2))))
+            z0 = pts[-1] - 10.0 ** draw(st.floats(-10.0, -9.1)) * inwards
+        elif start == "near":
+            k = draw(st.sampled_from(small.tolist()))
+            z0 = pts[k] + 10.0 ** draw(st.floats(-10.0, -2.0)) * np.exp(1j * draw(_angles))
+        else:
+            z0 = (1.0 - 10.0 ** draw(st.floats(-3.0, -0.05))) * np.exp(1j * draw(_angles))
+        z0 = complex(z0)
+        assume(abs(z0) < 1.0 and np.all(np.abs(pts - z0) - radii > 0.0))
+        starts.append(z0)
+    top = max(abs(z0) for z0 in starts)
+    beyond = st.floats(0.05, 0.99).map(lambda f: top + f * (1.0 - top))
     r_out = draw(st.one_of(st.just(1.0), beyond))
     eps = min(1e-3 * index.r_min, 0.5 * index.h)
-    seed = draw(st.integers(-2 ** 63, 2 ** 64 - 1))
-    w0 = draw(st.integers(0, 10 ** 6))
-    return domain, z0, eps, seed, w0, w0 + draw(st.integers(1, 40)), r_out
+    seeds = draw(st.lists(st.integers(-2 ** 63, 2 ** 64 - 1), min_size=len(starts),
+                          max_size=len(starts), unique_by=lambda s: s & _U64))
+    per_start = draw(st.integers(1, 9) | st.integers(10, 2 * 10 ** 6))
+    n_walks = len(starts) * per_start
+    w0 = draw(st.integers(0, n_walks - 1))
+    w1 = min(n_walks, w0 + draw(st.integers(1, 40)))
+    return domain, starts, seeds, per_start, eps, w0, w1, r_out
 
 
 def _run(kernel, case, max_steps, **kwargs):
-    domain, z0, eps, seed, w0, w1, r_out = case
-    return kernel(domain, z0, eps, seed, w0, w1, max_steps, r_out, **kwargs)
+    *table, r_out = case
+    return kernel(*table, max_steps, r_out, **kwargs)
 
 
 def _assert_equal(got, want):
@@ -106,6 +119,35 @@ def test_compiled_kernel_equals_the_array_kernel(case):
         _assert_equal(got, _run(pool_walk_chunk, case, 10 ** 6, chunk=width))
 
 
+@given(walk_cases())
+@settings(max_examples=60, deadline=None)
+def test_a_start_table_walks_as_its_starts_do_alone(case):
+    # walk w of the call is walk w - s * per_start of start s, s = w // per_start
+    domain, starts, seeds, per_start, eps, w0, w1, r_out = case
+    alone = []
+    for s, (z0, seed) in enumerate(zip(starts, seeds)):
+        lo, hi = max(w0, s * per_start), min(w1, (s + 1) * per_start)
+        if lo < hi:
+            alone.append(walker._walk_chunk(domain, [z0], [seed], per_start, eps,
+                                            lo - s * per_start, hi - s * per_start,
+                                            10 ** 6, r_out))
+    _assert_equal(_run(walker._walk_chunk, case, 10 ** 6),
+                  [np.concatenate(col) for col in zip(*alone)])
+
+
+@pytest.mark.parametrize("seeds, per_start, w0, w1", [
+    ([1, 2], 2, 0, 5),     # beyond the table
+    ([1, 2], 0, 0, 0),     # no walks per start
+    ([1], 2, 0, 4),        # a start without a seed
+    ([1, 2], 2, 3, 2),     # an empty range reversed
+])
+def test_walks_outside_the_start_table_are_refused(one_bubble_domain, seeds, per_start, w0, w1):
+    # the kernel would read past the start arrays
+    with pytest.raises(ValueError, match="are not walks of 2 starts"):
+        walker._walk_chunk(one_bubble_domain, [0j, 0.1j], seeds, per_start, 1e-6, w0, w1,
+                           10 ** 6, 1.0)
+
+
 @given(walk_cases(), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_budget_error_counts_the_walks_that_reach_the_budget(case, max_steps):
@@ -119,8 +161,8 @@ def test_budget_error_counts_the_walks_that_reach_the_budget(case, max_steps):
     assert (info.value.n_failed, info.value.max_steps) == (failed.size, max_steps)
     # the lowest-index failed walk, run alone by the array kernel, stops
     # at the same place, unless its last draw is an encounter's hit
-    first = case[4] + int(failed[0])
-    alone = case[:4] + (first, first + 1) + case[6:]
+    first = case[5] + int(failed[0])
+    alone = case[:5] + (first, first + 1) + case[7:]
     try:
         steps = _run(pool_walk_chunk, alone, max_steps)[1]
     except WalkBudgetError as exc:
@@ -160,7 +202,7 @@ def test_the_angle_map_is_within_three_units_of_the_last_place():
 # walks then exit at once, and both kernels must take the same side.
 
 def _tie_case(index, z0, eps, r_out=1.0):
-    return types.SimpleNamespace(index=index), z0, eps, 5, 0, 3, r_out
+    return types.SimpleNamespace(index=index), [z0], [5], 3, eps, 0, 3, r_out
 
 
 def _assert_tie(case, code):

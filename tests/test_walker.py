@@ -259,8 +259,10 @@ def test_threads_zero_means_one_per_core_for_every_caller(empty_domain, opened, 
     n = 2 * walker._CHUNK + 1  # three ranges, so each of three workers has one
     estimate_measure(empty_domain, 0j, n_walks=n, epsilon=1e-6, seed=1, threads=0)
     layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=n, seed=1, threads=0)
-    # layer 2 has eight starts, so each of three workers has some
-    layered_crossing(empty_domain, K=2.0, j_max=2, n_walks=10, seed=1, grid_points=8, threads=0)
+    # layer 2 has eight starts of more than 2 * walker._CHUNK walks in all,
+    # so three ranges; layer 1, the origin alone, is one range
+    layered_crossing(empty_domain, K=2.0, j_max=2, n_walks=n // 8 + 1, seed=1, grid_points=8,
+                     threads=0)
     seq = ch.PointSequence(np.array([0.7 + 0j, -0.7j]))
     harmonic_density_curve(seq, [0.9], "lower", ProbeSpec(points=(0j, 0.1 + 0j, -0.1j)),
                            McParams(n_walks=100, pilot_walks=100, seed=1, threads=0))
@@ -327,7 +329,7 @@ def test_results_do_not_depend_on_the_pool_width(width, monkeypatch):
 
 def test_walks_that_fit_one_pool_are_not_split(empty_domain, opened):
     estimate_measure(empty_domain, 0j, n_walks=walker._CHUNK, epsilon=1e-6, seed=1, threads=4)
-    # layered's first layer is one start, the origin, whose walks split as an estimate's do
+    # layered's first layer is one start, the origin; a layer's walks split as an estimate's do
     layered_crossing(empty_domain, K=2.0, j_max=1, n_walks=walker._CHUNK, seed=1, threads=4)
     assert opened == []
 
@@ -345,7 +347,8 @@ def test_budget_error_in_a_worker_reaches_the_caller(one_bubble_domain, opened):
     assert opened == [2]
     # the error of the first range, as that range raises it in-process
     with pytest.raises(WalkBudgetError) as first:
-        walker._walk_chunk(one_bubble_domain, 0.1 + 0j, 1e-9, 1, 0, walker._CHUNK // 2, 3, 1.0)
+        walker._walk_chunk(one_bubble_domain, [0.1 + 0j], [1], walker._CHUNK + 1, 1e-9,
+                           0, walker._CHUNK // 2, 3, 1.0)
     got, want = info.value, first.value
     assert (got.n_failed, got.max_steps, got.sample_position) == (
         want.n_failed, want.max_steps, want.sample_position)
@@ -355,7 +358,7 @@ def test_budget_error_gives_the_lowest_index_failed_walk_not_the_first_in_time()
     # 1e-8 from the 1e-13 bubble, walk 1 meets it and survives (two draws
     # in one step), so it reaches the budget of 4 a round before walk 0
     dom = _pointlike_domain()
-    case = (dom, complex(dom.centers[2]) + 1e-8, 1e-12, 0)
+    case = (dom, [complex(dom.centers[2]) + 1e-8], [0], 2, 1e-12)
 
     def stop(w0, w1):
         with pytest.raises(WalkBudgetError) as info:
@@ -487,22 +490,25 @@ def test_layered_bubble_between_first_circles():
     assert rep.product == pytest.approx(q[0] * q[1] * q[2])
 
 
-def test_layered_spreads_the_starts_of_a_layer_over_the_threads(monkeypatch):
-    # one start's walks are a single kernel range below walker._CHUNK walks,
-    # so the workers share the starts; the report does not depend on them
+def test_layered_splits_the_walks_of_a_layer_over_the_threads_as_an_estimate_does(monkeypatch):
+    # a layer's starts and their walks are one kernel call, split into
+    # ranges by walker._CHUNK; the report does not depend on the threads
     dom = ch.domain_from_pseudo([(0.25 + 0j, 0.02)], truncation_R=1.0)
-    serial = layered_crossing(dom, K=2.0, j_max=2, n_walks=200, seed=6, grid_points=8)
-    seen = set()
+    n = walker._CHUNK // 8 + 1
+    serial = layered_crossing(dom, K=2.0, j_max=2, n_walks=n, seed=6, grid_points=8)
+    seen, ranges = set(), []
     chunk = walker._walk_chunk
 
-    def recorded(*args):
+    def recorded(domain, starts, seeds, per_start, eps, w0, w1, *args):
         seen.add(threading.get_ident())
-        time.sleep(0.01)   # lets the other worker take a start meanwhile
-        return chunk(*args)
+        ranges.append((len(starts), per_start, w0, w1))
+        time.sleep(0.01)   # lets the other worker take a range meanwhile
+        return chunk(domain, starts, seeds, per_start, eps, w0, w1, *args)
 
     monkeypatch.setattr(walker, "_walk_chunk", recorded)
-    assert layered_crossing(dom, K=2.0, j_max=2, n_walks=200, seed=6, grid_points=8,
+    assert layered_crossing(dom, K=2.0, j_max=2, n_walks=n, seed=6, grid_points=8,
                             threads=2) == serial
+    assert sorted(ranges) == [(1, n, 0, n), (8, n, 0, 4 * n), (8, n, 4 * n, 8 * n)]
     assert len(seen) > 1
 
 
